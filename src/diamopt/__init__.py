@@ -25,7 +25,6 @@ from .diameter import (
     DiameterProgram,
     DiverseOptimaResult,
     EpsilonChoice,
-    build_diameter_program,
     choose_epsilon,
     diameter_by_enumeration,
     result_to_dict,
@@ -53,19 +52,10 @@ from .polytope import (
     check_inequality,
     enumerate_points,
     facet_families,
-    hull_dimension,
     lift_equation_system,
     verify_minimal_system,
 )
-from .ratlinalg import (
-    RankBuilder,
-    RatMatrix,
-    Rational,
-    affine_dimension,
-    as_rational,
-    incremental_rank_builder,
-    rank,
-)
+from .ratlinalg import RatMatrix, affine_dimension, as_rational
 
 __all__ = [
     "BinaryProgram",
@@ -82,14 +72,11 @@ __all__ = [
     "InfeasibleModelError",
     "ParseError",
     "PointSet",
-    "RankBuilder",
     "RatMatrix",
-    "Rational",
     "Solution",
     "SolveReport",
     "affine_dimension",
     "as_rational",
-    "build_diameter_program",
     "check_disjoint_pair_condition",
     "check_inequality",
     "choose_epsilon",
@@ -99,8 +86,6 @@ __all__ = [
     "enumerate_optimal_set",
     "enumerate_points",
     "facet_families",
-    "hull_dimension",
-    "incremental_rank_builder",
     "is_feasible",
     "lift_equation_system",
     "load_model_json",
@@ -110,7 +95,6 @@ __all__ = [
     "model_to_dict",
     "parse_lp",
     "random_binary_program",
-    "rank",
     "result_to_dict",
     "solve_bnb",
     "solve_diameter",

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, InfeasibleModelError
-from .ratlinalg import as_rational, scaled_int_vector
+from .ratlinalg import as_rational, int_dtype, scaled_int_vector
 
 SENSES = ("<=", "=", ">=")
 
@@ -107,18 +107,23 @@ class BinaryProgram:
         return sum((ci for ci, xi in zip(self.c, assignment) if xi), Fraction(0))
 
     def scaled(self):
-        """Integer-scaled copy (c_int, rows) with rows = (coeffs, sense, rhs).
+        """Integer-scaled copy (c_int, rows, dtype) with rows = (coeffs, sense, rhs).
 
         Each row and the objective are scaled by their own positive factor,
-        so feasibility and argmax are preserved exactly.
+        so feasibility and argmax are preserved exactly.  dtype is the numpy
+        dtype that holds every dot product with a 0/1 vector and every
+        right-hand side exactly: int64 when the model's sums of |coefficient|
+        allow it, object (Python integers) otherwise.
         """
         if self._scaled is None:
             c_int, _, _ = scaled_int_vector(self.c)
             rows = []
+            bound = sum(map(abs, c_int))
             for con in self.constraints:
                 a, b, _ = scaled_int_vector(con.coeffs, con.rhs)
                 rows.append((a, con.sense, b))
-            self._scaled = (c_int, tuple(rows))
+                bound = max(bound, sum(map(abs, a)), abs(b))
+            self._scaled = (c_int, tuple(rows), int_dtype(bound))
         return self._scaled
 
 
@@ -127,7 +132,7 @@ def is_feasible(bp: BinaryProgram, assignment: Sequence[int]) -> bool:
         raise ValueError("assignment length mismatch")
     if any(x not in (0, 1) for x in assignment):
         raise ValueError("assignment must be 0/1")
-    _, rows = bp.scaled()
+    _, rows, _ = bp.scaled()
     for a, sense, b in rows:
         v = sum(ai for ai, xi in zip(a, assignment) if xi)
         if sense == "<=" and v > b:
@@ -161,10 +166,10 @@ def _bit_blocks(n: int):
 
 
 def _feasible_mask(bp: BinaryProgram, bits: np.ndarray) -> np.ndarray:
-    _, rows = bp.scaled()
+    _, rows, dtype = bp.scaled()
     mask = np.ones(bits.shape[0], dtype=bool)
     for a, sense, b in rows:
-        vals = bits @ np.array(a, dtype=np.int64)
+        vals = bits @ np.array(a, dtype=dtype)
         if sense == "<=":
             mask &= vals <= b
         elif sense == "=":
@@ -180,8 +185,8 @@ def solve_enumerate(bp: BinaryProgram, cap: int | None = None) -> SolveReport:
     """Exhaustive 2^n scan; ties go to the lexicographically smallest
     maximizer."""
     _require_cap(bp.n, cap)
-    c_int, _ = bp.scaled()
-    c_vec = np.array(c_int, dtype=np.int64)
+    c_int, _, dtype = bp.scaled()
+    c_vec = np.array(c_int, dtype=dtype)
     best_val = None
     best_assign = None
     for _, bits in _bit_blocks(bp.n):
@@ -215,8 +220,8 @@ def enumerate_feasible(bp: BinaryProgram, cap: int | None = None) -> list[tuple[
 def enumerate_optimal_set(bp: BinaryProgram, cap: int | None = None) -> list[Solution]:
     """Every optimal assignment, lexicographically sorted."""
     _require_cap(bp.n, cap)
-    c_int, _ = bp.scaled()
-    c_vec = np.array(c_int, dtype=np.int64)
+    c_int, _, dtype = bp.scaled()
+    c_vec = np.array(c_int, dtype=dtype)
     best_val = None
     keep: list[tuple[int, np.ndarray]] = []  # (scaled obj, feasible block rows)
     for _, bits in _bit_blocks(bp.n):
@@ -251,7 +256,7 @@ def solve_bnb(bp: BinaryProgram) -> SolveReport:
     solve_enumerate on status and objective value.
     """
     n = bp.n
-    c_int, rows = bp.scaled()
+    c_int, rows, _ = bp.scaled()
     m = len(rows)
 
     # suffix_neg/pos[i][d] = sum of negative/positive coefficients of row i

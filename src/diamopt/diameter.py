@@ -147,10 +147,6 @@ def build(bp: BinaryProgram, eps=None, variant: str = "full") -> DiameterProgram
     return DiameterProgram(bp, eps_value, rule, variant == "full", derived)
 
 
-# package-level name; modules import the module and call the short form
-build_diameter_program = build
-
-
 def verify_z_semantics(res: DiverseOptimaResult) -> bool:
     """z reads off agreement (full) or shared support (conjugate)."""
     if res.variant == "full":

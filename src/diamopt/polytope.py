@@ -20,7 +20,7 @@ import numpy as np
 from .bpcore import BinaryProgram, enumerate_feasible
 from .diameter import DiameterProgram
 from .errors import CapExceededError
-from .ratlinalg import RatMatrix, affine_dimension, as_rational, scaled_int_vector
+from .ratlinalg import RatMatrix, affine_dimension, as_rational, int_dtype, scaled_int_vector
 
 DEFAULT_MAX_POINTS = 2_000_000
 
@@ -176,10 +176,6 @@ def enumerate_points(
     return PointSet(np.vstack(blocks), source="structured pairs")
 
 
-def hull_dimension(ps: PointSet) -> int:
-    return ps.hull_dimension()
-
-
 def lift_equation_system(base_system: EquationSystem, n: int | None = None) -> EquationSystem:
     """Duplicate a base minimal system over the x and y blocks, zero on z.
 
@@ -201,14 +197,9 @@ def lift_equation_system(base_system: EquationSystem, n: int | None = None) -> E
 
 
 def _int_row(coeffs, rhs):
+    # 0/1 points: |a . p| <= sum |a|, and b is compared with it
     a, b, _ = scaled_int_vector(coeffs, rhs)
-    return np.array(a, dtype=np.int64), b
-
-
-def _check_dot_bound(a: np.ndarray):
-    # 0/1 points: |dot| <= sum |a|; keep it far inside int64
-    if int(np.abs(a).sum()) >= 1 << 62:
-        raise OverflowError("inequality coefficients too large for the int64 path")
+    return np.array(a, dtype=int_dtype(max(sum(map(abs, a)), abs(b)))), b
 
 
 def points_satisfying(ps: PointSet, ineq: Inequality) -> np.ndarray:
@@ -216,7 +207,6 @@ def points_satisfying(ps: PointSet, ineq: Inequality) -> np.ndarray:
     a, b = _int_row(ineq.a, ineq.a0)
     if len(ineq.a) != ps.dim_ambient:
         raise ValueError("inequality width disagrees with the point set")
-    _check_dot_bound(a)
     vals = ps.wide() @ a
     tight = vals == b
     sat = vals <= b if ineq.sense == "<=" else vals >= b
@@ -256,7 +246,6 @@ def verify_minimal_system(ps: PointSet, system: EquationSystem) -> bool:
     wide = ps.wide()
     for row, d in zip(system.matrix.rows, system.rhs):
         a, b = _int_row(row, d)
-        _check_dot_bound(a)
         if not bool(((wide @ a) == b).all()):
             return False
     return ps.hull_dimension() == ps.dim_ambient - system.matrix.nrows

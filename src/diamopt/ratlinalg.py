@@ -1,11 +1,17 @@
 """Exact rational linear algebra.
 
-Every rank decision in the polyhedral code runs through this module, and
-every one of them is tolerance-free: scalars are `fractions.Fraction` or
-arbitrary-precision integers.  numpy appears only as an int64 fast path for
-bulk reductions; each vectorized step is guarded by an exact overflow bound
-and falls back to Python integers when the guard trips, so no result ever
-depends on floating point or on silent wraparound.
+Every rank decision in the polyhedral code runs through one routine,
+`_int_rank`: fraction-free (Bareiss) elimination on Python integers, whose
+division by the previous pivot is exact.  Rational rows are scaled to
+integers row by row first, which leaves the rank unchanged.
+
+An integer point array is reduced to its Gram matrix G = sum (p - p0)(p - p0)^T
+before elimination: over the rationals rank(D) = rank(D^T D), and G is only
+d x d however many points there are.  G is summed in int64 when no entry can
+reach 2**62, that is when (rows - 1) * spread**2 < 2**62 with spread the
+largest column range; otherwise in Python integers.  `int_dtype` is that one
+overflow rule, shared with the int64 dot products in bpcore and polytope, so
+no result depends on floating point or on silent wraparound.
 """
 
 from __future__ import annotations
@@ -16,11 +22,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-Rational = Fraction
+# int64 headroom: a value known to stay below 2**62 in size leaves a factor
+# of two before any numpy int64 sum or product could wrap.
+_INT64_BOUND = 1 << 62
 
-# int64 headroom: one reduction step computes a*p - b*q from entries already
-# bounded by the guard, so keeping everything below 2**62 is safe.
-_INT64_GUARD = 1 << 62
+# The Gram matrix is summed this many points at a time, so the difference
+# block has a fixed size however many points there are.
+_GRAM_CHUNK = 1 << 15
+
+
+def int_dtype(bound: int):
+    """numpy dtype for exact integer work whose values never exceed `bound`
+    in absolute value: int64 below 2**62, object (Python integers) above."""
+    return np.int64 if bound < _INT64_BOUND else object
 
 
 def as_rational(x) -> Fraction:
@@ -54,13 +68,30 @@ def scaled_int_vector(coeffs: Sequence, rhs=None):
     return ints, int(rhs * scale), scale
 
 
-def _vec_gcd(v) -> int:
-    g = 0
-    for a in v:
-        g = math.gcd(g, a if a >= 0 else -a)
-        if g == 1:
-            return 1
-    return g
+def _int_rank(rows) -> int:
+    """Rank of an integer matrix by Bareiss elimination.
+
+    After k pivots every live entry is a (k+1)-minor of the input and the
+    divisor is the k-minor of the pivot block (Sylvester's identity), so each
+    floor division is exact.  A column without a pivot is dropped; so is a
+    row once it is zero, since it stays zero.
+    """
+    work = [list(r) for r in rows if any(r)]
+    rank, prev = 0, 1
+    while work and work[0]:
+        k = next((i for i, r in enumerate(work) if r[0]), None)
+        if k is None:
+            work = [r[1:] for r in work]
+            continue
+        pivot_row = work.pop(k)
+        p, tail = pivot_row[0], pivot_row[1:]
+        work = [
+            [(p * a - r[0] * b) // prev for a, b in zip(r[1:], tail)] for r in work
+        ]
+        work = [r for r in work if any(r)]
+        prev = p
+        rank += 1
+    return rank
 
 
 class RatMatrix:
@@ -91,245 +122,51 @@ class RatMatrix:
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(zip(*self.rows)) if self.nrows else RatMatrix([])
-
     def rank(self) -> int:
-        """Exact rank by Gaussian elimination with full pivoting.
-
-        The pivot is the nonzero entry of smallest bit size in the remaining
-        submatrix; every eliminated row is reduced immediately (Fraction
-        arithmetic keeps lowest terms), which bounds coefficient growth.
-        """
-        work = [list(r) for r in self.rows]
-        m, n = self.nrows, self.ncols
-        done_cols: set[int] = set()
-        rank = 0
-        live = list(range(m))
-        while True:
-            best = None
-            best_size = None
-            for i in live:
-                row = work[i]
-                for j in range(n):
-                    if j in done_cols:
-                        continue
-                    a = row[j]
-                    if a:
-                        size = a.numerator.bit_length() + a.denominator.bit_length()
-                        if best_size is None or size < best_size:
-                            best, best_size = (i, j), size
-                            if size <= 2:
-                                break
-                if best_size is not None and best_size <= 2:
-                    break
-            if best is None:
-                return rank
-            pi, pj = best
-            pivot_row = work[pi]
-            pv = pivot_row[pj]
-            live.remove(pi)
-            done_cols.add(pj)
-            rank += 1
-            for i in live:
-                f = work[i][pj]
-                if f:
-                    ratio = f / pv
-                    work[i] = [a - ratio * b for a, b in zip(work[i], pivot_row)]
+        """Exact rank: each row scaled to integers, then `_int_rank`."""
+        return _int_rank(scaled_int_vector(r)[0] for r in self.rows)
 
 
-def rank(rows) -> int:
-    """Rank of a matrix given as RatMatrix or an iterable of rational rows."""
-    if isinstance(rows, RatMatrix):
-        return rows.rank()
-    return RatMatrix(rows).rank()
-
-
-class RankBuilder:
-    """Incremental exact rank of a growing set of vectors.
-
-    Vectors are scaled to integers and folded into a reduced integer basis:
-    rows are pairwise reduced, gcd-normalized, pivots positive.  feed()
-    accepts one vector; feed_block() accepts a 2-D integer ndarray and does
-    the bulk of the reduction in int64 with exact overflow guards.
-    """
-
-    def __init__(self, ncols: int | None = None):
-        self.ncols = ncols
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
-        self._np_stale = True
-        self._np_rows = None
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    @property
-    def saturated(self) -> bool:
-        """True once the basis spans the whole ambient space."""
-        return self.ncols is not None and len(self._rows) == self.ncols
-
-    def _check_width(self, width: int):
-        if self.ncols is None:
-            self.ncols = width
-        elif width != self.ncols:
-            raise ValueError(f"vector of length {width}, expected {self.ncols}")
-
-    def feed(self, vec) -> int:
-        """Fold one vector in; returns the rank afterwards."""
-        if isinstance(vec, np.ndarray):
-            if not np.issubdtype(vec.dtype, np.integer):
-                raise ValueError("ndarray vectors must have an integer dtype")
-            v = [int(a) for a in vec]
-        else:
-            v = list(vec)
-        self._check_width(len(v))
-        if any(not isinstance(a, int) for a in v):
-            ints, _, _ = scaled_int_vector(v)
-            v = list(ints)
-        if self.saturated:
-            return self.rank
-        self._feed_ints(v)
-        return self.rank
-
-    def _feed_ints(self, v: list[int]):
-        for row, p in zip(self._rows, self._pivots):
-            f = v[p]
-            if f:
-                pv = row[p]
-                v = [a * pv - b * f for a, b in zip(v, row)]
-                g = _vec_gcd(v)
-                if g > 1:
-                    v = [a // g for a in v]
-        pivot = next((j for j, a in enumerate(v) if a), None)
-        if pivot is None:
-            return
-        if v[pivot] < 0:
-            v = [-a for a in v]
-        g = _vec_gcd(v)
-        if g > 1:
-            v = [a // g for a in v]
-        # back-eliminate the new pivot column from the existing rows; their
-        # own pivot entries are untouched because v is zero there
-        for i, row in enumerate(self._rows):
-            f = row[pivot]
-            if f:
-                pv = v[pivot]
-                new = [a * pv - b * f for a, b in zip(row, v)]
-                g = _vec_gcd(new)
-                if g > 1:
-                    new = [a // g for a in new]
-                self._rows[i] = new
-        at = next((k for k, q in enumerate(self._pivots) if q > pivot), len(self._pivots))
-        self._rows.insert(at, v)
-        self._pivots.insert(at, pivot)
-        self._np_stale = True
-
-    def _np_basis(self):
-        if self._np_stale:
-            if self._rows and max(abs(a) for row in self._rows for a in row) < _INT64_GUARD:
-                self._np_rows = np.array(self._rows, dtype=np.int64)
-            else:
-                self._np_rows = None
-            self._np_stale = False
-        return self._np_rows
-
-    def _reduce_block(self, work: np.ndarray) -> np.ndarray | None:
-        """One pass of work against the current basis; None means the int64
-        guard tripped and the caller must take the exact path."""
-        basis = self._np_basis()
-        if basis is None and self._rows:
-            return None
-        bound = int(np.abs(work).max(initial=0))
-        if basis is not None:
-            for k, p in enumerate(self._pivots):
-                f = work[:, p]
-                nz = f != 0
-                if not nz.any():
-                    continue
-                pv = int(basis[k, p])
-                row_max = int(np.abs(basis[k]).max())
-                f_max = int(np.abs(f[nz]).max())
-                step = bound * pv + f_max * row_max
-                if step >= _INT64_GUARD:
-                    # the running estimate is conservative; tighten it before
-                    # giving up on the vectorized path
-                    bound = int(np.abs(work).max(initial=0))
-                    step = bound * pv + f_max * row_max
-                    if step >= _INT64_GUARD:
-                        return None
-                bound = step
-                work[nz] = work[nz] * pv - f[nz, None] * basis[k][None, :]
-        return work
-
-    def feed_block(self, block: np.ndarray) -> int:
-        """Fold in every row of an integer 2-D array; returns the rank.
-
-        Equivalent to feeding the rows one by one, just vectorized.
-        """
-        if block.ndim != 2:
-            raise ValueError("feed_block wants a 2-D array")
-        self._check_width(block.shape[1])
-        if block.shape[0] == 0:
-            return self.rank
-        if not np.issubdtype(block.dtype, np.integer):
-            raise ValueError("feed_block wants an integer dtype")
-        work = block.astype(np.int64, copy=True)
-        while work.shape[0]:
-            if self.saturated:
-                break
-            reduced = self._reduce_block(work)
-            if reduced is None:
-                for r in work:
-                    self.feed([int(a) for a in r])
-                return self.rank
-            work = reduced
-            nonzero = np.any(work != 0, axis=1)
-            work = work[nonzero]
-            if work.shape[0] == 0:
-                break
-            g = np.gcd.reduce(np.abs(work), axis=1)
-            g[g == 0] = 1
-            work //= g[:, None]
-            self._feed_ints([int(a) for a in work[0]])
-            work = work[1:]
-        return self.rank
-
-
-def incremental_rank_builder(ncols: int | None = None) -> RankBuilder:
-    return RankBuilder(ncols)
+def _gram(points: np.ndarray) -> list[list[int]]:
+    """sum over the rows p of (p - p0)(p - p0)^T, as Python integers."""
+    if points.dtype != object and not np.issubdtype(points.dtype, np.integer):
+        raise ValueError("point arrays must have an integer dtype")
+    if points.dtype == object and not all(isinstance(v, int) for v in points.flat):
+        raise ValueError("object point arrays must hold Python integers")
+    columns = zip(points.max(axis=0), points.min(axis=0))
+    spread = max((int(hi) - int(lo) for hi, lo in columns), default=0)
+    dtype = int_dtype((points.shape[0] - 1) * spread * spread)
+    # cast before subtracting: a uint64 entry above 2**63 wraps in the cast,
+    # but the difference of two such entries is below 2**31 here, so it
+    # comes out exact modulo 2**64, i.e. exact
+    base = points[0].astype(dtype)[:, None]
+    gram = np.zeros((points.shape[1], points.shape[1]), dtype=dtype)
+    for lo in range(0, points.shape[0], _GRAM_CHUNK):
+        # the transposed chunk in C order makes the product read rows only
+        diff_t = points[lo : lo + _GRAM_CHUNK].T.astype(dtype, order="C")
+        diff_t -= base
+        gram += diff_t @ diff_t.T
+    return gram.tolist()
 
 
 def affine_dimension(points) -> int:
     """Dimension of the affine hull of a nonempty point collection.
 
-    A single point has dimension 0.  Accepts a 2-D integer ndarray (fast
-    path) or any iterable of rational coordinate sequences.
+    A single point has dimension 0.  Accepts a 2-D integer (or object array
+    of Python integers) ndarray, reduced to its Gram matrix, or any iterable
+    of rational coordinate sequences, whose differences are ranked directly.
     """
     if isinstance(points, np.ndarray):
         if points.ndim != 2:
             raise ValueError("expected a 2-D array of points")
         if points.shape[0] == 0:
             raise ValueError("affine hull of no points is undefined")
-        base = points[0].astype(np.int64)
-        rb = RankBuilder(points.shape[1])
-        chunk = 1 << 15
-        for lo in range(1, points.shape[0], chunk):
-            if rb.saturated:
-                break
-            rb.feed_block(points[lo : lo + chunk].astype(np.int64) - base[None, :])
-        return rb.rank
+        return _int_rank(_gram(points))
 
     pts = [tuple(as_rational(c) for c in p) for p in points]
     if not pts:
         raise ValueError("affine hull of no points is undefined")
     base = pts[0]
-    rb = RankBuilder(len(base))
-    for p in pts[1:]:
-        if len(p) != len(base):
-            raise ValueError("points of mixed dimension")
-        if rb.saturated:
-            break
-        rb.feed([a - b for a, b in zip(p, base)])
-    return rb.rank
+    if any(len(p) != len(base) for p in pts):
+        raise ValueError("points of mixed dimension")
+    return _int_rank(scaled_int_vector([a - b for a, b in zip(p, base)])[0] for p in pts[1:])

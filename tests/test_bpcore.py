@@ -125,6 +125,18 @@ class TestEnumerate:
         assert rep.best.objective_value == Fraction(2, 3)
         assert rep.best.assignment == (1, 0)
 
+    @pytest.mark.parametrize("k", [62, 64, 70])
+    def test_huge_coefficients_match_brute_force(self, k):
+        # 2^k + 2^k does not fit in int64, so the scan must not use it
+        bp = BinaryProgram([1, 1], [Constraint([2**k, 2**k], "<=", 2**k)])
+        assert enumerate_feasible(bp) == brute_feasible(bp) == [(0, 0), (0, 1), (1, 0)]
+        rep = solve_enumerate(bp)
+        assert is_feasible(bp, rep.best.assignment)
+        assert rep.best.objective_value == solve_bnb(bp).best.objective_value == 1
+        free = BinaryProgram([2**k, 2**k, -1], [])
+        assert solve_enumerate(free).best.assignment == (1, 1, 0)
+        assert [s.assignment for s in enumerate_optimal_set(free)] == [(1, 1, 0)]
+
 
 class TestBranchAndBound:
     def test_agrees_on_handmade_models(self):

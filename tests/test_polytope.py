@@ -134,6 +134,15 @@ class TestCheckInequality:
         assert r.tight_point_count == 0
         assert r.face_dimension == -1
 
+    def test_huge_coefficients(self):
+        # 2^62 + 2^62 wraps in int64; the verdicts must not
+        ps = paired_points_free(1)
+        big = 1 << 62
+        r = check_inequality(ps, Inequality([big, big, -big], big, "<=", "coupling_scaled"))
+        assert r.valid and r.is_facet and r.tight_point_count == 3
+        r = check_inequality(ps, Inequality([big, big, 0], big, "<=", "x_plus_y"))
+        assert not r.valid and r.tight_point_count == 4
+
     def test_fractional_inequality(self):
         ps = paired_points_free(1)
         r = check_inequality(
