@@ -25,7 +25,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import lop, tsp
 from .bpcore import solve_bnb, solve_enumerate
 from .diameter import build as build_diameter
 from .diameter import result_to_dict, solve_diameter, theoretical_epsilon
@@ -38,7 +37,7 @@ from .polytope import (
     enumerate_points,
 )
 from .ratlinalg import as_rational
-from .suites import SUITES, run_suite
+from .suites import FAMILIES, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -80,40 +79,32 @@ def _max_points(args) -> int:
 
 
 def _instance_setup(args):
-    """Resolve --problem/--n/--instance into (meta, base model, base points).
+    """Resolve --problem/--n/--instance into (meta, base model, family).
 
-    Base points are None for raw models; the ordering and tour front ends
-    enumerate their feasible sets directly, which is what makes the larger
-    point sets reachable at all.
+    The family is None for raw models.
     """
-    problem = args.problem
-    if problem == "raw":
+    if args.problem == "raw":
         if not args.instance:
             raise ParseError("--problem raw requires --instance MODEL")
         bp = _load_model(args.instance)
         return {"problem": "raw", "n": bp.n}, bp, None
-    if problem == "lop":
-        if args.instance:
-            inst = lop.load_lop(args.instance)
-        elif args.n:
-            inst = lop.LopInstance.zero(args.n)
-        else:
-            raise ParseError("need --n or --instance for --problem lop")
-        base = [lop.perm_to_incidence(p) for p in lop.all_permutations(inst.n_items)]
-        return {"problem": "lop", "n": inst.n_items}, lop.build(inst), base
+    family = FAMILIES[args.problem]
     if args.instance:
-        inst = tsp.load_tsp(args.instance)
+        inst = family.load(args.instance)
     elif args.n:
-        inst = tsp.TspInstance.zero(args.n)
+        inst = family.zero(args.n)
     else:
-        raise ParseError("need --n or --instance for --problem tsp")
-    base = [tsp.tour_to_incidence(t) for t in tsp.all_tours(inst.n)]
-    return {"problem": "tsp", "n": inst.n}, tsp.build(inst), base
+        raise ParseError(f"need --n or --instance for --problem {args.problem}")
+    return {"problem": args.problem, "n": family.size(inst)}, family.module.build(inst), family
 
 
 def _paired_points(args):
-    meta, bp, base = _instance_setup(args)
+    """The ordering and tour front ends list their feasible sets directly,
+    which is what makes the larger point sets reachable at all; raw models
+    are scanned."""
+    meta, bp, family = _instance_setup(args)
     dp = build_diameter(bp, None, "conjugate")
+    base = family.module.base_points(meta["n"]) if family else None
     ps = enumerate_points(dp, base_points=base, cap=args.cap, max_points=_max_points(args))
     return meta, ps
 
@@ -155,24 +146,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_diameter(args) -> int:
-    meta, bp, _ = _instance_setup(args)
+    meta, bp, family = _instance_setup(args)
     n = meta["n"]
-    if meta["problem"] == "lop":
-        constant_norm = n * (n - 1) // 2
-    elif meta["problem"] == "tsp":
-        constant_norm = n
-    else:
-        constant_norm = None
     eps = None
     if args.epsilon:
-        eps = Fraction(args.epsilon)
+        eps = as_rational(args.epsilon)
         if eps <= 0:
             raise ParseError("--epsilon must be positive")
     elif args.theoretical_epsilon:
         eps = theoretical_epsilon(bp, args.cap)
     dp = build_diameter(bp, eps, args.variant)
-    if args.variant == "full":
-        constant_norm = None
+    constant_norm = family.constant_norm(n) if family and args.variant != "full" else None
     res = solve_diameter(dp, constant_norm=constant_norm, cap=args.cap)
     payload = result_to_dict(res)
     payload["problem"] = meta["problem"]
@@ -186,19 +170,10 @@ def cmd_diameter(args) -> int:
     if res.diameter_upper_bound is not None:
         lines.append(f"diameter upper bound: {res.diameter_upper_bound}")
     lines += [f"x*: {_bits(res.x_star)}", f"y*: {_bits(res.y_star)}", f"z*: {_bits(res.z_star)}"]
-    if meta["problem"] == "tsp":
-        t1 = tsp.incidence_to_tour(res.x_star, meta["n"])
-        t2 = tsp.incidence_to_tour(res.y_star, meta["n"])
-        payload["tours"] = [list(t1), list(t2)]
-        lines += [f"tour x: {'-'.join(map(str, t1))}", f"tour y: {'-'.join(map(str, t2))}"]
-    elif meta["problem"] == "lop":
-        p1 = lop.incidence_to_perm(res.x_star, meta["n"])
-        p2 = lop.incidence_to_perm(res.y_star, meta["n"])
-        payload["permutations"] = [list(p1), list(p2)]
-        lines += [
-            f"ranks x: {' '.join(map(str, p1))}",
-            f"ranks y: {' '.join(map(str, p2))}",
-        ]
+    if family:
+        pair = [list(family.decode(v, n)) for v in (res.x_star, res.y_star)]
+        payload[family.pair_key] = pair
+        lines += [f"{family.pair_label} {h}: {family.sep.join(map(str, p))}" for h, p in zip("xy", pair)]
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -310,7 +285,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--problem", choices=("lop", "tsp", "raw"), default="raw", help="model family"
+        "--problem", choices=(*FAMILIES, "raw"), default="raw", help="model family"
     )
     p.add_argument("--n", type=int, help="instance size for lop/tsp (costs all zero)")
     p.add_argument("--instance", metavar="PATH", help="instance or model file")

@@ -16,6 +16,7 @@ ordering and tour front ends) the distance is exactly 2*(k - sum(z)).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,16 +218,14 @@ def solve_diameter(
     return res
 
 
+def support_mask(x) -> int:
+    """The 0/1 vector x as an integer: bit i is set iff x_i = 1."""
+    return sum(1 << i for i, v in enumerate(x) if v)
+
+
 def diameter_by_enumeration(bp: BinaryProgram, cap: int | None = None) -> int:
     """max squared distance between two optima, straight from the optimal set."""
-    opts = enumerate_optimal_set(bp, cap)
-    masks = []
-    for s in opts:
-        m = 0
-        for i, v in enumerate(s.assignment):
-            if v:
-                m |= 1 << i
-        masks.append(m)
+    masks = [support_mask(s.assignment) for s in enumerate_optimal_set(bp, cap)]
     best = 0
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
@@ -234,6 +233,32 @@ def diameter_by_enumeration(bp: BinaryProgram, cap: int | None = None) -> int:
             if d > best:
                 best = d
     return best
+
+
+def maximisers(items: list, value) -> list:
+    """Every item of largest value(item), in input order."""
+    values = [value(item) for item in items]
+    best = max(values)
+    return [item for item, v in zip(items, values) if v == best]
+
+
+def verify_listed_diameter(
+    bp: BinaryProgram, constant_norm: int, optima: list, to_incidence, distance
+) -> bool:
+    """Conjugate diameter solve vs. brute force over a listed optimal set.
+
+    `optima` lists every optimum of `bp` in the front end's own terms
+    (rankings, tours), `to_incidence` maps one to its 0/1 vector and
+    `distance` counts the pairs or edges two of them disagree on.  Both
+    halves of the solved pair must be listed optima, and the certified
+    distance must equal twice the largest distance over all listed pairs.
+    """
+    dp = build(bp, choose_epsilon(bp), "conjugate")
+    res = solve_diameter(dp, constant_norm=constant_norm, cross_check=False)
+    listed = {to_incidence(p) for p in optima}
+    if res.x_star not in listed or res.y_star not in listed:
+        return False
+    return res.diameter == 2 * max(distance(p, q) for p, q in itertools.product(optima, optima))
 
 
 def result_to_dict(res: DiverseOptimaResult) -> dict:

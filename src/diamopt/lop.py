@@ -5,7 +5,9 @@ row-major order.  A ranking sigma (sigma[i-1] is the rank of item i) maps
 to the incidence vector x_ij = 1 iff i is ranked before j.  Feasible points
 of the model below are exactly these incidence vectors: the pick-one
 equalities force a tournament and the 3-dicycle rows cut every directed
-triangle, which kills all non-transitive tournaments.
+triangle, which kills all non-transitive tournaments.  Each row family is
+written once, in pick_one_system and dicycle_facets: build solves those
+rows, and the polyhedral suites certify rows from the same two lists.
 
 Every incidence vector has exactly C(n,2) ones, so conjugate diameter
 solves certify the exact value 2*(C(n,2) - sum(z)), and that distance is
@@ -15,15 +17,14 @@ twice the Kendall tau of the two rankings.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bpcore import BinaryProgram
-from .diameter import build as build_diameter
-from .diameter import choose_epsilon, solve_diameter
+from .diameter import maximisers, verify_listed_diameter
 from .errors import ParseError
-from .polytope import Inequality
+from .modelio import instance_from_json, load_instance
+from .polytope import Inequality, nonnegativity_facets
 from .ratlinalg import as_rational
 
 
@@ -66,30 +67,14 @@ class LopInstance:
 
 
 def build(inst: LopInstance) -> BinaryProgram:
-    """max sum w_ij x_ij with pick-one equalities and all 3-dicycle rows.
-
-    Dicycle index set: i < j, i < k, j != k; two rows per unordered
-    triple, one for each orientation.
-    """
+    """max sum w_ij x_ij s.t. the pick-one equalities (pick_i_j) and the
+    3-dicycle rows (cyc_i_j_k), in that order."""
     n = inst.n_items
-    pairs = ordered_pairs(n)
-    idx = {p: k for k, p in enumerate(pairs)}
-    nv = len(pairs)
-    rows = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        a = [Fraction(0)] * nv
-        a[idx[(i, j)]] = a[idx[(j, i)]] = Fraction(1)
-        rows.append((tuple(a), "=", Fraction(1), f"pick_{i}_{j}"))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(i + 1, n + 1):
-                if j == k:
-                    continue
-                a = [Fraction(0)] * nv
-                a[idx[(i, j)]] = a[idx[(j, k)]] = a[idx[(k, i)]] = Fraction(1)
-                rows.append((tuple(a), "<=", Fraction(2), f"cyc_{i}_{j}_{k}"))
-    names = [f"x_{i}_{j}" for i, j in pairs]
-    return BinaryProgram(inst.weight_vector(), rows, names)
+    rows, rhs = pick_one_system(n)
+    names = (f"pick_{i}_{j}" for i, j in itertools.combinations(range(1, n + 1), 2))
+    cons = [(a, "=", b, name) for a, b, name in zip(rows, rhs, names)]
+    cons += [(f.a, f.sense, f.a0, f.label) for f in dicycle_facets(n)]
+    return BinaryProgram(inst.weight_vector(), cons, [f"x_{i}_{j}" for i, j in ordered_pairs(n)])
 
 
 def _check_perm(sigma: Sequence[int]) -> tuple[int, ...]:
@@ -129,6 +114,11 @@ def all_permutations(n: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
+def base_points(n: int) -> list[tuple[int, ...]]:
+    """The feasible set of build: every ranking's incidence vector."""
+    return [perm_to_incidence(p) for p in all_permutations(n)]
+
+
 def kendall_tau(s1: Sequence[int], s2: Sequence[int]) -> int:
     """Number of unordered item pairs the two rankings order oppositely."""
     a, b = _check_perm(s1), _check_perm(s2)
@@ -154,65 +144,36 @@ def objective_value(inst: LopInstance, sigma: Sequence[int]) -> Fraction:
 
 def optimal_permutations(inst: LopInstance) -> list[tuple[int, ...]]:
     """All maximizing rankings, by full n! enumeration."""
-    best = None
-    out: list[tuple[int, ...]] = []
-    for p in all_permutations(inst.n_items):
-        v = objective_value(inst, p)
-        if best is None or v > best:
-            best, out = v, [p]
-        elif v == best:
-            out.append(p)
-    return out
+    return maximisers(all_permutations(inst.n_items), lambda p: objective_value(inst, p))
 
 
 def verify_diameter_kendall(inst: LopInstance) -> bool:
-    """Conjugate diameter solve vs. brute force over optimal rankings.
-
-    Both halves of the solved pair must be optimal rankings and the
-    certified distance must equal twice the maximum Kendall tau over all
-    optimal pairs.  Exact for n up to 6 (enumeration of n! rankings).
-    """
+    """Conjugate diameter solve vs. brute force over optimal rankings: the
+    distance must be twice the largest Kendall tau between two optima.
+    Exact for n up to 6 (enumeration of n! rankings)."""
     n = inst.n_items
     if n > 6:
         raise ValueError("verification enumerates n! rankings; n <= 6 only")
-    bp = build(inst)
-    dp = build_diameter(bp, choose_epsilon(bp), "conjugate")
-    k = n * (n - 1) // 2
-    res = solve_diameter(dp, constant_norm=k, cross_check=False)
     opts = optimal_permutations(inst)
-    opt_inc = {perm_to_incidence(p) for p in opts}
-    if res.x_star not in opt_inc or res.y_star not in opt_inc:
-        return False
-    max_tau = max(
-        kendall_tau(p, q) for p, q in itertools.product(opts, opts)
-    )
-    return res.diameter == 2 * max_tau
+    return verify_listed_diameter(build(inst), n * (n - 1) // 2, opts, perm_to_incidence, kendall_tau)
 
 
 def trivial_facets(n: int) -> list[Inequality]:
     """x_ij >= 0 for every ordered pair (each is x_ji <= 1 in disguise)."""
-    pairs = ordered_pairs(n)
-    nv = len(pairs)
-    out = []
-    for k, (i, j) in enumerate(pairs):
-        a = [Fraction(0)] * nv
-        a[k] = Fraction(1)
-        out.append(Inequality(tuple(a), Fraction(0), ">=", f"x_{i}_{j}_ge_0"))
-    return out
+    return nonnegativity_facets([f"x_{i}_{j}" for i, j in ordered_pairs(n)])
 
 
 def dicycle_facets(n: int) -> list[Inequality]:
-    """The 3-dicycle rows as inequalities (two per unordered triple)."""
-    pairs = ordered_pairs(n)
-    idx = {p: k for k, p in enumerate(pairs)}
+    """The 3-dicycle rows x_ij + x_jk + x_ki <= 2, i < j, i < k, j != k:
+    two per unordered triple, one for each orientation."""
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(i + 1, n + 1):
                 if j == k:
                     continue
-                a = [Fraction(0)] * len(pairs)
-                a[idx[(i, j)]] = a[idx[(j, k)]] = a[idx[(k, i)]] = Fraction(1)
+                a = [Fraction(0)] * (n * (n - 1))
+                a[pair_index(i, j, n)] = a[pair_index(j, k, n)] = a[pair_index(k, i, n)] = Fraction(1)
                 out.append(Inequality(tuple(a), Fraction(2), "<=", f"cyc_{i}_{j}_{k}"))
     return out
 
@@ -223,13 +184,11 @@ def base_facets(n: int) -> list[Inequality]:
 
 def pick_one_system(n: int):
     """The pick-one equalities as (rows, rhs) over the n(n-1) coordinates."""
-    pairs = ordered_pairs(n)
-    idx = {p: k for k, p in enumerate(pairs)}
     rows = []
     rhs = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        a = [Fraction(0)] * len(pairs)
-        a[idx[(i, j)]] = a[idx[(j, i)]] = Fraction(1)
+        a = [Fraction(0)] * (n * (n - 1))
+        a[pair_index(i, j, n)] = a[pair_index(j, i, n)] = Fraction(1)
         rows.append(tuple(a))
         rhs.append(Fraction(1))
     return rows, rhs
@@ -247,36 +206,16 @@ def lift_inequality(ineq: Inequality, n_items: int) -> Inequality:
     width = len(old_pairs)
     if len(ineq.a) != 3 * width:
         raise ValueError(f"expected {3 * width} coordinates for n_items={n}")
-    new_pairs = ordered_pairs(n + 1)
-    new_width = len(new_pairs)
-    new_idx = {p: k for k, p in enumerate(new_pairs)}
+    new_width = (n + 1) * n
     a = [Fraction(0)] * (3 * new_width)
     for block in range(3):
-        for k, p in enumerate(old_pairs):
-            a[block * new_width + new_idx[p]] = ineq.a[block * width + k]
+        for k, (i, j) in enumerate(old_pairs):
+            a[block * new_width + pair_index(i, j, n + 1)] = ineq.a[block * width + k]
     return Inequality(tuple(a), ineq.a0, ineq.sense, ineq.label)
 
 
 def lop_from_json_dict(d: dict) -> LopInstance:
-    try:
-        n = int(d["n"])
-        weights = {}
-        for entry in d.get("weights", []):
-            if len(entry) == 4:
-                i, j, num, den = entry
-                w = Fraction(int(num), int(den))
-            elif len(entry) == 3:
-                i, j, w = entry
-                w = as_rational(w)
-            else:
-                raise ValueError(f"weight entry {entry!r} should be [i, j, num, den]")
-            key = (int(i), int(j))
-            if key in weights:
-                raise ValueError(f"duplicate weight for pair {key}")
-            weights[key] = w
-        return LopInstance(n, weights)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad ordering instance JSON: {e}") from e
+    return instance_from_json(d, LopInstance, "weights", "ordering")
 
 
 def lop_from_matrix_text(text: str) -> LopInstance:
@@ -303,18 +242,12 @@ def lop_from_matrix_text(text: str) -> LopInstance:
             if i == j:
                 continue
             try:
-                weights[(i, j)] = Fraction(tok)
+                weights[(i, j)] = as_rational(tok)
             except ValueError as e:
                 raise ParseError(f"bad matrix entry {tok!r}") from e
     return LopInstance(n, weights)
 
 
 def load_lop(path: str) -> LopInstance:
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        try:
-            return lop_from_json_dict(json.loads(text))
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from e
-    return lop_from_matrix_text(text)
+    """JSON (.json) or dense-matrix text (anything else)."""
+    return load_instance(path, lop_from_json_dict, lop_from_matrix_text)

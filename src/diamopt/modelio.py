@@ -147,6 +147,48 @@ def model_from_dict(d: dict) -> BinaryProgram:
     return bp
 
 
+def instance_from_json(d: dict, make, field: str, family: str, symmetric: bool = False):
+    """make(n, {(i, j): w}) from {"n": n, field: [[i, j, w] or [i, j, num, den], ...]}.
+
+    With symmetric, (i, j) and (j, i) name the same entry.  Any malformed
+    value raises ParseError naming the family.
+    """
+    try:
+        n = int(d["n"])
+        entries = {}
+        for entry in d.get(field, []):
+            if len(entry) == 4:
+                i, j, num, den = entry
+                w = as_rational((num, den))
+            elif len(entry) == 3:
+                i, j, w = entry
+                w = as_rational(w)
+            else:
+                raise ValueError(f"{field[:-1]} entry {entry!r} should be [i, j, num, den]")
+            key = (int(i), int(j))
+            if symmetric:
+                key = (min(key), max(key))
+            if key in entries:
+                raise ValueError(f"duplicate {field[:-1]} for {key}")
+            entries[key] = w
+        return make(n, entries)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"bad {family} instance JSON: {e}") from e
+
+
+def load_instance(path: str, from_json, from_text):
+    """Read an instance file: .json goes to from_json(dict), anything else to from_text(str)."""
+    with open(path) as fh:
+        text = fh.read()
+    if not path.endswith(".json"):
+        return from_text(text)
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: {e}") from e
+    return from_json(d)
+
+
 def write_lp(bp: BinaryProgram, path: str) -> list[str]:
     """Write LP text to path and the exact sidecar to path + '.json'."""
     text, warnings = lp_string(bp)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bpcore import BinaryProgram, enumerate_feasible
-from .diameter import DiameterProgram
+from .diameter import DiameterProgram, support_mask
 from .errors import CapExceededError
 from .ratlinalg import RatMatrix, affine_dimension, as_rational, int_dtype, scaled_int_vector
 
@@ -176,18 +176,14 @@ def enumerate_points(
     return PointSet(np.vstack(blocks), source="structured pairs")
 
 
-def lift_equation_system(base_system: EquationSystem, n: int | None = None) -> EquationSystem:
+def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
     """Duplicate a base minimal system over the x and y blocks, zero on z.
 
     [M 0 0; 0 M 0] v = (d, d) over 3n coordinates; rank doubles, so the
     paired hull loses twice the base rank in dimension.
     """
     m = base_system.matrix
-    if n is None:
-        n = m.ncols
-    elif n != m.ncols:
-        raise ValueError("system width disagrees with n")
-    zero = (Fraction(0),) * n
+    zero = (Fraction(0),) * m.ncols
     rows = []
     for r in m.rows:
         rows.append(tuple(r) + zero + zero)
@@ -251,6 +247,16 @@ def verify_minimal_system(ps: PointSet, system: EquationSystem) -> bool:
     return ps.hull_dimension() == ps.dim_ambient - system.matrix.nrows
 
 
+def nonnegativity_facets(names: Sequence[str]) -> list[Inequality]:
+    """v_k >= 0 for every coordinate, labelled by its variable name."""
+    out = []
+    for k, name in enumerate(names):
+        a = [Fraction(0)] * len(names)
+        a[k] = Fraction(1)
+        out.append(Inequality(tuple(a), Fraction(0), ">=", f"{name}_ge_0"))
+    return out
+
+
 def facet_families(n: int, base_facets: Sequence[Inequality]) -> list[Inequality]:
     """The inherited and coupling inequality families over 3n coordinates.
 
@@ -290,29 +296,15 @@ class DisjointPairReport:
     universal_counterexample: tuple[int, ...] | None
 
 
-def check_disjoint_pair_condition(
-    bp: BinaryProgram | None = None,
-    base_points: Iterable[Sequence[int]] | None = None,
-    cap: int | None = None,
-) -> DisjointPairReport:
+def check_disjoint_pair_condition(bp: BinaryProgram) -> DisjointPairReport:
     """Support-disjointness of the feasible set.
 
     existential: some feasible pair has disjoint supports (what the
     dimension argument needs); universal: every feasible point has a
     disjoint feasible partner (what the facet arguments need).
     """
-    if base_points is None:
-        if bp is None:
-            raise ValueError("need a model or an explicit feasible set")
-        base_points = enumerate_feasible(bp, cap)
-    pts = [tuple(int(v) for v in p) for p in base_points]
-    masks = []
-    for p in pts:
-        m = 0
-        for i, v in enumerate(p):
-            if v:
-                m |= 1 << i
-        masks.append(m)
+    pts = enumerate_feasible(bp)
+    masks = [support_mask(p) for p in pts]
     witness = None
     counterexample = None
     universal = True

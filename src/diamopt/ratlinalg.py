@@ -38,15 +38,19 @@ def int_dtype(bound: int):
 
 
 def as_rational(x) -> Fraction:
-    """Coerce ints, strings like '3/7' or '0.25', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/7' or '0.25', [num, den] pairs and
+    Fractions to Fraction.  A zero denominator is malformed input: ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, np.integer):
-        return Fraction(int(x))
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
+    try:
+        if isinstance(x, (int, str)):
+            return Fraction(x)
+        if isinstance(x, np.integer):
+            return Fraction(int(x))
+        if isinstance(x, (list, tuple)) and len(x) == 2:
+            return Fraction(int(x[0]), int(x[1]))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 

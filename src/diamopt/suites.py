@@ -1,4 +1,5 @@
-"""Named verification suites.
+"""Named verification suites, and the table of model families they share
+with the CLI.
 
 Each suite returns a list of claim records: plain dicts with a "claim"
 string, an "ok" bool, and enough numbers to see what was computed against
@@ -9,11 +10,16 @@ read off any solver output.
 
 from __future__ import annotations
 
+import inspect
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
+from types import ModuleType
+from typing import Callable
 
 from . import lop, tsp
-from .bpcore import BinaryProgram, random_binary_program, solve_bnb
+from .bpcore import enumerate_optimal_set, random_binary_program, solve_bnb
 from .diameter import (
     build as build_diameter,
     choose_epsilon,
@@ -22,6 +28,7 @@ from .diameter import (
 )
 from .polytope import (
     EquationSystem,
+    Inequality,
     check_disjoint_pair_condition,
     check_inequality,
     enumerate_points,
@@ -30,6 +37,38 @@ from .polytope import (
     verify_minimal_system,
 )
 
+
+@dataclass(frozen=True)
+class Family:
+    """One front end, as the CLI and the suites use it.
+
+    `module.build(instance)` and `module.base_points(n)` are looked up on
+    the module at each call, so a wrapper installed on the module attribute
+    sees every call.
+    """
+
+    module: ModuleType
+    zero: Callable  # n -> the instance with all weights zero
+    load: Callable  # path -> instance
+    size: Callable  # instance -> n
+    constant_norm: Callable  # n -> |x| shared by every feasible point
+    decode: Callable  # (incidence vector, n) -> ranking or tour
+    pair_key: str  # JSON field of the decoded pair
+    pair_label: str  # text prefix of each decoded half
+    sep: str  # joins a decoded half in text
+
+
+FAMILIES = {
+    "lop": Family(
+        lop, lop.LopInstance.zero, lop.load_lop, attrgetter("n_items"),
+        lambda n: n * (n - 1) // 2, lop.incidence_to_perm, "permutations", "ranks", " ",
+    ),
+    "tsp": Family(
+        tsp, tsp.TspInstance.zero, tsp.load_tsp, attrgetter("n"),
+        lambda n: n, tsp.incidence_to_tour, "tours", "tour", "-",
+    ),
+}
+
 # hull dimensions and point counts pinned by independent scans: raw 0/1
 # enumeration against the constraint rows for the small cases, structured
 # pair generation cross-checked against those scans for the rest
@@ -37,87 +76,42 @@ LOP_EXPECTED = {2: {"dim": 4, "points": 12}, 3: {"dim": 12, "points": 1008}, 4: 
 TSP_EXPECTED = {4: {"dim": 10, "points": 108}, 5: {"dim": 20, "points": 35712}}
 
 
+def _paired_points(family: Family, n: int):
+    """Paired-copy point set of the family's size-n model."""
+    dp = build_diameter(family.module.build(family.zero(n)), None, "conjugate")
+    return enumerate_points(dp, base_points=family.module.base_points(n))
+
+
 def _lop_points(n: int):
-    dp = build_diameter(lop.build(lop.LopInstance.zero(n)), None, "conjugate")
-    base = [lop.perm_to_incidence(p) for p in lop.all_permutations(n)]
-    return enumerate_points(dp, base_points=base)
+    return _paired_points(FAMILIES["lop"], n)
 
 
 def _tsp_points(n: int):
-    dp = build_diameter(tsp.build(tsp.TspInstance.zero(n)), None, "conjugate")
-    base = [tsp.tour_to_incidence(t) for t in tsp.all_tours(n)]
-    return enumerate_points(dp, base_points=base)
+    return _paired_points(FAMILIES["tsp"], n)
 
 
 def suite_dimensions(long_running: bool = False) -> list[dict]:
+    cases = [
+        ("ordering", n, _lop_points, LOP_EXPECTED, "pick-one", lop.pick_one_system)
+        for n in [2, 3] + ([4] if long_running else [])
+    ]
+    cases += [("tour", n, _tsp_points, TSP_EXPECTED, "degree", tsp.degree_system) for n in (4, 5)]
     records = []
-    lop_sizes = [2, 3] + ([4] if long_running else [])
-    for n in lop_sizes:
-        ps = _lop_points(n)
-        exp = LOP_EXPECTED[n]
-        records.append(
-            {
-                "claim": f"ordering n={n}: point count",
-                "expected": exp["points"],
-                "computed": ps.count,
-                "ok": ps.count == exp["points"],
-            }
-        )
-        dim = ps.hull_dimension()
-        records.append(
-            {
-                "claim": f"ordering n={n}: hull dimension",
-                "expected": exp["dim"],
-                "computed": dim,
-                "ok": dim == exp["dim"],
-            }
-        )
-        sys_n = lift_equation_system(EquationSystem(*lop.pick_one_system(n)))
-        ok = verify_minimal_system(ps, sys_n)
-        records.append(
-            {
-                "claim": f"ordering n={n}: lifted pick-one system is minimal",
-                "expected": True,
-                "computed": ok,
-                "ok": ok,
-            }
-        )
-    for n in (4, 5):
-        ps = _tsp_points(n)
-        exp = TSP_EXPECTED[n]
-        records.append(
-            {
-                "claim": f"tour n={n}: point count",
-                "expected": exp["points"],
-                "computed": ps.count,
-                "ok": ps.count == exp["points"],
-            }
-        )
-        dim = ps.hull_dimension()
-        records.append(
-            {
-                "claim": f"tour n={n}: hull dimension",
-                "expected": exp["dim"],
-                "computed": dim,
-                "ok": dim == exp["dim"],
-            }
-        )
-        sys_n = lift_equation_system(EquationSystem(*tsp.degree_system(n)))
-        ok = verify_minimal_system(ps, sys_n)
-        records.append(
-            {
-                "claim": f"tour n={n}: lifted degree system is minimal",
-                "expected": True,
-                "computed": ok,
-                "ok": ok,
-            }
-        )
+    for title, n, points, expected, system_name, system in cases:
+        ps = points(n)
+        checks = [
+            ("point count", expected[n]["points"], ps.count),
+            ("hull dimension", expected[n]["dim"], ps.hull_dimension()),
+        ]
+        minimal = verify_minimal_system(ps, lift_equation_system(EquationSystem(*system(n))))
+        checks.append((f"lifted {system_name} system is minimal", True, minimal))
+        for what, want, got in checks:
+            claim = f"{title} n={n}: {what}"
+            records.append({"claim": claim, "expected": want, "computed": got, "ok": got == want})
     return records
 
 
 def _extra_tour4_inequalities():
-    from .polytope import Inequality
-
     es = tsp.edges(4)
     ix = {e: k for k, e in enumerate(es)}
     m = len(es)
@@ -134,44 +128,26 @@ def _extra_tour4_inequalities():
     return [mk((2, 3), "mixed_z_2_3"), mk((1, 4), "mixed_z_1_4")]
 
 
-def suite_facets() -> list[dict]:
+def _facet_records(title: str, ps, inequalities) -> list[dict]:
     records = []
-    ps3 = _lop_points(3)
-    for q in facet_families(6, lop.base_facets(3)):
-        r = check_inequality(ps3, q)
+    for q in inequalities:
+        r = check_inequality(ps, q)
         records.append(
             {
-                "claim": f"ordering n=3 facet: {q.label}",
+                "claim": f"{title}: {q.label}",
                 "valid": r.valid,
                 "face_dimension": r.face_dimension,
                 "polytope_dimension": r.polytope_dimension,
                 "ok": r.is_facet,
             }
         )
-    ps5 = _tsp_points(5)
-    for q in facet_families(10, tsp.base_facets(5)):
-        r = check_inequality(ps5, q)
-        records.append(
-            {
-                "claim": f"tour n=5 facet: {q.label}",
-                "valid": r.valid,
-                "face_dimension": r.face_dimension,
-                "polytope_dimension": r.polytope_dimension,
-                "ok": r.is_facet,
-            }
-        )
-    ps4 = _tsp_points(4)
-    for q in _extra_tour4_inequalities():
-        r = check_inequality(ps4, q)
-        records.append(
-            {
-                "claim": f"tour n=4 extra facet: {q.label}",
-                "valid": r.valid,
-                "face_dimension": r.face_dimension,
-                "polytope_dimension": r.polytope_dimension,
-                "ok": r.is_facet,
-            }
-        )
+    return records
+
+
+def suite_facets() -> list[dict]:
+    records = _facet_records("ordering n=3 facet", _lop_points(3), facet_families(6, lop.base_facets(3)))
+    records += _facet_records("tour n=5 facet", _tsp_points(5), facet_families(10, tsp.base_facets(5)))
+    records += _facet_records("tour n=4 extra facet", _tsp_points(4), _extra_tour4_inequalities())
     conditions = [
         ("ordering n=3", lop.build(lop.LopInstance.zero(3)), True, True),
         ("tour n=4", tsp.build(tsp.TspInstance.zero(4)), False, False),
@@ -210,8 +186,6 @@ def suite_epsilon(trials: int = 50, seed: int = 1729) -> list[dict]:
         eps = choose_epsilon(bp)
         dp = build_diameter(bp, eps, "full")
         res = solve_diameter(dp, cross_check=False)
-        from .bpcore import enumerate_optimal_set
-
         opt = {s.assignment for s in enumerate_optimal_set(bp)}
         oracle = diameter_by_enumeration(bp)
         ok = res.x_star in opt and res.y_star in opt and res.diameter == oracle
@@ -261,12 +235,9 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int = 50, seed: int = 1729, long_running: bool = False) -> list[dict]:
-    if name == "dimensions":
-        return suite_dimensions(long_running)
-    if name == "facets":
-        return suite_facets()
-    if name == "epsilon":
-        return suite_epsilon(trials, seed)
-    if name == "lifting":
-        return suite_lifting(long_running)
-    raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    """Run one suite, passing it those of the options its signature names."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    suite = SUITES[name]
+    options = {"trials": trials, "seed": seed, "long_running": long_running}
+    return suite(**{k: options[k] for k in inspect.signature(suite).parameters})

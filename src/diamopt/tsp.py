@@ -5,7 +5,9 @@ order.  Minimization is folded into the canonical maximization form by
 negating the costs, so reports translate back with a sign flip.  Degree
 equalities plus one subtour row for every vertex set A with 2 <= |A| <= n-1
 make the feasible set exactly the tour incidence vectors; the row count is
-exponential, which is why build refuses n beyond a small cap.
+exponential, which is why build refuses n beyond a small cap.  Each row
+family is written once, in degree_system and subtour_facets: build solves
+those rows, and the polyhedral suites certify rows from the same two lists.
 
 Every tour has exactly n ones, so conjugate diameter solves certify
 2*(n - sum(z)), twice the number of edges the two tours do not share.
@@ -14,15 +16,14 @@ Every tour has exactly n ones, so conjugate diameter solves certify
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from typing import Sequence
 
 from .bpcore import BinaryProgram
-from .diameter import build as build_diameter
-from .diameter import choose_epsilon, solve_diameter
+from .diameter import maximisers, verify_listed_diameter
 from .errors import CapExceededError, ParseError
-from .polytope import Inequality
+from .modelio import instance_from_json, load_instance
+from .polytope import Inequality, nonnegativity_facets
 from .ratlinalg import as_rational
 
 BUILD_CAP = 10
@@ -69,36 +70,22 @@ class TspInstance:
         return f"TspInstance(n={self.n})"
 
 
-def build(inst: TspInstance, cap: int = BUILD_CAP) -> BinaryProgram:
-    """max sum of negated costs, degree-2 equalities, all subtour rows.
+def build(inst: TspInstance) -> BinaryProgram:
+    """max sum of negated costs s.t. the degree-2 equalities (deg_v) and
+    one subtour row (sub_...) per vertex set A with 2 <= |A| <= n-1, in
+    that order.
 
-    One subtour row per vertex set A with 2 <= |A| <= n-1 (singletons are
-    implied by binariness; complements are kept, mirroring the defining
-    index set).  Exponentially many rows, hence the cap.
+    Singletons are implied by binariness; complements are kept, mirroring
+    the defining index set.  Exponentially many rows, hence BUILD_CAP.
     """
     n = inst.n
-    if n > cap:
-        raise CapExceededError(f"dense subtour build refused for n={n} (cap {cap})")
-    es = edges(n)
-    idx = {e: k for k, e in enumerate(es)}
-    nv = len(es)
-    rows = []
-    for v in range(1, n + 1):
-        a = [Fraction(0)] * nv
-        for u in range(1, n + 1):
-            if u != v:
-                a[idx[(min(u, v), max(u, v))]] = Fraction(1)
-        rows.append((tuple(a), "=", Fraction(2), f"deg_{v}"))
-    for size in range(2, n):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            a = [Fraction(0)] * nv
-            for i, j in itertools.combinations(subset, 2):
-                a[idx[(i, j)]] = Fraction(1)
-            name = "sub_" + "_".join(str(v) for v in subset)
-            rows.append((tuple(a), "<=", Fraction(size - 1), name))
+    if n > BUILD_CAP:
+        raise CapExceededError(f"dense subtour build refused for n={n} (cap {BUILD_CAP})")
+    rows, rhs = degree_system(n)
+    cons = [(a, "=", b, f"deg_{v}") for v, (a, b) in enumerate(zip(rows, rhs), start=1)]
+    cons += [(f.a, f.sense, f.a0, f.label) for f in subtour_facets(n, range(2, n))]
     c = tuple(-w for w in inst.cost_vector())
-    names = [f"x_{i}_{j}" for i, j in es]
-    return BinaryProgram(c, rows, names)
+    return BinaryProgram(c, cons, [f"x_{i}_{j}" for i, j in edges(n)])
 
 
 def canonical_tour(seq: Sequence[int]) -> tuple[int, ...]:
@@ -167,6 +154,11 @@ def all_tours(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def base_points(n: int) -> list[tuple[int, ...]]:
+    """The feasible set of build: every tour's incidence vector."""
+    return [tour_to_incidence(t) for t in all_tours(n)]
+
+
 def tour_cost(inst: TspInstance, t: Sequence[int]) -> Fraction:
     return sum((inst.costs[e] for e in tour_edges(t)), Fraction(0))
 
@@ -178,38 +170,20 @@ def discordant_edges(t1: Sequence[int], t2: Sequence[int]) -> frozenset[tuple[in
 
 def optimal_tours(inst: TspInstance) -> list[tuple[int, ...]]:
     """All minimum-cost tours, by full enumeration."""
-    best = None
-    out: list[tuple[int, ...]] = []
-    for t in all_tours(inst.n):
-        v = tour_cost(inst, t)
-        if best is None or v < best:
-            best, out = v, [t]
-        elif v == best:
-            out.append(t)
-    return out
+    return maximisers(all_tours(inst.n), lambda t: -tour_cost(inst, t))
 
 
 def verify_diameter_discordant(inst: TspInstance) -> bool:
-    """Conjugate diameter solve vs. brute force over optimal tours.
-
-    Both halves of the solved pair must be optimal tours and the certified
-    distance must equal twice the maximum discordance over all optimal
-    pairs.  Exact for n up to 8 (enumeration of (n-1)!/2 tours).
-    """
+    """Conjugate diameter solve vs. brute force over optimal tours: the
+    distance must be twice the largest number of discordant edges between
+    two optima.  Exact for n up to 8 (enumeration of (n-1)!/2 tours)."""
     n = inst.n
     if n > 8:
         raise ValueError("verification enumerates (n-1)!/2 tours; n <= 8 only")
-    bp = build(inst)
-    dp = build_diameter(bp, choose_epsilon(bp), "conjugate")
-    res = solve_diameter(dp, constant_norm=n, cross_check=False)
     opts = optimal_tours(inst)
-    opt_inc = {tour_to_incidence(t) for t in opts}
-    if res.x_star not in opt_inc or res.y_star not in opt_inc:
-        return False
-    max_d = max(
-        len(discordant_edges(t1, t2)) for t1, t2 in itertools.product(opts, opts)
+    return verify_listed_diameter(
+        build(inst), n, opts, tour_to_incidence, lambda t1, t2: len(discordant_edges(t1, t2))
     )
-    return res.diameter == 2 * max_d
 
 
 def find_disjoint_tour(t: Sequence[int]) -> tuple[int, ...] | None:
@@ -253,73 +227,41 @@ def find_disjoint_tour(t: Sequence[int]) -> tuple[int, ...] | None:
     return result
 
 
-def nonnegativity_facets(n: int) -> list[Inequality]:
-    es = edges(n)
-    out = []
-    for k, (i, j) in enumerate(es):
-        a = [Fraction(0)] * len(es)
-        a[k] = Fraction(1)
-        out.append(Inequality(tuple(a), Fraction(0), ">=", f"x_{i}_{j}_ge_0"))
-    return out
-
-
 def subtour_facets(n: int, sizes: Sequence[int] | None = None) -> list[Inequality]:
     """Subtour rows as inequalities; defaults to 2 <= |A| <= n-2."""
-    es = edges(n)
-    idx = {e: k for k, e in enumerate(es)}
     if sizes is None:
         sizes = range(2, n - 1)
     out = []
     for size in sizes:
         for subset in itertools.combinations(range(1, n + 1), size):
-            a = [Fraction(0)] * len(es)
+            a = [Fraction(0)] * (n * (n - 1) // 2)
             for i, j in itertools.combinations(subset, 2):
-                a[idx[(i, j)]] = Fraction(1)
+                a[edge_index(i, j, n)] = Fraction(1)
             name = "sub_" + "_".join(str(v) for v in subset)
             out.append(Inequality(tuple(a), Fraction(size - 1), "<=", name))
     return out
 
 
 def base_facets(n: int) -> list[Inequality]:
-    return nonnegativity_facets(n) + subtour_facets(n)
+    return nonnegativity_facets([f"x_{i}_{j}" for i, j in edges(n)]) + subtour_facets(n)
 
 
 def degree_system(n: int):
     """The degree equalities as (rows, rhs) over the C(n,2) coordinates."""
-    es = edges(n)
-    idx = {e: k for k, e in enumerate(es)}
     rows = []
     rhs = []
     for v in range(1, n + 1):
-        a = [Fraction(0)] * len(es)
+        a = [Fraction(0)] * (n * (n - 1) // 2)
         for u in range(1, n + 1):
             if u != v:
-                a[idx[(min(u, v), max(u, v))]] = Fraction(1)
+                a[edge_index(u, v, n)] = Fraction(1)
         rows.append(tuple(a))
         rhs.append(Fraction(2))
     return rows, rhs
 
 
 def tsp_from_json_dict(d: dict) -> TspInstance:
-    try:
-        n = int(d["n"])
-        costs = {}
-        for entry in d.get("costs", []):
-            if len(entry) == 4:
-                i, j, num, den = entry
-                w = Fraction(int(num), int(den))
-            elif len(entry) == 3:
-                i, j, w = entry
-                w = as_rational(w)
-            else:
-                raise ValueError(f"cost entry {entry!r} should be [i, j, num, den]")
-            key = (min(int(i), int(j)), max(int(i), int(j)))
-            if key in costs:
-                raise ValueError(f"duplicate cost for edge {key}")
-            costs[key] = w
-        return TspInstance(n, costs)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad tour instance JSON: {e}") from e
+    return instance_from_json(d, TspInstance, "costs", "tour", symmetric=True)
 
 
 def tsp_from_tsplib(text: str) -> TspInstance:
@@ -363,7 +305,7 @@ def tsp_from_tsplib(text: str) -> TspInstance:
         for j in range(1, n + 1):
             tok = numbers[(i - 1) * n + (j - 1)]
             try:
-                w = Fraction(tok)
+                w = as_rational(tok)
             except ValueError as e:
                 raise ParseError(f"bad weight entry {tok!r}") from e
             if i == j:
@@ -378,11 +320,5 @@ def tsp_from_tsplib(text: str) -> TspInstance:
 
 
 def load_tsp(path: str) -> TspInstance:
-    with open(path) as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        try:
-            return tsp_from_json_dict(json.loads(text))
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from e
-    return tsp_from_tsplib(text)
+    """JSON (.json) or explicit full-matrix TSPLIB (anything else)."""
+    return load_instance(path, tsp_from_json_dict, tsp_from_tsplib)

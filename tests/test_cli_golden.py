@@ -1,0 +1,65 @@
+"""Byte-level pins of CLI reports.
+
+Each case runs one command in-process and compares its exit code and the
+sha256 of its stdout with a recorded value, so any change to a report's
+bytes, however small, fails here.  A change that alters a report on purpose
+records the new digest and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from diamopt import tsp
+from diamopt.cli import main
+from diamopt.polytope import facet_families
+
+ORDERING_MATRIX = "4\n0 1 2 0\n3 0 1/2 1\n0 0 0 2  # c\n1 1 1 0\n"
+
+TOUR_TSPLIB = """NAME: t5
+TYPE: TSP
+DIMENSION: 5
+EDGE_WEIGHT_TYPE: EXPLICIT
+EDGE_WEIGHT_FORMAT: FULL_MATRIX
+EDGE_WEIGHT_SECTION
+0 7 6 5 11
+7 0 10 9 8
+6 10 0 6 12
+5 9 6 0 9
+11 8 12 9 0
+EOF
+"""
+
+# argv with {tmp} standing for the case's tmp_path, the exit code, and the
+# sha256 of stdout
+CASES = {
+    "check-facet-tour4": ("check-facet {tmp}/tour4.json --problem tsp --n 4", 1, "50794025fe5d90f775a77be152d40b965746376beeec2dc682a936ca35f74114"),
+    "diameter-lop3-json": ("diameter --problem lop --n 3 --format json", 0, "c8aaedc75159724f7efdb1161a538a6c4174dd7abd28ddaf34a55950021f9129"),
+    "diameter-ordering-matrix": ("diameter --problem lop --instance {tmp}/ord.txt", 0, "08ea19d086017197f3c79616d7bcdafc39a883ffa07da8d5ffb9de059fcee1c1"),
+    "diameter-tsp5-conjugate": ("diameter --problem tsp --n 5 --variant conjugate", 0, "849db0f6d6eec9c18f9b124380e8e5755dd1569f54afe9a8e5c24803279b5c83"),
+    "diameter-tsplib": ("diameter --problem tsp --instance {tmp}/tour.tsp", 0, "fbb207130c70fba144cfe634ef7a498f758913b1c68e88fa43796be13df15607"),
+    "dim-tsp5-json": ("dim --problem tsp --n 5 --format json", 0, "f1162afddf8dc97620147cc2c2b7e4a403c53be262b5bd20a04edffc7b25370d"),
+    "points-lop2-json": ("points --problem lop --n 2 --format json", 0, "f7c6353fbbceac4d76858731dd1823c2938454a76713a899cd852b0e7d4177db"),
+    "verify-dimensions-json": ("verify dimensions --format json", 0, "5bcefe7f0799a9f09389937d776e5b3609f7d5ac3c23da2855c0b8ced7672f79"),
+    "verify-facets-json": ("verify facets --format json", 0, "4f3b36cc3f1297baff64e0d6f9c797321d00e126e2d79af9551b65ae9ea24de1"),
+}
+
+
+@pytest.fixture
+def instance_dir(tmp_path):
+    (tmp_path / "ord.txt").write_text(ORDERING_MATRIX)
+    (tmp_path / "tour.tsp").write_text(TOUR_TSPLIB)
+    families = facet_families(6, tsp.base_facets(4))
+    ineqs = [{"a": [str(v) for v in q.a], "a0": str(q.a0), "sense": q.sense, "label": q.label} for q in families]
+    (tmp_path / "tour4.json").write_text(json.dumps(ineqs))
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes(case, instance_dir, capsys):
+    argv, want_code, want_digest = CASES[case]
+    code = main(argv.format(tmp=instance_dir).split())
+    out = capsys.readouterr().out
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest, out[:2000]
