@@ -10,7 +10,7 @@ structure than two products glued together.
 from fractions import Fraction
 
 from diamopt import lop, tsp
-from diamopt.diameter import build as build_diameter
+from diamopt.diameter import build as build_diameter, paired
 from diamopt.polytope import Inequality, check_inequality, enumerate_points, facet_families
 
 dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
@@ -38,17 +38,17 @@ dp4 = build_diameter(tsp.build(tsp.TspInstance.zero(4)), None, "conjugate")
 tours = [tsp.tour_to_incidence(t) for t in tsp.all_tours(4)]
 ps4 = enumerate_points(dp4, base_points=tours)
 
-edges = tsp.edges(4)
-ix = {e: k for k, e in enumerate(edges)}
-m = len(edges)
+
+def edge_vector(*es):
+    a = [Fraction(0)] * 6
+    for i, j in es:
+        a[tsp.edge_index(i, j, 4)] += 1
+    return a
+
+
 for zedge in [(2, 3), (1, 4)]:
-    a = [Fraction(0)] * (3 * m)
-    a[ix[(1, 2)]] += 1
-    a[ix[(1, 3)]] += 1
-    a[m + ix[(1, 2)]] += 1
-    a[m + ix[(2, 4)]] += 1
-    a[2 * m + ix[zedge]] += 1
-    q = Inequality(tuple(a), Fraction(3), ">=", f"mixed_z_{zedge[0]}_{zedge[1]}")
+    a = paired(6, edge_vector((1, 2), (1, 3)), edge_vector((1, 2), (2, 4)), edge_vector(zedge))
+    q = Inequality(a, Fraction(3), ">=", f"mixed_z_{zedge[0]}_{zedge[1]}")
     r = check_inequality(ps4, q)
     print(
         f"  {q.label}: valid={r.valid}, facet={r.is_facet},"

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -236,16 +237,7 @@ def cmd_check_facet(args) -> int:
             )
         r = check_inequality(ps, q)
         all_facets = all_facets and r.is_facet
-        reports.append(
-            {
-                "label": r.label,
-                "valid": r.valid,
-                "tight_point_count": r.tight_point_count,
-                "face_dimension": r.face_dimension,
-                "polytope_dimension": r.polytope_dimension,
-                "is_facet": r.is_facet,
-            }
-        )
+        reports.append(asdict(r))
         if not r.valid:
             lines.append(f"NOT VALID  {r.label}")
         elif r.is_facet:

@@ -84,25 +84,40 @@ def choose_epsilon(bp: BinaryProgram) -> EpsilonChoice:
 
 
 def theoretical_epsilon(bp: BinaryProgram, cap: int | None = None) -> EpsilonChoice:
-    """Tight threshold from the optimality gap, by exhaustive enumeration.
+    """Tight threshold from the optimality gap, by one exhaustive scan.
 
     Any epsilon at or below (best - second best)/n keeps the x/y blocks
     optimal.  When every feasible point is optimal there is no gap and any
     positive value works; 1 is returned.
     """
-    opts = enumerate_optimal_set(bp, cap)
-    best = opts[0].objective_value
-    opt_set = {s.assignment for s in opts}
-    second = None
-    for x in enumerate_feasible(bp, cap):
-        if x in opt_set:
-            continue
-        v = bp.objective_of(x)
-        if second is None or v > second:
-            second = v
-    if second is None:
+    values = sorted({bp.objective_of(x) for x in enumerate_feasible(bp, cap)})
+    if not values:
+        raise InfeasibleModelError("model has no feasible point")
+    if len(values) == 1:
         return EpsilonChoice(Fraction(1), THEORETICAL)
-    return EpsilonChoice((best - second) / bp.n, THEORETICAL)
+    return EpsilonChoice((values[-1] - values[-2]) / bp.n, THEORETICAL)
+
+
+def paired(n: int, x=None, y=None, z=None) -> tuple[Fraction, ...]:
+    """One row over the 3n paired coordinates (x | y | z) from n-wide
+    blocks; a block left out is zero."""
+    zero = (Fraction(0),) * n
+    return sum((zero if b is None else tuple(b) for b in (x, y, z)), ())
+
+
+def split(v: tuple) -> tuple[tuple, tuple, tuple]:
+    """The (x, y, z) blocks of a vector over the 3n paired coordinates."""
+    n = len(v) // 3
+    return v[:n], v[n : 2 * n], v[2 * n :]
+
+
+def coupling(n: int, i: int, lower: bool = False) -> tuple[tuple[Fraction, ...], str, Fraction]:
+    """Coupling row i as (coefficients, sense, rhs): the upper row
+    x_i + y_i - z_i <= 1, or the lower row x_i + y_i + z_i >= 1."""
+    e = [Fraction(0)] * n
+    e[i] = Fraction(1)
+    z = e if lower else [-v for v in e]
+    return paired(n, e, e, z), ">=" if lower else "<=", Fraction(1)
 
 
 def build(bp: BinaryProgram, eps=None, variant: str = "full") -> DiameterProgram:
@@ -110,6 +125,8 @@ def build(bp: BinaryProgram, eps=None, variant: str = "full") -> DiameterProgram
 
     Rows come in blocks: base rows on the x copy, base rows on the y copy,
     the n upper couplings, and (full variant only) the n lower couplings.
+    The layout and the coupling rows come from paired and coupling, which
+    the polyhedral certificates use as well.
     """
     if variant not in ("full", "conjugate"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -122,28 +139,13 @@ def build(bp: BinaryProgram, eps=None, variant: str = "full") -> DiameterProgram
     if eps_value <= 0:
         raise ValueError("epsilon must be positive")
     n = bp.n
-    zero = (Fraction(0),) * n
-    c = bp.c + bp.c + ((-eps_value),) * n
-    names = (
-        [f"{v}_x" for v in bp.variable_names]
-        + [f"{v}_y" for v in bp.variable_names]
-        + [f"{v}_z" for v in bp.variable_names]
-    )
-    rows = []
-    for con in bp.constraints:
-        rows.append((con.coeffs + zero + zero, con.sense, con.rhs, con.name + "_x"))
-    for con in bp.constraints:
-        rows.append((zero + con.coeffs + zero, con.sense, con.rhs, con.name + "_y"))
-    for i, v in enumerate(bp.variable_names):
-        a = [Fraction(0)] * (3 * n)
-        a[i] = a[n + i] = Fraction(1)
-        a[2 * n + i] = Fraction(-1)
-        rows.append((tuple(a), "<=", Fraction(1), f"pair_ub_{v}"))
+    c = paired(n, bp.c, bp.c, (-eps_value,) * n)
+    names = [f"{v}_{block}" for block in "xyz" for v in bp.variable_names]
+    rows = [(paired(n, x=con.coeffs), con.sense, con.rhs, con.name + "_x") for con in bp.constraints]
+    rows += [(paired(n, y=con.coeffs), con.sense, con.rhs, con.name + "_y") for con in bp.constraints]
+    rows += [(*coupling(n, i), f"pair_ub_{v}") for i, v in enumerate(bp.variable_names)]
     if variant == "full":
-        for i, v in enumerate(bp.variable_names):
-            a = [Fraction(0)] * (3 * n)
-            a[i] = a[n + i] = a[2 * n + i] = Fraction(1)
-            rows.append((tuple(a), ">=", Fraction(1), f"pair_lb_{v}"))
+        rows += [(*coupling(n, i, lower=True), f"pair_lb_{v}") for i, v in enumerate(bp.variable_names)]
     derived = BinaryProgram(c, rows, names)
     return DiameterProgram(bp, eps_value, rule, variant == "full", derived)
 
@@ -187,8 +189,7 @@ def solve_diameter(
                 f"{check.best.objective_value if check.best else check.status}"
             )
 
-    full = report.best.assignment
-    x, y, z = full[:n], full[n : 2 * n], full[2 * n :]
+    x, y, z = split(report.best.assignment)
     diameter = sum(1 for a, b in zip(x, y) if a != b)
     z_sum = sum(z)
     res = DiverseOptimaResult(

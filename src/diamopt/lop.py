@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bpcore import BinaryProgram
-from .diameter import maximisers, verify_listed_diameter
+from .diameter import maximisers, paired, split, verify_listed_diameter
 from .errors import ParseError
 from .modelio import instance_from_json, load_instance
 from .polytope import Inequality, nonnegativity_facets
@@ -114,9 +114,9 @@ def all_permutations(n: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
-def base_points(n: int) -> list[tuple[int, ...]]:
-    """The feasible set of build: every ranking's incidence vector."""
-    return [perm_to_incidence(p) for p in all_permutations(n)]
+def base_points(n: int) -> Iterator[tuple[int, ...]]:
+    """The feasible set of build, every ranking's incidence vector, made lazily."""
+    return (perm_to_incidence(p) for p in all_permutations(n))
 
 
 def kendall_tau(s1: Sequence[int], s2: Sequence[int]) -> int:
@@ -203,15 +203,14 @@ def lift_inequality(ineq: Inequality, n_items: int) -> Inequality:
     """
     n = n_items
     old_pairs = ordered_pairs(n)
-    width = len(old_pairs)
-    if len(ineq.a) != 3 * width:
-        raise ValueError(f"expected {3 * width} coordinates for n_items={n}")
-    new_width = (n + 1) * n
-    a = [Fraction(0)] * (3 * new_width)
-    for block in range(3):
-        for k, (i, j) in enumerate(old_pairs):
-            a[block * new_width + pair_index(i, j, n + 1)] = ineq.a[block * width + k]
-    return Inequality(tuple(a), ineq.a0, ineq.sense, ineq.label)
+    if len(ineq.a) != 3 * len(old_pairs):
+        raise ValueError(f"expected {3 * len(old_pairs)} coordinates for n_items={n}")
+    moved = [pair_index(i, j, n + 1) for i, j in old_pairs]
+    blocks = [[Fraction(0)] * ((n + 1) * n) for _ in range(3)]
+    for block, old in zip(blocks, split(ineq.a)):
+        for k, v in zip(moved, old):
+            block[k] = v
+    return Inequality(paired((n + 1) * n, *blocks), ineq.a0, ineq.sense, ineq.label)
 
 
 def lop_from_json_dict(d: dict) -> LopInstance:

@@ -7,10 +7,17 @@ enumerated (structured pair generation or a raw scan), dimensions come from
 integer rank computations, and an inequality is certified a facet by the
 definition itself: valid everywhere, tight on a face whose affine dimension
 is one below the hull's.
+
+The (x | y | z) layout belongs to diameter: the inherited facet families,
+the z bounds and the lifted equation systems place their blocks with
+diameter.paired, and the coupling family is diameter.coupling, the row the
+diameter program solves.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -18,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bpcore import BinaryProgram, enumerate_feasible
-from .diameter import DiameterProgram, support_mask
+from .diameter import DiameterProgram, coupling, paired, support_mask
 from .errors import CapExceededError
 from .ratlinalg import RatMatrix, affine_dimension, as_rational, int_dtype, scaled_int_vector
 
@@ -140,7 +147,12 @@ def enumerate_points(
             source=f"raw scan of {dp.derived.n} binaries",
         )
 
-    base = [tuple(int(v) for v in p) for p in base_points]
+    # each ordered pair adds at least one point, so k base points give at
+    # least k^2 and reading isqrt(max_points) + 1 of them is enough to refuse
+    limit = math.isqrt(max(max_points, 0)) + 1
+    base = [tuple(int(v) for v in p) for p in itertools.islice(base_points, limit)]
+    if len(base) == limit:
+        raise CapExceededError(f"point enumeration exceeds max_points={max_points}")
     for p in base:
         if len(p) != n or any(v not in (0, 1) for v in p):
             raise ValueError("base points must be 0/1 vectors of base length")
@@ -183,12 +195,7 @@ def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
     paired hull loses twice the base rank in dimension.
     """
     m = base_system.matrix
-    zero = (Fraction(0),) * m.ncols
-    rows = []
-    for r in m.rows:
-        rows.append(tuple(r) + zero + zero)
-    for r in m.rows:
-        rows.append(zero + tuple(r) + zero)
+    rows = [paired(m.ncols, x=r) for r in m.rows] + [paired(m.ncols, y=r) for r in m.rows]
     return EquationSystem(RatMatrix(rows), base_system.rhs + base_system.rhs)
 
 
@@ -264,27 +271,19 @@ def facet_families(n: int, base_facets: Sequence[Inequality]) -> list[Inequality
     block; then 0 <= z_i <= 1 and x_i + y_i - z_i <= 1 for every
     coordinate.
     """
-    zero = (Fraction(0),) * n
     out: list[Inequality] = []
     for k, f in enumerate(base_facets):
         if len(f.a) != n:
             raise ValueError(f"base facet {k} has width {len(f.a)}, expected {n}")
         tag = f.label or f"base{k}"
-        out.append(Inequality(tuple(f.a) + zero + zero, f.a0, f.sense, f"{tag}[x]"))
-        out.append(Inequality(zero + tuple(f.a) + zero, f.a0, f.sense, f"{tag}[y]"))
+        out.append(Inequality(paired(n, x=f.a), f.a0, f.sense, f"{tag}[x]"))
+        out.append(Inequality(paired(n, y=f.a), f.a0, f.sense, f"{tag}[y]"))
+    zs = nonnegativity_facets([f"z{i}" for i in range(1, n + 1)])
+    out += [Inequality(paired(n, z=f.a), f.a0, f.sense, f.label) for f in zs]
+    out += [Inequality(paired(n, z=f.a), 1, "<=", f"z{i}_le_1") for i, f in enumerate(zs, start=1)]
     for i in range(n):
-        a = [Fraction(0)] * (3 * n)
-        a[2 * n + i] = Fraction(1)
-        out.append(Inequality(tuple(a), Fraction(0), ">=", f"z{i + 1}_ge_0"))
-    for i in range(n):
-        a = [Fraction(0)] * (3 * n)
-        a[2 * n + i] = Fraction(1)
-        out.append(Inequality(tuple(a), Fraction(1), "<=", f"z{i + 1}_le_1"))
-    for i in range(n):
-        a = [Fraction(0)] * (3 * n)
-        a[i] = a[n + i] = Fraction(1)
-        a[2 * n + i] = Fraction(-1)
-        out.append(Inequality(tuple(a), Fraction(1), "<=", f"pair_ub_{i + 1}"))
+        a, sense, rhs = coupling(n, i)
+        out.append(Inequality(a, rhs, sense, f"pair_ub_{i + 1}"))
     return out
 
 

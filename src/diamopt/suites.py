@@ -24,6 +24,7 @@ from .diameter import (
     build as build_diameter,
     choose_epsilon,
     diameter_by_enumeration,
+    paired,
     solve_diameter,
 )
 from .polytope import (
@@ -112,20 +113,19 @@ def suite_dimensions(long_running: bool = False) -> list[dict]:
 
 
 def _extra_tour4_inequalities():
-    es = tsp.edges(4)
-    ix = {e: k for k, e in enumerate(es)}
-    m = len(es)
+    """Two mixed rows on tour n=4: x on edges 12, 13, y on 12, 24, and one z."""
 
-    def mk(zedge, label):
-        a = [Fraction(0)] * (3 * m)
-        a[ix[(1, 2)]] += 1
-        a[ix[(1, 3)]] += 1
-        a[m + ix[(1, 2)]] += 1
-        a[m + ix[(2, 4)]] += 1
-        a[2 * m + ix[zedge]] += 1
-        return Inequality(tuple(a), Fraction(3), ">=", label)
+    def edge_vector(*es):
+        a = [Fraction(0)] * 6
+        for i, j in es:
+            a[tsp.edge_index(i, j, 4)] += 1
+        return a
 
-    return [mk((2, 3), "mixed_z_2_3"), mk((1, 4), "mixed_z_1_4")]
+    x, y = edge_vector((1, 2), (1, 3)), edge_vector((1, 2), (2, 4))
+    return [
+        Inequality(paired(6, x, y, edge_vector((i, j))), Fraction(3), ">=", f"mixed_z_{i}_{j}")
+        for i, j in ((2, 3), (1, 4))
+    ]
 
 
 def _facet_records(title: str, ps, inequalities) -> list[dict]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bpcore import BinaryProgram
 from .diameter import maximisers, verify_listed_diameter
@@ -154,9 +154,9 @@ def all_tours(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def base_points(n: int) -> list[tuple[int, ...]]:
-    """The feasible set of build: every tour's incidence vector."""
-    return [tour_to_incidence(t) for t in all_tours(n)]
+def base_points(n: int) -> Iterator[tuple[int, ...]]:
+    """The feasible set of build, every tour's incidence vector, made lazily."""
+    return (tour_to_incidence(t) for t in all_tours(n))
 
 
 def tour_cost(inst: TspInstance, t: Sequence[int]) -> Fraction:

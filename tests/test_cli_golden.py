@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from diamopt import tsp
+from diamopt import lop, tsp
 from diamopt.cli import main
 from diamopt.polytope import facet_families
 
@@ -34,15 +34,20 @@ EOF
 # argv with {tmp} standing for the case's tmp_path, the exit code, and the
 # sha256 of stdout
 CASES = {
+    "check-facet-ordering3-json": ("check-facet {tmp}/ordering3.json --problem lop --n 3 --format json", 0, "69dcdb888bed75d9ca4af217bdfa7c66423bea709483fb4ab0dd372e4064f359"),
     "check-facet-tour4": ("check-facet {tmp}/tour4.json --problem tsp --n 4", 1, "50794025fe5d90f775a77be152d40b965746376beeec2dc682a936ca35f74114"),
     "diameter-lop3-json": ("diameter --problem lop --n 3 --format json", 0, "c8aaedc75159724f7efdb1161a538a6c4174dd7abd28ddaf34a55950021f9129"),
+    "diameter-lop3-theoretical-json": ("diameter --problem lop --n 3 --theoretical-epsilon --format json", 0, "1e63ae19dd86c2d08caae71b82865b6ca82a7c3aefd53d43d21d633dc1b1e4da"),
     "diameter-ordering-matrix": ("diameter --problem lop --instance {tmp}/ord.txt", 0, "08ea19d086017197f3c79616d7bcdafc39a883ffa07da8d5ffb9de059fcee1c1"),
     "diameter-tsp5-conjugate": ("diameter --problem tsp --n 5 --variant conjugate", 0, "849db0f6d6eec9c18f9b124380e8e5755dd1569f54afe9a8e5c24803279b5c83"),
+    "diameter-tsp5-theoretical": ("diameter --problem tsp --n 5 --theoretical-epsilon", 0, "0c5f122f2bc0aae6a7221217ccf9bc53b9b047b001cdd05a9190fcb3c44432c8"),
     "diameter-tsplib": ("diameter --problem tsp --instance {tmp}/tour.tsp", 0, "fbb207130c70fba144cfe634ef7a498f758913b1c68e88fa43796be13df15607"),
     "dim-tsp5-json": ("dim --problem tsp --n 5 --format json", 0, "f1162afddf8dc97620147cc2c2b7e4a403c53be262b5bd20a04edffc7b25370d"),
     "points-lop2-json": ("points --problem lop --n 2 --format json", 0, "f7c6353fbbceac4d76858731dd1823c2938454a76713a899cd852b0e7d4177db"),
     "verify-dimensions-json": ("verify dimensions --format json", 0, "5bcefe7f0799a9f09389937d776e5b3609f7d5ac3c23da2855c0b8ced7672f79"),
+    "verify-epsilon-json": ("verify epsilon --trials 20 --seed 7 --format json", 0, "c5c72fc7b9f9a1122bf3ff87af291899766255a02ff25d091a7af79bf7497cab"),
     "verify-facets-json": ("verify facets --format json", 0, "4f3b36cc3f1297baff64e0d6f9c797321d00e126e2d79af9551b65ae9ea24de1"),
+    "verify-lifting-json": ("verify lifting --format json", 0, "451b179403fcf0859740e660d2641f94dd7ae986a15dbfdfe67051fd3e25e355"),
 }
 
 
@@ -50,9 +55,9 @@ CASES = {
 def instance_dir(tmp_path):
     (tmp_path / "ord.txt").write_text(ORDERING_MATRIX)
     (tmp_path / "tour.tsp").write_text(TOUR_TSPLIB)
-    families = facet_families(6, tsp.base_facets(4))
-    ineqs = [{"a": [str(v) for v in q.a], "a0": str(q.a0), "sense": q.sense, "label": q.label} for q in families]
-    (tmp_path / "tour4.json").write_text(json.dumps(ineqs))
+    for name, base in (("tour4", tsp.base_facets(4)), ("ordering3", lop.base_facets(3))):
+        ineqs = [{"a": [str(v) for v in q.a], "a0": str(q.a0), "sense": q.sense, "label": q.label} for q in facet_families(6, base)]
+        (tmp_path / f"{name}.json").write_text(json.dumps(ineqs))
     return tmp_path
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from diamopt.bpcore import (
     BinaryProgram,
     Constraint,
     enumerate_optimal_set,
+    is_feasible,
     random_binary_program,
     solve_bnb,
 )
@@ -55,6 +57,20 @@ class TestEpsilon:
     def test_theoretical_when_all_values_tie(self):
         bp = BinaryProgram([0, 0], [])
         assert theoretical_epsilon(bp).value == 1
+
+    def test_theoretical_on_infeasible_model_raises(self):
+        bp = BinaryProgram([1, 1], [Constraint([1, 1], ">=", 3)])
+        with pytest.raises(InfeasibleModelError):
+            theoretical_epsilon(bp)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_theoretical_gap_matches_brute_force(self, seed):
+        bp = feasible_random_model(random.Random(seed), max_n=8, max_rows=4)
+        values = sorted(
+            {bp.objective_of(x) for x in itertools.product((0, 1), repeat=bp.n) if is_feasible(bp, x)}
+        )
+        want = (values[-1] - values[-2]) / bp.n if len(values) > 1 else 1
+        assert theoretical_epsilon(bp).value == want
 
 
 class TestBuild:

@@ -1,5 +1,6 @@
-"""Each front end solves exactly the rows it certifies, and the CLI looks
-families up without listing base points it does not use."""
+"""Each front end solves exactly the rows it certifies, the paired program
+solves exactly the coupling rows and lifted systems that are certified, and
+the CLI looks families up without listing base points it does not use."""
 
 import itertools
 
@@ -8,6 +9,8 @@ import pytest
 from diamopt import lop, tsp
 from diamopt.bpcore import Constraint
 from diamopt.cli import main
+from diamopt.diameter import build as build_diameter
+from diamopt.polytope import EquationSystem, facet_families, lift_equation_system
 
 
 def _as_constraints(facets):
@@ -31,6 +34,38 @@ def test_tour_model_rows_are_the_certified_rows(n):
     assert list(tsp.build(tsp.TspInstance.zero(n)).constraints) == want
 
 
+PAIRED_CASES = [
+    (lop, lop.LopInstance.zero, lop.pick_one_system, 3),
+    (lop, lop.LopInstance.zero, lop.pick_one_system, 4),
+    (tsp, tsp.TspInstance.zero, tsp.degree_system, 4),
+    (tsp, tsp.TspInstance.zero, tsp.degree_system, 5),
+]
+PAIRED_IDS = ["ordering3", "ordering4", "tour4", "tour5"]
+
+
+def _solved_rows(module, zero, n):
+    base = module.build(zero(n))
+    return base.n, build_diameter(base, None, "conjugate").derived.constraints
+
+
+@pytest.mark.parametrize("module, zero, system, n", PAIRED_CASES, ids=PAIRED_IDS)
+def test_certified_couplings_are_the_solved_couplings(module, zero, system, n):
+    width, rows = _solved_rows(module, zero, n)
+    certified = [(q.a, q.sense, q.a0) for q in facet_families(width, module.base_facets(n)) if q.label.startswith("pair_ub_")]
+    solved = [(c.coeffs, c.sense, c.rhs) for c in rows if c.name.startswith("pair_ub_")]
+    assert len(solved) == width
+    assert certified == solved
+
+
+@pytest.mark.parametrize("module, zero, system, n", PAIRED_CASES, ids=PAIRED_IDS)
+def test_lifted_system_is_the_solved_equations(module, zero, system, n):
+    _, rows = _solved_rows(module, zero, n)
+    lifted = lift_equation_system(EquationSystem(*system(n)))
+    equations = [c for c in rows if c.sense == "="]
+    assert [c.coeffs for c in equations] == list(lifted.matrix.rows)
+    assert [c.rhs for c in equations] == list(lifted.rhs)
+
+
 class NoListing(Exception):
     pass
 
@@ -51,3 +86,19 @@ def test_diameter_lists_no_base_points(tours_unlisted, capsys):
 def test_cap_refuses_before_listing_base_points(tours_unlisted, capsys):
     assert main(["dim", "--problem", "tsp", "--n", "11"]) == 4
     assert "cap exceeded" in capsys.readouterr().err
+
+
+def test_cap_refuses_after_few_tours(monkeypatch, capsys):
+    # 2,000,000 points are refused once isqrt(2,000,000) + 1 = 1,415 tours are read
+    calls = 0
+    real = tsp.tour_to_incidence
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    monkeypatch.setattr(tsp, "tour_to_incidence", counted)
+    assert main(["dim", "--problem", "tsp", "--n", "10"]) == 4
+    assert "cap exceeded" in capsys.readouterr().err
+    assert calls <= 1415
