@@ -206,15 +206,20 @@ def solve_enumerate(bp: BinaryProgram, cap: int | None = None) -> SolveReport:
     return SolveReport("optimal", Solution(best_assign, bp.objective_of(best_assign)), nodes)
 
 
-def enumerate_feasible(bp: BinaryProgram, cap: int | None = None) -> list[tuple[int, ...]]:
-    """All feasible assignments in lexicographic order."""
+def feasible_blocks(bp: BinaryProgram, cap: int | None = None):
+    """Yield the feasible assignments as uint8 row blocks, in lexicographic
+    order across and within blocks; each block holds at most 2^16 rows, so
+    a caller can stop the scan as soon as it has seen enough."""
     _require_cap(bp.n, cap)
-    out = []
     for _, bits in _bit_blocks(bp.n):
         mask = _feasible_mask(bp, bits)
         if mask.any():
-            out.extend(tuple(int(x) for x in row) for row in bits[mask])
-    return out
+            yield bits[mask].astype(np.uint8)
+
+
+def enumerate_feasible(bp: BinaryProgram, cap: int | None = None) -> list[tuple[int, ...]]:
+    """All feasible assignments in lexicographic order."""
+    return [tuple(row) for block in feasible_blocks(bp, cap) for row in block.tolist()]
 
 
 def enumerate_optimal_set(bp: BinaryProgram, cap: int | None = None) -> list[Solution]:

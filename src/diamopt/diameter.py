@@ -21,16 +21,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .bpcore import (
     BinaryProgram,
     default_enum_cap,
-    enumerate_feasible,
     enumerate_optimal_set,
+    feasible_blocks,
     solve_bnb,
     solve_enumerate,
 )
 from .errors import DiamoptError, InfeasibleModelError
-from .ratlinalg import as_rational
+from .ratlinalg import as_rational, scaled_int_vector
 
 INTEGER_RULE = "integer-rule"
 RATIONAL_RULE = "rational-rule"
@@ -90,12 +92,22 @@ def theoretical_epsilon(bp: BinaryProgram, cap: int | None = None) -> EpsilonCho
     optimal.  When every feasible point is optimal there is no gap and any
     positive value works; 1 is returned.
     """
-    values = sorted({bp.objective_of(x) for x in enumerate_feasible(bp, cap)})
-    if not values:
+    c_int, _, dtype = bp.scaled()
+    c_vec = np.array(c_int, dtype=dtype)
+    top: list[int] = []  # the two largest distinct scaled objective values
+    for block in feasible_blocks(bp, cap):
+        obj = block @ c_vec
+        top.append(int(obj.max()))
+        below = obj[obj < top[-1]]
+        if below.size:
+            top.append(int(below.max()))
+        top = sorted(set(top))[-2:]
+    if not top:
         raise InfeasibleModelError("model has no feasible point")
-    if len(values) == 1:
+    if len(top) == 1:
         return EpsilonChoice(Fraction(1), THEORETICAL)
-    return EpsilonChoice((values[-1] - values[-2]) / bp.n, THEORETICAL)
+    # c_int is c times the scale of its denominators
+    return EpsilonChoice(Fraction(top[1] - top[0], scaled_int_vector(bp.c)[2] * bp.n), THEORETICAL)
 
 
 def paired(n: int, x=None, y=None, z=None) -> tuple[Fraction, ...]:

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bpcore import BinaryProgram, enumerate_feasible
+from .bpcore import BinaryProgram, enumerate_feasible, feasible_blocks
 from .diameter import DiameterProgram, coupling, paired, support_mask
 from .errors import CapExceededError
 from .ratlinalg import RatMatrix, affine_dimension, as_rational, int_dtype, scaled_int_vector
@@ -32,8 +32,34 @@ from .ratlinalg import RatMatrix, affine_dimension, as_rational, int_dtype, scal
 DEFAULT_MAX_POINTS = 2_000_000
 
 
+# rows compared at a time by _strictly_increasing, so its scratch arrays
+# have a fixed size however many points there are
+_ORDER_CHUNK = 1 << 16
+
+
+def _strictly_increasing(arr: np.ndarray) -> bool:
+    """Whether the rows of a 0/1 array are distinct and in increasing
+    lexicographic order: at the first column where two consecutive rows
+    differ, the earlier row has 0 and the later one 1.  O(rows * columns)."""
+    if arr.shape[1] == 0:
+        return arr.shape[0] < 2
+    for lo in range(0, arr.shape[0] - 1, _ORDER_CHUNK):
+        hi = min(lo + _ORDER_CHUNK, arr.shape[0] - 1)
+        prev, nxt = arr[lo:hi], arr[lo + 1 : hi + 1]
+        # argmax is 0 for equal rows, where nxt > prev fails as it should
+        first = (prev != nxt).argmax(axis=1)[:, None]
+        if not (np.take_along_axis(nxt, first, 1) > np.take_along_axis(prev, first, 1)).all():
+            return False
+    return True
+
+
 class PointSet:
-    """Distinct 0/1 points in lexicographic order, one per row."""
+    """Distinct 0/1 points in lexicographic order, one per row.
+
+    Rows that already satisfy the invariant, as enumerate_points produces
+    them, are kept as given after an O(rows * columns) check; any other
+    array is sorted and deduplicated with np.unique.
+    """
 
     def __init__(self, points, source: str = ""):
         arr = np.asarray(points, dtype=np.uint8)
@@ -41,7 +67,7 @@ class PointSet:
             raise ValueError("points must form a 2-D array")
         if arr.size and arr.max() > 1:
             raise ValueError("points must be 0/1")
-        if arr.shape[0]:
+        if not _strictly_increasing(arr):
             arr = np.unique(arr, axis=0)
         self.array = np.ascontiguousarray(arr)
         self.source = source
@@ -122,6 +148,10 @@ def _completion_table(nfree: int) -> np.ndarray:
     return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
+def _over_cap(max_points: int) -> CapExceededError:
+    return CapExceededError(f"point enumeration exceeds max_points={max_points}")
+
+
 def enumerate_points(
     dp: DiameterProgram,
     base_points: Iterable[Sequence[int]] | None = None,
@@ -133,32 +163,43 @@ def enumerate_points(
     With base_points (the feasible set of the base model) the generation is
     structured: every ordered pair (x, y), z forced to 1 on the shared
     support and free elsewhere.  Without it the derived model is scanned
-    raw, which needs 3n to fit under the enumeration cap.
+    raw, which needs 3n to fit under the enumeration cap.  Either way a
+    running count is checked against max_points block by block, so a
+    refusal comes before the whole set is built.
+
+    Both paths emit the PointSet invariant (distinct rows, lexicographic
+    order) by construction, so PointSet keeps the array after its linear
+    check and never sorts it.  The raw scan is lexicographic
+    (bpcore.feasible_blocks).  The structured pairs run over the sorted,
+    deduplicated base points, x by the outer and y by the inner loop, so
+    the blocks ascend in (x, y); within a block x and y are fixed, the
+    shared z columns are 1, and the free z columns, in ascending column
+    order, take the rows of a lexicographic table.
     """
     if dp.include_lower_coupling:
         raise ValueError("point enumeration is defined for the conjugate variant")
     n = dp.base.n
+    blocks = [np.empty((0, 3 * n), dtype=np.uint8)]
+    total = 0
     if base_points is None:
-        pts = enumerate_feasible(dp.derived, cap)
-        if len(pts) > max_points:
-            raise CapExceededError(f"point enumeration exceeds max_points={max_points}")
-        return PointSet(
-            np.array(pts, dtype=np.uint8).reshape(len(pts), 3 * n),
-            source=f"raw scan of {dp.derived.n} binaries",
-        )
+        for block in feasible_blocks(dp.derived, cap):
+            total += len(block)
+            if total > max_points:
+                raise _over_cap(max_points)
+            blocks.append(block)
+        return PointSet(np.concatenate(blocks), source=f"raw scan of {dp.derived.n} binaries")
 
     # each ordered pair adds at least one point, so k base points give at
     # least k^2 and reading isqrt(max_points) + 1 of them is enough to refuse
     limit = math.isqrt(max(max_points, 0)) + 1
     base = [tuple(int(v) for v in p) for p in itertools.islice(base_points, limit)]
     if len(base) == limit:
-        raise CapExceededError(f"point enumeration exceeds max_points={max_points}")
+        raise _over_cap(max_points)
     for p in base:
         if len(p) != n or any(v not in (0, 1) for v in p):
             raise ValueError("base points must be 0/1 vectors of base length")
+    base = sorted(set(base))
 
-    total = 0
-    blocks = []
     tables: dict[int, np.ndarray] = {}
     for u in base:
         for v in base:
@@ -167,25 +208,17 @@ def enumerate_points(
             count = 1 << len(free)
             total += count
             if total > max_points:
-                raise CapExceededError(
-                    f"point enumeration exceeds max_points={max_points}"
-                )
+                raise _over_cap(max_points)
             if len(free) not in tables:
                 tables[len(free)] = _completion_table(len(free))
-            pat = tables[len(free)]
             block = np.empty((count, 3 * n), dtype=np.uint8)
             block[:, :n] = u
             block[:, n : 2 * n] = v
-            z = np.zeros((count, n), dtype=np.uint8)
-            if shared:
-                z[:, shared] = 1
-            if free:
-                z[:, free] = pat
-            block[:, 2 * n :] = z
+            z = block[:, 2 * n :]
+            z[:, shared] = 1
+            z[:, free] = tables[len(free)]
             blocks.append(block)
-    if not blocks:
-        return PointSet(np.zeros((0, 3 * n), dtype=np.uint8), source="structured pairs")
-    return PointSet(np.vstack(blocks), source="structured pairs")
+    return PointSet(np.concatenate(blocks), source="structured pairs")
 
 
 def lift_equation_system(base_system: EquationSystem) -> EquationSystem:

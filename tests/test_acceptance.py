@@ -5,8 +5,7 @@ line on success.  Expected values are frozen from independent enumeration
 (raw 0/1 scans, straight itertools/bitmask oracles); nothing here trusts
 the code path it is checking.
 
-Run with -v for one line per criterion; add --run-long for the large
-ordering case (n=4, about a minute).
+Run with -v for one line per criterion.
 """
 
 import random
@@ -69,7 +68,6 @@ def test_c01_ordering_hull_dimensions():
     _ok(f"criterion 1: ordering hull dimensions n=2 -> 4, n=3 -> 12 ({elapsed:.2f}s)")
 
 
-@pytest.mark.long_running
 def test_c01b_ordering_hull_dimension_n4():
     ps4 = lop_points(4)
     assert ps4.count == 483840

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from diamopt.bpcore import (
@@ -10,6 +11,7 @@ from diamopt.bpcore import (
     default_enum_cap,
     enumerate_feasible,
     enumerate_optimal_set,
+    feasible_blocks,
     is_feasible,
     random_binary_program,
     solve_bnb,
@@ -103,6 +105,18 @@ class TestEnumerate:
         rng = random.Random(seed)
         bp = random_binary_program(rng, max_n=8, max_rows=4)
         assert enumerate_feasible(bp) == brute_feasible(bp)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_feasible_blocks_are_the_feasible_set_in_order(self, seed):
+        bp = random_binary_program(random.Random(seed), max_n=8, max_rows=4)
+        blocks = list(feasible_blocks(bp))
+        assert all(b.dtype == np.uint8 and b.shape[1] == bp.n for b in blocks)
+        assert [tuple(r) for b in blocks for r in b.tolist()] == brute_feasible(bp)
+
+    def test_feasible_blocks_are_bounded(self):
+        # 2^18 free assignments arrive in 2^16-row blocks, so a reader can stop early
+        sizes = [len(b) for b in feasible_blocks(BinaryProgram([0] * 18, []))]
+        assert sizes == [1 << 16] * 4
 
     def test_optimal_set_matches_brute_force(self):
         rng = random.Random(42)

@@ -45,3 +45,13 @@ def test_zero_denominator_is_input_error(case, tmp_path, capsys):
     assert code == 3
     assert "input error" in err
     assert "Traceback" not in err
+
+
+def test_raw_point_cap_refuses_early(tmp_path, capsys):
+    # 823,543 paired points; the scan stops at its first block over the cap
+    model = tmp_path / "free7.json"
+    model.write_text(json.dumps({"objective": [1] * 7, "constraints": []}))
+    code = main(f"dim --problem raw --instance {model} --max-points 1000".split())
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "point enumeration exceeds max_points=1000" in err

@@ -42,6 +42,7 @@ CASES = {
     "diameter-tsp5-conjugate": ("diameter --problem tsp --n 5 --variant conjugate", 0, "849db0f6d6eec9c18f9b124380e8e5755dd1569f54afe9a8e5c24803279b5c83"),
     "diameter-tsp5-theoretical": ("diameter --problem tsp --n 5 --theoretical-epsilon", 0, "0c5f122f2bc0aae6a7221217ccf9bc53b9b047b001cdd05a9190fcb3c44432c8"),
     "diameter-tsplib": ("diameter --problem tsp --instance {tmp}/tour.tsp", 0, "fbb207130c70fba144cfe634ef7a498f758913b1c68e88fa43796be13df15607"),
+    "dim-lop4-json": ("dim --problem lop --n 4 --format json", 0, "9d64fd85b3434bdf77f4c2013a0d1267de4930f3f34bfeb415715887aaa5a1ba"),
     "dim-tsp5-json": ("dim --problem tsp --n 5 --format json", 0, "f1162afddf8dc97620147cc2c2b7e4a403c53be262b5bd20a04edffc7b25370d"),
     "points-lop2-json": ("points --problem lop --n 2 --format json", 0, "f7c6353fbbceac4d76858731dd1823c2938454a76713a899cd852b0e7d4177db"),
     "verify-dimensions-json": ("verify dimensions --format json", 0, "5bcefe7f0799a9f09389937d776e5b3609f7d5ac3c23da2855c0b8ced7672f79"),

@@ -72,6 +72,22 @@ class TestEpsilon:
         want = (values[-1] - values[-2]) / bp.n if len(values) > 1 else 1
         assert theoretical_epsilon(bp).value == want
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_theoretical_gap_on_rational_objective_matches_brute_force(self, seed):
+        rng = random.Random(100 + seed)
+        bp = feasible_random_model(rng, max_n=8, max_rows=3)
+        bp = BinaryProgram([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 12))) for _ in bp.c], bp.constraints)
+        values = sorted(
+            {bp.objective_of(x) for x in itertools.product((0, 1), repeat=bp.n) if is_feasible(bp, x)}
+        )
+        want = (values[-1] - values[-2]) / bp.n if len(values) > 1 else 1
+        assert theoretical_epsilon(bp) == EpsilonChoice(Fraction(want), "theoretical")
+
+    def test_theoretical_gap_beyond_int64(self):
+        # objective sums past 2^62 are taken in Python integers
+        bp = BinaryProgram([2**70, 2**70 - 3, Fraction(1, 5)], [Constraint([1, 1, 0], "<=", 1)])
+        assert theoretical_epsilon(bp).value == Fraction(1, 5) / 3
+
 
 class TestBuild:
     def test_shape_full(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diamopt import lop, tsp
+from diamopt import bpcore, lop, polytope, suites, tsp
 from diamopt.bpcore import BinaryProgram, Constraint
 from diamopt.diameter import build as build_diameter
 from diamopt.errors import CapExceededError
@@ -242,3 +242,84 @@ class TestDisjointPair:
         assert rep5.existential and rep5.universal
         x, y = rep5.existential_witness
         assert all(a * b == 0 for a, b in zip(x, y))
+
+
+def _no_unique(monkeypatch):
+    """Make any np.unique call fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+
+
+class TestPointOrder:
+    """PointSet keeps sorted distinct rows without sorting, and point
+    enumeration produces them so."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(5)
+        sorted_rows = np.unique(rng.integers(0, 2, (300, 9), dtype=np.uint8), axis=0)
+        last_col = np.zeros((4, 6), dtype=np.uint8)
+        last_col[1::2, -1] = 1  # rows 0/1 and 2/3 differ only in the last column
+        yield "shuffled", rng.permutation(sorted_rows)
+        yield "duplicates", np.repeat(sorted_rows, 2, axis=0)
+        yield "sorted-with-one-duplicate", np.insert(sorted_rows, 7, sorted_rows[7], axis=0)
+        yield "last-column", last_col
+        yield "last-column-descending", last_col[::-1]
+        yield "one-row", sorted_rows[:1]
+        yield "zero-rows", np.zeros((0, 5), dtype=np.uint8)
+        for k in range(20):
+            yield f"random-{k}", rng.integers(0, 2, (rng.integers(2, 60), rng.integers(1, 5)), dtype=np.uint8)
+
+    @pytest.mark.parametrize("chunk", [3, polytope._ORDER_CHUNK])
+    def test_matches_np_unique(self, chunk, monkeypatch):
+        # a chunk of 3 rows puts many consecutive pairs across chunk borders
+        monkeypatch.setattr(polytope, "_ORDER_CHUNK", chunk)
+        for name, arr in self.cases():
+            ps = PointSet(arr)
+            want = np.unique(arr, axis=0) if len(arr) else arr
+            assert ps.array.dtype == np.uint8, name
+            assert ps.array.tolist() == want.tolist(), name
+
+    def test_sorted_distinct_input_is_not_resorted(self, monkeypatch):
+        rows = np.unique(np.random.default_rng(1).integers(0, 2, (200, 8), dtype=np.uint8), axis=0)
+        _no_unique(monkeypatch)
+        assert PointSet(rows).array.tolist() == rows.tolist()
+
+    @pytest.mark.parametrize("family,n", [("lop", 2), ("lop", 3), ("tsp", 4), ("tsp", 5)])
+    def test_family_points_need_no_sort(self, family, n, monkeypatch):
+        expected = (suites.LOP_EXPECTED if family == "lop" else suites.TSP_EXPECTED)[n]
+        _no_unique(monkeypatch)
+        ps = suites._paired_points(suites.FAMILIES[family], n)
+        assert ps.count == expected["points"]
+        assert ps.hull_dimension() == expected["dim"]
+
+    def test_raw_scan_needs_no_sort(self, monkeypatch):
+        dp = build_diameter(tsp.build(tsp.TspInstance.zero(4)), None, "conjugate")
+        base = [tsp.tour_to_incidence(t) for t in tsp.all_tours(4)]
+        structured = enumerate_points(dp, base_points=base).array.tolist()
+        _no_unique(monkeypatch)
+        assert enumerate_points(dp).array.tolist() == structured
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_base_point_order_does_not_matter(self, seed, monkeypatch):
+        dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
+        base = list(lop.base_points(3))
+        shuffled = base + base[:4]
+        random.Random(seed).shuffle(shuffled)
+        want = enumerate_points(dp, base_points=base).array
+        _no_unique(monkeypatch)
+        got = enumerate_points(dp, base_points=shuffled).array
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+    def test_raw_refusal_lists_no_tuples(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate_feasible called")
+
+        monkeypatch.setattr(bpcore, "enumerate_feasible", refuse)
+        monkeypatch.setattr(polytope, "enumerate_feasible", refuse)
+        dp = build_diameter(BinaryProgram([1] * 7, []), None, "conjugate")
+        with pytest.raises(CapExceededError, match="point enumeration exceeds max_points=1000"):
+            enumerate_points(dp, max_points=1000)
