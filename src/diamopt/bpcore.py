@@ -9,6 +9,8 @@ is tested against.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +21,9 @@ import numpy as np
 from .errors import CapExceededError, InfeasibleModelError
 from .ratlinalg import as_rational, int_dtype, scaled_int_vector
 
-SENSES = ("<=", "=", ">=")
+# row sense -> whether (lhs, rhs) satisfies it
+HOLDS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
+SENSES = tuple(HOLDS)
 
 DEFAULT_ENUM_CAP = 26
 _ENUM_BLOCK = 1 << 16
@@ -81,15 +85,12 @@ class BinaryProgram:
                 raise ValueError(f"row {k}: bad sense {sense!r}")
             rows.append(Constraint(coeffs, sense, as_rational(rhs), name or f"c{k + 1}"))
         self.constraints = tuple(rows)
-        if variable_names is None:
-            variable_names = tuple(f"x_{i + 1}" for i in range(self.n))
-        else:
-            variable_names = tuple(variable_names)
-            if len(variable_names) != self.n:
-                raise ValueError("variable_names length mismatch")
-            if len(set(variable_names)) != self.n:
-                raise ValueError("variable_names must be unique")
-        self.variable_names = variable_names
+        names = tuple(f"x_{i + 1}" for i in range(self.n)) if variable_names is None else tuple(variable_names)
+        if len(names) != self.n:
+            raise ValueError("variable_names length mismatch")
+        if len(set(names)) != self.n:
+            raise ValueError("variable_names must be unique")
+        self.variable_names = names
         self._scaled = None
 
     def __eq__(self, other):
@@ -133,88 +134,68 @@ def is_feasible(bp: BinaryProgram, assignment: Sequence[int]) -> bool:
     if any(x not in (0, 1) for x in assignment):
         raise ValueError("assignment must be 0/1")
     _, rows, _ = bp.scaled()
-    for a, sense, b in rows:
-        v = sum(ai for ai, xi in zip(a, assignment) if xi)
-        if sense == "<=" and v > b:
-            return False
-        if sense == "=" and v != b:
-            return False
-        if sense == ">=" and v < b:
-            return False
-    return True
-
-
-def _require_cap(n: int, cap: int | None) -> int:
-    cap = default_enum_cap() if cap is None else cap
-    if n > cap:
-        raise CapExceededError(f"2^{n} scan refused (cap {cap})")
-    return cap
+    lhs = [sum(ai for ai, xi in zip(a, assignment) if xi) for a, _, _ in rows]
+    return all(HOLDS[sense](v, b) for v, (_, sense, b) in zip(lhs, rows))
 
 
 def _bit_blocks(n: int):
-    """Yield (index_array, bit_matrix) blocks covering all 2^n assignments.
-
-    Index order equals lexicographic order of the assignment tuples because
-    x_1 is the most significant bit.
-    """
+    """Yield int64 0/1 blocks covering all 2^n assignments, at most 2^16
+    rows each, in lexicographic order: row index order, x_1 the most
+    significant bit."""
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     total = 1 << n
     for lo in range(0, total, _ENUM_BLOCK):
         idx = np.arange(lo, min(lo + _ENUM_BLOCK, total), dtype=np.int64)
-        bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.int64)
-        yield idx, bits
-
-
-def _feasible_mask(bp: BinaryProgram, bits: np.ndarray) -> np.ndarray:
-    _, rows, dtype = bp.scaled()
-    mask = np.ones(bits.shape[0], dtype=bool)
-    for a, sense, b in rows:
-        vals = bits @ np.array(a, dtype=dtype)
-        if sense == "<=":
-            mask &= vals <= b
-        elif sense == "=":
-            mask &= vals == b
-        else:
-            mask &= vals >= b
-        if not mask.any():
-            break
-    return mask
-
-
-def solve_enumerate(bp: BinaryProgram, cap: int | None = None) -> SolveReport:
-    """Exhaustive 2^n scan; ties go to the lexicographically smallest
-    maximizer."""
-    _require_cap(bp.n, cap)
-    c_int, _, dtype = bp.scaled()
-    c_vec = np.array(c_int, dtype=dtype)
-    best_val = None
-    best_assign = None
-    for _, bits in _bit_blocks(bp.n):
-        mask = _feasible_mask(bp, bits)
-        if not mask.any():
-            continue
-        feas = bits[mask]
-        obj = feas @ c_vec
-        k = int(np.argmax(obj))
-        v = int(obj[k])
-        if best_val is None or v > best_val:
-            best_val = v
-            best_assign = tuple(int(x) for x in feas[k])
-    nodes = 1 << bp.n
-    if best_assign is None:
-        return SolveReport("infeasible", None, nodes)
-    return SolveReport("optimal", Solution(best_assign, bp.objective_of(best_assign)), nodes)
+        yield (idx[:, None] >> shifts[None, :]) & 1
 
 
 def feasible_blocks(bp: BinaryProgram, cap: int | None = None):
     """Yield the feasible assignments as uint8 row blocks, in lexicographic
     order across and within blocks; each block holds at most 2^16 rows, so
-    a caller can stop the scan as soon as it has seen enough."""
-    _require_cap(bp.n, cap)
-    for _, bits in _bit_blocks(bp.n):
-        mask = _feasible_mask(bp, bits)
-        if mask.any():
+    a caller can stop the scan as soon as it has seen enough.  This is the
+    one exhaustive scan: every enumeration answer is read from it."""
+    cap = default_enum_cap() if cap is None else cap
+    if bp.n > cap:
+        raise CapExceededError(f"2^{bp.n} scan refused (cap {cap})")
+    _, rows, dtype = bp.scaled()
+    for bits in _bit_blocks(bp.n):
+        mask = np.ones(len(bits), dtype=bool)
+        for a, sense, b in rows:
+            mask &= HOLDS[sense](bits @ np.array(a, dtype=dtype), b)
+            if not mask.any():
+                break
+        else:  # no row emptied the block
             yield bits[mask].astype(np.uint8)
+
+
+def objective_values(bp: BinaryProgram, block: np.ndarray) -> np.ndarray:
+    """c_int . x for each row x of a 0/1 block, exact in the dtype of
+    bp.scaled(); c_int is c times a positive scale, so order is kept."""
+    c_int, _, dtype = bp.scaled()
+    return block @ np.array(c_int, dtype=dtype)
+
+
+def support_masks(block: np.ndarray) -> list[int]:
+    """Each row of a 0/1 block as an integer whose bits are its support,
+    x_1 the most significant, so masks and rows sort alike."""
+    n = block.shape[1]
+    weights = np.array([1 << (n - 1 - i) for i in range(n)], dtype=int_dtype(1 << n))
+    return (block @ weights).tolist()
+
+
+def solve_enumerate(bp: BinaryProgram, cap: int | None = None) -> SolveReport:
+    """Exhaustive 2^n scan; ties go to the lexicographically smallest
+    maximizer."""
+    best_val = best_assign = None
+    for block in feasible_blocks(bp, cap):
+        obj = objective_values(bp, block)
+        k = int(np.argmax(obj))  # the first maximiser of the block
+        if best_val is None or obj[k] > best_val:
+            best_val, best_assign = obj[k], tuple(block[k].tolist())
+    nodes = 1 << bp.n
+    if best_assign is None:
+        return SolveReport("infeasible", None, nodes)
+    return SolveReport("optimal", Solution(best_assign, bp.objective_of(best_assign)), nodes)
 
 
 def enumerate_feasible(bp: BinaryProgram, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -222,33 +203,31 @@ def enumerate_feasible(bp: BinaryProgram, cap: int | None = None) -> list[tuple[
     return [tuple(row) for block in feasible_blocks(bp, cap) for row in block.tolist()]
 
 
-def enumerate_optimal_set(bp: BinaryProgram, cap: int | None = None) -> list[Solution]:
-    """Every optimal assignment, lexicographically sorted."""
-    _require_cap(bp.n, cap)
-    c_int, _, dtype = bp.scaled()
-    c_vec = np.array(c_int, dtype=dtype)
-    best_val = None
-    keep: list[tuple[int, np.ndarray]] = []  # (scaled obj, feasible block rows)
-    for _, bits in _bit_blocks(bp.n):
-        mask = _feasible_mask(bp, bits)
-        if not mask.any():
-            continue
-        feas = bits[mask]
-        obj = feas @ c_vec
-        v = int(obj.max())
+def optimal_blocks(bp: BinaryProgram, cap: int | None = None) -> list[np.ndarray]:
+    """Every optimal assignment as uint8 row blocks, in lexicographic order."""
+    best_val, keep = None, []
+    for block in feasible_blocks(bp, cap):
+        obj = objective_values(bp, block)
+        v = obj.max()
         if best_val is None or v > best_val:
-            best_val = v
-            keep = [(v, feas[obj == v])]
-        elif v == best_val:
-            keep.append((v, feas[obj == best_val]))
+            best_val, keep = v, []
+        if v == best_val:
+            keep.append(block[obj == v])
     if best_val is None:
         raise InfeasibleModelError("model has no feasible point")
-    sols = []
-    for _, block in keep:
-        for row in block:
-            assign = tuple(int(x) for x in row)
-            sols.append(Solution(assign, bp.objective_of(assign)))
-    return sols
+    return keep
+
+
+def enumerate_optimal_set(bp: BinaryProgram, cap: int | None = None) -> list[Solution]:
+    """Every optimal assignment, lexicographically sorted."""
+    rows = [tuple(row) for block in optimal_blocks(bp, cap) for row in block.tolist()]
+    value = bp.objective_of(rows[0])
+    return [Solution(row, value) for row in rows]
+
+
+def _suffix_sums(vals: list[int]) -> list[int]:
+    """s[d] = sum(vals[d:]) for d = 0 .. len(vals)."""
+    return list(itertools.accumulate(reversed(vals), initial=0))[::-1]
 
 
 def solve_bnb(bp: BinaryProgram) -> SolveReport:
@@ -266,19 +245,9 @@ def solve_bnb(bp: BinaryProgram) -> SolveReport:
 
     # suffix_neg/pos[i][d] = sum of negative/positive coefficients of row i
     # over variables d..n-1
-    suffix_neg = []
-    suffix_pos = []
-    for a, _, _ in rows:
-        sn = [0] * (n + 1)
-        sp = [0] * (n + 1)
-        for d in range(n - 1, -1, -1):
-            sn[d] = sn[d + 1] + (a[d] if a[d] < 0 else 0)
-            sp[d] = sp[d + 1] + (a[d] if a[d] > 0 else 0)
-        suffix_neg.append(sn)
-        suffix_pos.append(sp)
-    obj_pos = [0] * (n + 1)
-    for d in range(n - 1, -1, -1):
-        obj_pos[d] = obj_pos[d + 1] + (c_int[d] if c_int[d] > 0 else 0)
+    suffix_neg = [_suffix_sums([min(v, 0) for v in a]) for a, _, _ in rows]
+    suffix_pos = [_suffix_sums([max(v, 0) for v in a]) for a, _, _ in rows]
+    obj_pos = _suffix_sums([max(v, 0) for v in c_int])
 
     touched = [[] for _ in range(n)]  # var -> [(row index, coeff)]
     for i, (a, _, _) in enumerate(rows):

@@ -12,6 +12,11 @@ The conjugate variant keeps only the upper coupling x_i + y_i - z_i <= 1,
 pins z_i = 1 exactly when x_i = y_i = 1, and in general certifies an upper
 bound n - sum(z); when every optimum has the same squared norm k (as in the
 ordering and tour front ends) the distance is exactly 2*(k - sum(z)).
+
+The exhaustive references scan the base program's 2^n points, never the
+paired program's 2^(3n): diameter_by_enumeration reads the diameter off the
+base optimal set, and paired_optimum, the default cross-check of
+solve_diameter, computes the paired optimum from the base feasible set.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ import numpy as np
 from .bpcore import (
     BinaryProgram,
     default_enum_cap,
-    enumerate_optimal_set,
     feasible_blocks,
+    objective_values,
+    optimal_blocks,
     solve_bnb,
-    solve_enumerate,
+    support_masks,
 )
-from .errors import DiamoptError, InfeasibleModelError
-from .ratlinalg import as_rational, scaled_int_vector
+from .errors import CapExceededError, DiamoptError, InfeasibleModelError
+from .ratlinalg import as_rational, int_dtype, scaled_int_vector
 
 INTEGER_RULE = "integer-rule"
 RATIONAL_RULE = "rational-rule"
@@ -92,11 +98,9 @@ def theoretical_epsilon(bp: BinaryProgram, cap: int | None = None) -> EpsilonCho
     optimal.  When every feasible point is optimal there is no gap and any
     positive value works; 1 is returned.
     """
-    c_int, _, dtype = bp.scaled()
-    c_vec = np.array(c_int, dtype=dtype)
     top: list[int] = []  # the two largest distinct scaled objective values
     for block in feasible_blocks(bp, cap):
-        obj = block @ c_vec
+        obj = objective_values(bp, block)
         top.append(int(obj.max()))
         below = obj[obj < top[-1]]
         if below.size:
@@ -169,6 +173,44 @@ def verify_z_semantics(res: DiverseOptimaResult) -> bool:
     return all(z == (x == 1 == y) for x, y, z in zip(res.x_star, res.y_star, res.z_star))
 
 
+def paired_optimum(dp: DiameterProgram, cap: int | None = None) -> Fraction | None:
+    """Optimal objective of the paired program from the base feasible set,
+    or None when that set is empty.
+
+    At an optimum z is as small as its couplings allow, so a pair (x, y)
+    scores c.x + c.y - eps*k, k counting agreements (full) or shared ones
+    (conjugate).  (x*, x*) already scores 2v* - eps*n, v* the base optimum,
+    so only x with c.x >= v* - eps*n can be half of an optimal pair.  Their
+    pairs are scored in integers, and one Fraction is built at the end.
+    Refuses (CapExceededError) when n > cap or when the candidate pairs
+    exceed 2^cap, the budget of a 2^(3n) scan at 3n = cap.
+    """
+    bp, n = dp.base, dp.base.n
+    cap = default_enum_cap() if cap is None else cap
+    scale = scaled_int_vector(bp.c)[2]
+    q, pen = dp.epsilon.denominator, dp.epsilon.numerator * scale  # eps * scale = pen / q
+    top = max((objective_values(bp, b).max() for b in feasible_blocks(bp, cap)), default=None)
+    if top is None:
+        return None
+    floor = int(top) - pen * n // q  # c.x >= v* - eps*n, on the scaled objective's integer grid
+    halves = []
+    for block in feasible_blocks(bp, cap):
+        halves.append(block[objective_values(bp, block) >= floor])
+        if (m := sum(map(len, halves))) ** 2 > 1 << cap:
+            raise CapExceededError(f"{m}^2 candidate pairs exceed 2^{cap} (cap {cap})")
+    dtype = int_dtype(2 * q * sum(map(abs, bp.scaled()[0])) + pen * n)  # scores times scale * q
+    x = np.concatenate(halves)
+    w, x = objective_values(bp, x).astype(dtype) * q, x.astype(np.int64)
+    if dp.include_lower_coupling:  # agreements: shared ones plus shared zeros
+        x = np.hstack([x, 1 - x])
+    step = max(1, (1 << 16) // len(w))  # rows of a 2^16-pair score block
+    best = max(
+        (w[lo : lo + step, None] + w - pen * (x[lo : lo + step] @ x.T).astype(dtype)).max()
+        for lo in range(0, len(w), step)
+    )
+    return Fraction(int(best), scale * q)
+
+
 def solve_diameter(
     dp: DiameterProgram,
     constant_norm: int | None = None,
@@ -177,9 +219,16 @@ def solve_diameter(
 ) -> DiverseOptimaResult:
     """Solve the paired program exactly and read off the diverse pair.
 
-    Runs branch and bound, cross-checked against the exhaustive scan
-    whenever the derived model fits under the enumeration cap (pass
-    cross_check=False to skip, True to require).  constant_norm is a
+    Branch and bound solves it, and the cross-check compares its objective
+    value with paired_optimum, the same optimum computed from the base
+    feasible set.  Objective values only: with an oversized epsilon the
+    solved halves may leave the base optimal set, and a conjugate solve
+    only bounds the distance, so neither the optimal set nor
+    diameter_by_enumeration is a valid reference.  The check runs by
+    default when 3n <= cap, on the solves the 2^(3n) scan it replaces
+    covered (cross_check=False skips it, True requires it); gating on
+    n <= cap would add two 2^21 base scans, about 3 s each on a 2-core
+    machine, to every 7-city tour solve.  constant_norm is a
     caller-certified promise that every optimum of the base model has
     squared norm k; with it, a conjugate solve pins the distance to
     2*(k - sum(z)) instead of only bounding it.
@@ -189,16 +238,15 @@ def solve_diameter(
     if report.status != "optimal":
         raise InfeasibleModelError("base model is infeasible; no diverse pair exists")
 
-    resolved_cap = default_enum_cap() if cap is None else cap
     if cross_check is None:
-        cross_check = dp.derived.n <= resolved_cap
+        cross_check = dp.derived.n <= (default_enum_cap() if cap is None else cap)
     if cross_check:
-        check = solve_enumerate(dp.derived, cap)
-        if check.status != "optimal" or check.best.objective_value != report.best.objective_value:
+        check = paired_optimum(dp, cap)
+        if check != report.best.objective_value:
             raise DiamoptError(
                 "solver disagreement: branch-and-bound found "
                 f"{report.best.objective_value}, enumeration found "
-                f"{check.best.objective_value if check.best else check.status}"
+                f"{'infeasible' if check is None else check}"
             )
 
     x, y, z = split(report.best.assignment)
@@ -231,21 +279,10 @@ def solve_diameter(
     return res
 
 
-def support_mask(x) -> int:
-    """The 0/1 vector x as an integer: bit i is set iff x_i = 1."""
-    return sum(1 << i for i, v in enumerate(x) if v)
-
-
 def diameter_by_enumeration(bp: BinaryProgram, cap: int | None = None) -> int:
     """max squared distance between two optima, straight from the optimal set."""
-    masks = [support_mask(s.assignment) for s in enumerate_optimal_set(bp, cap)]
-    best = 0
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            d = (masks[i] ^ masks[j]).bit_count()
-            if d > best:
-                best = d
-    return best
+    masks = [m for block in optimal_blocks(bp, cap) for m in support_masks(block)]
+    return max(((a ^ b).bit_count() for a, b in itertools.combinations(masks, 2)), default=0)
 
 
 def maximisers(items: list, value) -> list:
@@ -275,18 +312,11 @@ def verify_listed_diameter(
 
 
 def result_to_dict(res: DiverseOptimaResult) -> dict:
-    d = {
-        "variant": res.variant,
-        "epsilon": {"num": res.epsilon.numerator, "den": res.epsilon.denominator},
-        "x": list(res.x_star),
-        "y": list(res.y_star),
-        "z": list(res.z_star),
-        "diameter": res.diameter,
-        "base_objective": {
-            "num": res.base_objective.numerator,
-            "den": res.base_objective.denominator,
-        },
-    }
+    def frac(q: Fraction) -> dict:
+        return {"num": q.numerator, "den": q.denominator}
+
+    d = {"variant": res.variant, "x": list(res.x_star), "y": list(res.y_star), "z": list(res.z_star)}
+    d |= {"diameter": res.diameter, "epsilon": frac(res.epsilon), "base_objective": frac(res.base_objective)}
     if res.diameter_upper_bound is not None:
         d["diameter_upper_bound"] = res.diameter_upper_bound
     return d

@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bpcore import BinaryProgram, enumerate_feasible, feasible_blocks
-from .diameter import DiameterProgram, coupling, paired, support_mask
+from .bpcore import HOLDS, BinaryProgram, feasible_blocks, support_masks
+from .diameter import DiameterProgram, coupling, paired
 from .errors import CapExceededError
 from .ratlinalg import RatMatrix, affine_dimension, as_rational, int_dtype, scaled_int_vector
 
@@ -72,7 +72,6 @@ class PointSet:
         self.array = np.ascontiguousarray(arr)
         self.source = source
         self._hull_dim: int | None = None
-        self._wide: np.ndarray | None = None
 
     @property
     def dim_ambient(self) -> int:
@@ -87,12 +86,6 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet({self.count} points in R^{self.dim_ambient}, {self.source!r})"
-
-    def wide(self) -> np.ndarray:
-        """int64 view used for exact dot products (cached)."""
-        if self._wide is None:
-            self._wide = self.array.astype(np.int64)
-        return self._wide
 
     def hull_dimension(self) -> int:
         if self._hull_dim is None:
@@ -232,20 +225,24 @@ def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
     return EquationSystem(RatMatrix(rows), base_system.rhs + base_system.rhs)
 
 
-def _int_row(coeffs, rhs):
-    # 0/1 points: |a . p| <= sum |a|, and b is compared with it
+def _row_values(ps: PointSet, coeffs, rhs):
+    """(a . p for every point p, b) for the row a . v = b scaled to
+    integers.  Only a's nonzero columns are read; the rows certified here
+    have one to three."""
     a, b, _ = scaled_int_vector(coeffs, rhs)
-    return np.array(a, dtype=int_dtype(max(sum(map(abs, a)), abs(b)))), b
+    # 0/1 points: |a . p| <= sum |a|, and b is compared with it
+    a = np.array(a, dtype=int_dtype(max(sum(map(abs, a)), abs(b))))
+    nz = np.flatnonzero(a)
+    return ps.array[:, nz] @ a[nz], b
 
 
 def points_satisfying(ps: PointSet, ineq: Inequality) -> np.ndarray:
     """Boolean masks (satisfied, tight) for an inequality over the set."""
-    a, b = _int_row(ineq.a, ineq.a0)
     if len(ineq.a) != ps.dim_ambient:
         raise ValueError("inequality width disagrees with the point set")
-    vals = ps.wide() @ a
+    vals, b = _row_values(ps, ineq.a, ineq.a0)
     tight = vals == b
-    sat = vals <= b if ineq.sense == "<=" else vals >= b
+    sat = HOLDS[ineq.sense](vals, b)
     return sat, tight
 
 
@@ -279,10 +276,9 @@ def verify_minimal_system(ps: PointSet, system: EquationSystem) -> bool:
     ambient minus the system's rank (rows are independent by construction)."""
     if system.matrix.ncols != ps.dim_ambient:
         raise ValueError("system width disagrees with the point set")
-    wide = ps.wide()
     for row, d in zip(system.matrix.rows, system.rhs):
-        a, b = _int_row(row, d)
-        if not bool(((wide @ a) == b).all()):
+        vals, b = _row_values(ps, row, d)
+        if not bool((vals == b).all()):
             return False
     return ps.hull_dimension() == ps.dim_ambient - system.matrix.nrows
 
@@ -335,8 +331,8 @@ def check_disjoint_pair_condition(bp: BinaryProgram) -> DisjointPairReport:
     dimension argument needs); universal: every feasible point has a
     disjoint feasible partner (what the facet arguments need).
     """
-    pts = enumerate_feasible(bp)
-    masks = [support_mask(p) for p in pts]
+    rows = np.concatenate([np.empty((0, bp.n), dtype=np.uint8), *feasible_blocks(bp)])
+    masks = support_masks(rows)
     witness = None
     counterexample = None
     universal = True
@@ -345,9 +341,9 @@ def check_disjoint_pair_condition(bp: BinaryProgram) -> DisjointPairReport:
         if partner is None:
             universal = False
             if counterexample is None:
-                counterexample = pts[i]
+                counterexample = tuple(rows[i].tolist())
         elif witness is None:
-            witness = (pts[i], pts[partner])
+            witness = (tuple(rows[i].tolist()), tuple(rows[partner].tolist()))
     return DisjointPairReport(
         existential=witness is not None,
         existential_witness=witness,

@@ -118,6 +118,23 @@ class TestEnumerate:
         sizes = [len(b) for b in feasible_blocks(BinaryProgram([0] * 18, []))]
         assert sizes == [1 << 16] * 4
 
+    @pytest.mark.parametrize("lead", [1, 2])
+    def test_ties_across_the_block_boundary(self, lead):
+        # n = 17 is two 2^16-row blocks split at x_1: with lead 1 the optima
+        # straddle the boundary, with lead 2 the second block beats the first
+        n = 17
+        c = [lead, 1, 1] + [-1] * (n - 3)
+        bp = BinaryProgram(c, [Constraint([1, 1, 1] + [0] * (n - 3), "<=", 2)])
+        feasible = [x for x in itertools.product((0, 1), repeat=n) if sum(x[:3]) <= 2]
+        scored = [(sum(ci for ci, v in zip(c, x) if v), x) for x in feasible]
+        best = max(v for v, _ in scored)
+        want = [x for v, x in scored if v == best]
+        assert [x[0] for x in want] == ([0, 1, 1] if lead == 1 else [1, 1])
+        rep = solve_enumerate(bp)
+        assert rep.best.assignment == want[0] and rep.best.objective_value == best
+        assert rep.nodes_explored == 1 << n
+        assert [s.assignment for s in enumerate_optimal_set(bp)] == want
+
     def test_optimal_set_matches_brute_force(self):
         rng = random.Random(42)
         for _ in range(10):

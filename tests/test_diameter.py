@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from diamopt import diameter
 from diamopt.bpcore import (
     BinaryProgram,
     Constraint,
+    Solution,
+    SolveReport,
     enumerate_optimal_set,
     is_feasible,
     random_binary_program,
     solve_bnb,
+    solve_enumerate,
 )
 from diamopt.diameter import (
     INTEGER_RULE,
@@ -19,12 +23,13 @@ from diamopt.diameter import (
     build,
     choose_epsilon,
     diameter_by_enumeration,
+    paired_optimum,
     result_to_dict,
     solve_diameter,
     theoretical_epsilon,
     verify_z_semantics,
 )
-from diamopt.errors import InfeasibleModelError
+from diamopt.errors import CapExceededError, DiamoptError, InfeasibleModelError
 
 
 def feasible_random_model(rng, **kw):
@@ -208,6 +213,42 @@ class TestSolve:
         bp = BinaryProgram([2, 1], [Constraint([1, 1], "<=", 1)])
         res = solve_diameter(build(bp), cross_check=True)
         assert res.diameter == 0
+
+    @pytest.mark.parametrize("variant", ["full", "conjugate"])
+    def test_cross_check_catches_a_wrong_objective(self, variant, monkeypatch):
+        bp = BinaryProgram([3, 3, 3, 3], [Constraint([1, 1, 1, 1], "<=", 2)])
+        solve = diameter.solve_bnb
+
+        def off_by_a_seventh(model):
+            rep = solve(model)
+            best = Solution(rep.best.assignment, rep.best.objective_value + Fraction(1, 7))
+            return SolveReport(rep.status, best, rep.nodes_explored)
+
+        monkeypatch.setattr(diameter, "solve_bnb", off_by_a_seventh)
+        with pytest.raises(DiamoptError, match="solver disagreement"):
+            solve_diameter(build(bp, None, variant))
+        assert solve_diameter(build(bp, None, variant), cross_check=False).diameter == 4
+
+    def test_cross_check_budget_is_the_paired_scan_budget(self):
+        # zero objective: all 16 points are candidates, 16^2 = 2^8 pairs
+        dp = build(BinaryProgram([0] * 4, []))
+        assert solve_diameter(dp, cap=8, cross_check=True).diameter == 4
+        with pytest.raises(CapExceededError, match=r"16\^2 candidate pairs exceed 2\^7"):
+            solve_diameter(dp, cap=7, cross_check=True)
+        with pytest.raises(CapExceededError, match=r"2\^4 scan refused"):
+            solve_diameter(dp, cap=3, cross_check=True)
+
+    @pytest.mark.parametrize("variant", ["full", "conjugate"])
+    @pytest.mark.parametrize("eps", [None, Fraction(1, 3), 2, 7])
+    def test_paired_optimum_matches_the_paired_scan(self, eps, variant):
+        rng = random.Random(31)
+        for k in range(12):
+            bp = random_binary_program(rng, max_n=5, max_rows=3)
+            if k % 3 == 0:
+                bp = BinaryProgram([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7))) for _ in bp.c], bp.constraints)
+            dp = build(bp, eps, variant)
+            scan = solve_enumerate(dp.derived)
+            assert paired_optimum(dp) == (scan.best.objective_value if scan.best else None)
 
     def test_result_dict_shape(self):
         bp = BinaryProgram([1, 1], [])

@@ -319,7 +319,8 @@ class TestPointOrder:
             raise AssertionError("enumerate_feasible called")
 
         monkeypatch.setattr(bpcore, "enumerate_feasible", refuse)
-        monkeypatch.setattr(polytope, "enumerate_feasible", refuse)
+        # polytope reads feasible sets as blocks and no longer imports the tuple list
+        assert not hasattr(polytope, "enumerate_feasible")
         dp = build_diameter(BinaryProgram([1] * 7, []), None, "conjugate")
         with pytest.raises(CapExceededError, match="point enumeration exceeds max_points=1000"):
             enumerate_points(dp, max_points=1000)

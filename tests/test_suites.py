@@ -31,7 +31,6 @@ def test_unknown_suite_rejected():
         run_suite("sideways")
 
 
-@pytest.mark.long_running
 def test_facets_suite_all_ok():
     records = run_suite("facets")
     # 34 ordering families, 90 tour families, 2 extra n=4 inequalities,
