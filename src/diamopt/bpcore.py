@@ -10,6 +10,7 @@ is tested against.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -67,7 +68,7 @@ class BinaryProgram:
     __slots__ = ("n", "c", "constraints", "variable_names", "_scaled")
 
     def __init__(self, c: Sequence, constraints: Iterable = (), variable_names=None):
-        self.c = tuple(as_rational(v) for v in c)
+        self.c = tuple(map(as_rational, c))
         self.n = len(self.c)
         if self.n < 1:
             raise ValueError("need at least one variable")
@@ -78,7 +79,7 @@ class BinaryProgram:
             else:
                 coeffs, sense, rhs = con[0], con[1], con[2]
                 name = con[3] if len(con) > 3 else ""
-            coeffs = tuple(as_rational(v) for v in coeffs)
+            coeffs = tuple(map(as_rational, coeffs))
             if len(coeffs) != self.n:
                 raise ValueError(f"row {k}: {len(coeffs)} coefficients, expected {self.n}")
             if sense not in SENSES:
@@ -225,93 +226,125 @@ def enumerate_optimal_set(bp: BinaryProgram, cap: int | None = None) -> list[Sol
     return [Solution(row, value) for row in rows]
 
 
-def _suffix_sums(vals: list[int]) -> list[int]:
-    """s[d] = sum(vals[d:]) for d = 0 .. len(vals)."""
-    return list(itertools.accumulate(reversed(vals), initial=0))[::-1]
+def _window(sense: str, rhs: int, lo: int, hi: int) -> tuple:
+    """(bottom, top): the values of a row's fixed part that can still meet
+    the row, when its free columns add anything from lo to hi.  An infinite
+    end is one the sense leaves open; comparing it with an integer is exact."""
+    return (-math.inf if sense == "<=" else rhs - hi, math.inf if sense == ">=" else rhs - lo)
 
 
 def solve_bnb(bp: BinaryProgram) -> SolveReport:
     """Depth-first branch and bound.
 
-    Branches in variable index order, 1 before 0.  The bound at a node is
-    the fixed prefix value plus all positive objective coefficients among
-    the free variables; rows are pruned as soon as their reachable value
-    range excludes the right-hand side.  Always terminates, and agrees with
-    solve_enumerate on status and objective value.
+    Branches in variable index order, 1 before 0, and returns the
+    lexicographically largest optimum: leaves are reached in decreasing
+    lexicographic order, only a strictly better leaf replaces the incumbent,
+    and a subtree is cut only when its bound cannot beat the incumbent, so
+    the subtree holding that optimum is never cut.  Always terminates, and
+    agrees with solve_enumerate on status and objective value.  The search
+    keeps its own stack, one frame per depth (the value to branch on next,
+    the prefix value, the forced penalty), so Python's recursion limit does
+    not bound the number of variables.
+
+    A row is pruned as soon as its reachable value range excludes the
+    right-hand side.  The bound at a node is the fixed prefix value, plus
+    every positive objective coefficient among the free variables, plus the
+    forced penalties: take a row whose last nonzero column j has c_j < 0;
+    once its second-to-last column is fixed, x_j alone decides the row, and
+    if x_j = 0 breaks it every completion sets x_j = 1 and pays c_j.  Each
+    forced free variable adds its c_j once, until j is branched on and the
+    gain charges it.  In a paired (x | y | z) program this charges z_i's
+    penalty as soon as y_i is fixed.
     """
     n = bp.n
     c_int, rows, _ = bp.scaled()
-    m = len(rows)
+    # obj_pos[d]: the sum of the positive objective coefficients from column d on
+    obj_pos = list(itertools.accumulate(reversed([max(v, 0) for v in c_int]), initial=0))[::-1]
 
-    # suffix_neg/pos[i][d] = sum of negative/positive coefficients of row i
-    # over variables d..n-1
-    suffix_neg = [_suffix_sums([min(v, 0) for v in a]) for a, _, _ in rows]
-    suffix_pos = [_suffix_sums([max(v, 0) for v in a]) for a, _, _ in rows]
-    obj_pos = _suffix_sums([max(v, 0) for v in c_int])
+    # touched[d]: (row, coeff, bottom, top) for each row with a nonzero in
+    # column d, its window once x_d is fixed; triggers[d]: (row, j, bottom,
+    # top) for each row that x_j alone decides from depth d on, j its last
+    # nonzero column and c_j < 0, its window with x_j = 0
+    touched = [[] for _ in range(n)]
+    triggers = [[] for _ in range(n + 1)]
+    root = []
+    for i, (a, sense, b) in enumerate(rows):
+        cols = list(itertools.compress(range(n), a))
+        lo = sum(a[d] for d in cols if a[d] < 0)
+        hi = sum(a[d] for d in cols if a[d] > 0)
+        root.append((i, 0, *_window(sense, b, lo, hi)))
+        for d in cols:
+            lo, hi = lo - min(a[d], 0), hi - max(a[d], 0)
+            touched[d].append((i, a[d], *_window(sense, b, lo, hi)))
+        if cols and c_int[cols[-1]] < 0:
+            triggers[cols[-2] + 1 if len(cols) > 1 else 0].append((i, cols[-1], *_window(sense, b, 0, 0)))
 
-    touched = [[] for _ in range(n)]  # var -> [(row index, coeff)]
-    for i, (a, _, _) in enumerate(rows):
-        for d, coeff in enumerate(a):
-            if coeff:
-                touched[d].append((i, coeff))
+    acc = [0] * len(rows)  # each row's value over the fixed columns
 
-    senses = [s for _, s, _ in rows]
-    rhs = [b for _, _, b in rows]
-    acc = [0] * m
-    assign = [0] * n
-    best_val: int | None = None
-    best_assign: tuple[int, ...] | None = None
-    nodes = 0
-
-    def rows_ok(row_ids, depth) -> bool:
-        for i in row_ids:
-            lo = acc[i] + suffix_neg[i][depth]
-            hi = acc[i] + suffix_pos[i][depth]
-            s = senses[i]
-            if s == "<=":
-                if lo > rhs[i]:
-                    return False
-            elif s == "=":
-                if lo > rhs[i] or hi < rhs[i]:
-                    return False
-            else:
-                if hi < rhs[i]:
-                    return False
+    def rows_ok(entries) -> bool:
+        for i, _, bottom, top in entries:
+            if not bottom <= acc[i] <= top:
+                return False
         return True
 
-    all_rows = range(m)
+    forced = [0] * n  # rows that force x_j = 1 at the current node
+    bumped = [[] for _ in range(n + 1)]  # the variables triggers[d] forced
 
-    def rec(d: int, obj_acc: int):
-        nonlocal best_val, best_assign, nodes
-        nodes += 1
+    def force(d: int) -> int:
+        """Apply triggers[d]; return the penalty of the newly forced variables."""
+        pen = 0
+        for i, j, bottom, top in triggers[d]:
+            if not bottom <= acc[i] <= top:  # x_j = 0 breaks the row
+                forced[j] += 1
+                bumped[d].append(j)
+                if forced[j] == 1:
+                    pen += c_int[j]
+        return pen
+
+    if not rows_ok(root):
+        return SolveReport("infeasible", None, 1)
+    assign = [0] * n
+    obj = [0] * (n + 1)  # prefix value of the node at each depth
+    pen = [force(0)] + [0] * n  # forced penalty of the node at each depth
+    nxt = [1] * n  # next value to branch on at each depth; -1 when both are done
+    best_val: int | None = None
+    best_assign: tuple[int, ...] | None = None
+    nodes, d = 1, 0
+
+    def undo(d: int) -> None:
+        for j in bumped[d + 1]:
+            forced[j] -= 1
+        bumped[d + 1].clear()
+        if assign[d]:
+            for i, coeff, _, _ in touched[d]:
+                acc[i] -= coeff
+            assign[d] = 0
+
+    while d >= 0:
+        if d < n and nxt[d] >= 0:  # branch on x_d
+            val = nxt[d]
+            nxt[d] = val - 1
+            if val:
+                assign[d] = 1
+                for i, coeff, _, _ in touched[d]:
+                    acc[i] += coeff
+            if rows_ok(touched[d]):
+                obj[d + 1] = obj[d] + (c_int[d] if val else 0)
+                pen[d + 1] = pen[d] - (c_int[d] if forced[d] else 0) + force(d + 1)
+                if best_val is None or obj[d + 1] + obj_pos[d + 1] + pen[d + 1] > best_val:
+                    nodes += 1
+                    d += 1
+                    continue
+            undo(d)
+            continue
         if d == n:
             # row checks along the path already pinned every row exactly
-            best_val = obj_acc
-            best_assign = tuple(assign)
-            return
-        ids = [i for i, _ in touched[d]]
-        for val in (1, 0):
-            assign[d] = val
-            if val:
-                for i, coeff in touched[d]:
-                    acc[i] += coeff
-                gain = c_int[d]
-            else:
-                gain = 0
-            ok = rows_ok(ids, d + 1)
-            if ok and best_val is not None and obj_acc + gain + obj_pos[d + 1] <= best_val:
-                ok = False
-            if ok:
-                rec(d + 1, obj_acc + gain)
-            if val:
-                for i, coeff in touched[d]:
-                    acc[i] -= coeff
-        assign[d] = 0
-
-    if rows_ok(all_rows, 0):
-        rec(0, 0)
-    else:
-        nodes = 1
+            best_val, best_assign = obj[n], tuple(assign)
+        else:
+            nxt[d] = 1
+        d -= 1  # back to the parent
+        if d >= 0:
+            undo(d)
 
     if best_assign is None:
         return SolveReport("infeasible", None, nodes)

@@ -130,9 +130,8 @@ def split(v: tuple) -> tuple[tuple, tuple, tuple]:
 def coupling(n: int, i: int, lower: bool = False) -> tuple[tuple[Fraction, ...], str, Fraction]:
     """Coupling row i as (coefficients, sense, rhs): the upper row
     x_i + y_i - z_i <= 1, or the lower row x_i + y_i + z_i >= 1."""
-    e = [Fraction(0)] * n
-    e[i] = Fraction(1)
-    z = e if lower else [-v for v in e]
+    e, z = [Fraction(0)] * n, [Fraction(0)] * n
+    e[i], z[i] = Fraction(1), Fraction(1 if lower else -1)
     return paired(n, e, e, z), ">=" if lower else "<=", Fraction(1)
 
 
@@ -219,24 +218,37 @@ def solve_diameter(
 ) -> DiverseOptimaResult:
     """Solve the paired program exactly and read off the diverse pair.
 
-    Branch and bound solves it, and the cross-check compares its objective
-    value with paired_optimum, the same optimum computed from the base
-    feasible set.  Objective values only: with an oversized epsilon the
-    solved halves may leave the base optimal set, and a conjugate solve
-    only bounds the distance, so neither the optimal set nor
-    diameter_by_enumeration is a valid reference.  The check runs by
-    default when 3n <= cap, on the solves the 2^(3n) scan it replaces
-    covered (cross_check=False skips it, True requires it); gating on
-    n <= cap would add two 2^21 base scans, about 3 s each on a 2-core
-    machine, to every 7-city tour solve.  constant_norm is a
-    caller-certified promise that every optimum of the base model has
-    squared norm k; with it, a conjugate solve pins the distance to
-    2*(k - sum(z)) instead of only bounding it.
+    Branch and bound solves the base model once for its optimum v*, then the
+    paired program with two more rows, c.x >= v* - eps*n and
+    c.y >= v* - eps*n, on a solve-time copy; dp.derived stays the paper's
+    program.  The rows cut no optimal pair, for any eps > 0: (x*, x*)
+    scores 2v* - eps*n, and a pair scores at most c.x + v*, so every optimal
+    pair has c.x >= v* - eps*n, and likewise c.y.  Cutting at v* itself
+    would be wrong: with an oversized eps the optimal pair leaves the base
+    optimal set.  The copy has the optimal set of dp.derived, and solve_bnb
+    returns the lexicographically largest optimum, so the pair is the one
+    the uncut program gives.
+
+    The cross-check compares the paired objective value with
+    paired_optimum, the same optimum computed from the base feasible set.
+    Objective values only: with an oversized epsilon the solved halves may
+    leave the base optimal set, and a conjugate solve only bounds the
+    distance, so neither the optimal set nor diameter_by_enumeration is a
+    valid reference.  The check runs by default when 3n <= cap, on the
+    solves the 2^(3n) scan it replaces covered (cross_check=False skips it,
+    True requires it); gating on n <= cap would add two 2^21 base scans,
+    about 3 s each on a 2-core machine, to every 7-city tour solve.
+    constant_norm is a caller-certified promise that every optimum of the
+    base model has squared norm k; with it, a conjugate solve pins the
+    distance to 2*(k - sum(z)) instead of only bounding it.
     """
-    n = dp.base.n
-    report = solve_bnb(dp.derived)
-    if report.status != "optimal":
+    n, d = dp.base.n, dp.derived
+    base = solve_bnb(dp.base)
+    if base.status != "optimal":
         raise InfeasibleModelError("base model is infeasible; no diverse pair exists")
+    floor = base.best.objective_value - dp.epsilon * n
+    cuts = ((paired(n, x=dp.base.c), ">=", floor, "base_opt_x"), (paired(n, y=dp.base.c), ">=", floor, "base_opt_y"))
+    report = solve_bnb(BinaryProgram(d.c, d.constraints + cuts, d.variable_names))
 
     if cross_check is None:
         cross_check = dp.derived.n <= (default_enum_cap() if cap is None else cap)

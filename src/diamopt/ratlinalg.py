@@ -60,16 +60,19 @@ def scaled_int_vector(coeffs: Sequence, rhs=None):
     Returns (int_coeffs, int_rhs, scale) where scale > 0, so any comparison
     row . v <= rhs is equivalent to int_coeffs . v <= int_rhs.
     """
-    cs = [as_rational(c) for c in coeffs]
-    dens = [c.denominator for c in cs]
+    cs = list(map(as_rational, coeffs))
+    dens = {c.denominator for c in cs}
     if rhs is not None:
         rhs = as_rational(rhs)
-        dens.append(rhs.denominator)
-    scale = math.lcm(*dens) if dens else 1
-    ints = tuple(int(c * scale) for c in cs)
+        dens.add(rhs.denominator)
+    scale = math.lcm(*dens)  # 1 for an empty row
+    if scale == 1:
+        ints = tuple(c.numerator for c in cs)
+    else:  # scale is a multiple of every denominator: no Fraction arithmetic
+        ints = tuple(c.numerator * (scale // c.denominator) for c in cs)
     if rhs is None:
         return ints, None, scale
-    return ints, int(rhs * scale), scale
+    return ints, rhs.numerator * (scale // rhs.denominator), scale
 
 
 def _int_rank(rows) -> int:

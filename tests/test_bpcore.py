@@ -208,3 +208,22 @@ class TestBranchAndBound:
         rep = solve_bnb(bp)
         assert rep.best.objective_value == 18
         assert rep.nodes_explored < 2**18
+
+    def test_deep_model(self):
+        # the search keeps its own stack, so depth is not bounded by Python's
+        # recursion limit: one path of 2000 ones, every 0 branch cut
+        rep = solve_bnb(BinaryProgram([1] * 2000, []))
+        assert rep.status == "optimal" and rep.best.assignment == (1,) * 2000
+        assert rep.nodes_explored == 2001
+
+    def test_forced_penalty_is_charged_before_its_column(self):
+        # max -sum(z) over (x | z) with x_i <= z_i: every x_i = 1 forces its
+        # z_i's -1 into the bound as soon as x_i is fixed, so x prefixes are
+        # cut long before the z block; with the penalty charged only when
+        # z_i is branched on, the search visits all 2^k x prefixes (20,464
+        # nodes for k = 12), against 247 with it
+        k = 12
+        rows = [Constraint([int(j == i) - int(j == k + i) for j in range(2 * k)], "<=", 0) for i in range(k)]
+        rep = solve_bnb(BinaryProgram([0] * k + [-1] * k, rows))
+        assert rep.best.assignment == (0,) * (2 * k) and rep.best.objective_value == 0
+        assert rep.nodes_explored < 1 << k

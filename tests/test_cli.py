@@ -15,6 +15,16 @@ def ties_model(tmp_path):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def deep_model(tmp_path_factory):
+    """1,200 variables: deeper than Python's default recursion limit."""
+    n = 1200
+    bp = BinaryProgram([1] * n, [Constraint([1, 1] + [0] * (n - 2), "<=", 1, "pick1")])
+    path = tmp_path_factory.mktemp("deep") / "deep.lp"
+    write_lp(bp, str(path))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -47,6 +57,13 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["status"] == "infeasible"
 
+    def test_deep_model(self, deep_model, capsys):
+        code, out, _ = run(capsys, "solve", deep_model, "--method", "bnb", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["objective"] == {"num": 1199, "den": 1}
+        assert payload["assignment"] == [1, 0] + [1] * 1198
+
     def test_missing_file_exit(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "nope.json"))
         assert code == 3
@@ -63,6 +80,14 @@ class TestDiameter:
         assert payload["diameter"] == 4
         assert payload["variant"] == "full"
         assert payload["epsilon"] == {"num": 1, "den": 8}
+
+    def test_deep_raw_model(self, deep_model, capsys):
+        # 3,600 paired variables
+        code, out, _ = run(capsys, "diameter", "--problem", "raw", "--instance", deep_model, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["diameter"] == 2
+        assert payload["x"][:3] == [1, 0, 1] and payload["y"][:3] == [0, 1, 1]
 
     def test_raw_conjugate_reports_bound(self, ties_model, capsys):
         code, out, _ = run(

@@ -58,6 +58,7 @@ CASES = {
     "diameter-ordering-matrix": ("diameter --problem lop --instance {tmp}/ord.txt", 0, "08ea19d086017197f3c79616d7bcdafc39a883ffa07da8d5ffb9de059fcee1c1"),
     "diameter-tsp5-conjugate": ("diameter --problem tsp --n 5 --variant conjugate", 0, "849db0f6d6eec9c18f9b124380e8e5755dd1569f54afe9a8e5c24803279b5c83"),
     "diameter-tsp5-theoretical": ("diameter --problem tsp --n 5 --theoretical-epsilon", 0, "0c5f122f2bc0aae6a7221217ccf9bc53b9b047b001cdd05a9190fcb3c44432c8"),
+    "diameter-tsp7": ("diameter --problem tsp --n 7", 0, "e7f3320892748a0326c4d4f1202d881f07832c1497a2c8fc95986a271c0caadd"),
     "diameter-tsplib": ("diameter --problem tsp --instance {tmp}/tour.tsp", 0, "fbb207130c70fba144cfe634ef7a498f758913b1c68e88fa43796be13df15607"),
     "dim-lop4-json": ("dim --problem lop --n 4 --format json", 0, "9d64fd85b3434bdf77f4c2013a0d1267de4930f3f34bfeb415715887aaa5a1ba"),
     "dim-tsp5-json": ("dim --problem tsp --n 5 --format json", 0, "f1162afddf8dc97620147cc2c2b7e4a403c53be262b5bd20a04edffc7b25370d"),

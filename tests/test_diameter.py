@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from diamopt import diameter
+from diamopt import diameter, lop, tsp
 from diamopt.bpcore import (
     BinaryProgram,
     Constraint,
@@ -266,3 +266,77 @@ class TestSolve:
         assert d["epsilon"] == {"num": 1, "den": 4}
         full = result_to_dict(solve_diameter(build(bp), cross_check=False))
         assert "diameter_upper_bound" not in full
+
+
+def random_models(seed, count):
+    """Seeded random models with n <= 5, a third of them with rational
+    objectives; some are infeasible."""
+    rng = random.Random(seed)
+    for k in range(count):
+        bp = random_binary_program(rng, max_n=5, max_rows=3)
+        if k % 3 == 0:
+            bp = BinaryProgram([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7))) for _ in bp.c], bp.constraints)
+        yield bp
+
+
+def largest_optimum(bp):
+    return max(s.assignment for s in enumerate_optimal_set(bp))
+
+
+class TestTieBreak:
+    """solve_bnb returns the lexicographically largest optimum, and the
+    base-optimum cuts of solve_diameter keep it."""
+
+    @pytest.mark.parametrize("variant", ["full", "conjugate"])
+    @pytest.mark.parametrize("eps", [None, Fraction(1, 3), 7])
+    def test_bnb_returns_the_largest_optimum(self, eps, variant):
+        for bp in random_models(41, 120):
+            for model in (bp, build(bp, eps, variant).derived):
+                rep = solve_bnb(model)
+                if rep.status == "optimal":
+                    assert rep.best.assignment == largest_optimum(model)
+                else:
+                    assert solve_enumerate(model).status == "infeasible"
+
+    @pytest.mark.parametrize("variant", ["full", "conjugate"])
+    @pytest.mark.parametrize("eps", [None, Fraction(1, 3), 7])
+    def test_cuts_move_no_pair(self, eps, variant):
+        for bp in random_models(43, 60):
+            if solve_bnb(bp).status != "optimal":
+                continue
+            dp = build(bp, eps, variant)
+            res = solve_diameter(dp, cross_check=False)
+            assert res.x_star + res.y_star + res.z_star == largest_optimum(dp.derived)
+
+
+def paired_nodes(monkeypatch, dp):
+    """Solve dp and return the nodes of its paired solve and of the base solve."""
+    solve, counts = diameter.solve_bnb, {}
+
+    def counted(model):
+        rep = solve(model)
+        counts["paired" if model.n == dp.derived.n else "base"] = rep.nodes_explored
+        return rep
+
+    monkeypatch.setattr(diameter, "solve_bnb", counted)
+    solve_diameter(dp)
+    return counts["paired"], counts.get("base", 0)
+
+
+class TestNodeCounts:
+    """One guard per pruning device; each fails without its device."""
+
+    def test_forced_penalties_on_zero_cost_tours(self, monkeypatch):
+        # every tour is optimal, so the base-optimum cuts cut nothing and the
+        # forced z penalties carry the search: 80,877 paired nodes without them
+        paired, _ = paired_nodes(monkeypatch, build(tsp.build(tsp.TspInstance.zero(6))))
+        assert paired < 10_000
+
+    def test_base_optimum_cuts_on_a_weighted_ordering(self, monkeypatch):
+        # ordering n=6, seed 1, weights in [-4, 4]: 12,847 paired and 6,148
+        # base nodes; without the cuts 118,673 paired nodes, and 454,144
+        # without either device
+        rng = random.Random(1)
+        weights = {p: rng.randint(-4, 4) for p in lop.ordered_pairs(6)}
+        paired, base = paired_nodes(monkeypatch, build(lop.build(lop.LopInstance(6, weights))))
+        assert paired + base < 50_000
