@@ -13,7 +13,6 @@ from .bpcore import (
     Constraint,
     Solution,
     SolveReport,
-    default_enum_cap,
     enumerate_feasible,
     enumerate_optimal_set,
     is_feasible,
@@ -80,7 +79,6 @@ __all__ = [
     "check_disjoint_pair_condition",
     "check_inequality",
     "choose_epsilon",
-    "default_enum_cap",
     "diameter_by_enumeration",
     "enumerate_feasible",
     "enumerate_optimal_set",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -28,12 +27,6 @@ SENSES = tuple(HOLDS)
 
 DEFAULT_ENUM_CAP = 26
 _ENUM_BLOCK = 1 << 16
-
-
-def default_enum_cap() -> int:
-    """Enumeration cap; override with the DIAMOPT_ENUM_CAP env var."""
-    v = os.environ.get("DIAMOPT_ENUM_CAP")
-    return int(v) if v else DEFAULT_ENUM_CAP
 
 
 @dataclass(frozen=True)
@@ -155,7 +148,7 @@ def feasible_blocks(bp: BinaryProgram, cap: int | None = None):
     order across and within blocks; each block holds at most 2^16 rows, so
     a caller can stop the scan as soon as it has seen enough.  This is the
     one exhaustive scan: every enumeration answer is read from it."""
-    cap = default_enum_cap() if cap is None else cap
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
     if bp.n > cap:
         raise CapExceededError(f"2^{bp.n} scan refused (cap {cap})")
     _, rows, dtype = bp.scaled()

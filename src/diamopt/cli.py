@@ -10,7 +10,8 @@ Subcommands:
     verify       run a named verification suite
 
 Exit codes: 0 success, 1 a verification or certification failed, 2 the
-model is infeasible, 3 bad input, 4 an enumeration cap was exceeded.
+model is infeasible, 3 bad input (usage errors included), 4 an enumeration
+cap was exceeded.
 
 JSON output is deterministic: keys sorted, fixed separators, no
 timestamps, so identical inputs give byte-identical reports.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -72,13 +72,6 @@ def _frac_text(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _max_points(args) -> int:
-    if args.max_points is not None:
-        return args.max_points
-    env = os.environ.get("DIAMOPT_MAX_POINTS")
-    return int(env) if env else DEFAULT_MAX_POINTS
-
-
 def _instance_setup(args):
     """Resolve --problem/--n/--instance into (meta, base model, family).
 
@@ -106,7 +99,7 @@ def _paired_points(args):
     meta, bp, family = _instance_setup(args)
     dp = build_diameter(bp, None, "conjugate")
     base = family.module.base_points(meta["n"]) if family else None
-    ps = enumerate_points(dp, base_points=base, cap=args.cap, max_points=_max_points(args))
+    ps = enumerate_points(dp, base_points=base, cap=args.cap, max_points=args.max_points)
     return meta, ps
 
 
@@ -211,6 +204,8 @@ def _parse_inequalities(path: str) -> list[Inequality]:
         raise ParseError(f"{path}: {e}") from e
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise ParseError(f"{path}: expected an inequality object or a list of them")
     out = []
     for k, item in enumerate(data):
         try:
@@ -255,7 +250,7 @@ def cmd_check_facet(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    records = run_suite(args.suite, trials=args.trials, seed=args.seed, long_running=args.long)
+    records = run_suite(args.suite, trials=args.trials, seed=args.seed)
     ok = all(r["ok"] for r in records)
     payload = {
         "suite": args.suite,
@@ -284,8 +279,23 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, help="enumeration cap in variables")
 
 
+def _add_point_flags(p: argparse.ArgumentParser) -> None:
+    _add_instance_flags(p)
+    p.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS, help="abort beyond this many points")
+    _add_output_flags(p)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input (exit 3); argparse's own exit 2 would read
+    as an infeasible model.  Subparsers are made with the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="diamopt", description=__doc__.split("\n\n")[0])
+    ap = _Parser(prog="diamopt", description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a model exactly")
@@ -308,29 +318,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diameter)
 
     p = sub.add_parser("points", help="enumerate the paired-copy point set")
-    _add_instance_flags(p)
-    p.add_argument("--max-points", type=int, help="abort beyond this many points")
-    _add_output_flags(p)
+    _add_point_flags(p)
     p.set_defaults(func=cmd_points)
 
     p = sub.add_parser("dim", help="affine dimension of the paired-copy point set")
-    _add_instance_flags(p)
-    p.add_argument("--max-points", type=int, help="abort beyond this many points")
-    _add_output_flags(p)
+    _add_point_flags(p)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("check-facet", help="certify inequalities against the point set")
     p.add_argument("inequalities", help="JSON file: [{a, a0, sense, label}, ...]")
-    _add_instance_flags(p)
-    p.add_argument("--max-points", type=int, help="abort beyond this many points")
-    _add_output_flags(p)
+    _add_point_flags(p)
     p.set_defaults(func=cmd_check_facet)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--trials", type=int, default=50, help="random trials (epsilon suite)")
     p.add_argument("--seed", type=int, default=1729, help="random seed (epsilon suite)")
-    p.add_argument("--long", action="store_true", help="include the long-running claims")
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify)
 

@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bpcore import (
+    DEFAULT_ENUM_CAP,
     BinaryProgram,
-    default_enum_cap,
     feasible_blocks,
     objective_values,
     optimal_blocks,
@@ -185,7 +185,7 @@ def paired_optimum(dp: DiameterProgram, cap: int | None = None) -> Fraction | No
     exceed 2^cap, the budget of a 2^(3n) scan at 3n = cap.
     """
     bp, n = dp.base, dp.base.n
-    cap = default_enum_cap() if cap is None else cap
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
     scale = scaled_int_vector(bp.c)[2]
     q, pen = dp.epsilon.denominator, dp.epsilon.numerator * scale  # eps * scale = pen / q
     top = max((objective_values(bp, b).max() for b in feasible_blocks(bp, cap)), default=None)
@@ -251,7 +251,7 @@ def solve_diameter(
     report = solve_bnb(BinaryProgram(d.c, d.constraints + cuts, d.variable_names))
 
     if cross_check is None:
-        cross_check = dp.derived.n <= (default_enum_cap() if cap is None else cap)
+        cross_check = dp.derived.n <= (DEFAULT_ENUM_CAP if cap is None else cap)
     if cross_check:
         check = paired_optimum(dp, cap)
         if check != report.best.objective_value:

@@ -31,6 +31,9 @@ from .ratlinalg import RatMatrix, affine_dimension, as_rational, int_dtype, scal
 
 DEFAULT_MAX_POINTS = 2_000_000
 
+# tight rows per hull dimension that a face rank tries before all of them
+_FACE_SAMPLE = 32
+
 
 # rows compared at a time by _strictly_increasing, so its scratch arrays
 # have a fixed size however many points there are
@@ -246,21 +249,42 @@ def points_satisfying(ps: PointSet, ineq: Inequality) -> np.ndarray:
     return sat, tight
 
 
+def _face_dimension(ps: PointSet, tight: np.ndarray, pdim: int) -> int:
+    """Affine dimension of the tight points, when some point is not tight.
+
+    The tight points then lie in a hyperplane that misses a point of the
+    set, so their dimension is at most pdim - 1, pdim the hull's.  An
+    odd-strided subset of about _FACE_SAMPLE * (pdim + 1) of them is ranked
+    first: if it reaches pdim - 1, so does the whole face; otherwise the
+    whole face is ranked.  The stride is odd because a power-of-two stride
+    lines up with the 2^k z completions of each (x, y) block, picks the
+    same completion from every block and can miss directions.
+    """
+    rows = np.flatnonzero(tight)
+    stride = len(rows) // (_FACE_SAMPLE * (pdim + 1)) | 1
+    if stride > 1 and affine_dimension(ps.array[rows[::stride]]) == pdim - 1:
+        return pdim - 1
+    return affine_dimension(ps.array[rows])
+
+
 def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
     """Certify an inequality against an enumerated polytope.
 
     valid   = holds at every point;
     facet   = valid and its tight set spans affine dimension dim - 1.
-    The empty face reports dimension -1.
+    The empty face reports dimension -1, and a face tight at every point
+    is the whole polytope.
     """
     sat, tight = points_satisfying(ps, ineq)
     valid = bool(sat.all())
     tight_count = int(tight.sum())
+    pdim = ps.hull_dimension()
     if tight_count == 0:
         face_dim = -1
+    elif tight_count == ps.count:
+        face_dim = pdim
     else:
-        face_dim = affine_dimension(ps.array[tight])
-    pdim = ps.hull_dimension()
+        face_dim = _face_dimension(ps, tight, pdim)
     return FacetReport(
         label=ineq.label,
         valid=valid,

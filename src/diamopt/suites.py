@@ -10,7 +10,6 @@ read off any solver output.
 
 from __future__ import annotations
 
-import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,11 +90,8 @@ def _tsp_points(n: int):
     return _paired_points(FAMILIES["tsp"], n)
 
 
-def suite_dimensions(long_running: bool = False) -> list[dict]:
-    cases = [
-        ("ordering", n, _lop_points, LOP_EXPECTED, "pick-one", lop.pick_one_system)
-        for n in [2, 3] + ([4] if long_running else [])
-    ]
+def suite_dimensions() -> list[dict]:
+    cases = [("ordering", n, _lop_points, LOP_EXPECTED, "pick-one", lop.pick_one_system) for n in (2, 3, 4)]
     cases += [("tour", n, _tsp_points, TSP_EXPECTED, "degree", tsp.degree_system) for n in (4, 5)]
     records = []
     for title, n, points, expected, system_name, system in cases:
@@ -202,11 +198,10 @@ def suite_epsilon(trials: int = 50, seed: int = 1729) -> list[dict]:
     return records
 
 
-def suite_lifting(long_running: bool = False) -> list[dict]:
+def suite_lifting() -> list[dict]:
     records = []
-    steps = [(2, 3)] + ([(3, 4)] if long_running else [])
     cache = {}
-    for n, m in steps:
+    for n, m in ((2, 3), (3, 4)):
         for k in (n, m):
             if k not in cache:
                 cache[k] = _lop_points(k)
@@ -234,10 +229,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, trials: int = 50, seed: int = 1729, long_running: bool = False) -> list[dict]:
-    """Run one suite, passing it those of the options its signature names."""
+def run_suite(name: str, trials: int = 50, seed: int = 1729) -> list[dict]:
+    """Run one suite; trials and seed are the epsilon suite's."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    suite = SUITES[name]
-    options = {"trials": trials, "seed": seed, "long_running": long_running}
-    return suite(**{k: options[k] for k in inspect.signature(suite).parameters})
+    if name == "epsilon":
+        return suite_epsilon(trials, seed)
+    return SUITES[name]()

@@ -72,7 +72,7 @@ def test_c01b_ordering_hull_dimension_n4():
     ps4 = lop_points(4)
     assert ps4.count == 483840
     assert ps4.hull_dimension() == 24
-    _ok("criterion 1 (long): ordering n=4 -> 483840 points, dimension 24")
+    _ok("criterion 1: ordering n=4 -> 483840 points, dimension 24")
 
 
 def test_c02_tour_hull_dimensions():

@@ -8,7 +8,6 @@ import pytest
 from diamopt.bpcore import (
     BinaryProgram,
     Constraint,
-    default_enum_cap,
     enumerate_feasible,
     enumerate_optimal_set,
     feasible_blocks,
@@ -92,13 +91,6 @@ class TestEnumerate:
         bp = BinaryProgram([0] * 30, [])
         with pytest.raises(CapExceededError):
             solve_enumerate(bp, cap=20)
-
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("DIAMOPT_ENUM_CAP", "4")
-        assert default_enum_cap() == 4
-        bp = BinaryProgram([0] * 5, [])
-        with pytest.raises(CapExceededError):
-            solve_enumerate(bp)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_feasible_set_matches_brute_force(self, seed):

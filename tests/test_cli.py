@@ -233,7 +233,7 @@ class TestVerify:
     def test_dimensions_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "dimensions")
         assert code == 0
-        assert "OK: 12/12 claims" in out
+        assert "OK: 15/15 claims" in out
 
     def test_epsilon_json_payload(self, capsys):
         code, out, _ = run(
@@ -246,8 +246,27 @@ class TestVerify:
         assert payload["seed"] == 5
 
     def test_bad_suite_name(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "sideways"])
+        assert exc.value.code == 3
+
+
+class TestUsage:
+    # argparse exits 2 on a usage error, which here would read as "infeasible";
+    # verify takes no tier option, so one is an unknown option like any other
+    @pytest.mark.parametrize("argv", ["verify lifting --quick", "diameter --variant bogus", ""])
+    def test_usage_error_is_input_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 3
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", ["--help", "verify --help"])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestOutputHandling:

@@ -1,4 +1,4 @@
-"""Malformed rationals are bad input (exit 3), not a crash."""
+"""Malformed input is bad input (exit 3), not a crash."""
 
 import json
 
@@ -44,6 +44,17 @@ def test_zero_denominator_is_input_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "input error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("top", ["5", '"abc"', "null", "true"])
+def test_scalar_inequalities_file_is_input_error(top, tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(top)
+    code = main(f"check-facet {path} --problem tsp --n 4".split())
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "expected an inequality object or a list of them" in err
     assert "Traceback" not in err
 
 

@@ -63,10 +63,10 @@ CASES = {
     "dim-lop4-json": ("dim --problem lop --n 4 --format json", 0, "9d64fd85b3434bdf77f4c2013a0d1267de4930f3f34bfeb415715887aaa5a1ba"),
     "dim-tsp5-json": ("dim --problem tsp --n 5 --format json", 0, "f1162afddf8dc97620147cc2c2b7e4a403c53be262b5bd20a04edffc7b25370d"),
     "points-lop2-json": ("points --problem lop --n 2 --format json", 0, "f7c6353fbbceac4d76858731dd1823c2938454a76713a899cd852b0e7d4177db"),
-    "verify-dimensions-json": ("verify dimensions --format json", 0, "5bcefe7f0799a9f09389937d776e5b3609f7d5ac3c23da2855c0b8ced7672f79"),
+    "verify-dimensions-json": ("verify dimensions --format json", 0, "4d307130d646f6f6cf458b81be2b57d3ade65ecac45fd79d78a79efcbe6c4ffd"),
     "verify-epsilon-json": ("verify epsilon --trials 20 --seed 7 --format json", 0, "c5c72fc7b9f9a1122bf3ff87af291899766255a02ff25d091a7af79bf7497cab"),
     "verify-facets-json": ("verify facets --format json", 0, "4f3b36cc3f1297baff64e0d6f9c797321d00e126e2d79af9551b65ae9ea24de1"),
-    "verify-lifting-json": ("verify lifting --format json", 0, "451b179403fcf0859740e660d2641f94dd7ae986a15dbfdfe67051fd3e25e355"),
+    "verify-lifting-json": ("verify lifting --format json", 0, "9de1ae21769b9286251265edab086a02990448cdd4d5e0954ebf0c3b2fb0ed64"),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from diamopt import bpcore, lop, polytope, suites, tsp
 from diamopt.bpcore import BinaryProgram, Constraint
 from diamopt.diameter import build as build_diameter
+from diamopt.diameter import paired
 from diamopt.errors import CapExceededError
 from diamopt.polytope import (
     EquationSystem,
@@ -20,6 +21,7 @@ from diamopt.polytope import (
     points_satisfying,
     verify_minimal_system,
 )
+from diamopt.ratlinalg import affine_dimension
 
 
 def paired_points_free(n):
@@ -166,6 +168,65 @@ class TestCheckInequality:
             assert r.valid == base.valid
             assert r.face_dimension == base.face_dimension
             assert r.tight_point_count == base.tight_point_count
+
+
+class TestFaceRank:
+    """A face with some point not tight has dimension at most dim - 1, so
+    check_inequality ranks an odd-strided subset of it first and all of it
+    only when the subset falls short; a face tight at every point is the
+    whole polytope and takes no rank.  Every case is checked against the
+    rank of the whole tight set, on tour n=5 (35,712 points, dim 20)."""
+
+    @pytest.fixture(scope="class")
+    def tour5(self):
+        ps = suites._tsp_points(5)
+        ps.hull_dimension()
+        return ps
+
+    @staticmethod
+    def ranked(ps, q):
+        """The report, and the row count of each rank it took."""
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return affine_dimension(points)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(polytope, "affine_dimension", counting)
+            r = check_inequality(ps, q)
+        tight = points_satisfying(ps, q)[1]
+        assert r.tight_point_count == int(tight.sum())
+        assert r.face_dimension == (affine_dimension(ps.array[tight]) if tight.any() else -1), q.label
+        return r, calls
+
+    def test_every_family_takes_the_subset(self, tour5):
+        for q in facet_families(10, tsp.base_facets(5)):
+            r, calls = self.ranked(tour5, q)
+            assert r.is_facet, q.label
+            assert len(calls) == 1 and calls[0] < r.tight_point_count, q.label
+
+    def test_tight_everywhere_takes_no_rank(self, tour5):
+        rows, rhs = tsp.degree_system(5)
+        r, calls = self.ranked(tour5, Inequality(paired(10, x=rows[0]), rhs[0], "<=", "degree_1[x]"))
+        assert r.valid and r.tight_point_count == tour5.count
+        assert r.face_dimension == 20 and not r.is_facet
+        assert calls == []
+
+    def test_lower_face_falls_back_to_the_whole_face(self, tour5):
+        # z_1 + z_2 >= 0 is tight where both vanish: two facets meet there
+        r, calls = self.ranked(tour5, Inequality(paired(10, z=[1, 1] + [0] * 8), 0, ">=", "z_1_z_2"))
+        assert r.valid and not r.is_facet and r.face_dimension < 19
+        assert r.tight_point_count > 1000
+        assert len(calls) == 2 and calls[0] < calls[1] == r.tight_point_count
+
+    def test_invalid_row(self, tour5):
+        # edges 12 and 13 share a tour whenever vertex 1 sits between 2 and 3
+        a = [0] * 10
+        a[tsp.edge_index(1, 2, 5)] = a[tsp.edge_index(1, 3, 5)] = 1
+        r, _ = self.ranked(tour5, Inequality(paired(10, x=a), 1, "<=", "x_12_x_13"))
+        assert not r.valid and not r.is_facet
+        assert 0 < r.tight_point_count < tour5.count
 
 
 class TestEquationSystem:

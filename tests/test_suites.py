@@ -5,7 +5,7 @@ from diamopt.suites import run_suite, suite_epsilon
 
 def test_dimensions_suite_all_ok():
     records = run_suite("dimensions")
-    assert len(records) == 12
+    assert len(records) == 15  # ordering n=2, 3, 4 and tour n=4, 5, three claims each
     assert all(r["ok"] for r in records)
     assert all("expected" in r and "computed" in r for r in records)
 
@@ -20,9 +20,9 @@ def test_epsilon_suite_is_reproducible():
     assert [r["claim"] for r in c] != [r["claim"] for r in a] or c != a
 
 
-def test_lifting_suite_short():
+def test_lifting_suite_all_ok():
     records = run_suite("lifting")
-    assert len(records) == 10
+    assert len(records) == 44  # 10 from n=2->3 plus 34 from n=3->4
     assert all(r["ok"] for r in records)
 
 
@@ -36,11 +36,4 @@ def test_facets_suite_all_ok():
     # 34 ordering families, 90 tour families, 2 extra n=4 inequalities,
     # 3 disjoint-support condition checks
     assert len(records) == 129
-    assert all(r["ok"] for r in records)
-
-
-@pytest.mark.long_running
-def test_lifting_suite_includes_next_size():
-    records = run_suite("lifting", long_running=True)
-    assert len(records) == 44  # 10 from n=2->3 plus 34 from n=3->4
     assert all(r["ok"] for r in records)
