@@ -152,14 +152,16 @@ def feasible_blocks(bp: BinaryProgram, cap: int | None = None):
     if bp.n > cap:
         raise CapExceededError(f"2^{bp.n} scan refused (cap {cap})")
     _, rows, dtype = bp.scaled()
+    rows = [(np.array(a, dtype=dtype), HOLDS[sense], b) for a, sense, b in rows]
     for bits in _bit_blocks(bp.n):
-        mask = np.ones(len(bits), dtype=bool)
-        for a, sense, b in rows:
-            mask &= HOLDS[sense](bits @ np.array(a, dtype=dtype), b)
-            if not mask.any():
+        # each row tests only the assignments every earlier row kept;
+        # boolean indexing keeps their order
+        for a, holds, b in rows:
+            bits = bits[holds(bits @ a, b)]
+            if not len(bits):
                 break
         else:  # no row emptied the block
-            yield bits[mask].astype(np.uint8)
+            yield bits.astype(np.uint8)
 
 
 def objective_values(bp: BinaryProgram, block: np.ndarray) -> np.ndarray:

@@ -27,7 +27,15 @@ import numpy as np
 from .bpcore import HOLDS, BinaryProgram, feasible_blocks, support_masks
 from .diameter import DiameterProgram, coupling, paired
 from .errors import CapExceededError
-from .ratlinalg import RatMatrix, affine_dimension, as_rational, int_dtype, scaled_int_vector
+from .ratlinalg import (
+    RatMatrix,
+    _gram,
+    _int_rank,
+    affine_dimension,
+    as_rational,
+    int_dtype,
+    scaled_int_vector,
+)
 
 DEFAULT_MAX_POINTS = 2_000_000
 
@@ -74,6 +82,7 @@ class PointSet:
             arr = np.unique(arr, axis=0)
         self.array = np.ascontiguousarray(arr)
         self.source = source
+        self._gram: list[list[int]] | None = None
         self._hull_dim: int | None = None
 
     @property
@@ -90,11 +99,19 @@ class PointSet:
     def __repr__(self):
         return f"PointSet({self.count} points in R^{self.dim_ambient}, {self.source!r})"
 
-    def hull_dimension(self) -> int:
-        if self._hull_dim is None:
+    def gram(self) -> list[list[int]]:
+        """G = sum over the points p of (p - p0)(p - p0)^T, p0 the first
+        point: d x d Python integers, computed once."""
+        if self._gram is None:
             if self.count == 0:
                 raise ValueError("empty point set has no affine hull")
-            self._hull_dim = affine_dimension(self.array)
+            self._gram = _gram(self.array)
+        return self._gram
+
+    def hull_dimension(self) -> int:
+        """rank(G) = rank of the differences p - p0 = affine dimension."""
+        if self._hull_dim is None:
+            self._hull_dim = _int_rank(self.gram())
         return self._hull_dim
 
 
@@ -297,12 +314,24 @@ def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
 
 def verify_minimal_system(ps: PointSet, system: EquationSystem) -> bool:
     """Every point satisfies the system and the hull dimension equals
-    ambient minus the system's rank (rows are independent by construction)."""
+    ambient minus the system's rank (rows are independent by construction).
+
+    No point is visited: each row, scaled to integers a . v = b, holds at
+    every point exactly when a . p0 = b at the first point p0 and
+    a^T G a = 0 for the set's Gram matrix G, because
+    a^T G a = sum over the points p of (a . (p - p0))^2, a sum of squares
+    of integers that is 0 only when a . p = a . p0 at every p.
+    """
     if system.matrix.ncols != ps.dim_ambient:
         raise ValueError("system width disagrees with the point set")
+    gram = ps.gram()
+    p0 = ps.array[0].tolist()
     for row, d in zip(system.matrix.rows, system.rhs):
-        vals, b = _row_values(ps, row, d)
-        if not bool((vals == b).all()):
+        a, b, _ = scaled_int_vector(row, d)
+        nz = [k for k, v in enumerate(a) if v]
+        if sum(a[k] * p0[k] for k in nz) != b:
+            return False
+        if sum(a[i] * a[j] * gram[i][j] for i in nz for j in nz):
             return False
     return ps.hull_dimension() == ps.dim_ambient - system.matrix.nrows
 

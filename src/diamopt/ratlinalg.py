@@ -7,11 +7,18 @@ integers row by row first, which leaves the rank unchanged.
 
 An integer point array is reduced to its Gram matrix G = sum (p - p0)(p - p0)^T
 before elimination: over the rationals rank(D) = rank(D^T D), and G is only
-d x d however many points there are.  G is summed in int64 when no entry can
-reach 2**62, that is when (rows - 1) * spread**2 < 2**62 with spread the
-largest column range; otherwise in Python integers.  `int_dtype` is that one
-overflow rule, shared with the int64 dot products in bpcore and polytope, so
-no result depends on floating point or on silent wraparound.
+d x d however many points there are.  G is summed from float64 BLAS products
+of row chunks where two checked bounds make every product exact, and on
+Python integers otherwise.  float64 holds every integer up to 2**53 exactly,
+so a sum or product whose operands and partial results are integers below
+2**52 is exact in any summation order, with or without FMA, on any number of
+BLAS threads.  The bounds are: every entry below 2**52 in size, so the cast
+to float64 and the subtraction of p0 are exact; and chunk rows * spread**2
+< 2**52, spread the largest column range, so each chunk product is exact.
+The chunk products are cast to int64 and summed there when
+(rows - 1) * spread**2 < 2**62.  `int_dtype` is that one int64 overflow
+rule, shared with the int64 dot products in bpcore and polytope, so no
+result depends on rounding or on silent wraparound.
 """
 
 from __future__ import annotations
@@ -26,9 +33,14 @@ import numpy as np
 # of two before any numpy int64 sum or product could wrap.
 _INT64_BOUND = 1 << 62
 
-# The Gram matrix is summed this many points at a time, so the difference
-# block has a fixed size however many points there are.
-_GRAM_CHUNK = 1 << 15
+# float64 headroom for exact integer sums and products, one bit below the
+# 2**53 up to which float64 holds every integer (module docstring)
+_FLOAT_BOUND = 1 << 52
+
+# The Gram matrix is summed at most this many points at a time, so the
+# difference block has a fixed size however many points there are
+# (1.2 MB of float64 at 36 columns).
+_GRAM_CHUNK = 1 << 12
 
 
 def int_dtype(bound: int):
@@ -135,24 +147,34 @@ class RatMatrix:
 
 
 def _gram(points: np.ndarray) -> list[list[int]]:
-    """sum over the rows p of (p - p0)(p - p0)^T, as Python integers."""
+    """sum over the rows p of (p - p0)(p - p0)^T, as Python integers:
+    float64 chunk products summed in int64 where the module docstring's
+    bounds hold, else Python integers throughout."""
     if points.dtype != object and not np.issubdtype(points.dtype, np.integer):
         raise ValueError("point arrays must have an integer dtype")
     if points.dtype == object and not all(isinstance(v, int) for v in points.flat):
         raise ValueError("object point arrays must hold Python integers")
-    columns = zip(points.max(axis=0), points.min(axis=0))
-    spread = max((int(hi) - int(lo) for hi, lo in columns), default=0)
-    dtype = int_dtype((points.shape[0] - 1) * spread * spread)
-    # cast before subtracting: a uint64 entry above 2**63 wraps in the cast,
-    # but the difference of two such entries is below 2**31 here, so it
-    # comes out exact modulo 2**64, i.e. exact
-    base = points[0].astype(dtype)[:, None]
-    gram = np.zeros((points.shape[1], points.shape[1]), dtype=dtype)
-    for lo in range(0, points.shape[0], _GRAM_CHUNK):
-        # the transposed chunk in C order makes the product read rows only
-        diff_t = points[lo : lo + _GRAM_CHUNK].T.astype(dtype, order="C")
-        diff_t -= base
-        gram += diff_t @ diff_t.T
+    if points.dtype.itemsize == 1:  # the dtype's range bounds every column, with no pass
+        hi, lo = [int(np.iinfo(points.dtype).max)], [int(np.iinfo(points.dtype).min)]
+    else:
+        hi, lo = points.max(axis=0).tolist(), points.min(axis=0).tolist()
+    spread = max((h - l for h, l in zip(hi, lo)), default=0)
+    square = spread * spread
+    fast = (
+        max(map(abs, hi + lo), default=0) < _FLOAT_BOUND
+        and square < _FLOAT_BOUND
+        and (points.shape[0] - 1) * square < _INT64_BOUND
+    )
+    dtype = np.float64 if fast else object
+    # k = 2**52 // (square + 1) rows give k * square <= 2**52 - k < 2**52
+    chunk = min(_GRAM_CHUNK, _FLOAT_BOUND // (square + 1)) if fast else _GRAM_CHUNK
+    base = points[0].astype(dtype)
+    gram = np.zeros((points.shape[1], points.shape[1]), dtype=np.int64 if fast else object)
+    for start in range(0, points.shape[0], chunk):
+        diff = points[start : start + chunk].astype(dtype)
+        diff -= base
+        product = diff.T @ diff
+        gram += product.astype(np.int64) if fast else product
     return gram.tolist()
 
 

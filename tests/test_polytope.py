@@ -259,6 +259,74 @@ class TestEquationSystem:
         assert not verify_minimal_system(ps, bad)
 
 
+def minimal_per_point(ps, system):
+    """verify_minimal_system by evaluating every row at every point."""
+    rows = zip(system.matrix.rows, system.rhs)
+    holds = all(points_satisfying(ps, Inequality(row, d, "<="))[1].all() for row, d in rows)
+    return holds and ps.hull_dimension() == ps.dim_ambient - system.matrix.nrows
+
+
+class TestMinimalSystemByGram:
+    """verify_minimal_system reads a . p0 = b and a^T G a = 0, never the points."""
+
+    def test_row_broken_at_one_point(self):
+        # x1 + x2 = 1 holds at 010 and 100, the first point among them, and
+        # fails only at 111; the hull has dimension 3 - 1 all the same
+        ps = PointSet([[0, 1, 0], [1, 0, 0], [1, 1, 1]])
+        system = EquationSystem([[1, 1, 0]], [1])
+        assert ps.hull_dimension() == 2
+        assert not verify_minimal_system(ps, system)
+        assert not minimal_per_point(ps, system)
+
+    def test_rhs_off_at_every_point(self):
+        # x1 + x2 is 1 at every point, so a^T G a = 0 and only a . p0 = b fails
+        ps = PointSet([[0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1]])
+        assert verify_minimal_system(ps, EquationSystem([[1, 1, 0]], [1]))
+        assert not verify_minimal_system(ps, EquationSystem([[1, 1, 0]], [2]))
+        assert not verify_minimal_system(ps, EquationSystem([[1, 1, 0]], [0]))
+
+    def test_fractional_rows(self):
+        ps = PointSet([[0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1]])
+        half = Fraction(1, 2)
+        assert verify_minimal_system(ps, EquationSystem([[half, half, 0]], [half]))
+        # 2 x1 + 2 x2 = 3 after scaling: off at every point
+        third = Fraction(1, 3)
+        assert not verify_minimal_system(ps, EquationSystem([[third, third, 0]], [half]))
+        # x1 + x2/2 = 1/2 holds at the first point, 010, and fails at 10*
+        assert not verify_minimal_system(ps, EquationSystem([[1, half, 0]], [half]))
+
+    def test_agrees_with_per_point_on_tour5(self):
+        ps = suites._tsp_points(5)
+        good = lift_equation_system(EquationSystem(*tsp.degree_system(5)))
+        assert verify_minimal_system(ps, good) and minimal_per_point(ps, good)
+        rng = random.Random(3)
+        seen = set()
+        for _ in range(40):
+            rows = [list(r) for r in good.matrix.rows]
+            rhs = list(good.rhs)
+            r, other = rng.sample(range(len(rows)), 2)
+            kind = rng.choice(["coefficient", "rhs", "combine", "scale"])
+            if kind == "coefficient":
+                rows[r][rng.randrange(len(rows[r]))] += rng.choice([-1, 1, Fraction(1, 2)])
+            elif kind == "rhs":
+                rhs[r] += rng.choice([-1, 1, Fraction(-1, 3)])
+            elif kind == "combine":  # adding another row keeps the system valid
+                m = rng.choice([-2, 1, Fraction(1, 3)])
+                rows[r] = [a + m * b for a, b in zip(rows[r], rows[other])]
+                rhs[r] += m * rhs[other]
+            else:
+                m = rng.choice([Fraction(2, 7), -3])
+                rows[r], rhs[r] = [m * a for a in rows[r]], m * rhs[r]
+            try:
+                system = EquationSystem(rows, rhs)
+            except ValueError:  # the perturbation made the rows dependent
+                continue
+            verdict = verify_minimal_system(ps, system)
+            assert verdict == minimal_per_point(ps, system), (kind, r)
+            seen.add(verdict)
+        assert seen == {True, False}
+
+
 class TestFacetFamilies:
     def test_counts(self):
         fams3 = facet_families(6, lop.base_facets(3))

@@ -1,11 +1,14 @@
+import operator
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from diamopt import suites
 from diamopt.ratlinalg import (
     RatMatrix,
+    _gram,
     _int_rank,
     affine_dimension,
     as_rational,
@@ -187,3 +190,75 @@ class TestAffineDimension:
         # casting these to int64 wraps; the affine hull is the whole plane
         pts = [[0, 0], [2**64 - 1, 1], [1, 2**64 - 1]]
         assert affine_dimension(np.array(pts, dtype=np.uint64)) == affine_dimension(pts) == 2
+
+
+def gram_reference(points):
+    """sum of (p - p0)(p - p0)^T on Python integers, entry by entry."""
+    rows = points.tolist()
+    cols = [tuple(v - c0 for v in col) for c0, col in zip(rows[0], zip(*rows))]
+    gram = [[0] * len(cols) for _ in cols]
+    for i, a in enumerate(cols):
+        for j in range(i, len(cols)):
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, a, cols[j]))
+    return gram
+
+
+def _deficient_01(rng, rows=40):
+    """A random 0/1 array whose last two columns repeat the first two, one
+    of them complemented: affine dimension at most its width minus 2."""
+    bits = rng.integers(0, 2, size=(rows, 6), dtype=np.int64)
+    return np.concatenate([bits, 1 - bits[:, :1], bits[:, 1:2]], axis=1)
+
+
+class TestGram:
+    """`_gram` against a Python-int reference, on every side of its bounds."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda rng: suites._lop_points(3).array, id="ordering n=3"),
+            pytest.param(lambda rng: suites._tsp_points(5).array, id="tour n=5"),
+            pytest.param(lambda rng: rng.integers(0, 2, size=(5000, 12), dtype=np.uint8), id="random 0/1"),
+            pytest.param(lambda rng: rng.integers(-128, 128, size=(300, 9), dtype=np.int8), id="int8"),
+            pytest.param(lambda rng: rng.integers(-1000, 1000, size=(9000, 7), dtype=np.int64), id="int64"),
+            pytest.param(lambda rng: rng.integers(-50, 50, size=(200, 5)).astype(object), id="object"),
+        ],
+    )
+    def test_matches_reference(self, make):
+        points = make(np.random.default_rng(11))
+        assert _gram(points) == gram_reference(points)
+
+    @pytest.mark.parametrize("bits", [25, 27])
+    def test_products_past_the_float_bound(self, bits):
+        # spread 2**25 allows four rows per float chunk; 2**27 has products
+        # past 2**53, so the float tier must not take them at all
+        rng = np.random.default_rng(bits)
+        points = rng.integers(0, 1 << bits, size=(200, 4), dtype=np.int64)
+        assert _gram(points) == gram_reference(points)
+
+    def test_sum_past_the_int64_bound(self):
+        # every product fits a float chunk, but 5000 of them pass 2**63
+        spread = (1 << 26) - 1
+        points = spread * np.random.default_rng(4).integers(0, 2, size=(5000, 3), dtype=np.int64)
+        assert _gram(points) == gram_reference(points)
+        assert max(max(row) for row in gram_reference(points)) >= 1 << 63
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_large_entries_small_spread(self, sign):
+        # entries near 2**60 do not survive a cast to float64; spread 7 does
+        points = sign * ((1 << 60) + np.random.default_rng(2).integers(0, 8, size=(50, 5), dtype=np.int64))
+        assert _gram(points) == gram_reference(points)
+        assert affine_dimension(points) == affine_dimension(points.tolist()) == 5
+
+    @pytest.mark.parametrize("k", [0, 20, 26, 27, 31, 62, 64])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_scaled_01_keeps_affine_dimension(self, k, offset):
+        # scales 2**k and 2**k + 1 cross the float, chunk, int64 and object
+        # boundaries; 2**k + 1 also has odd products that float64 would round
+        bits = _deficient_01(np.random.default_rng(k))
+        scale = (1 << k) + offset
+        points = bits.astype(object) * scale
+        if scale < 1 << 63:
+            points = points.astype(np.int64)
+        assert affine_dimension(points) == affine_dimension(points.tolist()) == affine_dimension(bits.tolist())
+        assert _gram(points) == gram_reference(points)
