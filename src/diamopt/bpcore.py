@@ -4,7 +4,8 @@ A model is max c.x subject to rational linear rows (<=, =, >=) over binary
 variables.  Solvers never touch floating point: all comparisons run on
 integer-scaled copies of the data, and reported objective values are exact
 Fractions.  The exhaustive solver is the ground truth the branch-and-bound
-is tested against.
+is tested against; the branch and bound, given a slack, also collects every
+near-optimal assignment (a solution pool).
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ SENSES = tuple(HOLDS)
 DEFAULT_ENUM_CAP = 26
 _ENUM_BLOCK = 1 << 16
 
+# The largest solution pool solve_bnb returns, 2^13: its 2^26 pairs are the
+# budget of a 2^DEFAULT_ENUM_CAP exhaustive scan.
+POOL_LIMIT = math.isqrt(1 << DEFAULT_ENUM_CAP)
+
 
 @dataclass(frozen=True)
 class Constraint:
@@ -48,6 +53,10 @@ class SolveReport:
     status: str  # "optimal" | "infeasible"
     best: Solution | None
     nodes_explored: int
+    # solve_bnb with slack >= 0: every feasible assignment whose scaled
+    # value is within the slack of the optimum, in decreasing lexicographic
+    # order; None otherwise, and when the pool passed its limit
+    pool: tuple[tuple[int, ...], ...] | None = None
 
 
 class BinaryProgram:
@@ -228,18 +237,28 @@ def _window(sense: str, rhs: int, lo: int, hi: int) -> tuple:
     return (-math.inf if sense == "<=" else rhs - hi, math.inf if sense == ">=" else rhs - lo)
 
 
-def solve_bnb(bp: BinaryProgram) -> SolveReport:
-    """Depth-first branch and bound.
+def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
+    """Depth-first branch and bound, and with slack >= 0 a solution pool.
 
-    Branches in variable index order, 1 before 0, and returns the
-    lexicographically largest optimum: leaves are reached in decreasing
-    lexicographic order, only a strictly better leaf replaces the incumbent,
-    and a subtree is cut only when its bound cannot beat the incumbent, so
-    the subtree holding that optimum is never cut.  Always terminates, and
-    agrees with solve_enumerate on status and objective value.  The search
-    keeps its own stack, one frame per depth (the value to branch on next,
-    the prefix value, the forced penalty), so Python's recursion limit does
-    not bound the number of variables.
+    Branches in variable index order, 1 before 0, so leaves are reached in
+    decreasing lexicographic order.  A node is cut only when its bound is
+    below best - slack, on the integer-scaled objective of bp.scaled(), best
+    the incumbent value; only a strictly better leaf replaces the incumbent.
+    With the default slack -1 this is "cut when the bound cannot beat the
+    incumbent" (bounds are integers), so the search returns the
+    lexicographically largest optimum: the subtree holding it is never cut.
+    With slack s >= 0 no feasible x with c_int.x >= v* - s (v* the optimum)
+    is ever cut, since every ancestor's bound is at least c_int.x, and the
+    report's pool holds all of them, in decreasing lexicographic order (the
+    solution pool of Danna, Fenelon, Gu and Wunderling, IPCO 2007).  Past
+    POOL_LIMIT assignments within slack of the incumbent the pool is dropped
+    (pool None) and the search goes on with slack -1, which still returns
+    that largest optimum: every leaf before it is worse than v*, so nothing
+    on its path is cut.  Always terminates, and agrees with solve_enumerate
+    on status and objective value.  The search keeps its own stack, one
+    frame per depth (the value to branch on next, the prefix value, the
+    forced penalty), so Python's recursion limit does not bound the number
+    of variables.
 
     A row is pruned as soon as its reachable value range excludes the
     right-hand side.  The bound at a node is the fixed prefix value, plus
@@ -304,6 +323,10 @@ def solve_bnb(bp: BinaryProgram) -> SolveReport:
     nxt = [1] * n  # next value to branch on at each depth; -1 when both are done
     best_val: int | None = None
     best_assign: tuple[int, ...] | None = None
+    # (value, assignment) of every leaf reached while slack >= 0; entries
+    # that fell out of the slack are dropped once it holds `trim` of them
+    pool: list | None = [] if slack >= 0 else None
+    trim = POOL_LIMIT
     nodes, d = 1, 0
 
     def undo(d: int) -> None:
@@ -326,15 +349,26 @@ def solve_bnb(bp: BinaryProgram) -> SolveReport:
             if rows_ok(touched[d]):
                 obj[d + 1] = obj[d] + (c_int[d] if val else 0)
                 pen[d + 1] = pen[d] - (c_int[d] if forced[d] else 0) + force(d + 1)
-                if best_val is None or obj[d + 1] + obj_pos[d + 1] + pen[d + 1] > best_val:
+                if best_val is None or obj[d + 1] + obj_pos[d + 1] + pen[d + 1] >= best_val - slack:
                     nodes += 1
                     d += 1
                     continue
             undo(d)
             continue
         if d == n:
-            # row checks along the path already pinned every row exactly
-            best_val, best_assign = obj[n], tuple(assign)
+            # row checks along the path already pinned every row exactly, and
+            # the bound check let in only leaves within slack of the incumbent
+            leaf = tuple(assign)
+            if best_val is None or obj[n] > best_val:
+                best_val, best_assign = obj[n], leaf
+            if pool is not None:
+                pool.append((obj[n], leaf))
+                if len(pool) > trim:
+                    pool = [e for e in pool if e[0] >= best_val - slack]
+                    if len(pool) > POOL_LIMIT:
+                        pool, slack = None, -1
+                    else:
+                        trim = len(pool) + POOL_LIMIT  # trim again after POOL_LIMIT more leaves
         else:
             nxt[d] = 1
         d -= 1  # back to the parent
@@ -343,7 +377,11 @@ def solve_bnb(bp: BinaryProgram) -> SolveReport:
 
     if best_assign is None:
         return SolveReport("infeasible", None, nodes)
-    return SolveReport("optimal", Solution(best_assign, bp.objective_of(best_assign)), nodes)
+    if pool is not None:
+        pool = tuple(a for v, a in pool if v >= best_val - slack)
+        if len(pool) > POOL_LIMIT:
+            pool = None
+    return SolveReport("optimal", Solution(best_assign, bp.objective_of(best_assign)), nodes, pool)
 
 
 def random_binary_program(rng, max_n: int = 10, max_rows: int = 6) -> BinaryProgram:

@@ -13,10 +13,19 @@ pins z_i = 1 exactly when x_i = y_i = 1, and in general certifies an upper
 bound n - sum(z); when every optimum has the same squared norm k (as in the
 ordering and tour front ends) the distance is exactly 2*(k - sum(z)).
 
+solve_diameter searches the paired space only as a fallback.  One pool
+search over the base model (bpcore.solve_bnb with a slack) collects
+every feasible x with c.x >= v* - eps*n, v* the base optimum; every half of
+an optimal pair is among them.  Every pair of the pool is then scored
+exactly, with z as small as its couplings allow, and the first best pair in
+lexicographic order is the paired program's lexicographically largest
+optimum.  Only when the pool passes bpcore.POOL_LIMIT halves is the paired
+program itself solved, by branch and bound with both halves cut at v* - eps*n.
+
 The exhaustive references scan the base program's 2^n points, never the
 paired program's 2^(3n): diameter_by_enumeration reads the diameter off the
 base optimal set, and paired_optimum, the default cross-check of
-solve_diameter, computes the paired optimum from the base feasible set.
+solve_diameter, scores the pairs of the base feasible set.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +41,7 @@ import numpy as np
 from .bpcore import (
     DEFAULT_ENUM_CAP,
     BinaryProgram,
+    SolveReport,
     feasible_blocks,
     objective_values,
     optimal_blocks,
@@ -58,11 +69,29 @@ class DiameterProgram:
     epsilon: Fraction
     epsilon_rule: str
     include_lower_coupling: bool
-    derived: BinaryProgram
 
     @property
     def variant(self) -> str:
         return "full" if self.include_lower_coupling else "conjugate"
+
+    @cached_property
+    def derived(self) -> BinaryProgram:
+        """The paired program over (x, y, z), built on first use.
+
+        Rows come in blocks: base rows on the x copy, base rows on the y
+        copy, the n upper couplings, and (full variant only) the n lower
+        couplings.  The layout and the coupling rows come from paired and
+        coupling, which the polyhedral certificates use as well.
+        """
+        bp, n = self.base, self.base.n
+        c = paired(n, bp.c, bp.c, (-self.epsilon,) * n)
+        names = [f"{v}_{block}" for block in "xyz" for v in bp.variable_names]
+        rows = [(paired(n, x=con.coeffs), con.sense, con.rhs, con.name + "_x") for con in bp.constraints]
+        rows += [(paired(n, y=con.coeffs), con.sense, con.rhs, con.name + "_y") for con in bp.constraints]
+        rows += [(*coupling(n, i), f"pair_ub_{v}") for i, v in enumerate(bp.variable_names)]
+        if self.include_lower_coupling:
+            rows += [(*coupling(n, i, lower=True), f"pair_lb_{v}") for i, v in enumerate(bp.variable_names)]
+        return BinaryProgram(c, rows, names)
 
 
 @dataclass(frozen=True)
@@ -136,13 +165,8 @@ def coupling(n: int, i: int, lower: bool = False) -> tuple[tuple[Fraction, ...],
 
 
 def build(bp: BinaryProgram, eps=None, variant: str = "full") -> DiameterProgram:
-    """Assemble the paired program over (x, y, z).
-
-    Rows come in blocks: base rows on the x copy, base rows on the y copy,
-    the n upper couplings, and (full variant only) the n lower couplings.
-    The layout and the coupling rows come from paired and coupling, which
-    the polyhedral certificates use as well.
-    """
+    """The paired program of bp with penalty eps (choose_epsilon by default);
+    its rows, DiameterProgram.derived, are built on first use."""
     if variant not in ("full", "conjugate"):
         raise ValueError(f"unknown variant {variant!r}")
     if eps is None:
@@ -153,16 +177,7 @@ def build(bp: BinaryProgram, eps=None, variant: str = "full") -> DiameterProgram
         eps_value, rule = as_rational(eps), USER_SUPPLIED
     if eps_value <= 0:
         raise ValueError("epsilon must be positive")
-    n = bp.n
-    c = paired(n, bp.c, bp.c, (-eps_value,) * n)
-    names = [f"{v}_{block}" for block in "xyz" for v in bp.variable_names]
-    rows = [(paired(n, x=con.coeffs), con.sense, con.rhs, con.name + "_x") for con in bp.constraints]
-    rows += [(paired(n, y=con.coeffs), con.sense, con.rhs, con.name + "_y") for con in bp.constraints]
-    rows += [(*coupling(n, i), f"pair_ub_{v}") for i, v in enumerate(bp.variable_names)]
-    if variant == "full":
-        rows += [(*coupling(n, i, lower=True), f"pair_lb_{v}") for i, v in enumerate(bp.variable_names)]
-    derived = BinaryProgram(c, rows, names)
-    return DiameterProgram(bp, eps_value, rule, variant == "full", derived)
+    return DiameterProgram(bp, eps_value, rule, variant == "full")
 
 
 def verify_z_semantics(res: DiverseOptimaResult) -> bool:
@@ -172,22 +187,67 @@ def verify_z_semantics(res: DiverseOptimaResult) -> bool:
     return all(z == (x == 1 == y) for x, y, z in zip(res.x_star, res.y_star, res.z_star))
 
 
+def _grid(dp: DiameterProgram) -> tuple[int, int, int]:
+    """(scale, q, pen) with eps * scale = pen / q, scale the factor of the
+    base model's scaled objective: scores times scale * q are integers."""
+    scale = scaled_int_vector(dp.base.c)[2]
+    return scale, dp.epsilon.denominator, dp.epsilon.numerator * scale
+
+
+def score_dtype(dp: DiameterProgram):
+    """numpy dtype of the pair scores of best_pair: int64 when their bound
+    2*q*sum|c_int| + 2*pen*n fits int_dtype, Python integers otherwise."""
+    _, q, pen = _grid(dp)
+    return int_dtype(2 * q * sum(map(abs, dp.base.scaled()[0])) + 2 * pen * dp.base.n)
+
+
+def best_pair(dp: DiameterProgram, halves: np.ndarray) -> tuple[int, int, Fraction]:
+    """(i, j, value): the first best pair of rows of `halves` in row-major
+    order, and its paired objective.
+
+    halves is an m x n 0/1 array of feasible base points.  At an optimum z
+    is as small as its couplings allow, so a pair (x, y) scores
+    c.x + c.y - eps*k, k counting shared ones x.y (conjugate) or agreements
+    n - |x| - |y| + 2 x.y (full).  Times scale * q that is
+    u_x + u_y - a * x.y - shift, integers in score_dtype: u = q*w (plus
+    pen*|x| in the full variant) with w the scaled objective, a = pen (2*pen),
+    shift = 0 (pen*n).  x.y comes from one 0/1 matmul in float64 BLAS,
+    exact because every entry and partial sum is an integer of at most n.
+    """
+    n = dp.base.n
+    scale, q, pen = _grid(dp)
+    dtype = score_dtype(dp)
+    u = objective_values(dp.base, halves).astype(dtype) * q
+    a, shift = pen, 0
+    if dp.include_lower_coupling:
+        u = u + halves.sum(axis=1, dtype=np.int64).astype(dtype) * pen
+        a, shift = 2 * pen, pen * n
+    x = halves.astype(np.float64)
+    step = max(1, (1 << 16) // len(u))  # rows of a 2^16-pair score block
+    best = None
+    for lo in range(0, len(u), step):
+        shared = (x[lo : lo + step] @ x.T).astype(np.int64).astype(dtype, copy=False)
+        score = u[lo : lo + step, None] + u - a * shared
+        at = int(np.argmax(score))  # the first maximum of the block
+        if best is None or score.flat[at] > best[0]:
+            best = (score.flat[at], lo + at // len(u), at % len(u))
+    value, i, j = best
+    return i, j, Fraction(int(value) - shift, scale * q)
+
+
 def paired_optimum(dp: DiameterProgram, cap: int | None = None) -> Fraction | None:
     """Optimal objective of the paired program from the base feasible set,
     or None when that set is empty.
 
-    At an optimum z is as small as its couplings allow, so a pair (x, y)
-    scores c.x + c.y - eps*k, k counting agreements (full) or shared ones
-    (conjugate).  (x*, x*) already scores 2v* - eps*n, v* the base optimum,
-    so only x with c.x >= v* - eps*n can be half of an optimal pair.  Their
-    pairs are scored in integers, and one Fraction is built at the end.
-    Refuses (CapExceededError) when n > cap or when the candidate pairs
-    exceed 2^cap, the budget of a 2^(3n) scan at 3n = cap.
+    (x*, x*) already scores 2v* - eps*n, v* the base optimum, and a pair
+    scores at most c.x + v*, so only x with c.x >= v* - eps*n can be half
+    of an optimal pair.  best_pair scores their pairs.  Refuses
+    (CapExceededError) when n > cap or when the candidate pairs exceed
+    2^cap, the budget of a 2^(3n) scan at 3n = cap.
     """
     bp, n = dp.base, dp.base.n
     cap = DEFAULT_ENUM_CAP if cap is None else cap
-    scale = scaled_int_vector(bp.c)[2]
-    q, pen = dp.epsilon.denominator, dp.epsilon.numerator * scale  # eps * scale = pen / q
+    _, q, pen = _grid(dp)
     top = max((objective_values(bp, b).max() for b in feasible_blocks(bp, cap)), default=None)
     if top is None:
         return None
@@ -197,17 +257,24 @@ def paired_optimum(dp: DiameterProgram, cap: int | None = None) -> Fraction | No
         halves.append(block[objective_values(bp, block) >= floor])
         if (m := sum(map(len, halves))) ** 2 > 1 << cap:
             raise CapExceededError(f"{m}^2 candidate pairs exceed 2^{cap} (cap {cap})")
-    dtype = int_dtype(2 * q * sum(map(abs, bp.scaled()[0])) + pen * n)  # scores times scale * q
-    x = np.concatenate(halves)
-    w, x = objective_values(bp, x).astype(dtype) * q, x.astype(np.int64)
-    if dp.include_lower_coupling:  # agreements: shared ones plus shared zeros
-        x = np.hstack([x, 1 - x])
-    step = max(1, (1 << 16) // len(w))  # rows of a 2^16-pair score block
-    best = max(
-        (w[lo : lo + step, None] + w - pen * (x[lo : lo + step] @ x.T).astype(dtype)).max()
-        for lo in range(0, len(w), step)
-    )
-    return Fraction(int(best), scale * q)
+    return best_pair(dp, np.concatenate(halves))[2]
+
+
+def paired_search(dp: DiameterProgram, base_value: Fraction) -> SolveReport:
+    """Branch and bound over the paired program plus the rows
+    c.x >= v* - eps*n and c.y >= v* - eps*n, v* = base_value, on a
+    solve-time copy of dp.derived.
+
+    The rows cut no optimal pair, for any eps > 0 (see paired_optimum);
+    cutting at v* itself would be wrong, since with an oversized eps the
+    optimal pair leaves the base optimal set.  The copy has the optimal set
+    of dp.derived, and solve_bnb returns the lexicographically largest
+    optimum, so the pair is the one the uncut program gives.
+    """
+    n, d = dp.base.n, dp.derived
+    floor = base_value - dp.epsilon * n
+    cuts = ((paired(n, x=dp.base.c), ">=", floor, "base_opt_x"), (paired(n, y=dp.base.c), ">=", floor, "base_opt_y"))
+    return solve_bnb(BinaryProgram(d.c, d.constraints + cuts, d.variable_names))
 
 
 def solve_diameter(
@@ -218,50 +285,55 @@ def solve_diameter(
 ) -> DiverseOptimaResult:
     """Solve the paired program exactly and read off the diverse pair.
 
-    Branch and bound solves the base model once for its optimum v*, then the
-    paired program with two more rows, c.x >= v* - eps*n and
-    c.y >= v* - eps*n, on a solve-time copy; dp.derived stays the paper's
-    program.  The rows cut no optimal pair, for any eps > 0: (x*, x*)
-    scores 2v* - eps*n, and a pair scores at most c.x + v*, so every optimal
-    pair has c.x >= v* - eps*n, and likewise c.y.  Cutting at v* itself
-    would be wrong: with an oversized eps the optimal pair leaves the base
-    optimal set.  The copy has the optimal set of dp.derived, and solve_bnb
-    returns the lexicographically largest optimum, so the pair is the one
-    the uncut program gives.
+    Two phases.  One pool search over the base model, solve_bnb with slack
+    pen*n // q (eps*n on the scaled objective's integer grid, see _grid),
+    returns v* and every feasible x with c.x >= v* - eps*n, in decreasing
+    lexicographic order; every half of an optimal pair is among them (see
+    paired_optimum).  best_pair then scores every pair of the pool, and its
+    first best pair in row-major order, with the least z its couplings
+    allow, is the lexicographically largest optimum of dp.derived.  When
+    the pool passes bpcore.POOL_LIMIT halves, paired_search solves the paired
+    program instead and returns the same optimum; only that fallback reads
+    dp.derived.
 
     The cross-check compares the paired objective value with
-    paired_optimum, the same optimum computed from the base feasible set.
-    Objective values only: with an oversized epsilon the solved halves may
-    leave the base optimal set, and a conjugate solve only bounds the
-    distance, so neither the optimal set nor diameter_by_enumeration is a
-    valid reference.  The check runs by default when 3n <= cap, on the
-    solves the 2^(3n) scan it replaces covered (cross_check=False skips it,
-    True requires it); gating on n <= cap would add two 2^21 base scans,
-    about 3 s each on a 2-core machine, to every 7-city tour solve.
+    paired_optimum, the same optimum computed from the base feasible set,
+    so on the pool path it tests the pool search against the exhaustive
+    scan.  Objective values only: with an oversized epsilon the solved
+    halves may leave the base optimal set, and a conjugate solve only
+    bounds the distance, so neither the optimal set nor
+    diameter_by_enumeration is a valid reference.  The check runs by
+    default when 3n <= cap, on the solves the 2^(3n) scan it replaces
+    covered (cross_check=False skips it, True requires it); gating on
+    n <= cap would add two 2^21 base scans to every 7-city tour solve.
     constant_norm is a caller-certified promise that every optimum of the
     base model has squared norm k; with it, a conjugate solve pins the
     distance to 2*(k - sum(z)) instead of only bounding it.
     """
-    n, d = dp.base.n, dp.derived
-    base = solve_bnb(dp.base)
+    n = dp.base.n
+    _, q, pen = _grid(dp)
+    base = solve_bnb(dp.base, slack=pen * n // q)
     if base.status != "optimal":
         raise InfeasibleModelError("base model is infeasible; no diverse pair exists")
-    floor = base.best.objective_value - dp.epsilon * n
-    cuts = ((paired(n, x=dp.base.c), ">=", floor, "base_opt_x"), (paired(n, y=dp.base.c), ">=", floor, "base_opt_y"))
-    report = solve_bnb(BinaryProgram(d.c, d.constraints + cuts, d.variable_names))
+    if base.pool is None:
+        report = paired_search(dp, base.best.objective_value)
+        x, y, z = split(report.best.assignment)
+        value = report.best.objective_value
+    else:
+        i, j, value = best_pair(dp, np.array(base.pool, dtype=np.uint8))
+        x, y = base.pool[i], base.pool[j]
+        z = tuple(int(a == b) if dp.include_lower_coupling else a & b for a, b in zip(x, y))
 
     if cross_check is None:
-        cross_check = dp.derived.n <= (DEFAULT_ENUM_CAP if cap is None else cap)
+        cross_check = 3 * n <= (DEFAULT_ENUM_CAP if cap is None else cap)
     if cross_check:
         check = paired_optimum(dp, cap)
-        if check != report.best.objective_value:
+        if check != value:
             raise DiamoptError(
-                "solver disagreement: branch-and-bound found "
-                f"{report.best.objective_value}, enumeration found "
+                f"solver disagreement: branch-and-bound found {value}, enumeration found "
                 f"{'infeasible' if check is None else check}"
             )
 
-    x, y, z = split(report.best.assignment)
     diameter = sum(1 for a, b in zip(x, y) if a != b)
     z_sum = sum(z)
     res = DiverseOptimaResult(

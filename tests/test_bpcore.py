@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from diamopt import bpcore
 from diamopt.bpcore import (
+    POOL_LIMIT,
     BinaryProgram,
     Constraint,
     enumerate_feasible,
@@ -219,3 +221,49 @@ class TestBranchAndBound:
         rep = solve_bnb(BinaryProgram([0] * k + [-1] * k, rows))
         assert rep.best.assignment == (0,) * (2 * k) and rep.best.objective_value == 0
         assert rep.nodes_explored < 1 << k
+
+
+class TestPool:
+    """solve_bnb with a slack: every feasible point within the slack of the
+    optimum, on the scaled objective, in decreasing lexicographic order."""
+
+    @pytest.mark.parametrize("slack", [0, 1, 5])
+    def test_pool_is_the_near_optimal_set(self, slack):
+        rng = random.Random(60 + slack)
+        for _ in range(40):
+            bp = random_binary_program(rng, max_n=9, max_rows=4)
+            rep, plain = solve_bnb(bp, slack=slack), solve_bnb(bp)
+            assert rep.status == plain.status and rep.best == plain.best
+            if rep.status != "optimal":
+                assert rep.pool is None
+                continue
+            c_int = bp.scaled()[0]
+            value = {x: sum(ci for ci, xi in zip(c_int, x) if xi) for x in brute_feasible(bp)}
+            top = max(value.values())
+            assert list(rep.pool) == sorted((x for x, v in value.items() if v >= top - slack), reverse=True)
+            assert plain.pool is None
+
+    def test_a_pool_past_its_limit_is_dropped(self, monkeypatch):
+        bp = BinaryProgram([0] * 4, [])  # 16 optimal points
+        monkeypatch.setattr(bpcore, "POOL_LIMIT", 16)
+        assert len(solve_bnb(bp, slack=0).pool) == 16
+        monkeypatch.setattr(bpcore, "POOL_LIMIT", 15)
+        rep = solve_bnb(bp, slack=0)
+        assert rep.pool is None and rep.best.assignment == (1, 1, 1, 1)
+
+    @pytest.mark.parametrize("limit", [1, 3, 8])
+    def test_the_search_goes_on_past_the_limit(self, limit, monkeypatch):
+        # after the pool is dropped the search still finds the largest optimum
+        monkeypatch.setattr(bpcore, "POOL_LIMIT", limit)
+        rng = random.Random(67)
+        for _ in range(60):
+            bp = random_binary_program(rng, max_n=9, max_rows=3)
+            rep = solve_bnb(bp, slack=4)
+            assert rep.best == solve_bnb(bp).best
+            assert rep.pool is None or len(rep.pool) <= limit
+
+    def test_zero_objective_past_the_limit_is_fast(self):
+        # 2^60 optimal points: the pool stops at its limit, not at 2^60
+        rep = solve_bnb(BinaryProgram([0] * 60, []), slack=0)
+        assert rep.pool is None and rep.best.assignment == (1,) * 60
+        assert rep.nodes_explored < 4 * POOL_LIMIT

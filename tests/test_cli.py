@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from diamopt import tsp
 from diamopt.bpcore import BinaryProgram, Constraint
 from diamopt.cli import main
 from diamopt.modelio import model_to_dict, write_lp
@@ -139,6 +140,18 @@ class TestDiameter:
         assert code == 0
         assert "diameter: 10" in out
         assert "tour x: 1-" in out
+
+    def test_zero_cost_tour8_is_certified_optimal(self, capsys):
+        # every tour is optimal, and two tours differ in at most their 2n = 16
+        # edges, so 16 is the diameter; the pool holds all 2,520 tours
+        code, out, _ = run(capsys, "diameter", "--problem", "tsp", "--n", "8", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["diameter"] == 16
+        x, y = (tuple(payload[k]) for k in "xy")
+        assert {x, y} <= {tsp.tour_to_incidence(t) for t in tsp.all_tours(8)}
+        assert not any(a & b for a, b in zip(x, y))
+        assert [tsp.tour_to_incidence(t) for t in payload["tours"]] == [x, y]
 
     def test_ordering_frontend(self, capsys):
         code, out, _ = run(

@@ -1,15 +1,16 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from diamopt import diameter, lop, tsp
 from diamopt.bpcore import (
+    POOL_LIMIT,
     BinaryProgram,
     Constraint,
-    Solution,
-    SolveReport,
     enumerate_optimal_set,
     is_feasible,
     random_binary_program,
@@ -24,7 +25,9 @@ from diamopt.diameter import (
     choose_epsilon,
     diameter_by_enumeration,
     paired_optimum,
+    paired_search,
     result_to_dict,
+    score_dtype,
     solve_diameter,
     theoretical_epsilon,
     verify_z_semantics,
@@ -219,15 +222,16 @@ class TestSolve:
         bp = BinaryProgram([3, 3, 3, 3], [Constraint([1, 1, 1, 1], "<=", 2)])
         solve = diameter.solve_bnb
 
-        def off_by_a_seventh(model):
-            rep = solve(model)
-            best = Solution(rep.best.assignment, rep.best.objective_value + Fraction(1, 7))
-            return SolveReport(rep.status, best, rep.nodes_explored)
+        def first_leaf_only(model, **kw):
+            # a pool search that stops at its first leaf
+            rep = solve(model, **kw)
+            return dataclasses.replace(rep, pool=rep.pool[:1])
 
-        monkeypatch.setattr(diameter, "solve_bnb", off_by_a_seventh)
+        monkeypatch.setattr(diameter, "solve_bnb", first_leaf_only)
         with pytest.raises(DiamoptError, match="solver disagreement"):
             solve_diameter(build(bp, None, variant))
-        assert solve_diameter(build(bp, None, variant), cross_check=False).diameter == 4
+        # unchecked, the one half left is paired with itself
+        assert solve_diameter(build(bp, None, variant), cross_check=False).diameter == 0
 
     def test_cross_check_budget_is_the_paired_scan_budget(self):
         # zero objective: all 16 points are candidates, 16^2 = 2^8 pairs
@@ -309,34 +313,130 @@ class TestTieBreak:
             assert res.x_star + res.y_star + res.z_star == largest_optimum(dp.derived)
 
 
-def paired_nodes(monkeypatch, dp):
-    """Solve dp and return the nodes of its paired solve and of the base solve."""
-    solve, counts = diameter.solve_bnb, {}
+def paired_nodes(dp):
+    """Nodes of the fallback's paired solve on dp, and of its base solve."""
+    base = solve_bnb(dp.base)
+    return paired_search(dp, base.best.objective_value).nodes_explored, base.nodes_explored
 
-    def counted(model):
-        rep = solve(model)
-        counts["paired" if model.n == dp.derived.n else "base"] = rep.nodes_explored
+
+def pool_nodes(monkeypatch, dp):
+    """Solve dp and return the nodes of its one pool search."""
+    solve, nodes = diameter.solve_bnb, []
+
+    def counted(model, **kw):
+        rep = solve(model, **kw)
+        nodes.append(rep.nodes_explored)
         return rep
 
     monkeypatch.setattr(diameter, "solve_bnb", counted)
     solve_diameter(dp)
-    return counts["paired"], counts.get("base", 0)
+    assert len(nodes) == 1
+    return nodes[0]
+
+
+def ordering6_seed1():
+    rng = random.Random(1)
+    weights = {p: rng.randint(-4, 4) for p in lop.ordered_pairs(6)}
+    return build(lop.build(lop.LopInstance(6, weights)))
 
 
 class TestNodeCounts:
     """One guard per pruning device; each fails without its device."""
 
-    def test_forced_penalties_on_zero_cost_tours(self, monkeypatch):
+    def test_forced_penalties_on_zero_cost_tours(self):
         # every tour is optimal, so the base-optimum cuts cut nothing and the
         # forced z penalties carry the search: 80,877 paired nodes without them
-        paired, _ = paired_nodes(monkeypatch, build(tsp.build(tsp.TspInstance.zero(6))))
+        paired, _ = paired_nodes(build(tsp.build(tsp.TspInstance.zero(6))))
         assert paired < 10_000
 
-    def test_base_optimum_cuts_on_a_weighted_ordering(self, monkeypatch):
+    def test_base_optimum_cuts_on_a_weighted_ordering(self):
         # ordering n=6, seed 1, weights in [-4, 4]: 12,847 paired and 6,148
         # base nodes; without the cuts 118,673 paired nodes, and 454,144
         # without either device
-        rng = random.Random(1)
-        weights = {p: rng.randint(-4, 4) for p in lop.ordered_pairs(6)}
-        paired, base = paired_nodes(monkeypatch, build(lop.build(lop.LopInstance(6, weights))))
+        paired, base = paired_nodes(ordering6_seed1())
         assert paired + base < 50_000
+
+    def test_pool_search_on_a_weighted_ordering(self, monkeypatch):
+        # the same ordering takes 7,374 pool nodes, and no paired search
+        assert pool_nodes(monkeypatch, ordering6_seed1()) < 10_000
+
+
+class TestTwoPhases:
+    """The pool path and the paired fallback return the same optimum."""
+
+    @pytest.mark.parametrize("variant", ["full", "conjugate"])
+    @pytest.mark.parametrize("eps", [None, Fraction(1, 3), 2, 7])
+    def test_pool_path_matches_the_paired_solve(self, eps, variant):
+        rng = random.Random(47)
+        for k in range(40):
+            bp = feasible_random_model(rng, max_n=7, max_rows=4)
+            if k % 3 == 0:
+                bp = BinaryProgram([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 12))) for _ in bp.c], bp.constraints)
+            dp = build(bp, eps, variant)
+            res = solve_diameter(dp)
+            want = solve_bnb(dp.derived).best.assignment
+            assert res.x_star + res.y_star + res.z_star == want
+            assert paired_search(dp, solve_bnb(bp).best.objective_value).best.assignment == want
+
+    def test_a_pool_past_the_limit_takes_the_paired_search(self, monkeypatch):
+        # zero objective, n = 20: all 2^20 points are optimal halves
+        dp = build(BinaryProgram([0] * 20, []))
+        assert solve_bnb(dp.base, slack=0).pool is None
+        search, calls = diameter.paired_search, []
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(diameter, "paired_search", counted)
+        res = solve_diameter(dp)
+        assert len(calls) == 1
+        # the largest optimum of the paired program: x all ones, y its complement
+        assert res.x_star + res.y_star + res.z_star == solve_bnb(dp.derived).best.assignment
+        assert res.x_star == (1,) * 20 and res.y_star == (0,) * 20 and res.diameter == 20
+
+    def test_a_pool_at_the_limit_is_scored(self, monkeypatch):
+        # zero objective, n = 13: 2^13 = POOL_LIMIT optimal halves
+        dp = build(BinaryProgram([0] * 13, []))
+        assert len(solve_bnb(dp.base, slack=0).pool) == POOL_LIMIT
+        monkeypatch.setattr(diameter, "paired_search", None)
+        res = solve_diameter(dp)
+        assert res.x_star == (1,) * 13 and res.y_star == (0,) * 13 and res.diameter == 13
+
+    @pytest.mark.parametrize("k", [0, 31, 62, 64, 100])
+    def test_scaled_coefficients_agree_on_every_path(self, k):
+        # past 2^62 the scores must take Python integers, as the scans do
+        rng = random.Random(53 + k)
+        for _ in range(6):
+            bp = feasible_random_model(rng, max_n=5, max_rows=3)
+            bp = BinaryProgram(
+                [ci * 2**k for ci in bp.c],
+                [Constraint([a * 2**k for a in con.coeffs], con.sense, con.rhs * 2**k) for con in bp.constraints],
+            )
+            enum, bnb = solve_enumerate(bp), solve_bnb(bp)
+            assert enum.best.objective_value == bnb.best.objective_value
+            for variant in ("full", "conjugate"):
+                dp = build(bp, None, variant)
+                assert score_dtype(dp) is (object if k >= 62 and any(bp.c) else np.int64)
+                res = solve_diameter(dp, cross_check=True)
+                pair = res.x_star + res.y_star + res.z_star
+                fallback = paired_search(dp, bnb.best.objective_value).best
+                assert fallback.assignment == solve_bnb(dp.derived).best.assignment == pair
+                value = dp.derived.objective_of(pair)
+                assert fallback.objective_value == value == solve_enumerate(dp.derived).best.objective_value
+
+
+class TestLazyDerived:
+    def test_the_pool_path_never_builds_the_paired_program(self):
+        # ordering n=3 is cross-checked by default, tour n=5 is not
+        for bp in (lop.build(lop.LopInstance.zero(3)), tsp.build(tsp.TspInstance.zero(5))):
+            dp = build(bp)
+            solve_diameter(dp)
+            assert "derived" not in vars(dp)
+            assert dp.derived.n == 3 * bp.n and "derived" in vars(dp)
+
+    def test_equality_ignores_the_cached_program(self):
+        bp = BinaryProgram([1, 2], [Constraint([1, 1], "<=", 1)])
+        a, b = build(bp), build(bp)
+        a.derived
+        assert a == b and a != build(bp, None, "conjugate")
