@@ -32,7 +32,7 @@ print(f"enumerated optimality gap -> epsilon {gap.value}  ({gap.justification})"
 # max x1 the pair (1, .), (0, .) is "far" but half of it is not optimal
 print()
 bad = BinaryProgram([1, 0], [])
-res = solve_diameter(build_diameter(bad, Fraction(2), "full"), cross_check=False)
+res = solve_diameter(build_diameter(bad, Fraction(2), "full"))
 opt = {s.assignment for s in enumerate_optimal_set(bad)}
 print(f"epsilon 2 on max x1      -> pair {res.x_star}, {res.y_star}")
 print(f"  halves optimal: {res.x_star in opt}, {res.y_star in opt}  (penalty too large)")
@@ -45,7 +45,7 @@ while checked < 200:
     if solve_bnb(bp).status != "optimal":
         continue
     checked += 1
-    res = solve_diameter(build_diameter(bp), cross_check=False)
+    res = solve_diameter(build_diameter(bp))
     opt = {s.assignment for s in enumerate_optimal_set(bp)}
     assert res.x_star in opt and res.y_star in opt
 print()

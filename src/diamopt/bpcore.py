@@ -141,28 +141,27 @@ def is_feasible(bp: BinaryProgram, assignment: Sequence[int]) -> bool:
     return all(HOLDS[sense](v, b) for v, (_, sense, b) in zip(lhs, rows))
 
 
-def _bit_blocks(n: int):
-    """Yield int64 0/1 blocks covering all 2^n assignments, at most 2^16
-    rows each, in lexicographic order: row index order, x_1 the most
-    significant bit."""
+def bit_table(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows lo to hi - 1 (by default all 2^n) of the table of every 0/1
+    assignment of n columns in lexicographic order, as int64: row r is r in
+    binary, the first column the most significant bit."""
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    total = 1 << n
-    for lo in range(0, total, _ENUM_BLOCK):
-        idx = np.arange(lo, min(lo + _ENUM_BLOCK, total), dtype=np.int64)
-        yield (idx[:, None] >> shifts[None, :]) & 1
+    idx = np.arange(lo, 1 << n if hi is None else hi, dtype=np.int64)
+    return (idx[:, None] >> shifts[None, :]) & 1
 
 
-def feasible_blocks(bp: BinaryProgram, cap: int | None = None):
+def feasible_blocks(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP):
     """Yield the feasible assignments as uint8 row blocks, in lexicographic
     order across and within blocks; each block holds at most 2^16 rows, so
     a caller can stop the scan as soon as it has seen enough.  This is the
     one exhaustive scan: every enumeration answer is read from it."""
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
     if bp.n > cap:
         raise CapExceededError(f"2^{bp.n} scan refused (cap {cap})")
     _, rows, dtype = bp.scaled()
     rows = [(np.array(a, dtype=dtype), HOLDS[sense], b) for a, sense, b in rows]
-    for bits in _bit_blocks(bp.n):
+    total = 1 << bp.n
+    for lo in range(0, total, _ENUM_BLOCK):
+        bits = bit_table(bp.n, lo, min(lo + _ENUM_BLOCK, total))
         # each row tests only the assignments every earlier row kept;
         # boolean indexing keeps their order
         for a, holds, b in rows:
@@ -188,7 +187,7 @@ def support_masks(block: np.ndarray) -> list[int]:
     return (block @ weights).tolist()
 
 
-def solve_enumerate(bp: BinaryProgram, cap: int | None = None) -> SolveReport:
+def solve_enumerate(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
     """Exhaustive 2^n scan; ties go to the lexicographically smallest
     maximizer."""
     best_val = best_assign = None
@@ -203,12 +202,12 @@ def solve_enumerate(bp: BinaryProgram, cap: int | None = None) -> SolveReport:
     return SolveReport("optimal", Solution(best_assign, bp.objective_of(best_assign)), nodes)
 
 
-def enumerate_feasible(bp: BinaryProgram, cap: int | None = None) -> list[tuple[int, ...]]:
+def enumerate_feasible(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, ...]]:
     """All feasible assignments in lexicographic order."""
     return [tuple(row) for block in feasible_blocks(bp, cap) for row in block.tolist()]
 
 
-def optimal_blocks(bp: BinaryProgram, cap: int | None = None) -> list[np.ndarray]:
+def optimal_blocks(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP) -> list[np.ndarray]:
     """Every optimal assignment as uint8 row blocks, in lexicographic order."""
     best_val, keep = None, []
     for block in feasible_blocks(bp, cap):
@@ -223,7 +222,7 @@ def optimal_blocks(bp: BinaryProgram, cap: int | None = None) -> list[np.ndarray
     return keep
 
 
-def enumerate_optimal_set(bp: BinaryProgram, cap: int | None = None) -> list[Solution]:
+def enumerate_optimal_set(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP) -> list[Solution]:
     """Every optimal assignment, lexicographically sorted."""
     rows = [tuple(row) for block in optimal_blocks(bp, cap) for row in block.tolist()]
     value = bp.objective_of(rows[0])

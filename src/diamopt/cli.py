@@ -26,7 +26,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from .bpcore import solve_bnb, solve_enumerate
+from .bpcore import DEFAULT_ENUM_CAP, solve_bnb, solve_enumerate
 from .diameter import build as build_diameter
 from .diameter import result_to_dict, solve_diameter, theoretical_epsilon
 from .errors import CapExceededError, DiamoptError, InfeasibleModelError, ParseError
@@ -45,6 +45,8 @@ EXIT_VERIFY = 1
 EXIT_INFEASIBLE = 2
 EXIT_INPUT = 3
 EXIT_CAP = 4
+
+_CAP_HELP = "enumeration cap (default %(default)s): the largest n of a 2^n base-model scan"
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -85,7 +87,7 @@ def _instance_setup(args):
     family = FAMILIES[args.problem]
     if args.instance:
         inst = family.load(args.instance)
-    elif args.n:
+    elif args.n is not None:
         inst = family.zero(args.n)
     else:
         raise ParseError(f"need --n or --instance for --problem {args.problem}")
@@ -93,9 +95,9 @@ def _instance_setup(args):
 
 
 def _paired_points(args):
-    """The ordering and tour front ends list their feasible sets directly,
-    which is what makes the larger point sets reachable at all; raw models
-    are scanned."""
+    """The ordering and tour front ends list their base feasible sets
+    directly, which is what makes the larger point sets reachable at all;
+    a raw model's base feasible set is scanned."""
     meta, bp, family = _instance_setup(args)
     dp = build_diameter(bp, None, "conjugate")
     base = family.module.base_points(meta["n"]) if family else None
@@ -276,13 +278,24 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--n", type=int, help="instance size for lop/tsp (costs all zero)")
     p.add_argument("--instance", metavar="PATH", help="instance or model file")
-    p.add_argument("--cap", type=int, help="enumeration cap in variables")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help=_CAP_HELP + "; diameter cross-checks when 3n <= cap")
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
     _add_instance_flags(p)
     p.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS, help="abort beyond this many points")
     _add_output_flags(p)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -301,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a model exactly")
     p.add_argument("model", help=".lp or .json model file")
     p.add_argument("--method", choices=("bnb", "enum", "both"), default="bnb")
-    p.add_argument("--cap", type=int, help="enumeration cap in variables")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help=_CAP_HELP + " (--method enum|both)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_solve)
 
@@ -332,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--trials", type=int, default=50, help="random trials (epsilon suite)")
+    p.add_argument("--trials", type=_positive_int, default=50, help="random trials (epsilon suite), at least 1")
     p.add_argument("--seed", type=int, default=1729, help="random seed (epsilon suite)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify)

@@ -24,8 +24,8 @@ program itself solved, by branch and bound with both halves cut at v* - eps*n.
 
 The exhaustive references scan the base program's 2^n points, never the
 paired program's 2^(3n): diameter_by_enumeration reads the diameter off the
-base optimal set, and paired_optimum, the default cross-check of
-solve_diameter, scores the pairs of the base feasible set.
+base optimal set, and paired_optimum, the cross-check of solve_diameter,
+scores the pairs of the base feasible set.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def choose_epsilon(bp: BinaryProgram) -> EpsilonChoice:
     return EpsilonChoice(Fraction(1, 2 * n * math.lcm(*dens)), RATIONAL_RULE)
 
 
-def theoretical_epsilon(bp: BinaryProgram, cap: int | None = None) -> EpsilonChoice:
+def theoretical_epsilon(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP) -> EpsilonChoice:
     """Tight threshold from the optimality gap, by one exhaustive scan.
 
     Any epsilon at or below (best - second best)/n keeps the x/y blocks
@@ -235,7 +235,7 @@ def best_pair(dp: DiameterProgram, halves: np.ndarray) -> tuple[int, int, Fracti
     return i, j, Fraction(int(value) - shift, scale * q)
 
 
-def paired_optimum(dp: DiameterProgram, cap: int | None = None) -> Fraction | None:
+def paired_optimum(dp: DiameterProgram, cap: int = DEFAULT_ENUM_CAP) -> Fraction | None:
     """Optimal objective of the paired program from the base feasible set,
     or None when that set is empty.
 
@@ -246,7 +246,6 @@ def paired_optimum(dp: DiameterProgram, cap: int | None = None) -> Fraction | No
     2^cap, the budget of a 2^(3n) scan at 3n = cap.
     """
     bp, n = dp.base, dp.base.n
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
     _, q, pen = _grid(dp)
     top = max((objective_values(bp, b).max() for b in feasible_blocks(bp, cap)), default=None)
     if top is None:
@@ -280,8 +279,7 @@ def paired_search(dp: DiameterProgram, base_value: Fraction) -> SolveReport:
 def solve_diameter(
     dp: DiameterProgram,
     constant_norm: int | None = None,
-    cap: int | None = None,
-    cross_check: bool | None = None,
+    cap: int | None = DEFAULT_ENUM_CAP,
 ) -> DiverseOptimaResult:
     """Solve the paired program exactly and read off the diverse pair.
 
@@ -302,15 +300,18 @@ def solve_diameter(
     scan.  Objective values only: with an oversized epsilon the solved
     halves may leave the base optimal set, and a conjugate solve only
     bounds the distance, so neither the optimal set nor
-    diameter_by_enumeration is a valid reference.  The check runs by
-    default when 3n <= cap, on the solves the 2^(3n) scan it replaces
-    covered (cross_check=False skips it, True requires it); gating on
-    n <= cap would add two 2^21 base scans to every 7-city tour solve.
+    diameter_by_enumeration is a valid reference.  The check runs exactly
+    when 3n <= cap, on the solves the 2^(3n) scan it replaces covered, so
+    cap is the one switch for exhaustive work; gating on n <= cap would add
+    two 2^21 base scans to every 7-city tour solve.  cap=None reads as the
+    default cap: perfbench/workloads.py still passes it.
     constant_norm is a caller-certified promise that every optimum of the
     base model has squared norm k; with it, a conjugate solve pins the
     distance to 2*(k - sum(z)) instead of only bounding it.
     """
     n = dp.base.n
+    if cap is None:
+        cap = DEFAULT_ENUM_CAP
     _, q, pen = _grid(dp)
     base = solve_bnb(dp.base, slack=pen * n // q)
     if base.status != "optimal":
@@ -324,9 +325,7 @@ def solve_diameter(
         x, y = base.pool[i], base.pool[j]
         z = tuple(int(a == b) if dp.include_lower_coupling else a & b for a, b in zip(x, y))
 
-    if cross_check is None:
-        cross_check = 3 * n <= (DEFAULT_ENUM_CAP if cap is None else cap)
-    if cross_check:
+    if 3 * n <= cap:
         check = paired_optimum(dp, cap)
         if check != value:
             raise DiamoptError(
@@ -363,7 +362,7 @@ def solve_diameter(
     return res
 
 
-def diameter_by_enumeration(bp: BinaryProgram, cap: int | None = None) -> int:
+def diameter_by_enumeration(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP) -> int:
     """max squared distance between two optima, straight from the optimal set."""
     masks = [m for block in optimal_blocks(bp, cap) for m in support_masks(block)]
     return max(((a ^ b).bit_count() for a, b in itertools.combinations(masks, 2)), default=0)
@@ -388,7 +387,7 @@ def verify_listed_diameter(
     distance must equal twice the largest distance over all listed pairs.
     """
     dp = build(bp, choose_epsilon(bp), "conjugate")
-    res = solve_diameter(dp, constant_norm=constant_norm, cross_check=False)
+    res = solve_diameter(dp, constant_norm=constant_norm)
     listed = {to_incidence(p) for p in optima}
     if res.x_star not in listed or res.y_star not in listed:
         return False

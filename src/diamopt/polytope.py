@@ -3,7 +3,7 @@
 The object of study is the convex hull of all feasible (x, y, z) triples of
 a conjugate diameter program: both halves feasible for the base model,
 z_i >= x_i + y_i - 1.  Everything here is finite and exact: points are
-enumerated (structured pair generation or a raw scan), dimensions come from
+generated from ordered pairs of base feasible points, dimensions come from
 integer rank computations, and an inequality is certified a facet by the
 definition itself: valid everywhere, tight on a face whose affine dimension
 is one below the hull's.
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bpcore import HOLDS, BinaryProgram, feasible_blocks, support_masks
+from .bpcore import DEFAULT_ENUM_CAP, HOLDS, BinaryProgram, bit_table, feasible_blocks, support_masks
 from .diameter import DiameterProgram, coupling, paired
 from .errors import CapExceededError
 from .ratlinalg import (
@@ -72,7 +72,7 @@ class PointSet:
     array is sorted and deduplicated with np.unique.
     """
 
-    def __init__(self, points, source: str = ""):
+    def __init__(self, points):
         arr = np.asarray(points, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValueError("points must form a 2-D array")
@@ -81,7 +81,6 @@ class PointSet:
         if not _strictly_increasing(arr):
             arr = np.unique(arr, axis=0)
         self.array = np.ascontiguousarray(arr)
-        self.source = source
         self._gram: list[list[int]] | None = None
         self._hull_dim: int | None = None
 
@@ -97,7 +96,7 @@ class PointSet:
         return self.count
 
     def __repr__(self):
-        return f"PointSet({self.count} points in R^{self.dim_ambient}, {self.source!r})"
+        return f"PointSet({self.count} points in R^{self.dim_ambient})"
 
     def gram(self) -> list[list[int]]:
         """G = sum over the points p of (p - p0)(p - p0)^T, p0 the first
@@ -154,13 +153,6 @@ class EquationSystem:
         return f"EquationSystem({self.matrix.nrows} rows, {self.matrix.ncols} cols)"
 
 
-def _completion_table(nfree: int) -> np.ndarray:
-    # all 0/1 patterns of length nfree, lexicographic
-    idx = np.arange(1 << nfree, dtype=np.int64)
-    shifts = np.arange(nfree - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-
-
 def _over_cap(max_points: int) -> CapExceededError:
     return CapExceededError(f"point enumeration exceeds max_points={max_points}")
 
@@ -168,40 +160,33 @@ def _over_cap(max_points: int) -> CapExceededError:
 def enumerate_points(
     dp: DiameterProgram,
     base_points: Iterable[Sequence[int]] | None = None,
-    cap: int | None = None,
+    cap: int = DEFAULT_ENUM_CAP,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> PointSet:
     """All 0/1 feasible triples (x, y, z) of a conjugate diameter program.
 
-    With base_points (the feasible set of the base model) the generation is
-    structured: every ordered pair (x, y), z forced to 1 on the shared
-    support and free elsewhere.  Without it the derived model is scanned
-    raw, which needs 3n to fit under the enumeration cap.  Either way a
-    running count is checked against max_points block by block, so a
-    refusal comes before the whole set is built.
+    They are generated from the base feasible set: every ordered pair
+    (x, y), z forced to 1 on the shared support and free elsewhere.
+    base_points lists that set when the front end can (the ordering and
+    tour front ends do); otherwise it is read from
+    bpcore.feasible_blocks(dp.base, cap), a 2^n scan that needs n to fit
+    under the enumeration cap.  A running count is checked against
+    max_points pair by pair, so a refusal comes before the whole set is
+    built.
 
-    Both paths emit the PointSet invariant (distinct rows, lexicographic
+    The rows meet the PointSet invariant (distinct rows, lexicographic
     order) by construction, so PointSet keeps the array after its linear
-    check and never sorts it.  The raw scan is lexicographic
-    (bpcore.feasible_blocks).  The structured pairs run over the sorted,
-    deduplicated base points, x by the outer and y by the inner loop, so
-    the blocks ascend in (x, y); within a block x and y are fixed, the
-    shared z columns are 1, and the free z columns, in ascending column
-    order, take the rows of a lexicographic table.
+    check and never sorts it.  The pairs run over the sorted, deduplicated
+    base points, x by the outer and y by the inner loop, so the blocks
+    ascend in (x, y); within a block x and y are fixed, the shared z
+    columns are 1, and the free z columns, in ascending column order, take
+    the rows of the lexicographic table bpcore.bit_table.
     """
     if dp.include_lower_coupling:
         raise ValueError("point enumeration is defined for the conjugate variant")
     n = dp.base.n
-    blocks = [np.empty((0, 3 * n), dtype=np.uint8)]
-    total = 0
     if base_points is None:
-        for block in feasible_blocks(dp.derived, cap):
-            total += len(block)
-            if total > max_points:
-                raise _over_cap(max_points)
-            blocks.append(block)
-        return PointSet(np.concatenate(blocks), source=f"raw scan of {dp.derived.n} binaries")
-
+        base_points = (row for block in feasible_blocks(dp.base, cap) for row in block.tolist())
     # each ordered pair adds at least one point, so k base points give at
     # least k^2 and reading isqrt(max_points) + 1 of them is enough to refuse
     limit = math.isqrt(max(max_points, 0)) + 1
@@ -213,6 +198,8 @@ def enumerate_points(
             raise ValueError("base points must be 0/1 vectors of base length")
     base = sorted(set(base))
 
+    blocks = [np.empty((0, 3 * n), dtype=np.uint8)]
+    total = 0
     tables: dict[int, np.ndarray] = {}
     for u in base:
         for v in base:
@@ -223,7 +210,7 @@ def enumerate_points(
             if total > max_points:
                 raise _over_cap(max_points)
             if len(free) not in tables:
-                tables[len(free)] = _completion_table(len(free))
+                tables[len(free)] = bit_table(len(free)).astype(np.uint8)
             block = np.empty((count, 3 * n), dtype=np.uint8)
             block[:, :n] = u
             block[:, n : 2 * n] = v
@@ -231,7 +218,7 @@ def enumerate_points(
             z[:, shared] = 1
             z[:, free] = tables[len(free)]
             blocks.append(block)
-    return PointSet(np.concatenate(blocks), source="structured pairs")
+    return PointSet(np.concatenate(blocks))
 
 
 def lift_equation_system(base_system: EquationSystem) -> EquationSystem:

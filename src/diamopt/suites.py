@@ -181,7 +181,7 @@ def suite_epsilon(trials: int = 50, seed: int = 1729) -> list[dict]:
         made += 1
         eps = choose_epsilon(bp)
         dp = build_diameter(bp, eps, "full")
-        res = solve_diameter(dp, cross_check=False)
+        res = solve_diameter(dp)
         opt = {s.assignment for s in enumerate_optimal_set(bp)}
         oracle = diameter_by_enumeration(bp)
         ok = res.x_star in opt and res.y_star in opt and res.diameter == oracle

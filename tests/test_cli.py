@@ -202,6 +202,24 @@ class TestPointsAndDim:
         code, _, err = run(capsys, "dim", "--problem", "lop")
         assert code == 3
 
+    @pytest.mark.parametrize("problem,message", [("lop", "at least two items"), ("tsp", "at least three cities")])
+    def test_zero_size_reports_the_size_error(self, problem, message, capsys):
+        code, _, err = run(capsys, "dim", "--problem", problem, "--n", "0")
+        assert code == 3
+        assert message in err and "need --n" not in err
+
+    def test_raw_model_past_the_paired_scan(self, tmp_path, capsys):
+        # n = 9 <= 26 < 3n: the base model is scanned, never the paired one
+        bp = BinaryProgram([0] * 9, [Constraint([1] * 7 + [0, 0], ">=", 7, "pin7")])
+        path = tmp_path / "pin7.json"
+        path.write_text(json.dumps(model_to_dict(bp)))
+        code, out, _ = run(capsys, "dim", "--problem", "raw", "--instance", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"problem": "raw", "n": 9, "ambient": 27, "count": 49, "dimension": 6}
+        code, _, err = run(capsys, "dim", "--problem", "raw", "--instance", str(path), "--cap", "8")
+        assert code == 4
+        assert "2^9 scan refused (cap 8)" in err
+
 
 class TestCheckFacet:
     def test_mixed_report(self, tmp_path, capsys):
@@ -273,6 +291,14 @@ class TestUsage:
             main(argv.split())
         assert exc.value.code == 3
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-5", "five"])
+    def test_trials_below_one_is_a_usage_error(self, trials, capsys):
+        # a verification that checks nothing must not pass
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "epsilon", "--trials", trials])
+        assert exc.value.code == 3
+        assert "--trials: must be an integer of at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", ["--help", "verify --help"])
     def test_help_exits_0(self, argv, capsys):

@@ -59,7 +59,8 @@ def test_scalar_inequalities_file_is_input_error(top, tmp_path, capsys):
 
 
 def test_raw_point_cap_refuses_early(tmp_path, capsys):
-    # 823,543 paired points; the scan stops at its first block over the cap
+    # 823,543 paired points; 32 = isqrt(1000) + 1 base points already give
+    # more than 1000 pairs, so the refusal comes after reading 32 of 128
     model = tmp_path / "free7.json"
     model.write_text(json.dumps({"objective": [1] * 7, "constraints": []}))
     code = main(f"dim --problem raw --instance {model} --max-points 1000".split())

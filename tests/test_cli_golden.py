@@ -93,7 +93,7 @@ def test_report_bytes(case, instance_dir, capsys):
 @pytest.mark.parametrize("variant", ["full", "conjugate"])
 def test_raw_eps7_pair_leaves_the_optimal_set(variant):
     bp = parse_lp(RAW_MODEL)
-    res = solve_diameter(build(bp, 7, variant), cross_check=True)
+    res = solve_diameter(build(bp, 7, variant))
     opt = [s.assignment for s in enumerate_optimal_set(bp)]
     assert opt == [(1, 0, 1, 1, 0, 0)] and res.y_star not in opt
     assert res.diameter == 3 != diameter_by_enumeration(bp)

@@ -158,7 +158,7 @@ class TestSolve:
         rng = random.Random(7 if variant == "full" else 8)
         for _ in range(20):
             bp = feasible_random_model(rng, max_n=7, max_rows=4)
-            res = solve_diameter(build(bp, None, variant), cross_check=False)
+            res = solve_diameter(build(bp, None, variant))
             assert verify_z_semantics(res)
             if variant == "full":
                 assert res.diameter == bp.n - sum(res.z_star)
@@ -170,7 +170,7 @@ class TestSolve:
         rng = random.Random(11)
         for _ in range(30):
             bp = feasible_random_model(rng, max_n=8, max_rows=4)
-            res = solve_diameter(build(bp), cross_check=False)
+            res = solve_diameter(build(bp))
             opt = {s.assignment for s in enumerate_optimal_set(bp)}
             assert res.x_star in opt and res.y_star in opt
             assert res.diameter == diameter_by_enumeration(bp)
@@ -185,7 +185,7 @@ class TestSolve:
             pinned = BinaryProgram(bp.c, rows)
             if solve_bnb(pinned).status != "optimal":
                 continue
-            res = solve_diameter(build(pinned, None, "conjugate"), constant_norm=k, cross_check=False)
+            res = solve_diameter(build(pinned, None, "conjugate"), constant_norm=k)
             assert res.diameter == diameter_by_enumeration(pinned)
             assert res.diameter == 2 * (k - sum(res.z_star))
 
@@ -200,22 +200,27 @@ class TestSolve:
                 Constraint(tuple(con.coeffs[j] for j in perm), con.sense, con.rhs)
                 for con in bp.constraints
             ]
-            d1 = solve_diameter(build(bp), cross_check=False).diameter
-            d2 = solve_diameter(build(BinaryProgram(c2, rows2)), cross_check=False).diameter
+            d1 = solve_diameter(build(bp)).diameter
+            d2 = solve_diameter(build(BinaryProgram(c2, rows2))).diameter
             assert d1 == d2
 
     def test_oversized_epsilon_can_break_optimality(self):
         # the penalty rules exist for a reason: epsilon = 2 drags the pair
         # apart at the cost of base optimality
         bp = BinaryProgram([1, 0], [])
-        res = solve_diameter(build(bp, Fraction(2), "full"), cross_check=False)
+        res = solve_diameter(build(bp, Fraction(2), "full"))
         opt = {s.assignment for s in enumerate_optimal_set(bp)}
         assert res.x_star not in opt or res.y_star not in opt
 
-    def test_cross_check_runs_under_cap(self):
+    def test_cross_check_runs_under_cap(self, monkeypatch):
+        # the check runs exactly when 3n <= cap
+        caps = []
+        check = diameter.paired_optimum
+        monkeypatch.setattr(diameter, "paired_optimum", lambda dp, cap: caps.append(cap) or check(dp, cap))
         bp = BinaryProgram([2, 1], [Constraint([1, 1], "<=", 1)])
-        res = solve_diameter(build(bp), cross_check=True)
-        assert res.diameter == 0
+        for cap in (None, 26, 6, 5):
+            assert solve_diameter(build(bp), cap=cap).diameter == 0
+        assert caps == [26, 26, 6]
 
     @pytest.mark.parametrize("variant", ["full", "conjugate"])
     def test_cross_check_catches_a_wrong_objective(self, variant, monkeypatch):
@@ -230,17 +235,18 @@ class TestSolve:
         monkeypatch.setattr(diameter, "solve_bnb", first_leaf_only)
         with pytest.raises(DiamoptError, match="solver disagreement"):
             solve_diameter(build(bp, None, variant))
-        # unchecked, the one half left is paired with itself
-        assert solve_diameter(build(bp, None, variant), cross_check=False).diameter == 0
+        # with 3n above the cap the check does not run, and the one half
+        # left is paired with itself
+        assert solve_diameter(build(bp, None, variant), cap=3 * bp.n - 1).diameter == 0
 
     def test_cross_check_budget_is_the_paired_scan_budget(self):
         # zero objective: all 16 points are candidates, 16^2 = 2^8 pairs
         dp = build(BinaryProgram([0] * 4, []))
-        assert solve_diameter(dp, cap=8, cross_check=True).diameter == 4
+        assert paired_optimum(dp, cap=8) == 0
         with pytest.raises(CapExceededError, match=r"16\^2 candidate pairs exceed 2\^7"):
-            solve_diameter(dp, cap=7, cross_check=True)
+            paired_optimum(dp, cap=7)
         with pytest.raises(CapExceededError, match=r"2\^4 scan refused"):
-            solve_diameter(dp, cap=3, cross_check=True)
+            paired_optimum(dp, cap=3)
 
     @pytest.mark.parametrize("variant", ["full", "conjugate"])
     @pytest.mark.parametrize("eps", [None, Fraction(1, 3), 2, 7])
@@ -256,7 +262,7 @@ class TestSolve:
 
     def test_result_dict_shape(self):
         bp = BinaryProgram([1, 1], [])
-        d = result_to_dict(solve_diameter(build(bp, None, "conjugate"), cross_check=False))
+        d = result_to_dict(solve_diameter(build(bp, None, "conjugate")))
         assert set(d) == {
             "variant",
             "epsilon",
@@ -268,7 +274,7 @@ class TestSolve:
             "diameter_upper_bound",
         }
         assert d["epsilon"] == {"num": 1, "den": 4}
-        full = result_to_dict(solve_diameter(build(bp), cross_check=False))
+        full = result_to_dict(solve_diameter(build(bp)))
         assert "diameter_upper_bound" not in full
 
 
@@ -309,7 +315,7 @@ class TestTieBreak:
             if solve_bnb(bp).status != "optimal":
                 continue
             dp = build(bp, eps, variant)
-            res = solve_diameter(dp, cross_check=False)
+            res = solve_diameter(dp)
             assert res.x_star + res.y_star + res.z_star == largest_optimum(dp.derived)
 
 
@@ -418,7 +424,7 @@ class TestTwoPhases:
             for variant in ("full", "conjugate"):
                 dp = build(bp, None, variant)
                 assert score_dtype(dp) is (object if k >= 62 and any(bp.c) else np.int64)
-                res = solve_diameter(dp, cross_check=True)
+                res = solve_diameter(dp)
                 pair = res.x_star + res.y_star + res.z_star
                 fallback = paired_search(dp, bnb.best.objective_value).best
                 assert fallback.assignment == solve_bnb(dp.derived).best.assignment == pair

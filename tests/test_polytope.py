@@ -30,6 +30,12 @@ def paired_points_free(n):
     return enumerate_points(dp)
 
 
+def paired_scan(dp):
+    """The paired program's feasible set by the 2^(3n) scan of dp.derived,
+    the reference that enumerate_points is checked against."""
+    return np.concatenate([np.empty((0, dp.derived.n), dtype=np.uint8), *bpcore.feasible_blocks(dp.derived)])
+
+
 class TestPointSet:
     def test_dedup_and_order(self):
         ps = PointSet([[1, 0], [0, 1], [1, 0], [0, 0]])
@@ -55,13 +61,13 @@ class TestEnumeratePoints:
         assert [1, 1, 0] not in ps.array.tolist()
         assert ps.hull_dimension() == 3
 
+    # listed base points, scanned base points and the paired scan agree
     def test_structured_equals_raw_ordering_n2(self):
         inst = lop.LopInstance.zero(2)
         dp = build_diameter(lop.build(inst), None, "conjugate")
         base = [lop.perm_to_incidence(p) for p in lop.all_permutations(2)]
         structured = enumerate_points(dp, base_points=base)
-        raw = enumerate_points(dp)
-        assert structured.array.tolist() == raw.array.tolist()
+        assert structured.array.tolist() == enumerate_points(dp).array.tolist() == paired_scan(dp).tolist()
         assert structured.count == 12
 
     def test_structured_equals_raw_ordering_n3(self):
@@ -69,8 +75,7 @@ class TestEnumeratePoints:
         dp = build_diameter(lop.build(inst), None, "conjugate")
         base = [lop.perm_to_incidence(p) for p in lop.all_permutations(3)]
         structured = enumerate_points(dp, base_points=base)
-        raw = enumerate_points(dp)
-        assert structured.array.tolist() == raw.array.tolist()
+        assert structured.array.tolist() == enumerate_points(dp).array.tolist() == paired_scan(dp).tolist()
         assert structured.count == 1008
 
     def test_structured_equals_raw_tour_n4(self):
@@ -78,9 +83,26 @@ class TestEnumeratePoints:
         dp = build_diameter(tsp.build(inst), None, "conjugate")
         base = [tsp.tour_to_incidence(t) for t in tsp.all_tours(4)]
         structured = enumerate_points(dp, base_points=base)
-        raw = enumerate_points(dp)
-        assert structured.array.tolist() == raw.array.tolist()
+        assert structured.array.tolist() == enumerate_points(dp).array.tolist() == paired_scan(dp).tolist()
         assert structured.count == 108
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_models_equal_the_paired_scan(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            bp = bpcore.random_binary_program(rng, max_n=6, max_rows=3)
+            dp = build_diameter(bp, None, "conjugate")
+            assert enumerate_points(dp).array.tolist() == paired_scan(dp).tolist()
+
+    def test_base_scan_reaches_past_the_paired_scan(self):
+        # n = 9 fits the cap of 26, 3n = 27 does not: x1..x7 are pinned to 1,
+        # and each of x8, x9 adds the 7 points of the one-variable case
+        bp = BinaryProgram([0] * 9, [Constraint([1] * 7 + [0, 0], ">=", 7)])
+        dp = build_diameter(bp, None, "conjugate")
+        ps = enumerate_points(dp)
+        assert ps.count == 49 and ps.hull_dimension() == 6
+        with pytest.raises(CapExceededError, match=r"2\^9 scan refused \(cap 8\)"):
+            enumerate_points(dp, cap=8)
 
     def test_max_points_cap(self):
         with pytest.raises(CapExceededError):
@@ -427,10 +449,9 @@ class TestPointOrder:
 
     def test_raw_scan_needs_no_sort(self, monkeypatch):
         dp = build_diameter(tsp.build(tsp.TspInstance.zero(4)), None, "conjugate")
-        base = [tsp.tour_to_incidence(t) for t in tsp.all_tours(4)]
-        structured = enumerate_points(dp, base_points=base).array.tolist()
+        want = paired_scan(dp).tolist()
         _no_unique(monkeypatch)
-        assert enumerate_points(dp).array.tolist() == structured
+        assert enumerate_points(dp).array.tolist() == want
 
     @pytest.mark.parametrize("seed", range(3))
     def test_base_point_order_does_not_matter(self, seed, monkeypatch):

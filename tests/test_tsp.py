@@ -229,5 +229,5 @@ def test_tour_pair_oracle_n5():
             len(tsp.discordant_edges(a, b)) for a in opt for b in opt
         )
         dp = build_diameter(tsp.build(inst), None, "conjugate")
-        res = solve_diameter(dp, constant_norm=5, cross_check=False)
+        res = solve_diameter(dp, constant_norm=5)
         assert res.diameter == 2 * want
