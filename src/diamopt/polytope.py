@@ -26,11 +26,12 @@ import numpy as np
 
 from .bpcore import DEFAULT_ENUM_CAP, HOLDS, BinaryProgram, bit_table, feasible_blocks, support_masks
 from .diameter import DiameterProgram, coupling, paired
-from .errors import CapExceededError
+from .errors import CapExceededError, InfeasibleModelError
 from .ratlinalg import (
     RatMatrix,
     _gram,
     _int_rank,
+    _mod_rank,
     affine_dimension,
     as_rational,
     int_dtype,
@@ -81,6 +82,7 @@ class PointSet:
         if not _strictly_increasing(arr):
             arr = np.unique(arr, axis=0)
         self.array = np.ascontiguousarray(arr)
+        self._columns: np.ndarray | None = None
         self._gram: list[list[int]] | None = None
         self._hull_dim: int | None = None
 
@@ -98,13 +100,22 @@ class PointSet:
     def __repr__(self):
         return f"PointSet({self.count} points in R^{self.dim_ambient})"
 
+    def columns(self) -> np.ndarray:
+        """The points column by column (the transpose, C-contiguous), so a
+        row reads each coordinate it uses as one contiguous run: built on
+        first use, once."""
+        if self._columns is None:
+            self._columns = np.ascontiguousarray(self.array.T)
+        return self._columns
+
     def gram(self) -> list[list[int]]:
         """G = sum over the points p of (p - p0)(p - p0)^T, p0 the first
-        point: d x d Python integers, computed once."""
+        point: d x d Python integers, computed once.  An empty set is the
+        point set of an infeasible model, which has no affine hull."""
         if self._gram is None:
             if self.count == 0:
-                raise ValueError("empty point set has no affine hull")
-            self._gram = _gram(self.array)
+                raise InfeasibleModelError("no feasible point: the empty point set has no affine hull")
+            self._gram = _gram(self.array).tolist()
         return self._gram
 
     def hull_dimension(self) -> int:
@@ -235,15 +246,25 @@ def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
 def _row_values(ps: PointSet, coeffs, rhs):
     """(a . p for every point p, b) for the row a . v = b scaled to
     integers.  Only a's nonzero columns are read; the rows certified here
-    have one to three."""
+    have one to three.  In int64, a . p is summed as a_j times column j
+    over those columns, each a contiguous run of ps.columns(); past the
+    int64 bound the columns are multiplied as Python integers."""
     a, b, _ = scaled_int_vector(coeffs, rhs)
-    # 0/1 points: |a . p| <= sum |a|, and b is compared with it
-    a = np.array(a, dtype=int_dtype(max(sum(map(abs, a)), abs(b))))
-    nz = np.flatnonzero(a)
-    return ps.array[:, nz] @ a[nz], b
+    # 0/1 points: every partial sum of a . p is at most sum |a| in size,
+    # and b is compared with it
+    dtype = int_dtype(max(sum(map(abs, a)), abs(b)))
+    nz = [j for j, c in enumerate(a) if c]
+    if dtype is object:
+        return ps.array[:, nz] @ np.array([a[j] for j in nz], dtype=object), b
+    cols = ps.columns()
+    vals = np.zeros(ps.count, dtype=np.int64)
+    for j in nz:
+        # an int64 loop whatever the numpy casting rules make of a[j]
+        vals += np.multiply(cols[j], a[j], dtype=np.int64)
+    return vals, b
 
 
-def points_satisfying(ps: PointSet, ineq: Inequality) -> np.ndarray:
+def points_satisfying(ps: PointSet, ineq: Inequality) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks (satisfied, tight) for an inequality over the set."""
     if len(ineq.a) != ps.dim_ambient:
         raise ValueError("inequality width disagrees with the point set")
@@ -256,17 +277,24 @@ def points_satisfying(ps: PointSet, ineq: Inequality) -> np.ndarray:
 def _face_dimension(ps: PointSet, tight: np.ndarray, pdim: int) -> int:
     """Affine dimension of the tight points, when some point is not tight.
 
-    The tight points then lie in a hyperplane that misses a point of the
-    set, so their dimension is at most pdim - 1, pdim the hull's.  An
-    odd-strided subset of about _FACE_SAMPLE * (pdim + 1) of them is ranked
-    first: if it reaches pdim - 1, so does the whole face; otherwise the
-    whole face is ranked.  The stride is odd because a power-of-two stride
-    lines up with the 2^k z completions of each (x, y) block, picks the
-    same completion from every block and can miss directions.
+    Two proven bounds decide most faces without an exact rank:
+    - upper: the tight points lie in a hyperplane that misses a point of
+      the set, so their dimension is at most pdim - 1, pdim the hull's;
+    - lower: the rank modulo a prime of the Gram matrix of a subset of
+      them (ratlinalg._mod_rank), never above that Gram's rational rank,
+      which is the subset's dimension, at most the face's.
+    The subset is an odd-strided one of about _FACE_SAMPLE * (pdim + 1)
+    tight points (all of them, for a smaller face).  When its rank mod p
+    reaches pdim - 1, the bounds meet and the face's dimension is pdim - 1.
+    Otherwise (a face of lower dimension, a subset that misses directions
+    or a prime that divides a needed minor) the whole face is ranked
+    exactly.  The stride is odd because a power-of-two stride lines up
+    with the 2^k z completions of each (x, y) block, picks the same
+    completion from every block and can miss directions.
     """
     rows = np.flatnonzero(tight)
     stride = len(rows) // (_FACE_SAMPLE * (pdim + 1)) | 1
-    if stride > 1 and affine_dimension(ps.array[rows[::stride]]) == pdim - 1:
+    if _mod_rank(_gram(ps.array[rows[::stride]])) == pdim - 1:
         return pdim - 1
     return affine_dimension(ps.array[rows])
 

@@ -1,6 +1,6 @@
 """Exact rational linear algebra.
 
-Every rank decision in the polyhedral code runs through one routine,
+Every exact rank in the polyhedral code comes from one routine,
 `_int_rank`: fraction-free (Bareiss) elimination on Python integers, whose
 division by the previous pivot is exact.  Rational rows are scaled to
 integers row by row first, which leaves the rank unchanged.
@@ -19,6 +19,14 @@ The chunk products are cast to int64 and summed there when
 (rows - 1) * spread**2 < 2**62.  `int_dtype` is that one int64 overflow
 rule, shared with the int64 dot products in bpcore and polytope, so no
 result depends on rounding or on silent wraparound.
+
+`_mod_rank` is the one bound beside the exact kernel: Gaussian elimination
+of an integer matrix modulo the prime p = 2**31 - 1, in int64.  Residues
+stay below 2**31, so every product of two stays below 2**62, the same int64
+rule.  The rank mod p is a lower bound on the rational rank, never above
+it: rank r mod p means some r x r minor is nonzero mod p, so that minor is
+a nonzero integer.  It settles a rank only where a proven upper bound meets
+it (polytope's face ranks); everywhere else `_int_rank` decides.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ _INT64_BOUND = 1 << 62
 # float64 headroom for exact integer sums and products, one bit below the
 # 2**53 up to which float64 holds every integer (module docstring)
 _FLOAT_BOUND = 1 << 52
+
+# the modulus of _mod_rank, a prime whose residues multiply below 2**62
+_PRIME = (1 << 31) - 1
 
 # The Gram matrix is summed at most this many points at a time, so the
 # difference block has a fixed size however many points there are
@@ -113,6 +124,38 @@ def _int_rank(rows) -> int:
     return rank
 
 
+def _mod_rank(matrix: np.ndarray) -> int:
+    """Rank of a 2-D integer array modulo _PRIME, at most its rational rank.
+
+    An int64 array is reduced in numpy; any other (the object arrays of
+    Python integers that _gram sums past the int64 bound) entry by entry on
+    Python integers first.  Each pivot row is scaled to a leading 1 by the
+    pivot's inverse; every product then multiplies two residues below
+    2**31, so it stays below 2**62.
+    """
+    p = _PRIME
+    if matrix.dtype == np.int64:
+        work = matrix % p
+    else:
+        residues = [[int(v) % p for v in row] for row in matrix.tolist()]
+        work = np.array(residues, dtype=np.int64).reshape(matrix.shape)
+    rank = 0
+    for col in range(work.shape[1]):
+        live = np.flatnonzero(work[rank:, col])
+        if len(live) == 0:
+            continue
+        k = rank + live[0]
+        work[[rank, k]] = work[[k, rank]]
+        work[rank] = work[rank] * pow(int(work[rank, col]), -1, p) % p
+        below = work[rank + 1 :]
+        below -= below[:, col : col + 1] * work[rank]
+        below %= p
+        rank += 1
+        if rank == work.shape[0]:
+            break
+    return rank
+
+
 class RatMatrix:
     """Dense matrix of Fractions.
 
@@ -146,10 +189,10 @@ class RatMatrix:
         return _int_rank(scaled_int_vector(r)[0] for r in self.rows)
 
 
-def _gram(points: np.ndarray) -> list[list[int]]:
-    """sum over the rows p of (p - p0)(p - p0)^T, as Python integers:
-    float64 chunk products summed in int64 where the module docstring's
-    bounds hold, else Python integers throughout."""
+def _gram(points: np.ndarray) -> np.ndarray:
+    """sum over the rows p of (p - p0)(p - p0)^T: float64 chunk products
+    summed in an int64 array where the module docstring's bounds hold, else
+    Python integers throughout, in an object array."""
     if points.dtype != object and not np.issubdtype(points.dtype, np.integer):
         raise ValueError("point arrays must have an integer dtype")
     if points.dtype == object and not all(isinstance(v, int) for v in points.flat):
@@ -175,7 +218,7 @@ def _gram(points: np.ndarray) -> list[list[int]]:
         diff -= base
         product = diff.T @ diff
         gram += product.astype(np.int64) if fast else product
-    return gram.tolist()
+    return gram
 
 
 def affine_dimension(points) -> int:
@@ -190,7 +233,7 @@ def affine_dimension(points) -> int:
             raise ValueError("expected a 2-D array of points")
         if points.shape[0] == 0:
             raise ValueError("affine hull of no points is undefined")
-        return _int_rank(_gram(points))
+        return _int_rank(_gram(points).tolist())
 
     pts = [tuple(as_rational(c) for c in p) for p in points]
     if not pts:

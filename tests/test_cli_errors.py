@@ -1,4 +1,5 @@
-"""Malformed input is bad input (exit 3), not a crash."""
+"""Malformed input is bad input (exit 3), not a crash; an infeasible model
+exits 2."""
 
 import json
 
@@ -67,3 +68,21 @@ def test_raw_point_cap_refuses_early(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "point enumeration exceeds max_points=1000" in err
+
+
+INFEASIBLE_LP = "Maximize\n obj: x1 + x2\nSubject To\n r: x1 + x2 >= 3\nBinary\n x1\n x2\nEnd\n"
+
+
+@pytest.mark.parametrize("command", ["dim", "diameter", "check-facet {q}"])
+def test_infeasible_model_exits_2(command, tmp_path, capsys):
+    # no pair of binaries reaches 3: the paired point set is empty, and
+    # the dimension of its hull and its faces are as undefined as the diameter
+    path = tmp_path / "inf.lp"
+    path.write_text(INFEASIBLE_LP)
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps({"a": [1] + [0] * 5, "a0": 0, "sense": ">="}))
+    code = main(f"{command.format(q=q)} --problem raw --instance {path}".split())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "infeasible" in err
+    assert "Traceback" not in err

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diamopt import bpcore, lop, polytope, suites, tsp
+from diamopt import bpcore, lop, polytope, ratlinalg, suites, tsp
 from diamopt.bpcore import BinaryProgram, Constraint
 from diamopt.diameter import build as build_diameter
 from diamopt.diameter import paired
@@ -21,7 +21,7 @@ from diamopt.polytope import (
     points_satisfying,
     verify_minimal_system,
 )
-from diamopt.ratlinalg import affine_dimension
+from diamopt.ratlinalg import _mod_rank, affine_dimension
 
 
 def paired_points_free(n):
@@ -167,6 +167,34 @@ class TestCheckInequality:
         r = check_inequality(ps, Inequality([big, big, 0], big, "<=", "x_plus_y"))
         assert not r.valid and r.tight_point_count == 4
 
+    @pytest.mark.parametrize(
+        "a, b, dtype",
+        [
+            # sum |a| = 2**62 - 1: int64 columns; 2**62: Python integers
+            ([1 << 61, -(1 << 60), -((1 << 60) - 4), 0, 3], -(1 << 60), np.int64),
+            ([1 << 61, -(1 << 60), -((1 << 60) - 3), 0, 3], -(1 << 60), object),
+            ([-((1 << 62) - 4), 1, -1, 1, 0], (1 << 62) - 1, np.int64),
+            ([-((1 << 62) - 4), 1, -1, 1, 0], 1 << 62, object),
+        ],
+    )
+    def test_row_values_at_the_int64_bound(self, a, b, dtype):
+        ps = PointSet(bpcore.bit_table(5))
+        vals, rhs = polytope._row_values(ps, a, b)
+        assert vals.dtype == dtype and rhs == b
+        reference = [sum(c * v for c, v in zip(a, p)) for p in ps.array.tolist()]
+        assert vals.tolist() == reference
+        for sense in ("<=", ">="):
+            sat, tight = points_satisfying(ps, Inequality(a, b, sense))
+            assert tight.tolist() == [v == b for v in reference]
+            assert sat.tolist() == [v <= b if sense == "<=" else v >= b for v in reference]
+
+    def test_columns_built_on_first_row(self):
+        ps = paired_points_free(2)
+        ps.hull_dimension()
+        assert ps._columns is None
+        check_inequality(ps, Inequality([1, 0, 1, 0, -1, 0], 1, "<=", "coupling_1"))
+        assert ps._columns.flags.c_contiguous and (ps._columns == ps.array.T).all()
+
     def test_fractional_inequality(self):
         ps = paired_points_free(1)
         r = check_inequality(
@@ -194,10 +222,12 @@ class TestCheckInequality:
 
 class TestFaceRank:
     """A face with some point not tight has dimension at most dim - 1, so
-    check_inequality ranks an odd-strided subset of it first and all of it
-    only when the subset falls short; a face tight at every point is the
-    whole polytope and takes no rank.  Every case is checked against the
-    rank of the whole tight set, on tour n=5 (35,712 points, dim 20)."""
+    check_inequality takes the rank modulo a prime of an odd-strided
+    subset's Gram matrix, a lower bound, first and ranks the whole face
+    exactly only when that falls short of dim - 1; a face tight at every
+    point is the whole polytope and takes neither.  Every case is checked
+    against the exact rank of the whole tight set, on tour n=5 (35,712
+    points, dim 20)."""
 
     @pytest.fixture(scope="class")
     def tour5(self):
@@ -207,46 +237,69 @@ class TestFaceRank:
 
     @staticmethod
     def ranked(ps, q):
-        """The report, and the row count of each rank it took."""
-        calls = []
+        """The report, the rank of each modular certificate it took and the
+        row count of each exact rank."""
+        certificates, exact = [], []
+
+        def modular(gram):
+            certificates.append(_mod_rank(gram))
+            return certificates[-1]
 
         def counting(points):
-            calls.append(len(points))
+            exact.append(len(points))
             return affine_dimension(points)
 
         with pytest.MonkeyPatch.context() as m:
+            m.setattr(polytope, "_mod_rank", modular)
             m.setattr(polytope, "affine_dimension", counting)
             r = check_inequality(ps, q)
         tight = points_satisfying(ps, q)[1]
         assert r.tight_point_count == int(tight.sum())
         assert r.face_dimension == (affine_dimension(ps.array[tight]) if tight.any() else -1), q.label
-        return r, calls
+        return r, certificates, exact
 
     def test_every_family_takes_the_subset(self, tour5):
         for q in facet_families(10, tsp.base_facets(5)):
-            r, calls = self.ranked(tour5, q)
+            r, certificates, exact = self.ranked(tour5, q)
             assert r.is_facet, q.label
-            assert len(calls) == 1 and calls[0] < r.tight_point_count, q.label
+            assert certificates == [19] and exact == [], q.label
 
     def test_tight_everywhere_takes_no_rank(self, tour5):
         rows, rhs = tsp.degree_system(5)
-        r, calls = self.ranked(tour5, Inequality(paired(10, x=rows[0]), rhs[0], "<=", "degree_1[x]"))
+        r, certificates, exact = self.ranked(tour5, Inequality(paired(10, x=rows[0]), rhs[0], "<=", "degree_1[x]"))
         assert r.valid and r.tight_point_count == tour5.count
         assert r.face_dimension == 20 and not r.is_facet
-        assert calls == []
+        assert certificates == [] and exact == []
 
     def test_lower_face_falls_back_to_the_whole_face(self, tour5):
         # z_1 + z_2 >= 0 is tight where both vanish: two facets meet there
-        r, calls = self.ranked(tour5, Inequality(paired(10, z=[1, 1] + [0] * 8), 0, ">=", "z_1_z_2"))
+        r, certificates, exact = self.ranked(tour5, Inequality(paired(10, z=[1, 1] + [0] * 8), 0, ">=", "z_1_z_2"))
         assert r.valid and not r.is_facet and r.face_dimension < 19
         assert r.tight_point_count > 1000
-        assert len(calls) == 2 and calls[0] < calls[1] == r.tight_point_count
+        assert len(certificates) == 1 and certificates[0] < 19
+        assert exact == [r.tight_point_count]
+
+    def test_unlucky_prime_falls_back_to_the_whole_face(self, tour5):
+        # modulo 3 the Gram matrices lose rank on some faces; each of those
+        # is ranked exactly, and every report stays what it was
+        families = facet_families(10, tsp.base_facets(5))
+        before = [check_inequality(tour5, q) for q in families]
+        fallbacks = 0
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ratlinalg, "_PRIME", 3)
+            for q, expected in zip(families, before):
+                r, certificates, exact = self.ranked(tour5, q)
+                assert r == expected, q.label
+                assert len(certificates) == 1, q.label
+                assert exact == ([] if certificates[0] == 19 else [r.tight_point_count]), q.label
+                fallbacks += len(exact)
+        assert fallbacks > 0
 
     def test_invalid_row(self, tour5):
         # edges 12 and 13 share a tour whenever vertex 1 sits between 2 and 3
         a = [0] * 10
         a[tsp.edge_index(1, 2, 5)] = a[tsp.edge_index(1, 3, 5)] = 1
-        r, _ = self.ranked(tour5, Inequality(paired(10, x=a), 1, "<=", "x_12_x_13"))
+        r, _, _ = self.ranked(tour5, Inequality(paired(10, x=a), 1, "<=", "x_12_x_13"))
         assert not r.valid and not r.is_facet
         assert 0 < r.tight_point_count < tour5.count
 

@@ -7,9 +7,11 @@ import pytest
 
 from diamopt import suites
 from diamopt.ratlinalg import (
+    _PRIME,
     RatMatrix,
     _gram,
     _int_rank,
+    _mod_rank,
     affine_dimension,
     as_rational,
     scaled_int_vector,
@@ -226,7 +228,7 @@ class TestGram:
     )
     def test_matches_reference(self, make):
         points = make(np.random.default_rng(11))
-        assert _gram(points) == gram_reference(points)
+        assert _gram(points).tolist() == gram_reference(points)
 
     @pytest.mark.parametrize("bits", [25, 27])
     def test_products_past_the_float_bound(self, bits):
@@ -234,20 +236,20 @@ class TestGram:
         # past 2**53, so the float tier must not take them at all
         rng = np.random.default_rng(bits)
         points = rng.integers(0, 1 << bits, size=(200, 4), dtype=np.int64)
-        assert _gram(points) == gram_reference(points)
+        assert _gram(points).tolist() == gram_reference(points)
 
     def test_sum_past_the_int64_bound(self):
         # every product fits a float chunk, but 5000 of them pass 2**63
         spread = (1 << 26) - 1
         points = spread * np.random.default_rng(4).integers(0, 2, size=(5000, 3), dtype=np.int64)
-        assert _gram(points) == gram_reference(points)
+        assert _gram(points).tolist() == gram_reference(points)
         assert max(max(row) for row in gram_reference(points)) >= 1 << 63
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_large_entries_small_spread(self, sign):
         # entries near 2**60 do not survive a cast to float64; spread 7 does
         points = sign * ((1 << 60) + np.random.default_rng(2).integers(0, 8, size=(50, 5), dtype=np.int64))
-        assert _gram(points) == gram_reference(points)
+        assert _gram(points).tolist() == gram_reference(points)
         assert affine_dimension(points) == affine_dimension(points.tolist()) == 5
 
     @pytest.mark.parametrize("k", [0, 20, 26, 27, 31, 62, 64])
@@ -261,4 +263,65 @@ class TestGram:
         if scale < 1 << 63:
             points = points.astype(np.int64)
         assert affine_dimension(points) == affine_dimension(points.tolist()) == affine_dimension(bits.tolist())
-        assert _gram(points) == gram_reference(points)
+        assert _gram(points).tolist() == gram_reference(points)
+
+
+class TestModRank:
+    """The rank modulo _PRIME never exceeds the rational rank, and meets it
+    on matrices no prime-sized minor conspires against."""
+
+    @staticmethod
+    def ranks(rows):
+        dtype = np.int64 if max((abs(v) for r in rows for v in r), default=0) < 1 << 62 else object
+        return _mod_rank(np.array(rows, dtype=dtype)), _int_rank(rows), fraction_rank(rows)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lower_bound_on_seeded_matrices(self, seed):
+        rng = random.Random(seed)
+        nrows, ncols, rank = rng.randint(1, 9), rng.randint(1, 9), rng.randint(0, 6)
+        left = [[rng.randint(-99, 99) for _ in range(rank)] for _ in range(nrows)]
+        right = [[rng.randint(-99, 99) for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        if rank == 0:
+            rows = [[0] * ncols for _ in range(nrows)]
+        modular, bareiss, reference = self.ranks(rows)
+        assert modular <= bareiss == reference
+
+    @pytest.mark.parametrize("bits", [62, 63, 80])
+    def test_object_entries(self, bits):
+        # 2**62 and above take the object path; the residues are reduced
+        # on Python integers before the int64 elimination
+        rng = random.Random(bits)
+        rows = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(5)] for _ in range(5)]
+        rows[0][0] = 1 << bits
+        rows.append([a - b for a, b in zip(rows[0], rows[1])])
+        modular, bareiss, reference = self.ranks(rows)
+        assert modular <= bareiss == reference == 5
+        assert _mod_rank(np.array(rows, dtype=object)) == modular
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_multiples_of_the_prime_vanish(self, dtype):
+        rng = random.Random(7)
+        rows = [[_PRIME * rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+        assert fraction_rank(rows) > 0
+        assert _mod_rank(np.array(rows, dtype=dtype)) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_on_full_rank_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        for shape in [(6, 6), (4, 9), (9, 4)]:
+            while True:
+                rows = rng.integers(-1000, 1000, size=shape).tolist()
+                if fraction_rank(rows) == min(shape):
+                    break
+            modular, bareiss, reference = self.ranks(rows)
+            assert modular == bareiss == reference == min(shape)
+
+    def test_negative_entries_reduce_like_python(self):
+        # [[-1, 1], [1, -1]] is rank 1, and -1 must reduce to p - 1, not wrap
+        assert _mod_rank(np.array([[-1, 1], [1, -1]], dtype=np.int64)) == 1
+        assert _mod_rank(np.array([[-1, 1], [1, 1]], dtype=np.int64)) == 2
+
+    def test_empty_shapes(self):
+        assert _mod_rank(np.zeros((0, 0), dtype=np.int64)) == 0
+        assert _mod_rank(np.zeros((3, 0), dtype=object)) == 0
