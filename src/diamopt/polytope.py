@@ -32,7 +32,6 @@ from .ratlinalg import (
     _gram,
     _int_rank,
     _mod_rank,
-    affine_dimension,
     as_rational,
     int_dtype,
     scaled_int_vector,
@@ -82,7 +81,6 @@ class PointSet:
         if not _strictly_increasing(arr):
             arr = np.unique(arr, axis=0)
         self.array = np.ascontiguousarray(arr)
-        self._columns: np.ndarray | None = None
         self._gram: list[list[int]] | None = None
         self._hull_dim: int | None = None
 
@@ -99,14 +97,6 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet({self.count} points in R^{self.dim_ambient})"
-
-    def columns(self) -> np.ndarray:
-        """The points column by column (the transpose, C-contiguous), so a
-        row reads each coordinate it uses as one contiguous run: built on
-        first use, once."""
-        if self._columns is None:
-            self._columns = np.ascontiguousarray(self.array.T)
-        return self._columns
 
     def gram(self) -> list[list[int]]:
         """G = sum over the points p of (p - p0)(p - p0)^T, p0 the first
@@ -247,8 +237,9 @@ def _row_values(ps: PointSet, coeffs, rhs):
     """(a . p for every point p, b) for the row a . v = b scaled to
     integers.  Only a's nonzero columns are read; the rows certified here
     have one to three.  In int64, a . p is summed as a_j times column j
-    over those columns, each a contiguous run of ps.columns(); past the
-    int64 bound the columns are multiplied as Python integers."""
+    over those columns, each a strided view of ps.array, so no column is
+    gathered into a copy; past the int64 bound the columns are multiplied
+    as Python integers."""
     a, b, _ = scaled_int_vector(coeffs, rhs)
     # 0/1 points: every partial sum of a . p is at most sum |a| in size,
     # and b is compared with it
@@ -256,11 +247,10 @@ def _row_values(ps: PointSet, coeffs, rhs):
     nz = [j for j, c in enumerate(a) if c]
     if dtype is object:
         return ps.array[:, nz] @ np.array([a[j] for j in nz], dtype=object), b
-    cols = ps.columns()
     vals = np.zeros(ps.count, dtype=np.int64)
     for j in nz:
         # an int64 loop whatever the numpy casting rules make of a[j]
-        vals += np.multiply(cols[j], a[j], dtype=np.int64)
+        vals += np.multiply(ps.array[:, j], a[j], dtype=np.int64)
     return vals, b
 
 
@@ -288,15 +278,20 @@ def _face_dimension(ps: PointSet, tight: np.ndarray, pdim: int) -> int:
     reaches pdim - 1, the bounds meet and the face's dimension is pdim - 1.
     Otherwise (a face of lower dimension, a subset that misses directions
     or a prime that divides a needed minor) the whole face is ranked
-    exactly.  The stride is odd because a power-of-two stride lines up
-    with the 2^k z completions of each (x, y) block, picks the same
-    completion from every block and can miss directions.
+    exactly by _int_rank, on the subset's Gram matrix when the subset is
+    the whole face (stride 1) and on the whole face's otherwise.  The
+    stride is odd because a power-of-two stride lines up with the 2^k z
+    completions of each (x, y) block, picks the same completion from every
+    block and can miss directions.
     """
     rows = np.flatnonzero(tight)
     stride = len(rows) // (_FACE_SAMPLE * (pdim + 1)) | 1
-    if _mod_rank(_gram(ps.array[rows[::stride]])) == pdim - 1:
+    gram = _gram(ps.array[rows[::stride]])
+    if _mod_rank(gram) == pdim - 1:
         return pdim - 1
-    return affine_dimension(ps.array[rows])
+    if stride > 1:
+        gram = _gram(ps.array[rows])
+    return _int_rank(gram.tolist())
 
 
 def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:

@@ -21,7 +21,7 @@ from diamopt.polytope import (
     points_satisfying,
     verify_minimal_system,
 )
-from diamopt.ratlinalg import _mod_rank, affine_dimension
+from diamopt.ratlinalg import _gram, _int_rank, _mod_rank, affine_dimension
 
 
 def paired_points_free(n):
@@ -188,13 +188,6 @@ class TestCheckInequality:
             assert tight.tolist() == [v == b for v in reference]
             assert sat.tolist() == [v <= b if sense == "<=" else v >= b for v in reference]
 
-    def test_columns_built_on_first_row(self):
-        ps = paired_points_free(2)
-        ps.hull_dimension()
-        assert ps._columns is None
-        check_inequality(ps, Inequality([1, 0, 1, 0, -1, 0], 1, "<=", "coupling_1"))
-        assert ps._columns.flags.c_contiguous and (ps._columns == ps.array.T).all()
-
     def test_fractional_inequality(self):
         ps = paired_points_free(1)
         r = check_inequality(
@@ -237,47 +230,69 @@ class TestFaceRank:
 
     @staticmethod
     def ranked(ps, q):
-        """The report, the rank of each modular certificate it took and the
-        row count of each exact rank."""
-        certificates, exact = [], []
+        """The report, the row count of each Gram matrix summed, the rank of
+        each modular certificate and each exact rank it took."""
+        grams, certificates, exact = [], [], []
+
+        def summing(points):
+            grams.append(len(points))
+            return _gram(points)
 
         def modular(gram):
             certificates.append(_mod_rank(gram))
             return certificates[-1]
 
-        def counting(points):
-            exact.append(len(points))
-            return affine_dimension(points)
+        def exactly(rows):
+            exact.append(_int_rank(rows))
+            return exact[-1]
 
         with pytest.MonkeyPatch.context() as m:
+            m.setattr(polytope, "_gram", summing)
             m.setattr(polytope, "_mod_rank", modular)
-            m.setattr(polytope, "affine_dimension", counting)
+            m.setattr(polytope, "_int_rank", exactly)
             r = check_inequality(ps, q)
         tight = points_satisfying(ps, q)[1]
         assert r.tight_point_count == int(tight.sum())
         assert r.face_dimension == (affine_dimension(ps.array[tight]) if tight.any() else -1), q.label
-        return r, certificates, exact
+        return r, grams, certificates, exact
 
     def test_every_family_takes_the_subset(self, tour5):
         for q in facet_families(10, tsp.base_facets(5)):
-            r, certificates, exact = self.ranked(tour5, q)
+            r, grams, certificates, exact = self.ranked(tour5, q)
             assert r.is_facet, q.label
+            assert len(grams) == 1 and grams[0] < r.tight_point_count, q.label
             assert certificates == [19] and exact == [], q.label
 
     def test_tight_everywhere_takes_no_rank(self, tour5):
         rows, rhs = tsp.degree_system(5)
-        r, certificates, exact = self.ranked(tour5, Inequality(paired(10, x=rows[0]), rhs[0], "<=", "degree_1[x]"))
+        r, grams, certificates, exact = self.ranked(
+            tour5, Inequality(paired(10, x=rows[0]), rhs[0], "<=", "degree_1[x]")
+        )
         assert r.valid and r.tight_point_count == tour5.count
         assert r.face_dimension == 20 and not r.is_facet
-        assert certificates == [] and exact == []
+        assert grams == certificates == exact == []
 
     def test_lower_face_falls_back_to_the_whole_face(self, tour5):
         # z_1 + z_2 >= 0 is tight where both vanish: two facets meet there
-        r, certificates, exact = self.ranked(tour5, Inequality(paired(10, z=[1, 1] + [0] * 8), 0, ">=", "z_1_z_2"))
+        r, grams, certificates, exact = self.ranked(
+            tour5, Inequality(paired(10, z=[1, 1] + [0] * 8), 0, ">=", "z_1_z_2")
+        )
         assert r.valid and not r.is_facet and r.face_dimension < 19
         assert r.tight_point_count > 1000
+        assert len(grams) == 2 and grams[0] < grams[1] == r.tight_point_count
         assert len(certificates) == 1 and certificates[0] < 19
-        assert exact == [r.tight_point_count]
+        assert exact == [r.face_dimension]
+
+    def test_small_face_sums_one_gram(self, tour5):
+        # x and y both avoid the five edges off the tour 1-2-3-4-5, so both
+        # are that tour and z is free on the other five: 32 points, dim 5.
+        # A face that small is its own subset, ranked from the one Gram.
+        a = [0] * 10
+        for i, j in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5)):
+            a[tsp.edge_index(i, j, 5)] = 1
+        r, grams, certificates, exact = self.ranked(tour5, Inequality(paired(10, x=a, y=a), 0, ">=", "avoid_tour"))
+        assert r.valid and r.tight_point_count == 32 and r.face_dimension == 5
+        assert grams == [32] and certificates == [5] and exact == [5]
 
     def test_unlucky_prime_falls_back_to_the_whole_face(self, tour5):
         # modulo 3 the Gram matrices lose rank on some faces; each of those
@@ -288,18 +303,21 @@ class TestFaceRank:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(ratlinalg, "_PRIME", 3)
             for q, expected in zip(families, before):
-                r, certificates, exact = self.ranked(tour5, q)
+                r, grams, certificates, exact = self.ranked(tour5, q)
                 assert r == expected, q.label
-                assert len(certificates) == 1, q.label
-                assert exact == ([] if certificates[0] == 19 else [r.tight_point_count]), q.label
-                fallbacks += len(exact)
+                assert len(certificates) == 1 and grams[0] < r.tight_point_count, q.label
+                if certificates[0] == 19:
+                    assert len(grams) == 1 and exact == [], q.label
+                else:
+                    assert grams[1:] == [r.tight_point_count] and exact == [19], q.label
+                    fallbacks += 1
         assert fallbacks > 0
 
     def test_invalid_row(self, tour5):
         # edges 12 and 13 share a tour whenever vertex 1 sits between 2 and 3
         a = [0] * 10
         a[tsp.edge_index(1, 2, 5)] = a[tsp.edge_index(1, 3, 5)] = 1
-        r, _, _ = self.ranked(tour5, Inequality(paired(10, x=a), 1, "<=", "x_12_x_13"))
+        r = self.ranked(tour5, Inequality(paired(10, x=a), 1, "<=", "x_12_x_13"))[0]
         assert not r.valid and not r.is_facet
         assert 0 < r.tight_point_count < tour5.count
 
