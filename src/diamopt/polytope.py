@@ -8,6 +8,19 @@ integer rank computations, and an inequality is certified a facet by the
 definition itself: valid everywhere, tight on a face whose affine dimension
 is one below the hull's.
 
+A paired set's dimension needs no point.  The pair (u, v) with shared
+support S = u AND v and k = n - |S| free z columns has 2^k points, whose
+moments are sum 1 = 2^k, sum x = 2^k u, sum y = 2^k v,
+sum z = 2^(k-1) (1 + S), and sum p p^T = 2^k q q^T with q = (u, v, (1 + S)/2)
+plus 2^(k-2) on each free z diagonal entry.  With M, s and N those sums
+over the m^2 ordered pairs, the Gram matrix the rank reads is
+G = M - p0 s^T - s p0^T + N p0 p0^T, p0 = (u0, u0, u0) the first point in
+lexicographic order (u0 the first base point).  It is summed as 4G, so the
+halves and quarters are integers, with every partial sum at most 4N in
+size; 4N is the bound ratlinalg.int_dtype checks (nothing else bounds N:
+max_points is user-set).  The points themselves are generated only when a caller reads
+PointSet.array: facet checks and the point listing.
+
 The (x | y | z) layout belongs to diameter: the inherited facet families,
 the z bounds and the lifted equation systems place their blocks with
 diameter.paired, and the coupling family is diameter.coupling, the row the
@@ -67,30 +80,59 @@ def _strictly_increasing(arr: np.ndarray) -> bool:
 class PointSet:
     """Distinct 0/1 points in lexicographic order, one per row.
 
-    Rows that already satisfy the invariant, as enumerate_points produces
-    them, are kept as given after an O(rows * columns) check; any other
+    PointSet(points) holds an array: rows that already satisfy the
+    invariant are kept as given after an O(rows * columns) check; any other
     array is sorted and deduplicated with np.unique.
+
+    enumerate_points returns a paired set instead, which holds only the
+    sorted base points.  Its count N, its first point p0 = (u0, u0, u0) and
+    its Gram matrix G = M - p0 s^T - s p0^T + N p0 p0^T come from the pair
+    moments M = sum p p^T and s = sum p (module docstring; _pair_count,
+    _pair_gram), summed as 4G in int64 while 4N < 2^62 and on Python
+    integers above.  So the dimension and the minimality check never build
+    a point; the array is generated on its first read.
     """
 
     def __init__(self, points):
-        arr = np.asarray(points, dtype=np.uint8)
+        arr = np.asarray(points)
         if arr.ndim != 2:
             raise ValueError("points must form a 2-D array")
-        if arr.size and arr.max() > 1:
+        # checked before the cast, which would truncate 0.5 and wrap -1 or 256
+        if not np.isin(arr, (0, 1)).all():
             raise ValueError("points must be 0/1")
+        arr = arr.astype(np.uint8, copy=False)
         if not _strictly_increasing(arr):
             arr = np.unique(arr, axis=0)
-        self.array = np.ascontiguousarray(arr)
+        self._array: np.ndarray | None = np.ascontiguousarray(arr)
+        self._base: np.ndarray | None = None
+        self.count, self.dim_ambient = arr.shape
         self._gram: list[list[int]] | None = None
         self._hull_dim: int | None = None
 
-    @property
-    def dim_ambient(self) -> int:
-        return self.array.shape[1]
+    @classmethod
+    def _paired(cls, base: np.ndarray, count: int) -> "PointSet":
+        """The paired set of sorted, distinct base points with `count` points."""
+        ps = cls.__new__(cls)
+        ps._array, ps._base = None, base
+        ps.count, ps.dim_ambient = count, 3 * base.shape[1]
+        ps._gram = ps._hull_dim = None
+        return ps
 
     @property
-    def count(self) -> int:
-        return self.array.shape[0]
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            arr = _paired_rows(self._base, self.count)
+            if not _strictly_increasing(arr):
+                raise RuntimeError("paired points generated out of lexicographic order")
+            self._array = arr
+        return self._array
+
+    @property
+    def first(self) -> np.ndarray:
+        """p0, the first point in lexicographic order."""
+        if self._base is None:
+            return self._array[0]
+        return np.tile(self._base[0], 3)
 
     def __len__(self) -> int:
         return self.count
@@ -100,12 +142,13 @@ class PointSet:
 
     def gram(self) -> list[list[int]]:
         """G = sum over the points p of (p - p0)(p - p0)^T, p0 the first
-        point: d x d Python integers, computed once.  An empty set is the
+        point: d x d Python integers, computed once, from the pair moments
+        for a paired set and from the array otherwise.  An empty set is the
         point set of an infeasible model, which has no affine hull."""
         if self._gram is None:
             if self.count == 0:
                 raise InfeasibleModelError("no feasible point: the empty point set has no affine hull")
-            self._gram = _gram(self.array).tolist()
+            self._gram = (_gram(self._array) if self._base is None else _pair_gram(self._base)).tolist()
         return self._gram
 
     def hull_dimension(self) -> int:
@@ -171,17 +214,17 @@ def enumerate_points(
     base_points lists that set when the front end can (the ordering and
     tour front ends do); otherwise it is read from
     bpcore.feasible_blocks(dp.base, cap), a 2^n scan that needs n to fit
-    under the enumeration cap.  A running count is checked against
-    max_points pair by pair, so a refusal comes before the whole set is
-    built.
+    under the enumeration cap.
 
-    The rows meet the PointSet invariant (distinct rows, lexicographic
-    order) by construction, so PointSet keeps the array after its linear
-    check and never sorts it.  The pairs run over the sorted, deduplicated
-    base points, x by the outer and y by the inner loop, so the blocks
-    ascend in (x, y); within a block x and y are fixed, the shared z
-    columns are 1, and the free z columns, in ascending column order, take
-    the rows of the lexicographic table bpcore.bit_table.
+    The set is returned as its sorted, deduplicated base points.  The
+    count N, the sum over the ordered pairs of 2^k with k the pair's free z
+    columns, is computed exactly on Python integers and checked against
+    max_points before anything else.  The Gram matrix follows from the
+    pair moments, G = M - p0 s^T - s p0^T + N p0 p0^T with
+    p0 = (u0, u0, u0) (_pair_gram; int64 while 4N < 2^62, which a user-set
+    max_points does not guarantee, so the bound is checked), and the points
+    themselves are generated only when PointSet.array is read
+    (_paired_rows).
     """
     if dp.include_lower_coupling:
         raise ValueError("point enumeration is defined for the conjugate variant")
@@ -198,28 +241,105 @@ def enumerate_points(
         if len(p) != n or any(v not in (0, 1) for v in p):
             raise ValueError("base points must be 0/1 vectors of base length")
     base = sorted(set(base))
+    base = np.array(base, dtype=np.uint8).reshape(len(base), n)
+    count = _pair_count(base)
+    if count > max_points:
+        raise _over_cap(max_points)
+    return PointSet._paired(base, count)
 
-    blocks = [np.empty((0, 3 * n), dtype=np.uint8)]
-    total = 0
+
+# ordered pairs of base points whose moments are summed at a time, so the
+# scratch arrays have a fixed size however many base points there are
+_PAIR_CHUNK = 1 << 14
+
+
+def _pair_chunks(base: np.ndarray):
+    """The ordered pairs (u, v) of the base points, u by the outer and v by
+    the inner index, in chunks of whole rows of u: (index of the chunk's
+    first u, shared) with shared[a, b] = u_(first + a) AND v_b, the pair's
+    z columns forced to 1."""
+    step = max(1, _PAIR_CHUNK // max(base.shape[0], 1))
+    for lo in range(0, base.shape[0], step):
+        yield lo, base[lo : lo + step, None, :] & base[None, :, :]
+
+
+def _pair_count(base: np.ndarray) -> int:
+    """Points of the paired set: sum over the ordered pairs of 2^k, with
+    k = n - |u AND v| the free z columns, as a Python integer."""
+    n = base.shape[1]
+    free = np.zeros(n + 1, dtype=np.int64)  # pairs with k free columns
+    for _, shared in _pair_chunks(base):
+        free += np.bincount(n - shared.sum(axis=2, dtype=np.int64).ravel(), minlength=n + 1)
+    return sum(c << k for k, c in enumerate(free.tolist()))
+
+
+def _pair_gram(base: np.ndarray) -> np.ndarray:
+    """The paired set's Gram matrix G = sum (p - p0)(p - p0)^T from the m^2
+    pair moments of the module docstring, without generating a point.
+
+    Each pair is centred at p0 before summing: its 2^k points add
+    2^k (q - p0)(q - p0)^T plus 2^(k-2) on each free z diagonal entry, so
+    4G = sum over the pairs of 2^k d d^T with d = 2(q - p0), plus 2^k on
+    each free z diagonal entry.  d has entries in {-2, ..., 2}, so every
+    term is an integer at most 4 * 2^k in size and every partial sum is at
+    most 4N, the bound that picks the dtype; the division by 4 is checked.
+    """
+    m, n = base.shape
+    count = _pair_count(base)
+    dtype = int_dtype(4 * count)
+    u0 = base[0].astype(np.int64)
+    two_u = 2 * (base.astype(np.int64) - u0)  # 2(u - u0) and 2(v - u0)
+    gram4 = np.zeros((3 * n, 3 * n), dtype=dtype)
+    free_diag = np.zeros(n, dtype=dtype)
+    for lo, shared in _pair_chunks(base):
+        c = shared.shape[0]
+        s = shared.astype(np.int64)
+        d = np.empty((c, m, 3 * n), dtype=np.int64)
+        d[:, :, :n] = two_u[lo : lo + c, None, :]
+        d[:, :, n : 2 * n] = two_u[None, :, :]
+        d[:, :, 2 * n :] = 1 + s - 2 * u0
+        k = (n - s.sum(axis=2)).ravel()
+        # 2^k <= count: each pair's points are among them
+        weight = 2 ** k.astype(object) if dtype is object else np.left_shift(1, k)
+        d = d.reshape(c * m, 3 * n).astype(dtype, copy=False)
+        gram4 += (d * weight[:, None]).T @ d
+        free_diag += weight @ (1 - s).reshape(c * m, n).astype(dtype)
+    z = np.arange(2 * n, 3 * n)
+    gram4[z, z] += free_diag
+    if (gram4 % 4).any():
+        raise RuntimeError("pair moments: 4G is not divisible by 4")
+    return gram4 // 4
+
+
+def _paired_rows(base: np.ndarray, count: int) -> np.ndarray:
+    """The paired set's `count` points as a uint8 array, in PointSet order.
+
+    The pairs run over the sorted, deduplicated base points, x by the
+    outer and y by the inner loop, so the blocks ascend in (x, y); within
+    a block x and y are fixed, the shared z columns are 1, and the free z
+    columns, in ascending column order, take the rows of the lexicographic
+    table bpcore.bit_table.  The rows are therefore distinct and in order
+    by construction.
+    """
+    n = base.shape[1]
+    out = np.empty((count, 3 * n), dtype=np.uint8)
+    row = 0
     tables: dict[int, np.ndarray] = {}
-    for u in base:
-        for v in base:
+    points = base.tolist()
+    for u in points:
+        for v in points:
             shared = [i for i in range(n) if u[i] and v[i]]
             free = [i for i in range(n) if not (u[i] and v[i])]
-            count = 1 << len(free)
-            total += count
-            if total > max_points:
-                raise _over_cap(max_points)
             if len(free) not in tables:
                 tables[len(free)] = bit_table(len(free)).astype(np.uint8)
-            block = np.empty((count, 3 * n), dtype=np.uint8)
+            block = out[row : row + (1 << len(free))]
             block[:, :n] = u
             block[:, n : 2 * n] = v
             z = block[:, 2 * n :]
             z[:, shared] = 1
             z[:, free] = tables[len(free)]
-            blocks.append(block)
-    return PointSet(np.concatenate(blocks))
+            row += len(block)
+    return out
 
 
 def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
@@ -335,7 +455,7 @@ def verify_minimal_system(ps: PointSet, system: EquationSystem) -> bool:
     if system.matrix.ncols != ps.dim_ambient:
         raise ValueError("system width disagrees with the point set")
     gram = ps.gram()
-    p0 = ps.array[0].tolist()
+    p0 = ps.first.tolist()
     for row, d in zip(system.matrix.rows, system.rhs):
         a, b, _ = scaled_int_vector(row, d)
         nz = [k for k, v in enumerate(a) if v]

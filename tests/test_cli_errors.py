@@ -86,3 +86,12 @@ def test_infeasible_model_exits_2(command, tmp_path, capsys):
     assert code == 2
     assert "infeasible" in err
     assert "Traceback" not in err
+
+
+def test_infeasible_model_lists_no_points(tmp_path, capsys):
+    # listing the empty point set needs no hull, so it is not an error
+    path = tmp_path / "inf.lp"
+    path.write_text(INFEASIBLE_LP)
+    code = main(f"points --problem raw --instance {path} --format json".split())
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"problem": "raw", "n": 2, "ambient": 6, "count": 0, "points": []}

@@ -8,7 +8,7 @@ from diamopt import bpcore, lop, polytope, ratlinalg, suites, tsp
 from diamopt.bpcore import BinaryProgram, Constraint
 from diamopt.diameter import build as build_diameter
 from diamopt.diameter import paired
-from diamopt.errors import CapExceededError
+from diamopt.errors import CapExceededError, InfeasibleModelError
 from diamopt.polytope import (
     EquationSystem,
     Inequality,
@@ -45,6 +45,27 @@ class TestPointSet:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             PointSet([[0, 2]])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0.5, 1], [1, 1]],  # a uint8 cast would truncate it to [[0, 1], [1, 1]]
+            [[0, -1]],  # and wrap or overflow these
+            [[0, 256]],
+            [[1, 1 << 70]],
+            np.array([[0.0, 1.0], [1.0, 0.25]]),
+            [[0, float("nan")]],
+        ],
+    )
+    def test_values_are_checked_before_the_cast(self, points):
+        with pytest.raises(ValueError, match="points must be 0/1"):
+            PointSet(points)
+
+    def test_float_and_bool_arrays_of_0_1(self):
+        for arr in (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[True, True], [False, True]])):
+            ps = PointSet(arr)
+            assert ps.array.dtype == np.uint8 and ps.array.tolist() == [[0, 1], [1, 1]]
+            assert ps.hull_dimension() == 1
 
     def test_hull_dimension_simple(self):
         square = PointSet([[0, 0], [0, 1], [1, 0], [1, 1]])
@@ -112,6 +133,119 @@ class TestEnumeratePoints:
 def paired_points_free_capped():
     dp = build_diameter(BinaryProgram([0] * 4, []), None, "conjugate")
     return enumerate_points(dp, max_points=10)
+
+
+def family_base(family, n):
+    """The sorted base points of a family's size-n model, as enumerate_points holds them."""
+    return np.array(sorted(set(map(tuple, suites.FAMILIES[family].module.base_points(n)))), dtype=np.uint8)
+
+
+class TestPairMoments:
+    """enumerate_points counts the paired points and sums their Gram matrix
+    from the m^2 base pairs; both must equal what the point array gives."""
+
+    @staticmethod
+    def assert_moments_match(ps):
+        assert ps._array is None
+        gram = ps.gram()
+        assert ps._array is None
+        assert gram == _gram(ps.array).tolist()
+        assert ps.count == len(ps.array) and ps.dim_ambient == ps.array.shape[1]
+        assert ps.first.tolist() == ps.array[0].tolist()
+
+    @pytest.mark.parametrize("family,n", [("lop", 2), ("lop", 3), ("lop", 4), ("tsp", 4), ("tsp", 5)])
+    def test_families(self, family, n):
+        self.assert_moments_match(suites._paired_points(suites.FAMILIES[family], n))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_models(self, seed):
+        # the models of test_random_models_equal_the_paired_scan
+        rng = random.Random(seed)
+        for _ in range(10):
+            bp = bpcore.random_binary_program(rng, max_n=6, max_rows=3)
+            ps = enumerate_points(build_diameter(bp, None, "conjugate"))
+            if ps.count:
+                self.assert_moments_match(ps)
+
+    @pytest.mark.parametrize("point", [(0, 0, 0), (1, 0, 1), (1, 1, 1)])
+    def test_single_base_point(self, point):
+        # (1, 1, 1) paired with itself has no free z column: k = 0, one point
+        dp = build_diameter(BinaryProgram([0, 0, 0], []), None, "conjugate")
+        ps = enumerate_points(dp, base_points=[point])
+        assert ps.count == 2 ** point.count(0)
+        self.assert_moments_match(ps)
+        assert ps.hull_dimension() == point.count(0)
+
+    def test_all_ones_among_others(self):
+        dp = build_diameter(BinaryProgram([0, 0, 0], []), None, "conjugate")
+        self.assert_moments_match(enumerate_points(dp, base_points=[(1, 1, 1), (0, 1, 1), (1, 0, 0)]))
+
+    def test_python_int_path(self, monkeypatch):
+        # with the int64 bound at 1 every moment is summed on Python integers
+        want = suites._lop_points(3).gram()
+        monkeypatch.setattr(ratlinalg, "_INT64_BOUND", 1)
+        ps = suites._lop_points(3)
+        got = polytope._pair_gram(ps._base)
+        assert got.dtype == object and all(type(v) is int for v in got.flat)
+        assert ps.gram() == want
+
+    def test_infeasible_model(self):
+        bp = BinaryProgram([1, 1], [Constraint([1, 1], ">=", 3)])
+        ps = enumerate_points(build_diameter(bp, None, "conjugate"))
+        assert ps.count == 0 and ps.array.shape == (0, 6)
+        with pytest.raises(InfeasibleModelError):
+            ps.gram()
+
+    @pytest.mark.parametrize("family,n,base_dim", [("lop", 5, 10), ("tsp", 6, 9)])
+    def test_beyond_enumeration(self, family, n, base_dim):
+        # 1.2 G and 31 M points, past DEFAULT_MAX_POINTS: the moments give
+        # dim P_D = 2 dim P + n (3n ambient, n base variables) exactly
+        base = family_base(family, n)
+        assert polytope._pair_count(base) > polytope.DEFAULT_MAX_POINTS
+        rank = _int_rank(polytope._pair_gram(base).tolist())
+        assert rank == 2 * base_dim + base.shape[1] == {"lop": 40, "tsp": 33}[family]
+
+    def test_count_is_exact_past_int64(self):
+        # 2^70 completions of the all-zero point paired with itself
+        base = np.zeros((1, 70), dtype=np.uint8)
+        assert polytope._pair_count(base) == 1 << 70
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 14])
+    def test_pair_chunks(self, chunk, monkeypatch):
+        # a chunk smaller than one row of pairs still takes one u at a time
+        want = suites._lop_points(3).gram()
+        monkeypatch.setattr(polytope, "_PAIR_CHUNK", chunk)
+        ps = suites._lop_points(3)
+        assert ps.count == 1008 and ps.gram() == want
+
+
+class TestLazyPoints:
+    """A paired set builds its point array only when the array is read."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        rows = polytope._paired_rows
+
+        def spy(base, count):
+            calls.append(count)
+            return rows(base, count)
+
+        monkeypatch.setattr(polytope, "_paired_rows", spy)
+        return calls
+
+    def test_dimension_and_minimality_build_no_point(self, builds):
+        ps = suites._lop_points(4)
+        assert ps.hull_dimension() == 24 and ps.count == 483840
+        system = lift_equation_system(EquationSystem(*lop.pick_one_system(4)))
+        assert verify_minimal_system(ps, system)
+        assert builds == []
+
+    def test_array_is_built_once_on_read(self, builds):
+        ps = suites._tsp_points(4)
+        assert check_inequality(ps, facet_families(6, tsp.base_facets(4))[0]).valid
+        ps.array
+        assert builds == [108]
 
 
 class TestCheckInequality:
