@@ -176,7 +176,8 @@ def cmd_diameter(args) -> int:
 
 def cmd_points(args) -> int:
     meta, ps = _paired_points(args)
-    rows = ["".join(str(int(v)) for v in row) for row in ps.array]
+    digits = (ps.array + ord("0")).view(f"S{ps.dim_ambient}")  # one b"0101..." per row
+    rows = [row.decode() for row in digits.ravel().tolist()]
     payload = dict(meta, ambient=ps.dim_ambient, count=ps.count, points=rows)
     lines = [f"# {meta['problem']} n={meta['n']} ambient={ps.dim_ambient} count={ps.count}"]
     lines += rows

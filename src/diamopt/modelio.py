@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bpcore import BinaryProgram, Constraint
 from .errors import ParseError
-from .ratlinalg import as_rational
+from .ratlinalg import as_integer, as_rational
 
 _ROUND_DIGITS = 12
 
@@ -154,7 +154,7 @@ def instance_from_json(d: dict, make, field: str, family: str, symmetric: bool =
     value raises ParseError naming the family.
     """
     try:
-        n = int(d["n"])
+        n = as_integer(d["n"])
         entries = {}
         for entry in d.get(field, []):
             if len(entry) == 4:
@@ -165,7 +165,7 @@ def instance_from_json(d: dict, make, field: str, family: str, symmetric: bool =
                 w = as_rational(w)
             else:
                 raise ValueError(f"{field[:-1]} entry {entry!r} should be [i, j, num, den]")
-            key = (int(i), int(j))
+            key = (as_integer(i), as_integer(j))
             if symmetric:
                 key = (min(key), max(key))
             if key in entries:

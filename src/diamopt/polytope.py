@@ -16,10 +16,9 @@ plus 2^(k-2) on each free z diagonal entry.  With M, s and N those sums
 over the m^2 ordered pairs, the Gram matrix the rank reads is
 G = M - p0 s^T - s p0^T + N p0 p0^T, p0 = (u0, u0, u0) the first point in
 lexicographic order (u0 the first base point).  It is summed as 4G, so the
-halves and quarters are integers, with every partial sum at most 4N in
-size; 4N is the bound ratlinalg.int_dtype checks (nothing else bounds N:
-max_points is user-set).  The points themselves are generated only when a caller reads
-PointSet.array: facet checks and the point listing.
+halves and quarters are integers, by ratlinalg._gram over the m^2 <= N
+weighted pair rows, each entry at most 4N (only the user-set max_points
+bounds N).  Points are built only when read: facet checks, the listing.
 
 The (x | y | z) layout belongs to diameter: the inherited facet families,
 the z bounds and the lifted equation systems place their blocks with
@@ -88,9 +87,9 @@ class PointSet:
     sorted base points.  Its count N, its first point p0 = (u0, u0, u0) and
     its Gram matrix G = M - p0 s^T - s p0^T + N p0 p0^T come from the pair
     moments M = sum p p^T and s = sum p (module docstring; _pair_count,
-    _pair_gram), summed as 4G in int64 while 4N < 2^62 and on Python
-    integers above.  So the dimension and the minimality check never build
-    a point; the array is generated on its first read.
+    _pair_gram), summed as 4G by the exact kernel ratlinalg._gram over
+    m^2 <= N weighted pair rows.  So the dimension and the minimality check
+    never build a point; the array is generated on its first read.
     """
 
     def __init__(self, points):
@@ -221,8 +220,8 @@ def enumerate_points(
     columns, is computed exactly on Python integers and checked against
     max_points before anything else.  The Gram matrix follows from the
     pair moments, G = M - p0 s^T - s p0^T + N p0 p0^T with
-    p0 = (u0, u0, u0) (_pair_gram; int64 while 4N < 2^62, which a user-set
-    max_points does not guarantee, so the bound is checked), and the points
+    p0 = (u0, u0, u0) (_pair_gram: one ratlinalg._gram call, under its
+    checked bounds, over m^2 <= N weighted pair rows), and the points
     themselves are generated only when PointSet.array is read
     (_paired_rows).
     """
@@ -248,28 +247,20 @@ def enumerate_points(
     return PointSet._paired(base, count)
 
 
-# ordered pairs of base points whose moments are summed at a time, so the
-# scratch arrays have a fixed size however many base points there are
-_PAIR_CHUNK = 1 << 14
-
-
-def _pair_chunks(base: np.ndarray):
-    """The ordered pairs (u, v) of the base points, u by the outer and v by
-    the inner index, in chunks of whole rows of u: (index of the chunk's
-    first u, shared) with shared[a, b] = u_(first + a) AND v_b, the pair's
-    z columns forced to 1."""
-    step = max(1, _PAIR_CHUNK // max(base.shape[0], 1))
-    for lo in range(0, base.shape[0], step):
-        yield lo, base[lo : lo + step, None, :] & base[None, :, :]
+def _pairs(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(shared, k) over the m^2 ordered base pairs (u_a, v_b), pair a m + b:
+    shared = u_a AND v_b, the z columns forced to 1, k = n - |shared| the
+    free ones.  All at once, since m^2 <= max_points (enumerate_points reads
+    at most isqrt(max_points) base points), so no pair array is larger than
+    the point array that the same max_points admits."""
+    shared = (base[:, None, :] & base[None, :, :]).reshape(-1, base.shape[1])
+    return shared, base.shape[1] - shared.sum(axis=1, dtype=np.int64)
 
 
 def _pair_count(base: np.ndarray) -> int:
     """Points of the paired set: sum over the ordered pairs of 2^k, with
     k = n - |u AND v| the free z columns, as a Python integer."""
-    n = base.shape[1]
-    free = np.zeros(n + 1, dtype=np.int64)  # pairs with k free columns
-    for _, shared in _pair_chunks(base):
-        free += np.bincount(n - shared.sum(axis=2, dtype=np.int64).ravel(), minlength=n + 1)
+    free = np.bincount(_pairs(base)[1], minlength=base.shape[1] + 1)
     return sum(c << k for k, c in enumerate(free.tolist()))
 
 
@@ -277,35 +268,22 @@ def _pair_gram(base: np.ndarray) -> np.ndarray:
     """The paired set's Gram matrix G = sum (p - p0)(p - p0)^T from the m^2
     pair moments of the module docstring, without generating a point.
 
-    Each pair is centred at p0 before summing: its 2^k points add
-    2^k (q - p0)(q - p0)^T plus 2^(k-2) on each free z diagonal entry, so
-    4G = sum over the pairs of 2^k d d^T with d = 2(q - p0), plus 2^k on
-    each free z diagonal entry.  d has entries in {-2, ..., 2}, so every
-    term is an integer at most 4 * 2^k in size and every partial sum is at
-    most 4N, the bound that picks the dtype; the division by 4 is checked.
+    A pair's 2^k points add 2^k (q - p0)(q - p0)^T plus 2^(k-2) on each
+    free z diagonal entry, so 4G is the ratlinalg._gram sum of the m^2 <= N
+    rows 2q = (2u, 2v, 1 + u AND v), weights 2^k, about the origin 2 p0,
+    plus 2^k on each free z diagonal entry.  2q - 2 p0 is in {-2, ..., 2},
+    so each entry of 4G is at most 4N in size, the bound that types the
+    weights and the diagonal sum; the division by 4 is checked.
     """
-    m, n = base.shape
-    count = _pair_count(base)
-    dtype = int_dtype(4 * count)
-    u0 = base[0].astype(np.int64)
-    two_u = 2 * (base.astype(np.int64) - u0)  # 2(u - u0) and 2(v - u0)
-    gram4 = np.zeros((3 * n, 3 * n), dtype=dtype)
-    free_diag = np.zeros(n, dtype=dtype)
-    for lo, shared in _pair_chunks(base):
-        c = shared.shape[0]
-        s = shared.astype(np.int64)
-        d = np.empty((c, m, 3 * n), dtype=np.int64)
-        d[:, :, :n] = two_u[lo : lo + c, None, :]
-        d[:, :, n : 2 * n] = two_u[None, :, :]
-        d[:, :, 2 * n :] = 1 + s - 2 * u0
-        k = (n - s.sum(axis=2)).ravel()
-        # 2^k <= count: each pair's points are among them
-        weight = 2 ** k.astype(object) if dtype is object else np.left_shift(1, k)
-        d = d.reshape(c * m, 3 * n).astype(dtype, copy=False)
-        gram4 += (d * weight[:, None]).T @ d
-        free_diag += weight @ (1 - s).reshape(c * m, n).astype(dtype)
+    n = base.shape[1]
+    shared, k = _pairs(base)
+    dtype = int_dtype(4 * _pair_count(base))
+    weight = 2 ** k.astype(dtype)  # 2^k <= N: each pair's points are among them
+    two_u, m = 2 * base, len(base)
+    rows = np.concatenate([np.repeat(two_u, m, axis=0), np.tile(two_u, (m, 1)), 1 + shared], axis=1)
+    gram4 = _gram(rows, weight, np.tile(two_u[0], 3)).astype(dtype)
     z = np.arange(2 * n, 3 * n)
-    gram4[z, z] += free_diag
+    gram4[z, z] += [weight[free].sum() for free in (shared == 0).T]
     if (gram4 % 4).any():
         raise RuntimeError("pair moments: 4G is not divisible by 4")
     return gram4 // 4

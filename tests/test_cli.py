@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from diamopt import tsp
+from diamopt import suites, tsp
 from diamopt.bpcore import BinaryProgram, Constraint
 from diamopt.cli import main
 from diamopt.modelio import model_to_dict, write_lp
@@ -190,6 +190,15 @@ class TestPointsAndDim:
         assert len(payload["points"]) == 12
         assert all(len(p) == 6 for p in payload["points"])
         assert payload["points"] == sorted(payload["points"])
+
+    @pytest.mark.parametrize("problem,n", [("lop", "3"), ("tsp", "5")])
+    def test_points_text_matches_per_coordinate_formatting(self, problem, n, capsys):
+        code, out, _ = run(capsys, "points", "--problem", problem, "--n", n)
+        assert code == 0
+        ps = suites._paired_points(suites.FAMILIES[problem], int(n))
+        header = f"# {problem} n={n} ambient={ps.dim_ambient} count={ps.count}"
+        rows = ["".join(str(int(v)) for v in row) for row in ps.array]
+        assert out.splitlines() == [header] + rows
 
     def test_max_points_exit(self, capsys):
         code, _, err = run(

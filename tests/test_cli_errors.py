@@ -48,6 +48,40 @@ def test_zero_denominator_is_input_error(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _model(objective):
+    return json.dumps({"objective": objective, "constraints": []})
+
+
+def _ordering(n, weights):
+    return json.dumps({"n": n, "weights": weights})
+
+
+# files whose numbers a cast to int or Fraction would silently truncate:
+# file name, content, argv with {f} standing for the file
+NON_INTEGERS = {
+    "objective-float-numerator": ("m.json", _model([[1.5, 2], 1]), "solve {f}"),
+    "objective-float-denominator": ("m.json", _model([[3, 2.9], 1]), "solve {f}"),
+    "objective-bool-numerator": ("m.json", _model([[True, 2], 1]), "solve {f}"),
+    "objective-bool": ("m.json", _model([True, 1]), "solve {f}"),
+    "ordering-float-index": ("w.json", _ordering(3, [[1.9, 2, 5]]), "diameter --problem lop --instance {f}"),
+    "ordering-bool-index": ("w.json", _ordering(3, [[True, 2, 5]]), "diameter --problem lop --instance {f}"),
+    "ordering-float-n": ("w.json", _ordering(3.7, []), "diameter --problem lop --instance {f}"),
+    "ordering-bool-n": ("w.json", _ordering(True, []), "diameter --problem lop --instance {f}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGERS))
+def test_non_integer_is_input_error(case, tmp_path, capsys):
+    name, content, argv = NON_INTEGERS[case]
+    path = tmp_path / name
+    path.write_text(content)
+    code = main(argv.format(f=path).split())
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "input error" in err and "is not an integer" in err
+    assert "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("top", ["5", '"abc"', "null", "true"])
 def test_scalar_inequalities_file_is_input_error(top, tmp_path, capsys):
     path = tmp_path / "q.json"

@@ -210,11 +210,55 @@ class TestPairMoments:
         base = np.zeros((1, 70), dtype=np.uint8)
         assert polytope._pair_count(base) == 1 << 70
 
-    @pytest.mark.parametrize("chunk", [1, 5, 1 << 14])
-    def test_pair_chunks(self, chunk, monkeypatch):
-        # a chunk smaller than one row of pairs still takes one u at a time
+    def test_gram_past_every_bound(self):
+        # 2^70 completions z of the all-zero point, p0 = 0: G = sum z z^T is
+        # 2^69 on the z diagonal (half of them set a bit) and 2^68 off it
+        # (a quarter set two), far past int64 and float64
+        got = polytope._pair_gram(np.zeros((1, 70), dtype=np.uint8))
+        want = [[0] * 210 for _ in range(210)]
+        for i in range(140, 210):
+            for j in range(140, 210):
+                want[i][j] = 1 << 69 if i == j else 1 << 68
+        assert got.dtype == object and got.tolist() == want
+
+    def test_gram_past_int64_from_the_raw_moments(self):
+        # four points of weight <= 1 over 61 columns have 29 * 2^60 > 2^63
+        # paired points; G is summed here from the uncentred moments,
+        # 4G = 4M - 2p0 (2s)^T - 2s (2p0)^T + N 2p0 (2p0)^T, pair by pair
+        n = 61
+        base = np.zeros((4, n), dtype=np.uint8)
+        base[1, 60] = base[2, 30] = base[3, 0] = 1  # in lexicographic order
+        points = base.tolist()
+        dim = 3 * n
+        moment4 = [[0] * dim for _ in range(dim)]  # 4M
+        sum2 = [0] * dim  # 2s
+        count = 0
+        for u in points:
+            for v in points:
+                shared = [a & b for a, b in zip(u, v)]
+                k = n - sum(shared)
+                q2 = [2 * a for a in u] + [2 * b for b in v] + [1 + s for s in shared]
+                count += 1 << k
+                for i in range(dim):
+                    sum2[i] += q2[i] << k
+                    for j in range(dim):
+                        moment4[i][j] += q2[i] * q2[j] << k
+                for i, s in enumerate(shared):
+                    moment4[2 * n + i][2 * n + i] += (1 - s) << k
+        assert count == polytope._pair_count(base) == 29 << 60
+        p2 = [2 * a for a in points[0]] * 3
+        want = [
+            [(moment4[i][j] - p2[i] * sum2[j] - sum2[i] * p2[j] + count * p2[i] * p2[j]) // 4 for j in range(dim)]
+            for i in range(dim)
+        ]
+        got = polytope._pair_gram(base)
+        assert got.dtype == object and got.tolist() == want
+
+    @pytest.mark.parametrize("chunk", [1, 5, ratlinalg._GRAM_CHUNK])
+    def test_pair_rows_cross_gram_chunks(self, chunk, monkeypatch):
+        # the 36 weighted pair rows cross _gram's chunk borders, one row at a time at 1
         want = suites._lop_points(3).gram()
-        monkeypatch.setattr(polytope, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(ratlinalg, "_GRAM_CHUNK", chunk)
         ps = suites._lop_points(3)
         assert ps.count == 1008 and ps.gram() == want
 

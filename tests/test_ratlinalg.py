@@ -13,6 +13,7 @@ from diamopt.ratlinalg import (
     _int_rank,
     _mod_rank,
     affine_dimension,
+    as_integer,
     as_rational,
     scaled_int_vector,
 )
@@ -50,6 +51,16 @@ class TestAsRational:
     def test_rejects_garbage(self):
         with pytest.raises((ValueError, TypeError)):
             as_rational("three quarters")
+
+    @pytest.mark.parametrize("x", [[1.5, 2], [3, 2.9], [True, 2], (np.float64(2.0), 1), True])
+    def test_rejects_truncation(self, x):
+        # int() would read these as 1/2, 3/2, 1/2, 2 and 1
+        with pytest.raises(ValueError, match="is not an integer"):
+            as_rational(x)
+
+    def test_integer_pairs(self):
+        assert as_rational((np.int64(-6), np.uint8(4))) == Fraction(-3, 2)
+        assert as_integer(np.int8(-3)) == -3 and type(as_integer(np.int8(-3))) is int
 
 
 class TestScaledIntVector:
@@ -194,14 +205,18 @@ class TestAffineDimension:
         assert affine_dimension(np.array(pts, dtype=np.uint64)) == affine_dimension(pts) == 2
 
 
-def gram_reference(points):
-    """sum of (p - p0)(p - p0)^T on Python integers, entry by entry."""
+def gram_reference(points, weights=None, origin=None):
+    """sum of w (p - o)(p - o)^T on Python integers, entry by entry; by
+    default w = 1 and o = p0, the first row."""
     rows = points.tolist()
-    cols = [tuple(v - c0 for v in col) for c0, col in zip(rows[0], zip(*rows))]
+    o = rows[0] if origin is None else origin.tolist()
+    w = [1] * len(rows) if weights is None else weights.tolist()
+    cols = [tuple(v - c0 for v in col) for c0, col in zip(o, zip(*rows))]
     gram = [[0] * len(cols) for _ in cols]
     for i, a in enumerate(cols):
+        wa = list(map(operator.mul, w, a))
         for j in range(i, len(cols)):
-            gram[i][j] = gram[j][i] = sum(map(operator.mul, a, cols[j]))
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, wa, cols[j]))
     return gram
 
 
@@ -264,6 +279,66 @@ class TestGram:
             points = points.astype(np.int64)
         assert affine_dimension(points) == affine_dimension(points.tolist()) == affine_dimension(bits.tolist())
         assert _gram(points).tolist() == gram_reference(points)
+
+
+class TestWeightedGram:
+    """`_gram(points, weights, origin)` sums w (p - o)(p - o)^T on each tier:
+    float64 chunks summed in int64 where the bounds hold, Python integers
+    otherwise; zero weights and an origin off the rows included."""
+
+    @staticmethod
+    def case(seed, rows, cols, spread, top_weight):
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-spread // 2, spread - spread // 2, size=(rows, cols), dtype=np.int64)
+        weights = rng.integers(0, top_weight, size=rows, dtype=np.int64, endpoint=True)
+        weights[::3] = 0
+        origin = rng.integers(-spread, spread, size=cols, dtype=np.int64)
+        return points, weights, origin
+
+    def test_defaults_are_unit_weights_about_the_first_row(self):
+        points = suites._tsp_points(4).array
+        ones = np.ones(len(points), dtype=np.int64)
+        assert _gram(points, ones, points[0]).tolist() == _gram(points).tolist() == gram_reference(points)
+
+    def test_float_tier(self):
+        points, weights, origin = self.case(1, 3000, 6, 9, 1000)
+        got = _gram(points, weights, origin)
+        assert got.dtype == np.int64 and got.tolist() == gram_reference(points, weights, origin)
+
+    def test_int64_sum_tier(self):
+        # weights near 2**44 leave a few rows per exact float chunk, and the
+        # sums pass 2**53, where only the int64 sum is exact
+        points, weights, origin = self.case(2, 300, 4, 8, 1 << 44)
+        got = _gram(points, weights, origin)
+        assert got.dtype == np.int64 and got.tolist() == gram_reference(points, weights, origin)
+        assert max(map(max, got.tolist())) > 1 << 53
+
+    @pytest.mark.parametrize("top_weight", [1 << 52, 1 << 62, 1 << 70])
+    def test_python_int_tier(self, top_weight):
+        # a weight that float64 cannot scale exactly, or an int64 sum past 2**62
+        points, weights, origin = self.case(3, 200, 5, 16, 1 << 40)
+        weights = weights.astype(object)
+        weights[1] = top_weight
+        got = _gram(points, weights, origin)
+        assert got.dtype == object and all(type(v) is int for v in got.flat)
+        assert got.tolist() == gram_reference(points, weights, origin)
+
+    def test_sum_past_the_int64_bound(self):
+        # 2**19 * spread**2 = 2**51 fits a float chunk of one row, but the
+        # weighted sums pass 2**63
+        rng = np.random.default_rng(4)
+        points = (1 << 16) * rng.integers(0, 2, size=(20000, 3), dtype=np.int64)
+        weights = np.full(len(points), 1 << 19, dtype=np.int64)
+        weights[::3] = 0
+        origin = np.zeros(3, dtype=np.int64)
+        got = _gram(points, weights, origin)
+        assert got.dtype == object and got.tolist() == gram_reference(points, weights, origin)
+        assert max(map(max, got.tolist())) >= 1 << 63
+
+    def test_zero_weights(self):
+        points, _, origin = self.case(5, 50, 4, 9, 1)
+        zeros = np.zeros(len(points), dtype=np.int64)
+        assert _gram(points, zeros, origin).tolist() == [[0] * 4] * 4
 
 
 class TestModRank:
