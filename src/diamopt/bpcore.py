@@ -10,6 +10,7 @@ near-optimal assignment (a solution pool).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -236,6 +237,41 @@ def _window(sense: str, rhs: int, lo: int, hi: int) -> tuple:
     return (-math.inf if sense == "<=" else rhs - hi, math.inf if sense == ">=" else rhs - lo)
 
 
+# The most table entries, counted as columns x (ones + 1), a cardinality
+# row of solve_bnb's bound may take; a larger row is left out, which only
+# weakens the bound.  Every row of at most 255 columns fits.
+CARD_TABLE_LIMIT = 1 << 16
+
+
+def _cardinality_rows(c_int, rows) -> list:
+    """(row index, t, columns) for each row solve_bnb bounds by cardinality:
+    an = row whose nonzero coefficients all equal some t > 0 and whose
+    right-hand side b is a multiple of t from 0 to t * columns, so exactly
+    b/t of its columns are 1.  A row whose columns all cost 0 adds nothing
+    to the bound and is left out, as is one past CARD_TABLE_LIMIT."""
+    out = []
+    for i, (a, sense, b) in enumerate(rows):
+        cols = [j for j, v in enumerate(a) if v]
+        if sense != "=" or not cols or not any(c_int[j] for j in cols):
+            continue
+        t = a[cols[0]]
+        if t > 0 and all(a[j] == t for j in cols) and b % t == 0 and 0 <= b // t <= len(cols):
+            if len(cols) * (b // t + 1) <= CARD_TABLE_LIMIT:
+                out.append((i, t, cols))
+    return out
+
+
+def _share_tables(shares: list, ones: int) -> list:
+    """tables[f][m]: the sum of the m largest of shares[f:], for m up to
+    min(len(shares) - f, ones)."""
+    desc: list = []  # the negated shares of the current suffix, ascending
+    tables = [[0]]
+    for s in reversed(shares):
+        bisect.insort(desc, -s)
+        tables.append(list(itertools.accumulate((-v for v in desc[:ones]), initial=0)))
+    return tables[::-1]
+
+
 def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
     """Depth-first branch and bound, and with slack >= 0 a solution pool.
 
@@ -244,7 +280,7 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
     below best - slack, on the integer-scaled objective of bp.scaled(), best
     the incumbent value; only a strictly better leaf replaces the incumbent.
     With the default slack -1 this is "cut when the bound cannot beat the
-    incumbent" (bounds are integers), so the search returns the
+    incumbent" (values are integers), so the search returns the
     lexicographically largest optimum: the subtree holding it is never cut.
     With slack s >= 0 no feasible x with c_int.x >= v* - s (v* the optimum)
     is ever cut, since every ancestor's bound is at least c_int.x, and the
@@ -256,28 +292,69 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
     on its path is cut.  Always terminates, and agrees with solve_enumerate
     on status and objective value.  The search keeps its own stack, one
     frame per depth (the value to branch on next, the prefix value, the
-    forced penalty), so Python's recursion limit does not bound the number
-    of variables.
+    rest of the bound), so Python's recursion limit does not bound the
+    number of variables.
 
     A row is pruned as soon as its reachable value range excludes the
     right-hand side.  The bound at a node is the fixed prefix value, plus
-    every positive objective coefficient among the free variables, plus the
-    forced penalties: take a row whose last nonzero column j has c_j < 0;
-    once its second-to-last column is fixed, x_j alone decides the row, and
-    if x_j = 0 breaks it every completion sets x_j = 1 and pays c_j.  Each
-    forced free variable adds its c_j once, until j is branched on and the
-    gain charges it.  In a paired (x | y | z) program this charges z_i's
-    penalty as soon as y_i is fixed.
+    every positive objective coefficient among the free uncovered variables,
+    plus the forced penalties, plus the cardinality rows' shares.  Forced
+    penalties: take a row whose last nonzero column j is uncovered and has
+    c_j < 0; once its second-to-last column is fixed, x_j alone decides the
+    row, and if x_j = 0 breaks it every completion sets x_j = 1 and pays
+    c_j.  Each forced free variable adds its c_j once, until j is branched
+    on and the gain charges it.  In a paired (x | y | z) program this
+    charges z_i's penalty as soon as y_i is fixed.
+
+    Cardinality rows (see _cardinality_rows) are = rows with one positive
+    coefficient t: at a node, exactly need = (b - fixed part) / t of the
+    row's free columns are 1 in every feasible completion.  A column in
+    k_j of them is covered and split into k_j integer shares
+    c_j * L / k_j, L the lcm of the k_j, so the covered free columns of a
+    completion are worth, times L, the sum over rows of its ones' shares,
+    and each row's part is at most its `need` largest free shares.  The
+    search therefore runs on the objective times L: the bound is those
+    shares plus L times the rest, compared with L * (best - slack) in
+    Python integers.  Covered columns leave the positive sum and the forced
+    penalties, so no value is counted twice.  On the pick-one rows of an
+    ordering this is the bound sum(max(w_ij, w_ji)), on the degree rows of
+    a tour half of every city's two best edges.  Free columns are a suffix
+    of each row, so each row's largest-share sums are tabled once by (its
+    columns fixed, its ones needed) and a node reads one entry per row
+    through x_d.  The bound holds for every completion, so optima and pools
+    are those of the search without it; only fewer nodes are visited.
     """
     n = bp.n
     c_int, rows, _ = bp.scaled()
-    # obj_pos[d]: the sum of the positive objective coefficients from column d on
-    obj_pos = list(itertools.accumulate(reversed([max(v, 0) for v in c_int]), initial=0))[::-1]
+    card = _cardinality_rows(c_int, rows)
+    cover = [0] * n  # the cardinality rows through each column
+    for _, _, cols in card:
+        for j in cols:
+            cover[j] += 1
+    # the search runs on the objective times scale, so every share is an integer
+    scale = math.lcm(*(k for k in cover if k))
+    c_int = [v * scale for v in c_int]
+    slack *= scale
+    # obj_pos[d]: the sum of the positive objective coefficients of the
+    # uncovered columns from d on
+    free_pos = [0 if k else max(v, 0) for v, k in zip(c_int, cover)]
+    obj_pos = list(itertools.accumulate(reversed(free_pos), initial=0))[::-1]
+
+    # shares[d]: (row, t, b, before, after) for each cardinality row through
+    # column d, its share tables with x_d free and with x_d fixed
+    shares = [[] for _ in range(n)]
+    card_root = 0  # the cardinality rows' part of the root bound
+    for i, t, cols in card:
+        b = rows[i][2]
+        tables = _share_tables([c_int[j] // cover[j] for j in cols], b // t)
+        card_root += tables[0][b // t]
+        for f, j in enumerate(cols):
+            shares[j].append((i, t, b, tables[f], tables[f + 1]))
 
     # touched[d]: (row, coeff, bottom, top) for each row with a nonzero in
     # column d, its window once x_d is fixed; triggers[d]: (row, j, bottom,
     # top) for each row that x_j alone decides from depth d on, j its last
-    # nonzero column and c_j < 0, its window with x_j = 0
+    # nonzero column, c_j < 0 and j uncovered, its window with x_j = 0
     touched = [[] for _ in range(n)]
     triggers = [[] for _ in range(n + 1)]
     root = []
@@ -289,7 +366,7 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
         for d in cols:
             lo, hi = lo - min(a[d], 0), hi - max(a[d], 0)
             touched[d].append((i, a[d], *_window(sense, b, lo, hi)))
-        if cols and c_int[cols[-1]] < 0:
+        if cols and c_int[cols[-1]] < 0 and not cover[cols[-1]]:
             triggers[cols[-2] + 1 if len(cols) > 1 else 0].append((i, cols[-1], *_window(sense, b, 0, 0)))
 
     acc = [0] * len(rows)  # each row's value over the fixed columns
@@ -318,7 +395,9 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
         return SolveReport("infeasible", None, 1)
     assign = [0] * n
     obj = [0] * (n + 1)  # prefix value of the node at each depth
-    pen = [force(0)] + [0] * n  # forced penalty of the node at each depth
+    # the rest of the bound of the node at each depth: forced penalties plus
+    # the cardinality rows' shares
+    extra = [force(0) + card_root] + [0] * n
     nxt = [1] * n  # next value to branch on at each depth; -1 when both are done
     best_val: int | None = None
     best_assign: tuple[int, ...] | None = None
@@ -347,8 +426,12 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
                     acc[i] += coeff
             if rows_ok(touched[d]):
                 obj[d + 1] = obj[d] + (c_int[d] if val else 0)
-                pen[d + 1] = pen[d] - (c_int[d] if forced[d] else 0) + force(d + 1)
-                if best_val is None or obj[d + 1] + obj_pos[d + 1] + pen[d + 1] >= best_val - slack:
+                delta = force(d + 1) - (c_int[d] if forced[d] else 0)
+                for i, t, b, before, after in shares[d]:
+                    need = (b - acc[i]) // t  # ones the row's free columns still take
+                    delta += after[need] - before[need + val]
+                extra[d + 1] = extra[d] + delta
+                if best_val is None or obj[d + 1] + obj_pos[d + 1] + extra[d + 1] >= best_val - slack:
                     nodes += 1
                     d += 1
                     continue
@@ -365,7 +448,7 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
                 if len(pool) > trim:
                     pool = [e for e in pool if e[0] >= best_val - slack]
                     if len(pool) > POOL_LIMIT:
-                        pool, slack = None, -1
+                        pool, slack = None, -scale
                     else:
                         trim = len(pool) + POOL_LIMIT  # trim again after POOL_LIMIT more leaves
         else:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diamopt import bpcore
+from diamopt import bpcore, tsp
 from diamopt.bpcore import (
     POOL_LIMIT,
     BinaryProgram,
@@ -267,3 +267,100 @@ class TestPool:
         rep = solve_bnb(BinaryProgram([0] * 60, []), slack=0)
         assert rep.pool is None and rep.best.assignment == (1,) * 60
         assert rep.nodes_explored < 4 * POOL_LIMIT
+
+
+def cardinality_program(rng):
+    """Small seeded model mixing rows solve_bnb bounds by cardinality with
+    random rows: pick-one rows, two = rows sharing a column (degree-like), a
+    row with t = 2, a rational row that scales to integers, and a row whose
+    last column is covered and costs less than 0."""
+    n = rng.randint(5, 10)
+    c = [rng.randint(-5, 5) for _ in range(n)]
+
+    def row(cols, coeff=1):
+        return [coeff if j in cols else 0 for j in range(n)]
+
+    rows = []
+    perm = rng.sample(range(n), n)
+    for i, j in zip(perm[::2], perm[1::2]):
+        if rng.random() < 0.5:
+            rows.append(Constraint(row({i, j}), "=", 1))
+    if rng.random() < 0.7:
+        s = rng.sample(range(n), 5)
+        rows.append(Constraint(row(s[:3]), "=", rng.randint(1, 2)))
+        rows.append(Constraint(row(s[2:]), "=", rng.randint(1, 2)))
+    if rng.random() < 0.5:
+        rows.append(Constraint(row(rng.sample(range(n), 3), 2), "=", 4))
+    if rng.random() < 0.5:
+        cols = rng.sample(range(n), 4)
+        rows.append(Constraint(row(cols, Fraction(1, 3)), "=", Fraction(rng.randint(1, 3), 3)))
+    if rng.random() < 0.7:
+        # j is in a cardinality row and ends a <= row, so its negative cost
+        # is a forced-penalty trigger and a share at once
+        j = rng.randrange(2, n)
+        rows.append(Constraint(row({j, rng.randrange(j)}), "=", 1))
+        c[j] = -rng.randint(1, 5)
+        a = [rng.randint(-3, 3) if k < j else 0 for k in range(n)]
+        a[j] = rng.choice((-2, -1, 1, 2))
+        lo, hi = sum(v for v in a if v < 0), sum(v for v in a if v > 0)
+        rows.append(Constraint(a, "<=", rng.randint(lo, hi)))
+    if rng.random() < 0.5:
+        a = [rng.randint(-4, 4) for _ in range(n)]
+        lo, hi = sum(v for v in a if v < 0), sum(v for v in a if v > 0)
+        rows.append(Constraint(a, rng.choice(("<=", ">=")), rng.randint(lo, hi)))
+    return BinaryProgram(c, rows)
+
+
+class TestCardinalityBound:
+    """solve_bnb's bound over = rows with one coefficient t: exactly b/t of
+    a row's free columns are 1, so its free columns' value is at most the
+    sum of that many largest shares."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pool_and_best_match_brute_force(self, seed):
+        rng = random.Random(80 + seed)
+        engaged = 0
+        for _ in range(30):
+            bp = cardinality_program(rng)
+            c_int, rows, _ = bp.scaled()
+            engaged += bool(bpcore._cardinality_rows(c_int, rows))
+            value = {x: sum(ci for ci, xi in zip(c_int, x) if xi) for x in brute_feasible(bp)}
+            enum = solve_enumerate(bp)
+            for slack in (-1, 0, 3):
+                rep = solve_bnb(bp, slack=slack)
+                assert rep.status == enum.status
+                if not value:
+                    assert rep.best is None and rep.pool is None
+                    continue
+                top = max(value.values())
+                assert rep.best.objective_value == enum.best.objective_value
+                assert rep.best.assignment == max(x for x, v in value.items() if v == top)
+                if slack >= 0:
+                    assert list(rep.pool) == sorted((x for x, v in value.items() if v >= top - slack), reverse=True)
+        assert engaged >= 20
+
+    def test_ordering_bound(self):
+        # a pick-one row per pair: every node's bound is its prefix plus
+        # max(w_ij, w_ji) over the pairs left, so once the first leaf is in
+        # only better prefixes are extended: 807 nodes, 8,007,355 without
+        # the rows in the bound
+        rng = random.Random(5)
+        pairs = list(itertools.combinations(range(8), 2))
+        c = [rng.randint(1, 9) for _ in range(2 * len(pairs))]
+        rows = [Constraint([int(j in (2 * k, 2 * k + 1)) for j in range(len(c))], "=", 1) for k in range(len(pairs))]
+        rep = solve_bnb(BinaryProgram(c, rows))
+        assert rep.best.objective_value == sum(max(c[2 * k], c[2 * k + 1]) for k in range(len(pairs)))
+        assert rep.nodes_explored < 1_000
+
+    def test_zero_cost_rows_are_left_out(self):
+        bp = tsp.build(tsp.TspInstance.zero(7))
+        assert bpcore._cardinality_rows(*bp.scaled()[:2]) == []
+        # the node counts of the search without the bound
+        assert [solve_bnb(bp, slack=s).nodes_explored for s in (-1, 0)] == [22, 3941]
+
+    def test_a_row_past_the_table_limit_is_left_out(self, monkeypatch):
+        bp = BinaryProgram([3, 1, 2, 5], [Constraint([1, 1, 1, 1], "=", 2)])
+        assert bpcore._cardinality_rows(*bp.scaled()[:2]) == [(0, 1, [0, 1, 2, 3])]
+        monkeypatch.setattr(bpcore, "CARD_TABLE_LIMIT", 11)  # 4 columns x 3 entries
+        assert bpcore._cardinality_rows(*bp.scaled()[:2]) == []
+        assert solve_bnb(bp).best.assignment == (1, 0, 0, 1)

@@ -346,6 +346,12 @@ def ordering6_seed1():
     return build(lop.build(lop.LopInstance(6, weights)))
 
 
+def tour7_seed1():
+    rng = random.Random(1)
+    costs = {e: rng.randint(1, 6) for e in tsp.edges(7)}
+    return build(tsp.build(tsp.TspInstance(7, costs)))
+
+
 class TestNodeCounts:
     """One guard per pruning device; each fails without its device."""
 
@@ -356,15 +362,22 @@ class TestNodeCounts:
         assert paired < 10_000
 
     def test_base_optimum_cuts_on_a_weighted_ordering(self):
-        # ordering n=6, seed 1, weights in [-4, 4]: 12,847 paired and 6,148
-        # base nodes; without the cuts 118,673 paired nodes, and 454,144
-        # without either device
+        # ordering n=6, seed 1, weights in [-4, 4]: 12,608 paired and 3,581
+        # base nodes; without the cuts 52,905 paired nodes, and 140,864
+        # without the forced penalties as well
         paired, base = paired_nodes(ordering6_seed1())
         assert paired + base < 50_000
 
     def test_pool_search_on_a_weighted_ordering(self, monkeypatch):
-        # the same ordering takes 7,374 pool nodes, and no paired search
+        # the same ordering takes 4,450 pool nodes, and no paired search
         assert pool_nodes(monkeypatch, ordering6_seed1()) < 10_000
+
+    def test_cardinality_rows_on_a_weighted_ordering_and_tour(self, monkeypatch):
+        # the pick-one and degree rows bound the pool search: 4,450 nodes
+        # for the ordering and 455 for tour n=7, seed 1, costs in [1, 6];
+        # 7,374 and 1,507 without them
+        assert pool_nodes(monkeypatch, ordering6_seed1()) < 5_000
+        assert pool_nodes(monkeypatch, tour7_seed1()) < 600
 
 
 class TestTwoPhases:
