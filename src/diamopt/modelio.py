@@ -3,9 +3,9 @@
 The LP writer emits decimal coefficients.  A rational has an exact finite
 decimal expansion iff its lowest-terms denominator is of the form
 2^a * 5^b; anything else is rounded and flagged with a warning comment,
-and the exact values always travel in a JSON sidecar.  Equality and >=
-rows are normalized to <= pairs/rows on export only; the in-memory model
-keeps them native.
+and the exact values always travel in a JSON sidecar.  >= rows are
+negated to <= rows on export only; = and <= rows keep their sense, and the
+in-memory model keeps every row native.
 """
 
 from __future__ import annotations
@@ -81,20 +81,15 @@ def lp_string(bp: BinaryProgram) -> tuple[str, list[str]]:
     body.append(f" obj: {_expr(bp.c, names, warnings, 'objective')}")
     body.append("Subject To")
     for con in bp.constraints:
-        if con.sense == "<=":
-            pieces = [(con.name, con.coeffs, con.rhs)]
-        elif con.sense == ">=":
-            pieces = [(con.name, tuple(-a for a in con.coeffs), -con.rhs)]
-        else:  # split the equality into a <= pair
-            pieces = [
-                (con.name + "_a", con.coeffs, con.rhs),
-                (con.name + "_b", tuple(-a for a in con.coeffs), -con.rhs),
-            ]
-        for name, coeffs, rhs in pieces:
-            dec, exact = decimal_form(rhs)
-            if not exact:
-                warnings.append(f"right-hand side {rhs} of {name} is inexact in decimal")
-            body.append(f" {name}: {_expr(coeffs, names, warnings, name)} <= {dec}")
+        # a >= row is written negated as <=; an = row keeps its sense, which
+        # solve_bnb's cardinality bound reads
+        name, coeffs, rhs, sense = con.name, con.coeffs, con.rhs, con.sense
+        if sense == ">=":
+            coeffs, rhs, sense = tuple(-a for a in coeffs), -rhs, "<="
+        dec, exact = decimal_form(rhs)
+        if not exact:
+            warnings.append(f"right-hand side {rhs} of {name} is inexact in decimal")
+        body.append(f" {name}: {_expr(coeffs, names, warnings, name)} {sense} {dec}")
     body.append("Binary")
     for name in names:
         body.append(f" {name}")

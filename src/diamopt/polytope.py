@@ -18,7 +18,17 @@ G = M - p0 s^T - s p0^T + N p0 p0^T, p0 = (u0, u0, u0) the first point in
 lexicographic order (u0 the first base point).  It is summed as 4G, so the
 halves and quarters are integers, by ratlinalg._gram over the m^2 <= N
 weighted pair rows, each entry at most 4N (only the user-set max_points
-bounds N).  Points are built only when read: facet checks, the listing.
+bounds N).  Points are built only when read: the listing.
+
+Nor does a face.  A pair's points form a cube (x = u, y = v, z = 1 on S,
+the other z columns free), split by a row on its free columns where the
+row is nonzero into sub-cubes, each wholly tight or not.  Validity and the
+tight count (2^r per tight sub-cube, r free columns left) are exact sums.
+The face's dimension is |U| + rank(corner - first corner) over the tight
+sub-cubes, U the free columns left in them, ranked with the U columns
+dropped on the pivot columns J of G: the projection onto J is injective on
+the hull's directions, and U lies in J, as e_j (j in U) is a direction.  A
+point array is the same path with one sub-cube per point and r = 0.
 
 The (x | y | z) layout belongs to diameter: the inherited facet families,
 the z bounds and the lifted equation systems place their blocks with
@@ -44,16 +54,13 @@ from .ratlinalg import (
     _gram,
     _int_rank,
     _mod_rank,
+    _pivot_columns,
     as_rational,
     int_dtype,
     scaled_int_vector,
 )
 
 DEFAULT_MAX_POINTS = 2_000_000
-
-# tight rows per hull dimension that a face rank tries before all of them
-_FACE_SAMPLE = 32
-
 
 # rows compared at a time by _strictly_increasing, so its scratch arrays
 # have a fixed size however many points there are
@@ -84,12 +91,9 @@ class PointSet:
     array is sorted and deduplicated with np.unique.
 
     enumerate_points returns a paired set instead, which holds only the
-    sorted base points.  Its count N, its first point p0 = (u0, u0, u0) and
-    its Gram matrix G = M - p0 s^T - s p0^T + N p0 p0^T come from the pair
-    moments M = sum p p^T and s = sum p (module docstring; _pair_count,
-    _pair_gram), summed as 4G by the exact kernel ratlinalg._gram over
-    m^2 <= N weighted pair rows.  So the dimension and the minimality check
-    never build a point; the array is generated on its first read.
+    sorted base points: its count and Gram matrix come from the pair
+    moments and its faces from the pair cubes (module docstring), so the
+    array is generated only on its first read.
     """
 
     def __init__(self, points):
@@ -106,7 +110,8 @@ class PointSet:
         self._base: np.ndarray | None = None
         self.count, self.dim_ambient = arr.shape
         self._gram: list[list[int]] | None = None
-        self._hull_dim: int | None = None
+        self._pivots: list[int] | None = None
+        self._cube_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def _paired(cls, base: np.ndarray, count: int) -> "PointSet":
@@ -114,13 +119,13 @@ class PointSet:
         ps = cls.__new__(cls)
         ps._array, ps._base = None, base
         ps.count, ps.dim_ambient = count, 3 * base.shape[1]
-        ps._gram = ps._hull_dim = None
+        ps._gram = ps._pivots = ps._cube_cache = None
         return ps
 
     @property
     def array(self) -> np.ndarray:
         if self._array is None:
-            arr = _paired_rows(self._base, self.count)
+            arr = _paired_rows(self._base)
             if not _strictly_increasing(arr):
                 raise RuntimeError("paired points generated out of lexicographic order")
             self._array = arr
@@ -151,10 +156,24 @@ class PointSet:
         return self._gram
 
     def hull_dimension(self) -> int:
-        """rank(G) = rank of the differences p - p0 = affine dimension."""
-        if self._hull_dim is None:
-            self._hull_dim = _int_rank(self.gram())
-        return self._hull_dim
+        """rank(G) = affine dimension, the number of pivot columns of G, kept:
+        a column combination vanishes on G exactly when it vanishes on every
+        p - p0, so projecting onto them is injective on the hull's directions."""
+        if self._pivots is None:
+            self._pivots = _pivot_columns(self.gram())
+        return len(self._pivots)
+
+    def _cubes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(corners, free), computed once: the set as disjoint cubes, the
+        columns where free[k] is True 0 in corners[k] and 0 or 1 at will.
+        A paired set's cube (u, v) has corner (u, v, u AND v) and the other
+        z columns free; an array's cubes are its points, with none free."""
+        if self._cube_cache is None:
+            if self._base is None:
+                self._cube_cache = self._array, np.zeros(self._array.shape, dtype=bool)
+            else:
+                self._cube_cache = _pair_cubes(self._base)
+        return self._cube_cache
 
 
 @dataclass(frozen=True)
@@ -206,24 +225,18 @@ def enumerate_points(
     cap: int = DEFAULT_ENUM_CAP,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> PointSet:
-    """All 0/1 feasible triples (x, y, z) of a conjugate diameter program.
-
-    They are generated from the base feasible set: every ordered pair
-    (x, y), z forced to 1 on the shared support and free elsewhere.
-    base_points lists that set when the front end can (the ordering and
-    tour front ends do); otherwise it is read from
-    bpcore.feasible_blocks(dp.base, cap), a 2^n scan that needs n to fit
-    under the enumeration cap.
+    """All 0/1 feasible triples (x, y, z) of a conjugate diameter program:
+    every ordered pair (x, y) of base feasible points, z forced to 1 on the
+    shared support and free elsewhere.  base_points lists the base set when
+    the front end can (ordering and tour do); otherwise it is read from
+    bpcore.feasible_blocks(dp.base, cap), a 2^n scan under the cap.
 
     The set is returned as its sorted, deduplicated base points.  The
     count N, the sum over the ordered pairs of 2^k with k the pair's free z
     columns, is computed exactly on Python integers and checked against
-    max_points before anything else.  The Gram matrix follows from the
-    pair moments, G = M - p0 s^T - s p0^T + N p0 p0^T with
-    p0 = (u0, u0, u0) (_pair_gram: one ratlinalg._gram call, under its
-    checked bounds, over m^2 <= N weighted pair rows), and the points
-    themselves are generated only when PointSet.array is read
-    (_paired_rows).
+    max_points before anything else; it bounds the pairs and the sub-cubes
+    of every later face.  The points are generated only when
+    PointSet.array is read (_paired_rows).
     """
     if dp.include_lower_coupling:
         raise ValueError("point enumeration is defined for the conjugate variant")
@@ -264,59 +277,50 @@ def _pair_count(base: np.ndarray) -> int:
     return sum(c << k for k, c in enumerate(free.tolist()))
 
 
-def _pair_gram(base: np.ndarray) -> np.ndarray:
-    """The paired set's Gram matrix G = sum (p - p0)(p - p0)^T from the m^2
-    pair moments of the module docstring, without generating a point.
+def _pair_cubes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(corners, free) of the m^2 pair cubes, pair a m + b: corner
+    (u_a, u_b, u_a AND u_b), free on the other z columns (PointSet._cubes)."""
+    m, n = base.shape
+    shared = _pairs(base)[0]
+    corners = np.concatenate([np.repeat(base, m, axis=0), np.tile(base, (m, 1)), shared], axis=1)
+    free = np.zeros(corners.shape, dtype=bool)
+    free[:, 2 * n :] = shared == 0
+    return corners, free
 
-    A pair's 2^k points add 2^k (q - p0)(q - p0)^T plus 2^(k-2) on each
-    free z diagonal entry, so 4G is the ratlinalg._gram sum of the m^2 <= N
-    rows 2q = (2u, 2v, 1 + u AND v), weights 2^k, about the origin 2 p0,
-    plus 2^k on each free z diagonal entry.  2q - 2 p0 is in {-2, ..., 2},
-    so each entry of 4G is at most 4N in size, the bound that types the
-    weights and the diagonal sum; the division by 4 is checked.
-    """
-    n = base.shape[1]
-    shared, k = _pairs(base)
+
+def _pair_gram(base: np.ndarray) -> np.ndarray:
+    """The paired set's Gram matrix from the pair moments (module
+    docstring): 4G is the ratlinalg._gram sum of the m^2 <= N rows
+    2q = 2 corner + free = (2u, 2v, 1 + u AND v), weights 2^k, about the
+    origin 2 p0, plus 2^k on each free diagonal entry.  2q - 2 p0 is in
+    {-2, ..., 2}, so each entry of 4G is at most 4N in size, the bound that
+    types the weights and the diagonal sum; the division by 4 is checked."""
+    corners, free = _pair_cubes(base)
     dtype = int_dtype(4 * _pair_count(base))
-    weight = 2 ** k.astype(dtype)  # 2^k <= N: each pair's points are among them
-    two_u, m = 2 * base, len(base)
-    rows = np.concatenate([np.repeat(two_u, m, axis=0), np.tile(two_u, (m, 1)), 1 + shared], axis=1)
-    gram4 = _gram(rows, weight, np.tile(two_u[0], 3)).astype(dtype)
-    z = np.arange(2 * n, 3 * n)
-    gram4[z, z] += [weight[free].sum() for free in (shared == 0).T]
+    weight = 2 ** free.sum(axis=1).astype(dtype)  # 2^k <= N: each pair's points are among them
+    gram4 = _gram(2 * corners + free, weight, 2 * corners[0]).astype(dtype)
+    gram4[np.diag_indices(len(gram4))] += [weight[col].sum() for col in free.T]
     if (gram4 % 4).any():
         raise RuntimeError("pair moments: 4G is not divisible by 4")
     return gram4 // 4
 
 
-def _paired_rows(base: np.ndarray, count: int) -> np.ndarray:
-    """The paired set's `count` points as a uint8 array, in PointSet order.
-
-    The pairs run over the sorted, deduplicated base points, x by the
-    outer and y by the inner loop, so the blocks ascend in (x, y); within
-    a block x and y are fixed, the shared z columns are 1, and the free z
-    columns, in ascending column order, take the rows of the lexicographic
-    table bpcore.bit_table.  The rows are therefore distinct and in order
-    by construction.
-    """
-    n = base.shape[1]
-    out = np.empty((count, 3 * n), dtype=np.uint8)
-    row = 0
+def _paired_rows(base: np.ndarray) -> np.ndarray:
+    """The paired set's points as a uint8 array, in PointSet order: each
+    pair cube's corner 2^k times, its k free columns, in ascending order,
+    filled with the lexicographic table bpcore.bit_table.  The cubes ascend
+    in (x, y) over the sorted base points, so the rows are distinct and in
+    order by construction."""
+    corners, free = _pair_cubes(base)
+    widths = free.sum(axis=1)
+    out = np.repeat(corners, 1 << widths, axis=0)
     tables: dict[int, np.ndarray] = {}
-    points = base.tolist()
-    for u in points:
-        for v in points:
-            shared = [i for i in range(n) if u[i] and v[i]]
-            free = [i for i in range(n) if not (u[i] and v[i])]
-            if len(free) not in tables:
-                tables[len(free)] = bit_table(len(free)).astype(np.uint8)
-            block = out[row : row + (1 << len(free))]
-            block[:, :n] = u
-            block[:, n : 2 * n] = v
-            z = block[:, 2 * n :]
-            z[:, shared] = 1
-            z[:, free] = tables[len(free)]
-            row += len(block)
+    row = 0
+    for cols, k in zip(free, widths.tolist()):
+        if k not in tables:
+            tables[k] = bit_table(k)
+        out[row : row + (1 << k), cols] = tables[k]
+        row += 1 << k
     return out
 
 
@@ -331,65 +335,33 @@ def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
     return EquationSystem(RatMatrix(rows), base_system.rhs + base_system.rhs)
 
 
-def _row_values(ps: PointSet, coeffs, rhs):
-    """(a . p for every point p, b) for the row a . v = b scaled to
-    integers.  Only a's nonzero columns are read; the rows certified here
-    have one to three.  In int64, a . p is summed as a_j times column j
-    over those columns, each a strided view of ps.array, so no column is
-    gathered into a copy; past the int64 bound the columns are multiplied
-    as Python integers."""
-    a, b, _ = scaled_int_vector(coeffs, rhs)
-    # 0/1 points: every partial sum of a . p is at most sum |a| in size,
-    # and b is compared with it
+def _values(points: np.ndarray, a: Sequence[int], b: int) -> np.ndarray:
+    """a . p for every row p of a 0/1 array, exactly: in int64, as a_j times
+    column j over a's nonzero columns read in place, when sum |a| (which
+    bounds every partial sum) and |b| are below 2**62; else on Python ints."""
     dtype = int_dtype(max(sum(map(abs, a)), abs(b)))
     nz = [j for j, c in enumerate(a) if c]
     if dtype is object:
-        return ps.array[:, nz] @ np.array([a[j] for j in nz], dtype=object), b
-    vals = np.zeros(ps.count, dtype=np.int64)
+        return points[:, nz] @ np.array([a[j] for j in nz], dtype=object)
+    vals = np.zeros(len(points), dtype=np.int64)
     for j in nz:
         # an int64 loop whatever the numpy casting rules make of a[j]
-        vals += np.multiply(ps.array[:, j], a[j], dtype=np.int64)
-    return vals, b
+        vals += np.multiply(points[:, j], a[j], dtype=np.int64)
+    return vals
 
 
-def points_satisfying(ps: PointSet, ineq: Inequality) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks (satisfied, tight) for an inequality over the set."""
-    if len(ineq.a) != ps.dim_ambient:
-        raise ValueError("inequality width disagrees with the point set")
-    vals, b = _row_values(ps, ineq.a, ineq.a0)
-    tight = vals == b
-    sat = HOLDS[ineq.sense](vals, b)
-    return sat, tight
-
-
-def _face_dimension(ps: PointSet, tight: np.ndarray, pdim: int) -> int:
-    """Affine dimension of the tight points, when some point is not tight.
-
-    Two proven bounds decide most faces without an exact rank:
-    - upper: the tight points lie in a hyperplane that misses a point of
-      the set, so their dimension is at most pdim - 1, pdim the hull's;
-    - lower: the rank modulo a prime of the Gram matrix of a subset of
-      them (ratlinalg._mod_rank), never above that Gram's rational rank,
-      which is the subset's dimension, at most the face's.
-    The subset is an odd-strided one of about _FACE_SAMPLE * (pdim + 1)
-    tight points (all of them, for a smaller face).  When its rank mod p
-    reaches pdim - 1, the bounds meet and the face's dimension is pdim - 1.
-    Otherwise (a face of lower dimension, a subset that misses directions
-    or a prime that divides a needed minor) the whole face is ranked
-    exactly by _int_rank, on the subset's Gram matrix when the subset is
-    the whole face (stride 1) and on the whole face's otherwise.  The
-    stride is odd because a power-of-two stride lines up with the 2^k z
-    completions of each (x, y) block, picks the same completion from every
-    block and can miss directions.
-    """
-    rows = np.flatnonzero(tight)
-    stride = len(rows) // (_FACE_SAMPLE * (pdim + 1)) | 1
-    gram = _gram(ps.array[rows[::stride]])
-    if _mod_rank(gram) == pdim - 1:
-        return pdim - 1
-    if stride > 1:
-        gram = _gram(ps.array[rows])
-    return _int_rank(gram.tolist())
+def _split(corners: np.ndarray, free: np.ndarray, cols: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(corners, cube of each) of the sub-cubes that fix every free column
+    in cols: per column j, those with j free get a copy with j = 1.  They
+    are disjoint and nonempty, so never more than the points."""
+    cube = np.arange(len(corners))
+    for j in cols:
+        split = np.flatnonzero(free[cube, j])
+        if len(split):
+            ones = corners[split]
+            ones[:, j] = 1
+            corners, cube = np.concatenate([corners, ones]), np.concatenate([cube, cube[split]])
+    return corners, cube
 
 
 def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
@@ -399,17 +371,43 @@ def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
     facet   = valid and its tight set spans affine dimension dim - 1.
     The empty face reports dimension -1, and a face tight at every point
     is the whole polytope.
+
+    No point is built (module docstring).  When some point is not tight,
+    the face lies in a hyperplane missing the hull, so dim - 1 bounds its
+    dimension; the rank modulo a prime of the tight corners' Gram matrix
+    (ratlinalg._mod_rank) is a lower one, and reaching dim - 1 - |U|
+    certifies a facet.  Otherwise (a lower face, or a prime dividing a
+    needed minor) that Gram matrix is ranked by Bareiss.
     """
-    sat, tight = points_satisfying(ps, ineq)
-    valid = bool(sat.all())
-    tight_count = int(tight.sum())
+    if len(ineq.a) != ps.dim_ambient:
+        raise ValueError("inequality width disagrees with the point set")
+    a, b, _ = scaled_int_vector(ineq.a, ineq.a0)
+    cols = [j for j, c in enumerate(a) if c]
+    corners, free = ps._cubes()
+    corners, cube = _split(corners, free, cols)
+    loose = free.copy()  # the free columns with a zero coefficient
+    loose[:, cols] = False
+    vals = _values(corners, a, b)
+    tight = vals == b
+    valid = bool(HOLDS[ineq.sense](vals, b).all())
+    left = loose.sum(axis=1)[cube[tight]]
+    tight_count = sum(c << r for r, c in enumerate(np.bincount(left).tolist()))
     pdim = ps.hull_dimension()
     if tight_count == 0:
         face_dim = -1
     elif tight_count == ps.count:
         face_dim = pdim
     else:
-        face_dim = _face_dimension(ps, tight, pdim)
+        spans = loose[cube[tight]].any(axis=0)  # U
+        keep = [j for j in ps._pivots if not spans[j]]
+        # corner differences are 0 or +-1, so entries are at most the tight
+        # corners in size; past int64 _gram sums Python integers for Bareiss
+        gram = _gram(corners[np.ix_(np.flatnonzero(tight), keep)])
+        lower = int(spans.sum())
+        if gram.dtype == np.int64 and _mod_rank(gram) == pdim - 1 - lower:
+            face_dim = pdim - 1
+        else:
+            face_dim = lower + _int_rank(gram.tolist())
     return FacetReport(
         label=ineq.label,
         valid=valid,

@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
 Every exact rank in the polyhedral code comes from one routine,
-`_int_rank`: fraction-free (Bareiss) elimination on Python integers, whose
-division by the previous pivot is exact.  Rational rows are scaled to
-integers row by row first, which leaves the rank unchanged.
+`_pivot_columns`: fraction-free (Bareiss) elimination on Python integers,
+whose division by the previous pivot is exact; `_int_rank` counts its
+pivots.  Rational rows are scaled to integers row by row first, which
+leaves the rank unchanged.
 
 An integer point array is reduced to its Gram matrix G = sum (p - p0)(p - p0)^T
 before elimination: over the rationals rank(D) = rank(D^T D), and G is only
@@ -24,7 +25,7 @@ products in bpcore and polytope, so no result depends on rounding or on
 silent wraparound.
 
 `_mod_rank` is the one bound beside the exact kernel: Gaussian elimination
-of an integer matrix modulo the prime p = 2**31 - 1, in int64.  Residues
+of an int64 matrix modulo the prime p = 2**31 - 1, in int64.  Residues
 stay below 2**31, so every product of two stays below 2**62, the same int64
 rule.  The rank mod p is a lower bound on the rational rank, never above
 it: rank r mod p means some r x r minor is nonzero mod p, so that minor is
@@ -109,8 +110,10 @@ def scaled_int_vector(coeffs: Sequence, rhs=None):
     return ints, rhs.numerator * (scale // rhs.denominator), scale
 
 
-def _int_rank(rows) -> int:
-    """Rank of an integer matrix by Bareiss elimination.
+def _pivot_columns(rows) -> list[int]:
+    """The pivot columns of an integer matrix by Bareiss elimination: each
+    column that is not a combination of the columns before it, so their
+    number is the rank.
 
     After k pivots every live entry is a (k+1)-minor of the input and the
     divisor is the k-minor of the pivot block (Sylvester's identity), so each
@@ -118,48 +121,55 @@ def _int_rank(rows) -> int:
     row once it is zero, since it stays zero.
     """
     work = [list(r) for r in rows if any(r)]
-    rank, prev = 0, 1
+    pivots, prev, col = [], 1, 0
     while work and work[0]:
         k = next((i for i, r in enumerate(work) if r[0]), None)
         if k is None:
             work = [r[1:] for r in work]
-            continue
-        pivot_row = work.pop(k)
-        p, tail = pivot_row[0], pivot_row[1:]
-        work = [
-            [(p * a - r[0] * b) // prev for a, b in zip(r[1:], tail)] for r in work
-        ]
-        work = [r for r in work if any(r)]
-        prev = p
-        rank += 1
-    return rank
+        else:
+            pivot_row = work.pop(k)
+            p, tail = pivot_row[0], pivot_row[1:]
+            work = [
+                [(p * a - r[0] * b) // prev for a, b in zip(r[1:], tail)] for r in work
+            ]
+            work = [r for r in work if any(r)]
+            prev = p
+            pivots.append(col)
+        col += 1
+    return pivots
+
+
+def _int_rank(rows) -> int:
+    """Rank of an integer matrix: its number of Bareiss pivots."""
+    return len(_pivot_columns(rows))
 
 
 def _mod_rank(matrix: np.ndarray) -> int:
-    """Rank of a 2-D integer array modulo _PRIME, at most its rational rank.
+    """Rank of a 2-D int64 array modulo _PRIME, at most its rational rank.
 
-    An int64 array is reduced in numpy; any other (the object arrays of
-    Python integers that _gram sums past the int64 bound) entry by entry on
-    Python integers first.  Each pivot row is scaled to a leading 1 by the
-    pivot's inverse; every product then multiplies two residues below
-    2**31, so it stays below 2**62.
+    Any other dtype is a TypeError: the one caller, polytope's face rank,
+    hands it int64 Gram matrices only and ranks anything past the int64
+    bound exactly.  Each pivot row is scaled to a leading 1 by the pivot's
+    inverse; every product then multiplies two residues below 2**31, so it
+    stays below 2**62.
     """
+    if matrix.dtype != np.int64:
+        raise TypeError(f"_mod_rank takes an int64 array, not {matrix.dtype}")
     p = _PRIME
-    if matrix.dtype == np.int64:
-        work = matrix % p
-    else:
-        residues = [[int(v) % p for v in row] for row in matrix.tolist()]
-        work = np.array(residues, dtype=np.int64).reshape(matrix.shape)
+    work = matrix % p
     rank = 0
     for col in range(work.shape[1]):
-        live = np.flatnonzero(work[rank:, col])
+        live = work[rank:, col].nonzero()[0]
         if len(live) == 0:
             continue
-        k = rank + live[0]
-        work[[rank, k]] = work[[k, rank]]
-        work[rank] = work[rank] * pow(int(work[rank, col]), -1, p) % p
+        k = rank + int(live[0])
+        if k != rank:
+            work[[rank, k]] = work[[k, rank]]
+        pivot = work[rank]
+        pivot *= pow(int(pivot[col]), -1, p)
+        pivot %= p
         below = work[rank + 1 :]
-        below -= below[:, col : col + 1] * work[rank]
+        below -= below[:, col : col + 1] * pivot
         below %= p
         rank += 1
         if rank == work.shape[0]:

@@ -33,6 +33,7 @@ from diamopt.diameter import (
     verify_z_semantics,
 )
 from diamopt.errors import CapExceededError, DiamoptError, InfeasibleModelError
+from diamopt.modelio import lp_string, parse_lp
 
 
 def feasible_random_model(rng, **kw):
@@ -378,6 +379,15 @@ class TestNodeCounts:
         # 7,374 and 1,507 without them
         assert pool_nodes(monkeypatch, ordering6_seed1()) < 5_000
         assert pool_nodes(monkeypatch, tour7_seed1()) < 600
+
+    def test_lp_round_trip_keeps_the_cardinality_rows(self, monkeypatch):
+        # lp_string writes the pick-one rows as = rows, so the bound still
+        # reads them after parse_lp: 4,450 pool nodes either way (7,374
+        # when they came back as <= pairs)
+        dp = ordering6_seed1()
+        back = build(parse_lp(lp_string(dp.base)[0]))
+        assert back.base.constraints == dp.base.constraints
+        assert pool_nodes(monkeypatch, back) == pool_nodes(monkeypatch, dp) == 4450
 
 
 class TestTwoPhases:

@@ -73,11 +73,14 @@ class TestDictRoundTrip:
 
 class TestLpText:
     def test_equality_split(self):
+        # an = row is written as one = row, not split into a <= pair
         bp = BinaryProgram([1, 1], [Constraint([1, 1], "=", 1, "eq")])
         text, warnings = lp_string(bp)
         assert not warnings
-        assert "eq_a:" in text and "eq_b:" in text
-        assert ">=" not in text
+        assert " eq: x_1 + x_2 = 1" in text.splitlines()
+        assert "eq_a:" not in text and "eq_b:" not in text
+        assert ">=" not in text and "<=" not in text
+        assert parse_lp(text) == bp
 
     def test_ge_negated(self):
         bp = BinaryProgram([1, 1], [Constraint([1, 2], ">=", 1, "low")])

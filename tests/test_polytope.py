@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diamopt import bpcore, lop, polytope, ratlinalg, suites, tsp
-from diamopt.bpcore import BinaryProgram, Constraint
+from diamopt.bpcore import HOLDS, BinaryProgram, Constraint
 from diamopt.diameter import build as build_diameter
 from diamopt.diameter import paired
 from diamopt.errors import CapExceededError, InfeasibleModelError
@@ -18,16 +18,35 @@ from diamopt.polytope import (
     enumerate_points,
     facet_families,
     lift_equation_system,
-    points_satisfying,
     verify_minimal_system,
 )
-from diamopt.ratlinalg import _gram, _int_rank, _mod_rank, affine_dimension
+from diamopt.ratlinalg import _gram, _int_rank, _mod_rank, affine_dimension, scaled_int_vector
 
 
 def paired_points_free(n):
     """Paired point set of the model with no rows at all."""
     dp = build_diameter(BinaryProgram([0] * n, []), None, "conjugate")
     return enumerate_points(dp)
+
+
+def point_values(points, q):
+    """(a . p for every row p, b) for q scaled to integers: an int64 product
+    where sum |a| leaves no room to wrap, Python integers otherwise."""
+    a, b, _ = scaled_int_vector(q.a, q.a0)
+    nz = [j for j, c in enumerate(a) if c]
+    dtype = np.int64 if sum(map(abs, a)) < 1 << 62 else object
+    return points[:, nz].astype(dtype) @ np.array([a[j] for j in nz], dtype=dtype), b
+
+
+def brute_force_report(ps, q, pdim=None):
+    """check_inequality by the definition, on the point array: every point
+    evaluated, and the exact affine dimension of the tight ones."""
+    vals, b = point_values(ps.array, q)
+    tight = vals == b
+    pdim = affine_dimension(ps.array) if pdim is None else pdim
+    face = affine_dimension(ps.array[tight]) if tight.any() else -1
+    valid = bool(HOLDS[q.sense](vals, b).all())
+    return polytope.FacetReport(q.label, valid, int(tight.sum()), face, pdim, valid and face == pdim - 1)
 
 
 def paired_scan(dp):
@@ -271,9 +290,9 @@ class TestLazyPoints:
         calls = []
         rows = polytope._paired_rows
 
-        def spy(base, count):
-            calls.append(count)
-            return rows(base, count)
+        def spy(base):
+            calls.append(rows(base))
+            return calls[-1]
 
         monkeypatch.setattr(polytope, "_paired_rows", spy)
         return calls
@@ -287,9 +306,12 @@ class TestLazyPoints:
 
     def test_array_is_built_once_on_read(self, builds):
         ps = suites._tsp_points(4)
-        assert check_inequality(ps, facet_families(6, tsp.base_facets(4))[0]).valid
+        for q in facet_families(6, tsp.base_facets(4)):
+            assert check_inequality(ps, q).valid
+        assert builds == []
         ps.array
-        assert builds == [108]
+        ps.array
+        assert [len(rows) for rows in builds] == [108]
 
 
 class TestCheckInequality:
@@ -313,9 +335,10 @@ class TestCheckInequality:
 
     def test_coupling_tight_points(self):
         ps = paired_points_free(1)
-        sat, tight = points_satisfying(ps, Inequality([1, 1, -1], 1, "<=", "coupling"))
-        assert bool(sat.all())
-        assert int(tight.sum()) == 3  # (0,1,0), (1,0,0), (1,1,1)
+        q = Inequality([1, 1, -1], 1, "<=", "coupling")
+        r = check_inequality(ps, q)
+        assert r.valid and r.tight_point_count == 3  # (0,1,0), (1,0,0), (1,1,1)
+        assert r == brute_force_report(ps, q)
 
     def test_valid_but_not_facet(self):
         ps = paired_points_free(1)
@@ -356,15 +379,18 @@ class TestCheckInequality:
         ],
     )
     def test_row_values_at_the_int64_bound(self, a, b, dtype):
+        # the array's points are its sub-cubes, so these are the values the
+        # face path compares with b
         ps = PointSet(bpcore.bit_table(5))
-        vals, rhs = polytope._row_values(ps, a, b)
-        assert vals.dtype == dtype and rhs == b
+        vals = polytope._values(ps.array, a, b)
+        assert vals.dtype == dtype
         reference = [sum(c * v for c, v in zip(a, p)) for p in ps.array.tolist()]
         assert vals.tolist() == reference
         for sense in ("<=", ">="):
-            sat, tight = points_satisfying(ps, Inequality(a, b, sense))
-            assert tight.tolist() == [v == b for v in reference]
-            assert sat.tolist() == [v <= b if sense == "<=" else v >= b for v in reference]
+            r = check_inequality(ps, Inequality(a, b, sense))
+            assert r.tight_point_count == sum(v == b for v in reference)
+            assert r.valid == all(v <= b if sense == "<=" else v >= b for v in reference)
+            assert r == brute_force_report(ps, Inequality(a, b, sense))
 
     def test_fractional_inequality(self):
         ps = paired_points_free(1)
@@ -393,11 +419,12 @@ class TestCheckInequality:
 
 class TestFaceRank:
     """A face with some point not tight has dimension at most dim - 1, so
-    check_inequality takes the rank modulo a prime of an odd-strided
-    subset's Gram matrix, a lower bound, first and ranks the whole face
-    exactly only when that falls short of dim - 1; a face tight at every
-    point is the whole polytope and takes neither.  Every case is checked
-    against the exact rank of the whole tight set, on tour n=5 (35,712
+    check_inequality takes the rank modulo a prime of the tight sub-cube
+    corners' Gram matrix, on the pivot columns outside U (the free columns
+    left in the tight sub-cubes), first, and ranks that Gram matrix exactly
+    only when it falls short of dim - 1 - |U|; a face tight at every point
+    is the whole polytope and takes neither.  Every case is checked against
+    the exact rank of the whole tight point set, on tour n=5 (35,712
     points, dim 20)."""
 
     @pytest.fixture(scope="class")
@@ -408,12 +435,12 @@ class TestFaceRank:
 
     @staticmethod
     def ranked(ps, q):
-        """The report, the row count of each Gram matrix summed, the rank of
+        """The report, the shape of each Gram matrix summed, the rank of
         each modular certificate and each exact rank it took."""
         grams, certificates, exact = [], [], []
 
         def summing(points):
-            grams.append(len(points))
+            grams.append(points.shape)
             return _gram(points)
 
         def modular(gram):
@@ -429,17 +456,17 @@ class TestFaceRank:
             m.setattr(polytope, "_mod_rank", modular)
             m.setattr(polytope, "_int_rank", exactly)
             r = check_inequality(ps, q)
-        tight = points_satisfying(ps, q)[1]
-        assert r.tight_point_count == int(tight.sum())
-        assert r.face_dimension == (affine_dimension(ps.array[tight]) if tight.any() else -1), q.label
+        assert r == brute_force_report(ps, q, 20), q.label
         return r, grams, certificates, exact
 
     def test_every_family_takes_the_subset(self, tour5):
+        # one corner per tight sub-cube, far fewer than the tight points
         for q in facet_families(10, tsp.base_facets(5)):
             r, grams, certificates, exact = self.ranked(tour5, q)
             assert r.is_facet, q.label
-            assert len(grams) == 1 and grams[0] < r.tight_point_count, q.label
-            assert certificates == [19] and exact == [], q.label
+            assert len(grams) == 1 and grams[0][0] < r.tight_point_count, q.label
+            # U takes 20 - width columns, so the bound dim - 1 - |U| is width - 1
+            assert certificates == [grams[0][1] - 1] and exact == [], q.label
 
     def test_tight_everywhere_takes_no_rank(self, tour5):
         rows, rhs = tsp.degree_system(5)
@@ -457,20 +484,21 @@ class TestFaceRank:
         )
         assert r.valid and not r.is_facet and r.face_dimension < 19
         assert r.tight_point_count > 1000
-        assert len(grams) == 2 and grams[0] < grams[1] == r.tight_point_count
-        assert len(certificates) == 1 and certificates[0] < 19
-        assert exact == [r.face_dimension]
+        assert len(grams) == 1 and grams[0][0] < r.tight_point_count
+        width = grams[0][1]
+        assert len(certificates) == 1 and certificates[0] < width - 1
+        assert exact == [r.face_dimension - (20 - width)]
 
     def test_small_face_sums_one_gram(self, tour5):
         # x and y both avoid the five edges off the tour 1-2-3-4-5, so both
         # are that tour and z is free on the other five: 32 points, dim 5.
-        # A face that small is its own subset, ranked from the one Gram.
+        # That is one sub-cube, whose five free columns are the whole rank.
         a = [0] * 10
         for i, j in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5)):
             a[tsp.edge_index(i, j, 5)] = 1
         r, grams, certificates, exact = self.ranked(tour5, Inequality(paired(10, x=a, y=a), 0, ">=", "avoid_tour"))
         assert r.valid and r.tight_point_count == 32 and r.face_dimension == 5
-        assert grams == [32] and certificates == [5] and exact == [5]
+        assert grams == [(1, 15)] and certificates == [0] and exact == [0]
 
     def test_unlucky_prime_falls_back_to_the_whole_face(self, tour5):
         # modulo 3 the Gram matrices lose rank on some faces; each of those
@@ -483,11 +511,11 @@ class TestFaceRank:
             for q, expected in zip(families, before):
                 r, grams, certificates, exact = self.ranked(tour5, q)
                 assert r == expected, q.label
-                assert len(certificates) == 1 and grams[0] < r.tight_point_count, q.label
-                if certificates[0] == 19:
-                    assert len(grams) == 1 and exact == [], q.label
+                assert len(grams) == len(certificates) == 1, q.label
+                if certificates[0] == grams[0][1] - 1:
+                    assert exact == [], q.label
                 else:
-                    assert grams[1:] == [r.tight_point_count] and exact == [19], q.label
+                    assert exact == [grams[0][1] - 1], q.label
                     fallbacks += 1
         assert fallbacks > 0
 
@@ -498,6 +526,138 @@ class TestFaceRank:
         r = self.ranked(tour5, Inequality(paired(10, x=a), 1, "<=", "x_12_x_13"))[0]
         assert not r.valid and not r.is_facet
         assert 0 < r.tight_point_count < tour5.count
+
+
+def random_rows(rng, ps, k):
+    """k seeded rows over the paired set's 3n columns: 2-3 nonzero z
+    coefficients and up to three on x and y, with a right-hand side that
+    is the largest value (a valid row), the value at a random point (often
+    invalid) or one past the largest (an empty face); then the zero row,
+    tight everywhere (the whole polytope)."""
+    n = ps.dim_ambient // 3
+    rows = []
+    for t in range(k):
+        a = [0] * (3 * n)
+        for j in rng.sample(range(n), min(n, rng.choice((2, 3)))):
+            a[2 * n + j] = rng.choice((-2, -1, 1, 2, 3))
+        for j in rng.sample(range(2 * n), rng.randint(0, 3)):
+            a[j] = rng.choice((-1, 1, 2))
+        vals = ps.array.astype(np.int64) @ np.array(a, dtype=np.int64)
+        b = [int(vals.max()), int(vals[rng.randrange(len(vals))]), int(vals.max()) + 1][t % 3]
+        rows.append(Inequality(a, b, "<=", f"row_{t}"))
+    return rows + [Inequality([0] * (3 * n), 0, ">=", "zero")]
+
+
+def kinds(reports, count):
+    """Which of invalid / empty / whole / facet / lower faces the reports reach."""
+    out = set()
+    for r in reports:
+        if not r.valid:
+            out.add("invalid")
+        if r.face_dimension == -1:
+            out.add("empty")
+        elif r.tight_point_count == count:
+            out.add("whole")
+        else:
+            out.add("facet" if r.face_dimension == r.polytope_dimension - 1 else "lower")
+    return out
+
+
+class TestSubCubeOracle:
+    """check_inequality reads a face off the pair sub-cubes and never builds
+    a point; brute_force_report reads it off the point array.  Both give
+    the same report on every input."""
+
+    @staticmethod
+    def agree(ps, rows, pdim=None):
+        pdim = affine_dimension(ps.array) if pdim is None else pdim
+        reports = []
+        for q in rows:
+            reports.append(check_inequality(ps, q))
+            assert reports[-1] == brute_force_report(ps, q, pdim), q.label
+        return reports
+
+    @pytest.fixture(scope="class")
+    def ordering4(self):
+        ps = suites._lop_points(4)
+        return ps, affine_dimension(ps.array)
+
+    @pytest.mark.parametrize("family,n", [("lop", 2), ("lop", 3), ("tsp", 4), ("tsp", 5)])
+    def test_every_family(self, family, n):
+        ps = suites._paired_points(suites.FAMILIES[family], n)
+        self.agree(ps, facet_families(ps.dim_ambient // 3, suites.FAMILIES[family].module.base_facets(n)))
+
+    def test_every_family_ordering4(self, ordering4):
+        ps, pdim = ordering4
+        self.agree(ps, facet_families(12, lop.base_facets(4)), pdim)
+
+    def test_lifted_ordering_rows(self, ordering4):
+        ps, pdim = ordering4
+        rows = [lop.lift_inequality(q, 3) for q in facet_families(6, lop.base_facets(3))]
+        assert len(rows) == 34
+        assert all(r.is_facet for r in self.agree(ps, rows, pdim))
+
+    def test_tour4_mixed_rows(self):
+        self.agree(suites._tsp_points(4), suites._extra_tour4_inequalities())
+
+    @pytest.mark.parametrize("family,n", [("lop", 3), ("tsp", 4), ("tsp", 5)])
+    def test_random_z_rows(self, family, n):
+        ps = suites._paired_points(suites.FAMILIES[family], n)
+        reports = self.agree(ps, random_rows(random.Random(n), ps, 24))
+        assert kinds(reports, ps.count) >= {"invalid", "empty", "whole", "lower"}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_models(self, seed):
+        # the models of test_random_models_equal_the_paired_scan
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(10):
+            bp = bpcore.random_binary_program(rng, max_n=6, max_rows=3)
+            ps = enumerate_points(build_diameter(bp, None, "conjugate"))
+            if ps.count and bp.n > 1:
+                rows = facet_families(bp.n, []) + random_rows(rng, ps, 6)
+                seen |= kinds(self.agree(ps, rows), ps.count)
+        assert seen >= {"invalid", "empty", "whole", "facet"}
+
+    @pytest.mark.parametrize("family,n", [("lop", 3), ("tsp", 4)])
+    def test_array_built_sets(self, family, n):
+        # a point array is one sub-cube per point, with no free column
+        paired = suites._paired_points(suites.FAMILIES[family], n)
+        ps = PointSet(paired.array)
+        rows = facet_families(ps.dim_ambient // 3, suites.FAMILIES[family].module.base_facets(n))
+        rows += random_rows(random.Random(n), paired, 12)
+        for q, r in zip(rows, self.agree(ps, rows)):
+            assert r == check_inequality(paired, q), q.label
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            ps = PointSet(rng.integers(0, 2, (int(rng.integers(1, 40)), 6)))
+            rows = [
+                Inequality(rng.integers(-2, 3, 6).tolist(), int(rng.integers(-2, 3)), sense, "random")
+                for sense in ("<=", ">=")
+                for _ in range(6)
+            ]
+            self.agree(ps, rows)
+
+
+class TestBeyondEnumerationFaces:
+    """Every family is certified past the point cap, where no point array
+    fits: ordering n=5 (1.2 G points) and tour n=6 (31 M points)."""
+
+    @pytest.mark.parametrize("family,n,dim,families", [("lop", 5, 40, 140), ("tsp", 6, 33, 175)])
+    def test_every_family_is_a_facet(self, family, n, dim, families):
+        fam = suites.FAMILIES[family]
+        dp = build_diameter(fam.module.build(fam.zero(n)), None, "conjugate")
+        ps = enumerate_points(dp, base_points=fam.module.base_points(n), max_points=10**12)
+        assert ps.count > polytope.DEFAULT_MAX_POINTS
+        rows = facet_families(ps.dim_ambient // 3, fam.module.base_facets(n))
+        reports = [check_inequality(ps, q) for q in rows]
+        assert len(reports) == families
+        assert all(r.valid and r.is_facet and r.polytope_dimension == dim for r in reports)
+        assert all(0 < r.tight_point_count < ps.count for r in reports)
+        assert ps._array is None
 
 
 class TestEquationSystem:
@@ -532,9 +692,11 @@ class TestEquationSystem:
 
 def minimal_per_point(ps, system):
     """verify_minimal_system by evaluating every row at every point."""
-    rows = zip(system.matrix.rows, system.rhs)
-    holds = all(points_satisfying(ps, Inequality(row, d, "<="))[1].all() for row, d in rows)
-    return holds and ps.hull_dimension() == ps.dim_ambient - system.matrix.nrows
+    for row, d in zip(system.matrix.rows, system.rhs):
+        vals, b = point_values(ps.array, Inequality(row, d, "<="))
+        if not (vals == b).all():
+            return False
+    return ps.hull_dimension() == ps.dim_ambient - system.matrix.nrows
 
 
 class TestMinimalSystemByGram:

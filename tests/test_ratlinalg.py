@@ -12,6 +12,7 @@ from diamopt.ratlinalg import (
     _gram,
     _int_rank,
     _mod_rank,
+    _pivot_columns,
     affine_dimension,
     as_integer,
     as_rational,
@@ -143,6 +144,18 @@ class TestRankBuilder:
         huge = 10**30
         rows = [[huge, 1], [huge + 1, 1]]
         assert _int_rank(rows) == RatMatrix(rows).rank() == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pivots_are_the_first_column_basis(self, seed):
+        # column j is a pivot exactly when it raises the rank of the columns before it
+        rng = random.Random(seed)
+        left = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(6)]
+        right = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(7)] for _ in range(3)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        columns = lambda cols: [[row[j] for j in cols] for row in rows]
+        want = [j for j in range(7) if fraction_rank(columns(range(j + 1))) > fraction_rank(columns(range(j)))]
+        assert _pivot_columns(rows) == want
+        assert _int_rank(rows) == len(want) == fraction_rank(rows)
 
     def test_saturation(self):
         # rank never exceeds the width, however many rows follow
@@ -347,8 +360,7 @@ class TestModRank:
 
     @staticmethod
     def ranks(rows):
-        dtype = np.int64 if max((abs(v) for r in rows for v in r), default=0) < 1 << 62 else object
-        return _mod_rank(np.array(rows, dtype=dtype)), _int_rank(rows), fraction_rank(rows)
+        return _mod_rank(np.array(rows, dtype=np.int64)), _int_rank(rows), fraction_rank(rows)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lower_bound_on_seeded_matrices(self, seed):
@@ -364,17 +376,23 @@ class TestModRank:
 
     @pytest.mark.parametrize("bits", [62, 63, 80])
     def test_object_entries(self, bits):
-        # 2**62 and above take the object path; the residues are reduced
-        # on Python integers before the int64 elimination
+        # an object array of Python integers is refused; its residues,
+        # reduced on Python integers, take the int64 elimination
         rng = random.Random(bits)
         rows = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(5)] for _ in range(5)]
         rows[0][0] = 1 << bits
         rows.append([a - b for a, b in zip(rows[0], rows[1])])
-        modular, bareiss, reference = self.ranks(rows)
-        assert modular <= bareiss == reference == 5
-        assert _mod_rank(np.array(rows, dtype=object)) == modular
+        with pytest.raises(TypeError, match="int64"):
+            _mod_rank(np.array(rows, dtype=object))
+        residues = np.array([[v % _PRIME for v in row] for row in rows], dtype=np.int64)
+        assert _mod_rank(residues) <= _int_rank(rows) == fraction_rank(rows) == 5
 
-    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("dtype", [object, np.int32, np.uint8, np.float64])
+    def test_other_dtypes_are_refused(self, dtype):
+        with pytest.raises(TypeError, match="int64"):
+            _mod_rank(np.eye(3, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int64])
     def test_multiples_of_the_prime_vanish(self, dtype):
         rng = random.Random(7)
         rows = [[_PRIME * rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
@@ -399,4 +417,4 @@ class TestModRank:
 
     def test_empty_shapes(self):
         assert _mod_rank(np.zeros((0, 0), dtype=np.int64)) == 0
-        assert _mod_rank(np.zeros((3, 0), dtype=object)) == 0
+        assert _mod_rank(np.zeros((3, 0), dtype=np.int64)) == 0
