@@ -8,27 +8,32 @@ integer rank computations, and an inequality is certified a facet by the
 definition itself: valid everywhere, tight on a face whose affine dimension
 is one below the hull's.
 
-A paired set's dimension needs no point.  The pair (u, v) with shared
-support S = u AND v and k = n - |S| free z columns has 2^k points, whose
-moments are sum 1 = 2^k, sum x = 2^k u, sum y = 2^k v,
-sum z = 2^(k-1) (1 + S), and sum p p^T = 2^k q q^T with q = (u, v, (1 + S)/2)
-plus 2^(k-2) on each free z diagonal entry.  With M, s and N those sums
-over the m^2 ordered pairs, the Gram matrix the rank reads is
-G = M - p0 s^T - s p0^T + N p0 p0^T, p0 = (u0, u0, u0) the first point in
-lexicographic order (u0 the first base point).  It is summed as 4G, so the
-halves and quarters are integers, by ratlinalg._gram over the m^2 <= N
-weighted pair rows, each entry at most 4N (only the user-set max_points
-bounds N).  Points are built only when read: the listing.
+A point set is held as disjoint cubes in ascending order, and as nothing
+else: cube k is corners[k] with the columns where free[k] is True (0 in the
+corner) set to 0 or 1 at will.  The ordered base pair (u, v) is the cube
+with corner (u, v, S), S = u AND v the shared support, and its
+k = n - |S| other z columns free, 2^k points; a point array is one cube
+per point with no free column.  The count, the Gram matrix, every face
+and the first point are read off the cubes, and the points are generated
+only when read: the listing.
 
-Nor does a face.  A pair's points form a cube (x = u, y = v, z = 1 on S,
-the other z columns free), split by a row on its free columns where the
-row is nonzero into sub-cubes, each wholly tight or not.  Validity and the
-tight count (2^r per tight sub-cube, r free columns left) are exact sums.
-The face's dimension is |U| + rank(corner - first corner) over the tight
-sub-cubes, U the free columns left in them, ranked with the U columns
-dropped on the pivot columns J of G: the projection onto J is injective on
-the hull's directions, and U lies in J, as e_j (j in U) is a direction.  A
-point array is the same path with one sub-cube per point and r = 0.
+A cube with corner c and k free columns F has the moments sum 1 = 2^k,
+sum p = 2^k q with q = c + F/2, and sum p p^T = 2^k q q^T plus 2^(k-2)
+on each free diagonal entry.  With M, s and N those sums over the cubes,
+the Gram matrix the rank reads is G = M - p0 s^T - s p0^T + N p0 p0^T,
+p0 = corners[0] the first point in lexicographic order.  It is summed as
+4G, so the halves and quarters are integers, by ratlinalg._gram over the
+rows 2q weighted 2^k, each entry at most 4N in size (only the user-set
+max_points bounds N).
+
+A face splits each cube by the row, on the cube's free columns where the
+row is nonzero, into sub-cubes, each wholly tight or not.  Validity and
+the tight count (2^r per tight sub-cube, r free columns left) are exact
+sums.  The face's dimension is |U| + rank(corner - first corner) over the
+tight sub-cubes, U the free columns left in them, ranked with the U
+columns dropped on the pivot columns J of G: the projection onto J is
+injective on the hull's directions, and U lies in J, as e_j (j in U) is a
+direction.
 
 The (x | y | z) layout belongs to diameter: the inherited facet families,
 the z bounds and the lifted equation systems place their blocks with
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -84,16 +90,15 @@ def _strictly_increasing(arr: np.ndarray) -> bool:
 
 
 class PointSet:
-    """Distinct 0/1 points in lexicographic order, one per row.
+    """Distinct 0/1 points in lexicographic order, held as ascending cubes
+    (module docstring): cube k is corners[k] with the columns where free[k]
+    is True set to 0 or 1 at will.
 
-    PointSet(points) holds an array: rows that already satisfy the
-    invariant are kept as given after an O(rows * columns) check; any other
-    array is sorted and deduplicated with np.unique.
-
-    enumerate_points returns a paired set instead, which holds only the
-    sorted base points: its count and Gram matrix come from the pair
-    moments and its faces from the pair cubes (module docstring), so the
-    array is generated only on its first read.
+    PointSet(points) is one cube per point, with no free column: rows that
+    already satisfy the invariant are kept as given after an
+    O(rows * columns) check; any other array is sorted and deduplicated
+    with np.unique.  enumerate_points holds a paired set as its pair cubes.
+    The point array is generated only on its first read.
     """
 
     def __init__(self, points):
@@ -106,53 +111,39 @@ class PointSet:
         arr = arr.astype(np.uint8, copy=False)
         if not _strictly_increasing(arr):
             arr = np.unique(arr, axis=0)
-        self._array: np.ndarray | None = np.ascontiguousarray(arr)
-        self._base: np.ndarray | None = None
-        self.count, self.dim_ambient = arr.shape
+        self._hold(np.ascontiguousarray(arr), np.zeros(arr.shape, dtype=bool))
+
+    def _hold(self, corners: np.ndarray, free: np.ndarray) -> "PointSet":
+        """Hold ascending cubes, uint8 corners 0 on their free columns: the
+        body of both constructors, PointSet(points) and enumerate_points."""
+        self.corners, self.free = corners, free
+        self.count, self.dim_ambient = _cube_count(free.sum(axis=1)), corners.shape[1]
+        self._array: np.ndarray | None = None
         self._gram: list[list[int]] | None = None
         self._pivots: list[int] | None = None
-        self._cube_cache: tuple[np.ndarray, np.ndarray] | None = None
-
-    @classmethod
-    def _paired(cls, base: np.ndarray, count: int) -> "PointSet":
-        """The paired set of sorted, distinct base points with `count` points."""
-        ps = cls.__new__(cls)
-        ps._array, ps._base = None, base
-        ps.count, ps.dim_ambient = count, 3 * base.shape[1]
-        ps._gram = ps._pivots = ps._cube_cache = None
-        return ps
+        return self
 
     @property
     def array(self) -> np.ndarray:
         if self._array is None:
-            arr = _paired_rows(self._base)
+            arr = _cube_rows(self.corners, self.free)
             if not _strictly_increasing(arr):
-                raise RuntimeError("paired points generated out of lexicographic order")
+                raise RuntimeError("cube points generated out of lexicographic order")
             self._array = arr
         return self._array
-
-    @property
-    def first(self) -> np.ndarray:
-        """p0, the first point in lexicographic order."""
-        if self._base is None:
-            return self._array[0]
-        return np.tile(self._base[0], 3)
-
-    def __len__(self) -> int:
-        return self.count
 
     def __repr__(self):
         return f"PointSet({self.count} points in R^{self.dim_ambient})"
 
     def gram(self) -> list[list[int]]:
         """G = sum over the points p of (p - p0)(p - p0)^T, p0 the first
-        point: d x d Python integers, computed once, from the pair moments
-        for a paired set and from the array otherwise.  An empty set is the
-        point set of an infeasible model, which has no affine hull."""
+        point: d x d Python integers, computed once from the cube moments.
+        An empty set is the point set of an infeasible model, which has no
+        affine hull."""
         if self._gram is None:
             if self.count == 0:
                 raise InfeasibleModelError("no feasible point: the empty point set has no affine hull")
-            self._gram = (_gram(self._array) if self._base is None else _pair_gram(self._base)).tolist()
+            self._gram = _cube_gram(self.corners, self.free, self.count).tolist()
         return self._gram
 
     def hull_dimension(self) -> int:
@@ -163,17 +154,44 @@ class PointSet:
             self._pivots = _pivot_columns(self.gram())
         return len(self._pivots)
 
-    def _cubes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(corners, free), computed once: the set as disjoint cubes, the
-        columns where free[k] is True 0 in corners[k] and 0 or 1 at will.
-        A paired set's cube (u, v) has corner (u, v, u AND v) and the other
-        z columns free; an array's cubes are its points, with none free."""
-        if self._cube_cache is None:
-            if self._base is None:
-                self._cube_cache = self._array, np.zeros(self._array.shape, dtype=bool)
-            else:
-                self._cube_cache = _pair_cubes(self._base)
-        return self._cube_cache
+
+def _cube_count(widths: np.ndarray) -> int:
+    """Points of the cubes with the given numbers of free columns: the sum
+    of 2^k, as a Python integer."""
+    return sum(c << k for k, c in enumerate(np.bincount(widths).tolist()))
+
+
+def _cube_gram(corners: np.ndarray, free: np.ndarray, count: int) -> np.ndarray:
+    """The cubes' Gram matrix from their moments (module docstring): 4G is
+    the ratlinalg._gram sum of the rows 2q = 2 corner + free, weights 2^k,
+    about the origin 2 p0, plus 2^k on each free diagonal entry.  2q - 2 p0
+    is in {-2, ..., 2}, so each entry of 4G is at most 4N in size, N the
+    count, the bound that types the weights and the diagonal sum; the
+    division by 4 is checked."""
+    dtype = int_dtype(4 * count)
+    weight = 2 ** free.sum(axis=1).astype(dtype)  # 2^k <= N: each cube's points are among them
+    gram4 = _gram(2 * corners + free, weight, 2 * corners[0]).astype(dtype)
+    gram4[np.diag_indices(len(gram4))] += [weight[col].sum() for col in free.T]
+    if (gram4 % 4).any():
+        raise RuntimeError("cube moments: 4G is not divisible by 4")
+    return gram4 // 4
+
+
+def _cube_rows(corners: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """The cubes' points as a uint8 array, in PointSet order: each corner
+    2^k times, its k free columns, in ascending order, filled with the
+    lexicographic table bpcore.bit_table.  The cubes ascend, so the rows
+    are distinct and in order by construction."""
+    widths = free.sum(axis=1)
+    ends = np.cumsum(1 << widths)
+    out = np.repeat(corners, 1 << widths, axis=0)
+    tables: dict[int, np.ndarray] = {}
+    for c in np.flatnonzero(widths).tolist():  # a cube with no free column is its corner
+        k = int(widths[c])
+        if k not in tables:
+            tables[k] = bit_table(k)
+        out[ends[c] - (1 << k) : ends[c], free[c]] = tables[k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -231,12 +249,13 @@ def enumerate_points(
     the front end can (ordering and tour do); otherwise it is read from
     bpcore.feasible_blocks(dp.base, cap), a 2^n scan under the cap.
 
-    The set is returned as its sorted, deduplicated base points.  The
-    count N, the sum over the ordered pairs of 2^k with k the pair's free z
-    columns, is computed exactly on Python integers and checked against
-    max_points before anything else; it bounds the pairs and the sub-cubes
-    of every later face.  The points are generated only when
-    PointSet.array is read (_paired_rows).
+    The set is held as the m^2 pair cubes of the sorted, deduplicated base
+    points u_a, pair a m + b: corner (u_a, u_b, u_a AND u_b), free on the
+    other k z columns.  The count N, the sum of 2^k, is computed exactly on
+    Python integers from the shared supports and checked against
+    max_points before the 3n-wide cube arrays are built; it bounds the
+    pairs (m^2 <= N, so no cube array is larger than the point array that
+    the same max_points admits) and the sub-cubes of every later face.
     """
     if dp.include_lower_coupling:
         raise ValueError("point enumeration is defined for the conjugate variant")
@@ -244,8 +263,9 @@ def enumerate_points(
     if base_points is None:
         base_points = (row for block in feasible_blocks(dp.base, cap) for row in block.tolist())
     # each ordered pair adds at least one point, so k base points give at
-    # least k^2 and reading isqrt(max_points) + 1 of them is enough to refuse
-    limit = math.isqrt(max(max_points, 0)) + 1
+    # least k^2 and reading isqrt(max_points) + 1 of them is enough to
+    # refuse; islice takes no stop past sys.maxsize, and no list gets there
+    limit = min(math.isqrt(max(max_points, 0)) + 1, sys.maxsize)
     base = [tuple(int(v) for v in p) for p in itertools.islice(base_points, limit)]
     if len(base) == limit:
         raise _over_cap(max_points)
@@ -253,75 +273,15 @@ def enumerate_points(
         if len(p) != n or any(v not in (0, 1) for v in p):
             raise ValueError("base points must be 0/1 vectors of base length")
     base = sorted(set(base))
-    base = np.array(base, dtype=np.uint8).reshape(len(base), n)
-    count = _pair_count(base)
-    if count > max_points:
+    m = len(base)
+    base = np.array(base, dtype=np.uint8).reshape(m, n)
+    shared = (base[:, None, :] & base[None, :, :]).reshape(-1, n)
+    if _cube_count(n - shared.sum(axis=1, dtype=np.int64)) > max_points:
         raise _over_cap(max_points)
-    return PointSet._paired(base, count)
-
-
-def _pairs(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(shared, k) over the m^2 ordered base pairs (u_a, v_b), pair a m + b:
-    shared = u_a AND v_b, the z columns forced to 1, k = n - |shared| the
-    free ones.  All at once, since m^2 <= max_points (enumerate_points reads
-    at most isqrt(max_points) base points), so no pair array is larger than
-    the point array that the same max_points admits."""
-    shared = (base[:, None, :] & base[None, :, :]).reshape(-1, base.shape[1])
-    return shared, base.shape[1] - shared.sum(axis=1, dtype=np.int64)
-
-
-def _pair_count(base: np.ndarray) -> int:
-    """Points of the paired set: sum over the ordered pairs of 2^k, with
-    k = n - |u AND v| the free z columns, as a Python integer."""
-    free = np.bincount(_pairs(base)[1], minlength=base.shape[1] + 1)
-    return sum(c << k for k, c in enumerate(free.tolist()))
-
-
-def _pair_cubes(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(corners, free) of the m^2 pair cubes, pair a m + b: corner
-    (u_a, u_b, u_a AND u_b), free on the other z columns (PointSet._cubes)."""
-    m, n = base.shape
-    shared = _pairs(base)[0]
     corners = np.concatenate([np.repeat(base, m, axis=0), np.tile(base, (m, 1)), shared], axis=1)
     free = np.zeros(corners.shape, dtype=bool)
     free[:, 2 * n :] = shared == 0
-    return corners, free
-
-
-def _pair_gram(base: np.ndarray) -> np.ndarray:
-    """The paired set's Gram matrix from the pair moments (module
-    docstring): 4G is the ratlinalg._gram sum of the m^2 <= N rows
-    2q = 2 corner + free = (2u, 2v, 1 + u AND v), weights 2^k, about the
-    origin 2 p0, plus 2^k on each free diagonal entry.  2q - 2 p0 is in
-    {-2, ..., 2}, so each entry of 4G is at most 4N in size, the bound that
-    types the weights and the diagonal sum; the division by 4 is checked."""
-    corners, free = _pair_cubes(base)
-    dtype = int_dtype(4 * _pair_count(base))
-    weight = 2 ** free.sum(axis=1).astype(dtype)  # 2^k <= N: each pair's points are among them
-    gram4 = _gram(2 * corners + free, weight, 2 * corners[0]).astype(dtype)
-    gram4[np.diag_indices(len(gram4))] += [weight[col].sum() for col in free.T]
-    if (gram4 % 4).any():
-        raise RuntimeError("pair moments: 4G is not divisible by 4")
-    return gram4 // 4
-
-
-def _paired_rows(base: np.ndarray) -> np.ndarray:
-    """The paired set's points as a uint8 array, in PointSet order: each
-    pair cube's corner 2^k times, its k free columns, in ascending order,
-    filled with the lexicographic table bpcore.bit_table.  The cubes ascend
-    in (x, y) over the sorted base points, so the rows are distinct and in
-    order by construction."""
-    corners, free = _pair_cubes(base)
-    widths = free.sum(axis=1)
-    out = np.repeat(corners, 1 << widths, axis=0)
-    tables: dict[int, np.ndarray] = {}
-    row = 0
-    for cols, k in zip(free, widths.tolist()):
-        if k not in tables:
-            tables[k] = bit_table(k)
-        out[row : row + (1 << k), cols] = tables[k]
-        row += 1 << k
-    return out
+    return PointSet.__new__(PointSet)._hold(corners, free)
 
 
 def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
@@ -383,7 +343,7 @@ def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
         raise ValueError("inequality width disagrees with the point set")
     a, b, _ = scaled_int_vector(ineq.a, ineq.a0)
     cols = [j for j, c in enumerate(a) if c]
-    corners, free = ps._cubes()
+    corners, free = ps.corners, ps.free
     corners, cube = _split(corners, free, cols)
     loose = free.copy()  # the free columns with a zero coefficient
     loose[:, cols] = False
@@ -431,7 +391,7 @@ def verify_minimal_system(ps: PointSet, system: EquationSystem) -> bool:
     if system.matrix.ncols != ps.dim_ambient:
         raise ValueError("system width disagrees with the point set")
     gram = ps.gram()
-    p0 = ps.first.tolist()
+    p0 = ps.corners[0].tolist()
     for row, d in zip(system.matrix.rows, system.rhs):
         a, b, _ = scaled_int_vector(row, d)
         nz = [k for k, v in enumerate(a) if v]

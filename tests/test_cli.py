@@ -207,6 +207,12 @@ class TestPointsAndDim:
         assert code == 4
         assert "cap exceeded" in err
 
+    def test_huge_max_points(self, capsys):
+        # a limit far past sys.maxsize is a limit, not bad input
+        code, out, err = run(capsys, "dim", "--problem", "lop", "--n", "3", "--max-points", "1" + "0" * 41)
+        assert code == 0 and err == ""
+        assert "dimension: 12" in out.splitlines()
+
     def test_missing_size_exit(self, capsys):
         code, _, err = run(capsys, "dim", "--problem", "lop")
         assert code == 3

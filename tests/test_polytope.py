@@ -144,6 +144,12 @@ class TestEnumeratePoints:
         with pytest.raises(CapExceededError, match=r"2\^9 scan refused \(cap 8\)"):
             enumerate_points(dp, cap=8)
 
+    def test_huge_max_points(self):
+        # past sys.maxsize, where the base point read limit is clamped
+        dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
+        ps = enumerate_points(dp, max_points=1 << 200)
+        assert ps.count == 1008 and ps.hull_dimension() == 12
+
     def test_max_points_cap(self):
         with pytest.raises(CapExceededError):
             paired_points_free_capped()
@@ -154,9 +160,23 @@ def paired_points_free_capped():
     return enumerate_points(dp, max_points=10)
 
 
-def family_base(family, n):
-    """The sorted base points of a family's size-n model, as enumerate_points holds them."""
-    return np.array(sorted(set(map(tuple, suites.FAMILIES[family].module.base_points(n)))), dtype=np.uint8)
+def family_points(family, n):
+    """A family's size-n paired set past the point cap: no array is built."""
+    fam = suites.FAMILIES[family]
+    dp = build_diameter(fam.module.build(fam.zero(n)), None, "conjugate")
+    return enumerate_points(dp, base_points=fam.module.base_points(n), max_points=10**12)
+
+
+def pairs_of(base):
+    """The paired set of the model with no rows over the listed base points,
+    with no point cap."""
+    dp = build_diameter(BinaryProgram([0] * len(base[0]), []), None, "conjugate")
+    return enumerate_points(dp, base_points=base, max_points=1 << 200)
+
+
+def cube_gram(ps):
+    """The set's Gram matrix as _cube_gram returns it, before the list cast."""
+    return polytope._cube_gram(ps.corners, ps.free, ps.count)
 
 
 class TestPairMoments:
@@ -170,7 +190,7 @@ class TestPairMoments:
         assert ps._array is None
         assert gram == _gram(ps.array).tolist()
         assert ps.count == len(ps.array) and ps.dim_ambient == ps.array.shape[1]
-        assert ps.first.tolist() == ps.array[0].tolist()
+        assert ps.corners[0].tolist() == ps.array[0].tolist()
 
     @pytest.mark.parametrize("family,n", [("lop", 2), ("lop", 3), ("lop", 4), ("tsp", 4), ("tsp", 5)])
     def test_families(self, family, n):
@@ -204,7 +224,7 @@ class TestPairMoments:
         want = suites._lop_points(3).gram()
         monkeypatch.setattr(ratlinalg, "_INT64_BOUND", 1)
         ps = suites._lop_points(3)
-        got = polytope._pair_gram(ps._base)
+        got = cube_gram(ps)
         assert got.dtype == object and all(type(v) is int for v in got.flat)
         assert ps.gram() == want
 
@@ -219,21 +239,21 @@ class TestPairMoments:
     def test_beyond_enumeration(self, family, n, base_dim):
         # 1.2 G and 31 M points, past DEFAULT_MAX_POINTS: the moments give
         # dim P_D = 2 dim P + n (3n ambient, n base variables) exactly
-        base = family_base(family, n)
-        assert polytope._pair_count(base) > polytope.DEFAULT_MAX_POINTS
-        rank = _int_rank(polytope._pair_gram(base).tolist())
-        assert rank == 2 * base_dim + base.shape[1] == {"lop": 40, "tsp": 33}[family]
+        ps = family_points(family, n)
+        assert ps.count > polytope.DEFAULT_MAX_POINTS
+        rank = _int_rank(cube_gram(ps).tolist())
+        assert rank == 2 * base_dim + ps.dim_ambient // 3 == {"lop": 40, "tsp": 33}[family]
+        assert ps._array is None
 
     def test_count_is_exact_past_int64(self):
         # 2^70 completions of the all-zero point paired with itself
-        base = np.zeros((1, 70), dtype=np.uint8)
-        assert polytope._pair_count(base) == 1 << 70
+        assert pairs_of([[0] * 70]).count == 1 << 70
 
     def test_gram_past_every_bound(self):
         # 2^70 completions z of the all-zero point, p0 = 0: G = sum z z^T is
         # 2^69 on the z diagonal (half of them set a bit) and 2^68 off it
         # (a quarter set two), far past int64 and float64
-        got = polytope._pair_gram(np.zeros((1, 70), dtype=np.uint8))
+        got = cube_gram(pairs_of([[0] * 70]))
         want = [[0] * 210 for _ in range(210)]
         for i in range(140, 210):
             for j in range(140, 210):
@@ -264,13 +284,14 @@ class TestPairMoments:
                         moment4[i][j] += q2[i] * q2[j] << k
                 for i, s in enumerate(shared):
                     moment4[2 * n + i][2 * n + i] += (1 - s) << k
-        assert count == polytope._pair_count(base) == 29 << 60
+        ps = pairs_of(points)
+        assert count == ps.count == 29 << 60
         p2 = [2 * a for a in points[0]] * 3
         want = [
             [(moment4[i][j] - p2[i] * sum2[j] - sum2[i] * p2[j] + count * p2[i] * p2[j]) // 4 for j in range(dim)]
             for i in range(dim)
         ]
-        got = polytope._pair_gram(base)
+        got = cube_gram(ps)
         assert got.dtype == object and got.tolist() == want
 
     @pytest.mark.parametrize("chunk", [1, 5, ratlinalg._GRAM_CHUNK])
@@ -288,13 +309,13 @@ class TestLazyPoints:
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        rows = polytope._paired_rows
+        rows = polytope._cube_rows
 
-        def spy(base):
-            calls.append(rows(base))
+        def spy(corners, free):
+            calls.append(rows(corners, free))
             return calls[-1]
 
-        monkeypatch.setattr(polytope, "_paired_rows", spy)
+        monkeypatch.setattr(polytope, "_cube_rows", spy)
         return calls
 
     def test_dimension_and_minimality_build_no_point(self, builds):
@@ -624,6 +645,15 @@ class TestSubCubeOracle:
         # a point array is one sub-cube per point, with no free column
         paired = suites._paired_points(suites.FAMILIES[family], n)
         ps = PointSet(paired.array)
+        assert not ps.free.any() and ps.corners.tolist() == paired.array.tolist()
+        assert ps.count == paired.count and ps.gram() == paired.gram() == _gram(paired.array).tolist()
+        assert ps.hull_dimension() == paired.hull_dimension()
+        assert ps.corners[0].tolist() == paired.corners[0].tolist()
+        # unsorted, with duplicate rows: the same cubes as the sorted form
+        rng = np.random.default_rng(n)
+        mixed = PointSet(rng.permutation(np.concatenate([paired.array, paired.array[rng.integers(0, ps.count, 50)]])))
+        assert mixed.corners.tolist() == ps.corners.tolist() and mixed.free.tolist() == ps.free.tolist()
+        assert mixed.count == ps.count
         rows = facet_families(ps.dim_ambient // 3, suites.FAMILIES[family].module.base_facets(n))
         rows += random_rows(random.Random(n), paired, 12)
         for q, r in zip(rows, self.agree(ps, rows)):
@@ -648,11 +678,9 @@ class TestBeyondEnumerationFaces:
 
     @pytest.mark.parametrize("family,n,dim,families", [("lop", 5, 40, 140), ("tsp", 6, 33, 175)])
     def test_every_family_is_a_facet(self, family, n, dim, families):
-        fam = suites.FAMILIES[family]
-        dp = build_diameter(fam.module.build(fam.zero(n)), None, "conjugate")
-        ps = enumerate_points(dp, base_points=fam.module.base_points(n), max_points=10**12)
+        ps = family_points(family, n)
         assert ps.count > polytope.DEFAULT_MAX_POINTS
-        rows = facet_families(ps.dim_ambient // 3, fam.module.base_facets(n))
+        rows = facet_families(ps.dim_ambient // 3, suites.FAMILIES[family].module.base_facets(n))
         reports = [check_inequality(ps, q) for q in rows]
         assert len(reports) == families
         assert all(r.valid and r.is_facet and r.polytope_dimension == dim for r in reports)
