@@ -13,18 +13,20 @@ else: cube k is corners[k] with the columns where free[k] is True (0 in the
 corner) set to 0 or 1 at will.  The ordered base pair (u, v) is the cube
 with corner (u, v, S), S = u AND v the shared support, and its
 k = n - |S| other z columns free, 2^k points; a point array is one cube
-per point with no free column.  The count, the Gram matrix, every face
-and the first point are read off the cubes, and the points are generated
-only when read: the listing.
+per point with no free column.  The count, the hull's dimension, every
+face and the first point are read off the cubes, and the points are
+generated only when read: the listing.
 
-A cube with corner c and k free columns F has the moments sum 1 = 2^k,
-sum p = 2^k q with q = c + F/2, and sum p p^T = 2^k q q^T plus 2^(k-2)
-on each free diagonal entry.  With M, s and N those sums over the cubes,
-the Gram matrix the rank reads is G = M - p0 s^T - s p0^T + N p0 p0^T,
-p0 = corners[0] the first point in lexicographic order.  It is summed as
-4G, so the halves and quarters are integers, by ratlinalg._gram over the
-rows 2q weighted 2^k, each entry at most 4N in size (only the user-set
-max_points bounds N).
+The hull's directions are the cube corners' and the free columns': a cube
+with free column j holds points that differ in column j alone, so e_j is a
+direction.  With U the columns free in some cube, the direction space is
+R^U plus the span of the corner differences c - p0 with the U columns
+dropped, p0 = corners[0] the first point in lexicographic order.  So the
+dimension is |U| + rank(corner - p0) off U, ranked on the corners' Gram
+matrix, whose entries the 0/+-1 differences bound by the number of cubes.
+The pivot columns of the point set's Gram matrix G are U and the corner
+Gram matrix's pivots: a column combination that vanishes on every
+direction is zero on U.
 
 A face splits each cube by the row, on the cube's free columns where the
 row is nonzero, into sub-cubes, each wholly tight or not.  Validity and
@@ -98,7 +100,8 @@ class PointSet:
     already satisfy the invariant are kept as given after an
     O(rows * columns) check; any other array is sorted and deduplicated
     with np.unique.  enumerate_points holds a paired set as its pair cubes.
-    The point array is generated only on its first read.
+    The hull's dimension and pivot columns come from the corners and the
+    free columns; the point array is generated only on its first read.
     """
 
     def __init__(self, points):
@@ -119,7 +122,6 @@ class PointSet:
         self.corners, self.free = corners, free
         self.count, self.dim_ambient = _cube_count(free.sum(axis=1)), corners.shape[1]
         self._array: np.ndarray | None = None
-        self._gram: list[list[int]] | None = None
         self._pivots: list[int] | None = None
         return self
 
@@ -135,23 +137,20 @@ class PointSet:
     def __repr__(self):
         return f"PointSet({self.count} points in R^{self.dim_ambient})"
 
-    def gram(self) -> list[list[int]]:
-        """G = sum over the points p of (p - p0)(p - p0)^T, p0 the first
-        point: d x d Python integers, computed once from the cube moments.
-        An empty set is the point set of an infeasible model, which has no
-        affine hull."""
-        if self._gram is None:
+    def hull_dimension(self) -> int:
+        """The affine dimension, |U| + rank(corner - p0) off U (module
+        docstring), and the pivot columns of G, kept: U and the corner Gram
+        matrix's Bareiss pivots.  A column combination vanishes on G exactly
+        when it vanishes on every p - p0, so projecting onto the pivot
+        columns is injective on the hull's directions.  An empty set is the
+        point set of an infeasible model, which has no affine hull."""
+        if self._pivots is None:
             if self.count == 0:
                 raise InfeasibleModelError("no feasible point: the empty point set has no affine hull")
-            self._gram = _cube_gram(self.corners, self.free, self.count).tolist()
-        return self._gram
-
-    def hull_dimension(self) -> int:
-        """rank(G) = affine dimension, the number of pivot columns of G, kept:
-        a column combination vanishes on G exactly when it vanishes on every
-        p - p0, so projecting onto them is injective on the hull's directions."""
-        if self._pivots is None:
-            self._pivots = _pivot_columns(self.gram())
+            spans = self.free.any(axis=0)  # U
+            rest = np.flatnonzero(~spans)
+            pivots = _pivot_columns(_gram(self.corners[:, rest]).tolist())
+            self._pivots = sorted(np.flatnonzero(spans).tolist() + rest[pivots].tolist())
         return len(self._pivots)
 
 
@@ -159,22 +158,6 @@ def _cube_count(widths: np.ndarray) -> int:
     """Points of the cubes with the given numbers of free columns: the sum
     of 2^k, as a Python integer."""
     return sum(c << k for k, c in enumerate(np.bincount(widths).tolist()))
-
-
-def _cube_gram(corners: np.ndarray, free: np.ndarray, count: int) -> np.ndarray:
-    """The cubes' Gram matrix from their moments (module docstring): 4G is
-    the ratlinalg._gram sum of the rows 2q = 2 corner + free, weights 2^k,
-    about the origin 2 p0, plus 2^k on each free diagonal entry.  2q - 2 p0
-    is in {-2, ..., 2}, so each entry of 4G is at most 4N in size, N the
-    count, the bound that types the weights and the diagonal sum; the
-    division by 4 is checked."""
-    dtype = int_dtype(4 * count)
-    weight = 2 ** free.sum(axis=1).astype(dtype)  # 2^k <= N: each cube's points are among them
-    gram4 = _gram(2 * corners + free, weight, 2 * corners[0]).astype(dtype)
-    gram4[np.diag_indices(len(gram4))] += [weight[col].sum() for col in free.T]
-    if (gram4 % 4).any():
-        raise RuntimeError("cube moments: 4G is not divisible by 4")
-    return gram4 // 4
 
 
 def _cube_rows(corners: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -288,11 +271,15 @@ def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
     """Duplicate a base minimal system over the x and y blocks, zero on z.
 
     [M 0 0; 0 M 0] v = (d, d) over 3n coordinates; rank doubles, so the
-    paired hull loses twice the base rank in dimension.
+    paired hull loses twice the base rank in dimension.  The rows are
+    independent because M's are, checked when the base system was built,
+    so they are not ranked again.
     """
     m = base_system.matrix
     rows = [paired(m.ncols, x=r) for r in m.rows] + [paired(m.ncols, y=r) for r in m.rows]
-    return EquationSystem(RatMatrix(rows), base_system.rhs + base_system.rhs)
+    lifted = EquationSystem.__new__(EquationSystem)
+    lifted.matrix, lifted.rhs = RatMatrix(rows), base_system.rhs + base_system.rhs
+    return lifted
 
 
 def _values(points: np.ndarray, a: Sequence[int], b: int) -> np.ndarray:
@@ -383,21 +370,17 @@ def verify_minimal_system(ps: PointSet, system: EquationSystem) -> bool:
     ambient minus the system's rank (rows are independent by construction).
 
     No point is visited: each row, scaled to integers a . v = b, holds at
-    every point exactly when a . p0 = b at the first point p0 and
-    a^T G a = 0 for the set's Gram matrix G, because
-    a^T G a = sum over the points p of (a . (p - p0))^2, a sum of squares
-    of integers that is 0 only when a . p = a . p0 at every p.
+    every point exactly when a is zero on the columns free in some cube
+    (each is a direction of the hull) and a . c = b at every cube corner c.
     """
     if system.matrix.ncols != ps.dim_ambient:
         raise ValueError("system width disagrees with the point set")
-    gram = ps.gram()
-    p0 = ps.corners[0].tolist()
+    spans = ps.free.any(axis=0).tolist()
     for row, d in zip(system.matrix.rows, system.rhs):
         a, b, _ = scaled_int_vector(row, d)
-        nz = [k for k, v in enumerate(a) if v]
-        if sum(a[k] * p0[k] for k in nz) != b:
+        if any(c and free for c, free in zip(a, spans)):
             return False
-        if sum(a[i] * a[j] * gram[i][j] for i in nz for j in nz):
+        if not (_values(ps.corners, a, b) == b).all():
             return False
     return ps.hull_dimension() == ps.dim_ambient - system.matrix.nrows
 

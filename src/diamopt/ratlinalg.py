@@ -9,20 +9,17 @@ leaves the rank unchanged.
 An integer point array is reduced to its Gram matrix G = sum (p - p0)(p - p0)^T
 before elimination: over the rationals rank(D) = rank(D^T D), and G is only
 d x d however many points there are.  `_gram`, the one exact Gram kernel,
-sums w (p - o)(p - o)^T with integer weights w >= 0 (polytope's pair
-moments) about an origin o, by default w = 1 and o = p0.  It sums float64
-BLAS products of row chunks where checked bounds make every product exact,
-and Python integers otherwise.  float64 holds every integer up to 2**53
-exactly, so a sum or product whose operands and partial results are
-integers below 2**52 is exact in any summation order, with or without FMA,
-on any number of BLAS threads.  The bounds are: every entry and o below
-2**52 in size, so the cast to float64 and the subtraction of o are exact;
-max(w) < 2**52 and chunk rows * max(w) * spread**2 < 2**52, spread the
-largest column range with o included, so each chunk product is exact.  The
-chunk products are summed in int64 when sum(w) * spread**2 < 2**62.
-`int_dtype` is that one int64 overflow rule, shared with the int64 dot
-products in bpcore and polytope, so no result depends on rounding or on
-silent wraparound.
+sums float64 BLAS products of row chunks where checked bounds make every
+product exact, and Python integers otherwise.  float64 holds every integer
+up to 2**53 exactly, so a sum or product whose operands and partial results
+are integers below 2**52 is exact in any summation order, with or without
+FMA, on any number of BLAS threads.  The bounds are: every entry below
+2**52 in size, so the cast to float64 and the subtraction of p0 are exact;
+chunk rows * spread**2 < 2**52, spread the largest column range, so each
+chunk product is exact.  The chunk products are summed in int64 when
+rows * spread**2 < 2**62.  `int_dtype` is that one int64 overflow rule,
+shared with the int64 dot products in bpcore and polytope, so no result
+depends on rounding or on silent wraparound.
 
 `_mod_rank` is the one bound beside the exact kernel: Gaussian elimination
 of an int64 matrix modulo the prime p = 2**31 - 1, in int64.  Residues
@@ -210,43 +207,35 @@ class RatMatrix:
         return _int_rank(scaled_int_vector(r)[0] for r in self.rows)
 
 
-def _gram(points: np.ndarray, weights: np.ndarray | None = None, origin: np.ndarray | None = None) -> np.ndarray:
-    """sum over the rows p of w (p - o)(p - o)^T, w >= 0 the row's integer
-    weight (1 by default) and o the origin (the first row by default):
-    float64 chunk products summed in an int64 array where the module
-    docstring's bounds hold, else Python integers, in an object array."""
+def _gram(points: np.ndarray) -> np.ndarray:
+    """sum over the rows p of (p - p0)(p - p0)^T, p0 the first row: float64
+    chunk products summed in an int64 array where the module docstring's
+    bounds hold, else Python integers, in an object array."""
     if points.dtype != object and not np.issubdtype(points.dtype, np.integer):
         raise ValueError("point arrays must have an integer dtype")
     if points.dtype == object and not all(isinstance(v, int) for v in points.flat):
         raise ValueError("object point arrays must hold Python integers")
-    centre = points[0] if origin is None else origin
-    if points.dtype.itemsize == 1 and weights is None and origin is None:
-        # the dtype's range bounds every column and the first row, with no pass
+    if points.dtype.itemsize == 1:
+        # the dtype's range bounds every column, with no pass
         hi, lo = [int(np.iinfo(points.dtype).max)], [int(np.iinfo(points.dtype).min)]
     else:
-        hi = list(map(max, points.max(axis=0).tolist(), centre.tolist()))
-        lo = list(map(min, points.min(axis=0).tolist(), centre.tolist()))
-    top_weight, total_weight = 1, points.shape[0]
-    if weights is not None:  # Python integers: an int64 sum of the weights could wrap
-        top_weight, total_weight = int(weights.max()), sum(weights.tolist())
+        hi, lo = points.max(axis=0).tolist(), points.min(axis=0).tolist()
     spread = max((h - l for h, l in zip(hi, lo)), default=0)
     square = spread * spread
     fast = (
         max(map(abs, hi + lo), default=0) < _FLOAT_BOUND
-        and top_weight * max(square, 1) < _FLOAT_BOUND
-        and total_weight * square < _INT64_BOUND
+        and square < _FLOAT_BOUND
+        and points.shape[0] * square < _INT64_BOUND
     )
     dtype = np.float64 if fast else object
-    # k = 2**52 // (w * square + 1) rows give k * w * square <= 2**52 - k < 2**52
-    chunk = min(_GRAM_CHUNK, _FLOAT_BOUND // (top_weight * square + 1)) if fast else _GRAM_CHUNK
-    base = centre.astype(dtype)
-    scale = None if weights is None else weights.astype(dtype)
+    # k = 2**52 // (square + 1) rows give k * square <= 2**52 - k < 2**52
+    chunk = min(_GRAM_CHUNK, _FLOAT_BOUND // (square + 1)) if fast else _GRAM_CHUNK
+    base = points[0].astype(dtype)
     gram = np.zeros((points.shape[1], points.shape[1]), dtype=np.int64 if fast else object)
     for start in range(0, points.shape[0], chunk):
         diff = points[start : start + chunk].astype(dtype)
         diff -= base
-        left = diff if scale is None else diff * scale[start : start + chunk, None]
-        product = left.T @ diff
+        product = diff.T @ diff
         gram += product.astype(np.int64) if fast else product
     return gram
 

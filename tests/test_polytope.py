@@ -20,7 +20,15 @@ from diamopt.polytope import (
     lift_equation_system,
     verify_minimal_system,
 )
-from diamopt.ratlinalg import _gram, _int_rank, _mod_rank, affine_dimension, scaled_int_vector
+from diamopt.ratlinalg import (
+    RatMatrix,
+    _gram,
+    _int_rank,
+    _mod_rank,
+    _pivot_columns,
+    affine_dimension,
+    scaled_int_vector,
+)
 
 
 def paired_points_free(n):
@@ -174,21 +182,22 @@ def pairs_of(base):
     return enumerate_points(dp, base_points=base, max_points=1 << 200)
 
 
-def cube_gram(ps):
-    """The set's Gram matrix as _cube_gram returns it, before the list cast."""
-    return polytope._cube_gram(ps.corners, ps.free, ps.count)
+def array_pivots(ps):
+    """The Bareiss pivot columns of the Gram matrix of the set's point array."""
+    return _pivot_columns(_gram(ps.array).tolist())
 
 
 class TestPairMoments:
-    """enumerate_points counts the paired points and sums their Gram matrix
-    from the m^2 base pairs; both must equal what the point array gives."""
+    """enumerate_points counts the paired points from the m^2 base pairs, and
+    hull_dimension reads the pivot columns of G off the pair corners and
+    their free columns; both must equal what the point array gives."""
 
     @staticmethod
     def assert_moments_match(ps):
         assert ps._array is None
-        gram = ps.gram()
+        ps.hull_dimension()
         assert ps._array is None
-        assert gram == _gram(ps.array).tolist()
+        assert ps._pivots == array_pivots(ps)
         assert ps.count == len(ps.array) and ps.dim_ambient == ps.array.shape[1]
         assert ps.corners[0].tolist() == ps.array[0].tolist()
 
@@ -220,29 +229,38 @@ class TestPairMoments:
         self.assert_moments_match(enumerate_points(dp, base_points=[(1, 1, 1), (0, 1, 1), (1, 0, 0)]))
 
     def test_python_int_path(self, monkeypatch):
-        # with the int64 bound at 1 every moment is summed on Python integers
-        want = suites._lop_points(3).gram()
+        # with the int64 bound at 1 the corner Gram matrix off U is summed
+        # on Python integers
+        want = array_pivots(suites._lop_points(3))
+        grams = []
+
+        def summing(points):
+            grams.append(_gram(points))
+            return grams[-1]
+
         monkeypatch.setattr(ratlinalg, "_INT64_BOUND", 1)
+        monkeypatch.setattr(polytope, "_gram", summing)
         ps = suites._lop_points(3)
-        got = cube_gram(ps)
-        assert got.dtype == object and all(type(v) is int for v in got.flat)
-        assert ps.gram() == want
+        assert ps.hull_dimension() == 12 and ps._pivots == want
+        # U is the 6 z columns; the 36 pair corners are ranked on x and y
+        assert [g.shape for g in grams] == [(12, 12)]
+        assert grams[0].dtype == object and all(type(v) is int for v in grams[0].flat)
 
     def test_infeasible_model(self):
         bp = BinaryProgram([1, 1], [Constraint([1, 1], ">=", 3)])
         ps = enumerate_points(build_diameter(bp, None, "conjugate"))
         assert ps.count == 0 and ps.array.shape == (0, 6)
         with pytest.raises(InfeasibleModelError):
-            ps.gram()
+            ps.hull_dimension()
 
     @pytest.mark.parametrize("family,n,base_dim", [("lop", 5, 10), ("tsp", 6, 9)])
     def test_beyond_enumeration(self, family, n, base_dim):
-        # 1.2 G and 31 M points, past DEFAULT_MAX_POINTS: the moments give
-        # dim P_D = 2 dim P + n (3n ambient, n base variables) exactly
+        # 1.2 G and 31 M points, past DEFAULT_MAX_POINTS: the pair corners
+        # give dim P_D = 2 dim P + n (3n ambient, n base variables) exactly
         ps = family_points(family, n)
         assert ps.count > polytope.DEFAULT_MAX_POINTS
-        rank = _int_rank(cube_gram(ps).tolist())
-        assert rank == 2 * base_dim + ps.dim_ambient // 3 == {"lop": 40, "tsp": 33}[family]
+        dim = ps.hull_dimension()
+        assert dim == 2 * base_dim + ps.dim_ambient // 3 == {"lop": 40, "tsp": 33}[family]
         assert ps._array is None
 
     def test_count_is_exact_past_int64(self):
@@ -252,18 +270,21 @@ class TestPairMoments:
     def test_gram_past_every_bound(self):
         # 2^70 completions z of the all-zero point, p0 = 0: G = sum z z^T is
         # 2^69 on the z diagonal (half of them set a bit) and 2^68 off it
-        # (a quarter set two), far past int64 and float64
-        got = cube_gram(pairs_of([[0] * 70]))
+        # (a quarter set two), far past int64 and float64; the one cube's
+        # 70 free columns are the hull's directions, and G's pivot columns
+        ps = pairs_of([[0] * 70])
         want = [[0] * 210 for _ in range(210)]
         for i in range(140, 210):
             for j in range(140, 210):
                 want[i][j] = 1 << 69 if i == j else 1 << 68
-        assert got.dtype == object and got.tolist() == want
+        assert ps.hull_dimension() == 70
+        assert ps._pivots == _pivot_columns(want) == list(range(140, 210))
 
     def test_gram_past_int64_from_the_raw_moments(self):
         # four points of weight <= 1 over 61 columns have 29 * 2^60 > 2^63
         # paired points; G is summed here from the uncentred moments,
-        # 4G = 4M - 2p0 (2s)^T - 2s (2p0)^T + N 2p0 (2p0)^T, pair by pair
+        # 4G = 4M - 2p0 (2s)^T - 2s (2p0)^T + N 2p0 (2p0)^T, pair by pair,
+        # and its pivot columns must be the ones read off the pair corners
         n = 61
         base = np.zeros((4, n), dtype=np.uint8)
         base[1, 60] = base[2, 30] = base[3, 0] = 1  # in lexicographic order
@@ -291,16 +312,16 @@ class TestPairMoments:
             [(moment4[i][j] - p2[i] * sum2[j] - sum2[i] * p2[j] + count * p2[i] * p2[j]) // 4 for j in range(dim)]
             for i in range(dim)
         ]
-        got = cube_gram(ps)
-        assert got.dtype == object and got.tolist() == want
+        ps.hull_dimension()
+        assert ps._pivots == _pivot_columns(want)
 
     @pytest.mark.parametrize("chunk", [1, 5, ratlinalg._GRAM_CHUNK])
     def test_pair_rows_cross_gram_chunks(self, chunk, monkeypatch):
-        # the 36 weighted pair rows cross _gram's chunk borders, one row at a time at 1
-        want = suites._lop_points(3).gram()
+        # the 36 pair corners cross _gram's chunk borders, one row at a time at 1
+        want = array_pivots(suites._lop_points(3))
         monkeypatch.setattr(ratlinalg, "_GRAM_CHUNK", chunk)
         ps = suites._lop_points(3)
-        assert ps.count == 1008 and ps.gram() == want
+        assert ps.count == 1008 and ps.hull_dimension() == 12 and ps._pivots == want
 
 
 class TestLazyPoints:
@@ -646,8 +667,8 @@ class TestSubCubeOracle:
         paired = suites._paired_points(suites.FAMILIES[family], n)
         ps = PointSet(paired.array)
         assert not ps.free.any() and ps.corners.tolist() == paired.array.tolist()
-        assert ps.count == paired.count and ps.gram() == paired.gram() == _gram(paired.array).tolist()
-        assert ps.hull_dimension() == paired.hull_dimension()
+        assert ps.count == paired.count and ps.hull_dimension() == paired.hull_dimension()
+        assert ps._pivots == paired._pivots == array_pivots(paired)
         assert ps.corners[0].tolist() == paired.corners[0].tolist()
         # unsorted, with duplicate rows: the same cubes as the sorted form
         rng = np.random.default_rng(n)
@@ -706,6 +727,24 @@ class TestEquationSystem:
         assert [v for v in lifted.matrix.rows[0]] == [1, 1, 0, 0, 0, 0]
         assert [v for v in lifted.matrix.rows[1]] == [0, 0, 1, 1, 0, 0]
 
+    @pytest.mark.parametrize("system", [lop.pick_one_system(3), lop.pick_one_system(4), tsp.degree_system(5)])
+    def test_lift_ranks_nothing(self, system, monkeypatch):
+        # [M 0 0; 0 M 0] has rank 2 rank(M) by construction: the lift takes
+        # no second rank, and the rank it skips is twice the base rank
+        base = EquationSystem(*system)
+        calls = []
+        rank = RatMatrix.rank
+
+        def counting(matrix):
+            calls.append(matrix.nrows)
+            return rank(matrix)
+
+        monkeypatch.setattr(RatMatrix, "rank", counting)
+        lifted = lift_equation_system(base)
+        assert calls == []
+        assert lifted.matrix.rank() == lifted.matrix.nrows == 2 * base.matrix.rank() == 2 * len(system[0])
+        assert lifted.rhs == base.rhs + base.rhs
+
     def test_verify_minimal_system(self):
         inst = lop.LopInstance.zero(2)
         dp = build_diameter(lop.build(inst), None, "conjugate")
@@ -728,7 +767,8 @@ def minimal_per_point(ps, system):
 
 
 class TestMinimalSystemByGram:
-    """verify_minimal_system reads a . p0 = b and a^T G a = 0, never the points."""
+    """verify_minimal_system reads the free columns and a . c = b at the
+    cube corners c, never the points."""
 
     def test_row_broken_at_one_point(self):
         # x1 + x2 = 1 holds at 010 and 100, the first point among them, and
@@ -740,7 +780,7 @@ class TestMinimalSystemByGram:
         assert not minimal_per_point(ps, system)
 
     def test_rhs_off_at_every_point(self):
-        # x1 + x2 is 1 at every point, so a^T G a = 0 and only a . p0 = b fails
+        # x1 + x2 is 1 at every point, so only the right-hand side can fail
         ps = PointSet([[0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1]])
         assert verify_minimal_system(ps, EquationSystem([[1, 1, 0]], [1]))
         assert not verify_minimal_system(ps, EquationSystem([[1, 1, 0]], [2]))
@@ -786,6 +826,94 @@ class TestMinimalSystemByGram:
             assert verdict == minimal_per_point(ps, system), (kind, r)
             seen.add(verdict)
         assert seen == {True, False}
+
+
+class TestCornerRankIdentity:
+    """hull_dimension is |U| + rank(corner - p0) off U, U the columns free
+    in some cube, and its pivot columns are those of the point array's Gram
+    matrix; verify_minimal_system reads the same U and the corners.  Checked
+    against the point array on every family set the suites use and on
+    seeded random models."""
+
+    @staticmethod
+    def agree(ps):
+        assert ps.hull_dimension() == affine_dimension(ps.array)
+        assert ps._pivots == array_pivots(ps)
+        arr = ps.array
+        constant = [j for j in range(ps.dim_ambient) if (arr[:, j] == arr[0, j]).all()]
+        valid = [([int(i == j) for i in range(ps.dim_ambient)], int(arr[0, j])) for j in constant]
+        verdicts = []
+        if valid:  # the constant columns: rows that hold at every point
+            system = EquationSystem(*zip(*valid))
+            verdicts.append(verify_minimal_system(ps, system))
+            assert verdicts[-1] == minimal_per_point(ps, system)
+        for j in np.flatnonzero(ps.free.any(axis=0)).tolist():
+            # a free column varies, so v_j = (its value at p0) is refused
+            # on its own and beside rows that hold
+            row = [int(i == j) for i in range(ps.dim_ambient)]
+            for rows in ([(row, int(arr[0, j]))], valid + [(row, int(arr[0, j]))]):
+                system = EquationSystem(*zip(*rows))
+                assert not verify_minimal_system(ps, system) and not minimal_per_point(ps, system)
+        return verdicts
+
+    @pytest.mark.parametrize(
+        "family,n,system",
+        [("lop", n, lop.pick_one_system) for n in (2, 3, 4)] + [("tsp", n, tsp.degree_system) for n in (4, 5)],
+    )
+    def test_families(self, family, n, system):
+        ps = suites._paired_points(suites.FAMILIES[family], n)
+        self.agree(ps)
+        lifted = lift_equation_system(EquationSystem(*system(n)))
+        assert verify_minimal_system(ps, lifted) and minimal_per_point(ps, lifted)
+
+    def test_random_models(self):
+        rng = random.Random(1729)
+        models, verdicts = 0, set()
+        while models < 40:
+            bp = bpcore.random_binary_program(rng, max_n=6, max_rows=3)
+            ps = enumerate_points(build_diameter(bp, None, "conjugate"))
+            if ps.count:
+                verdicts |= set(self.agree(ps))
+                models += 1
+        assert verdicts == {True, False}
+
+    @staticmethod
+    def random_cubes(rng, width):
+        """Ascending disjoint cubes with free columns anywhere: the leaves of
+        a random binary trie on the leading columns, each a cube whose other
+        columns are free or fixed at random."""
+        corners, free = [], []
+
+        def grow(prefix):
+            if len(prefix) == width or rng.random() < 0.3:
+                tail = [rng.choice((0, 1, None)) for _ in range(width - len(prefix))]
+                corners.append(prefix + [v or 0 for v in tail])
+                free.append([False] * len(prefix) + [v is None for v in tail])
+            else:
+                for bit in (0, 1):
+                    if rng.random() < 0.8:
+                        grow(prefix + [bit])
+
+        while not corners:
+            grow([])
+        return PointSet.__new__(PointSet)._hold(np.array(corners, dtype=np.uint8), np.array(free, dtype=bool))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cubes_free_anywhere(self, seed):
+        # paired sets have U in the z block, after every pivot off U; here
+        # free columns also precede the corners' pivots
+        rng = random.Random(seed)
+        for _ in range(30):
+            self.agree(self.random_cubes(rng, rng.randint(1, 9)))
+
+    def test_free_column_row_holding_at_every_corner(self):
+        # the one cube (0, 0, z): x = 0, z = 0 holds at its corner and has
+        # two rows for a hull of dimension 3 - 2, yet z is free
+        ps = pairs_of([[0]])
+        system = EquationSystem([[1, 0, 0], [0, 0, 1]], [0, 0])
+        assert ps.hull_dimension() == 1 and ps.free.tolist() == [[False, False, True]]
+        assert not verify_minimal_system(ps, system) and not minimal_per_point(ps, system)
+        assert verify_minimal_system(ps, EquationSystem([[1, 0, 0], [0, 1, 0]], [0, 0]))
 
 
 class TestFacetFamilies:

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -294,10 +295,23 @@ class TestGram:
         assert _gram(points).tolist() == gram_reference(points)
 
 
+def unweighted(points, origin, copies=None, scale=None):
+    """Rows whose plain Gram matrix about the first row is the weighted sum
+    of w (p - o)(p - o)^T: the origin o first, which adds nothing, then each
+    row p either copies[i] times (w = copies[i]) or once as o + s (p - o),
+    s = scale[i] (w = s^2)."""
+    if copies is not None:
+        rows = np.repeat(points, copies, axis=0)
+    else:
+        rows = origin + scale[:, None] * (points - origin)
+    return np.concatenate([origin[None, :], rows])
+
+
 class TestWeightedGram:
-    """`_gram(points, weights, origin)` sums w (p - o)(p - o)^T on each tier:
-    float64 chunks summed in int64 where the bounds hold, Python integers
-    otherwise; zero weights and an origin off the rows included."""
+    """A weighted Gram matrix, sum w (p - o)(p - o)^T, is the plain `_gram`
+    of the rows `unweighted` lists, on each of its tiers: float64 chunks
+    summed in int64 where the bounds hold, Python integers otherwise; zero
+    weights and an origin off the rows included."""
 
     @staticmethod
     def case(seed, rows, cols, spread, top_weight):
@@ -311,47 +325,51 @@ class TestWeightedGram:
     def test_defaults_are_unit_weights_about_the_first_row(self):
         points = suites._tsp_points(4).array
         ones = np.ones(len(points), dtype=np.int64)
-        assert _gram(points, ones, points[0]).tolist() == _gram(points).tolist() == gram_reference(points)
+        want = gram_reference(points)
+        assert gram_reference(points, ones, points[0]) == _gram(points).tolist() == want
+        assert _gram(unweighted(points, points[0], copies=ones)).tolist() == want
 
     def test_float_tier(self):
-        points, weights, origin = self.case(1, 3000, 6, 9, 1000)
-        got = _gram(points, weights, origin)
+        points, weights, origin = self.case(1, 3000, 6, 9, 20)
+        got = _gram(unweighted(points, origin, copies=weights))
         assert got.dtype == np.int64 and got.tolist() == gram_reference(points, weights, origin)
 
     def test_int64_sum_tier(self):
-        # weights near 2**44 leave a few rows per exact float chunk, and the
+        # scales up to 2**21 leave about 20 rows per exact float chunk, and the
         # sums pass 2**53, where only the int64 sum is exact
-        points, weights, origin = self.case(2, 300, 4, 8, 1 << 44)
-        got = _gram(points, weights, origin)
-        assert got.dtype == np.int64 and got.tolist() == gram_reference(points, weights, origin)
+        points, scale, origin = self.case(2, 1000, 4, 8, 1 << 21)
+        got = _gram(unweighted(points, origin, scale=scale))
+        assert got.dtype == np.int64 and got.tolist() == gram_reference(points, scale.astype(object) ** 2, origin)
         assert max(map(max, got.tolist())) > 1 << 53
 
     @pytest.mark.parametrize("top_weight", [1 << 52, 1 << 62, 1 << 70])
     def test_python_int_tier(self, top_weight):
-        # a weight that float64 cannot scale exactly, or an int64 sum past 2**62
-        points, weights, origin = self.case(3, 200, 5, 16, 1 << 40)
-        weights = weights.astype(object)
-        weights[1] = top_weight
-        got = _gram(points, weights, origin)
+        # one row scaled by sqrt(top_weight): a spread whose square float64
+        # cannot hold exactly, or an int64 sum past 2**62
+        points, scale, origin = self.case(3, 200, 5, 16, 1 << 20)
+        scale = scale.astype(object)
+        scale[1] = math.isqrt(top_weight)
+        got = _gram(unweighted(points.astype(object), origin.astype(object), scale=scale))
         assert got.dtype == object and all(type(v) is int for v in got.flat)
-        assert got.tolist() == gram_reference(points, weights, origin)
+        assert got.tolist() == gram_reference(points, scale**2, origin)
 
     def test_sum_past_the_int64_bound(self):
-        # 2**19 * spread**2 = 2**51 fits a float chunk of one row, but the
-        # weighted sums pass 2**63
+        # spread 2**25 fits a float chunk of three rows, but the 40,000 rows
+        # scaled by 2**9 (weight 2**18) sum past 2**63
         rng = np.random.default_rng(4)
-        points = (1 << 16) * rng.integers(0, 2, size=(20000, 3), dtype=np.int64)
-        weights = np.full(len(points), 1 << 19, dtype=np.int64)
-        weights[::3] = 0
+        points = (1 << 16) * rng.integers(0, 2, size=(40000, 3), dtype=np.int64)
+        scale = np.full(len(points), 1 << 9, dtype=np.int64)
+        scale[::3] = 0
         origin = np.zeros(3, dtype=np.int64)
-        got = _gram(points, weights, origin)
-        assert got.dtype == object and got.tolist() == gram_reference(points, weights, origin)
+        got = _gram(unweighted(points, origin, scale=scale))
+        assert got.dtype == object and got.tolist() == gram_reference(points, scale**2, origin)
         assert max(map(max, got.tolist())) >= 1 << 63
 
     def test_zero_weights(self):
         points, _, origin = self.case(5, 50, 4, 9, 1)
         zeros = np.zeros(len(points), dtype=np.int64)
-        assert _gram(points, zeros, origin).tolist() == [[0] * 4] * 4
+        assert _gram(unweighted(points, origin, copies=zeros)).tolist() == [[0] * 4] * 4
+        assert _gram(unweighted(points, origin, scale=zeros)).tolist() == [[0] * 4] * 4
 
 
 class TestModRank:
