@@ -30,7 +30,7 @@ from .bpcore import DEFAULT_ENUM_CAP, solve_bnb, solve_enumerate
 from .diameter import build as build_diameter
 from .diameter import result_to_dict, solve_diameter, theoretical_epsilon
 from .errors import CapExceededError, DiamoptError, InfeasibleModelError, ParseError
-from .modelio import load_model_json, load_model_lp
+from .modelio import json_list, load_model_json, load_model_lp
 from .polytope import (
     DEFAULT_MAX_POINTS,
     Inequality,
@@ -212,7 +212,7 @@ def _parse_inequalities(path: str) -> list[Inequality]:
     out = []
     for k, item in enumerate(data):
         try:
-            a = tuple(as_rational(v) for v in item["a"])
+            a = tuple(as_rational(v) for v in json_list(item["a"], "a"))
             a0 = as_rational(item["a0"])
             sense = item.get("sense", "<=")
             label = item.get("label", f"ineq_{k + 1}")

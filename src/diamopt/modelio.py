@@ -118,27 +118,35 @@ def model_to_dict(bp: BinaryProgram) -> dict:
     }
 
 
+def json_list(value, field: str) -> list:
+    """value, which must be a JSON list (or a Python tuple): a string or an
+    object would be read entry by entry as a vector, so it is ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} must be a list, not {type(value).__name__}")
+    return value
+
+
 def model_from_dict(d: dict) -> BinaryProgram:
     try:
-        c = [as_rational(v) for v in d["objective"]]
+        c = [as_rational(v) for v in json_list(d["objective"], "objective")]
         cons = []
-        for row in d.get("constraints", []):
+        for row in json_list(d.get("constraints", []), "constraints"):
             cons.append(
                 Constraint(
-                    tuple(as_rational(v) for v in row["coeffs"]),
+                    tuple(as_rational(v) for v in json_list(row["coeffs"], "coeffs")),
                     row["sense"],
                     as_rational(row["rhs"]),
                     row.get("name", ""),
                 )
             )
         names = d.get("variable_names")
-        bp = BinaryProgram(c, cons, names)
+        bp = BinaryProgram(c, cons, None if names is None else json_list(names, "variable_names"))
+        if "n" in d and as_integer(d["n"]) != bp.n:
+            raise ParseError(f"model JSON says n={d['n']} but has {bp.n} objective entries")
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad model JSON: {e}") from e
-    if "n" in d and d["n"] != bp.n:
-        raise ParseError(f"model JSON says n={d['n']} but has {bp.n} objective entries")
     return bp
 
 

@@ -109,7 +109,7 @@ class PointSet:
         if arr.ndim != 2:
             raise ValueError("points must form a 2-D array")
         # checked before the cast, which would truncate 0.5 and wrap -1 or 256
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("points must be 0/1")
         arr = arr.astype(np.uint8, copy=False)
         if not _strictly_increasing(arr):
@@ -347,11 +347,9 @@ def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
     else:
         spans = loose[cube[tight]].any(axis=0)  # U
         keep = [j for j in ps._pivots if not spans[j]]
-        # corner differences are 0 or +-1, so entries are at most the tight
-        # corners in size; past int64 _gram sums Python integers for Bareiss
         gram = _gram(corners[np.ix_(np.flatnonzero(tight), keep)])
         lower = int(spans.sum())
-        if gram.dtype == np.int64 and _mod_rank(gram) == pdim - 1 - lower:
+        if _mod_rank(gram) == pdim - 1 - lower:
             face_dim = pdim - 1
         else:
             face_dim = lower + _int_rank(gram.tolist())

@@ -6,20 +6,20 @@ whose division by the previous pivot is exact; `_int_rank` counts its
 pivots.  Rational rows are scaled to integers row by row first, which
 leaves the rank unchanged.
 
-An integer point array is reduced to its Gram matrix G = sum (p - p0)(p - p0)^T
+A 0/1 point array is reduced to its Gram matrix G = sum (p - p0)(p - p0)^T
 before elimination: over the rationals rank(D) = rank(D^T D), and G is only
-d x d however many points there are.  `_gram`, the one exact Gram kernel,
-sums float64 BLAS products of row chunks where checked bounds make every
-product exact, and Python integers otherwise.  float64 holds every integer
-up to 2**53 exactly, so a sum or product whose operands and partial results
-are integers below 2**52 is exact in any summation order, with or without
-FMA, on any number of BLAS threads.  The bounds are: every entry below
-2**52 in size, so the cast to float64 and the subtraction of p0 are exact;
-chunk rows * spread**2 < 2**52, spread the largest column range, so each
-chunk product is exact.  The chunk products are summed in int64 when
-rows * spread**2 < 2**62.  `int_dtype` is that one int64 overflow rule,
-shared with the int64 dot products in bpcore and polytope, so no result
-depends on rounding or on silent wraparound.
+d x d however many points there are.  `_gram`, the one Gram kernel, takes
+uint8 rows only and sums float64 BLAS products of row chunks in int64.  Its
+bound always holds: every difference is 0 or +-1, so each entry of a chunk
+product is an integer of size at most _GRAM_CHUNK = 2**12 and each entry of
+G at most the number of rows, far below the 2**53 up to which float64 holds
+every integer and the 2**62 of the int64 rule.  (Any uint8 rows, fewer than
+2**46 of them, stay exact too: 255**2 * 2**12 < 2**53 and 255**2 * 2**46 <
+2**62.)  So no result depends on summation order, FMA or BLAS threads.
+`affine_dimension` ranks any other integer array by Bareiss on its rows'
+differences.  `int_dtype` is the one int64 overflow rule, shared with the
+int64 dot products in bpcore and polytope, so no result depends on silent
+wraparound.
 
 `_mod_rank` is the one bound beside the exact kernel: Gaussian elimination
 of an int64 matrix modulo the prime p = 2**31 - 1, in int64.  Residues
@@ -41,10 +41,6 @@ import numpy as np
 # int64 headroom: a value known to stay below 2**62 in size leaves a factor
 # of two before any numpy int64 sum or product could wrap.
 _INT64_BOUND = 1 << 62
-
-# float64 headroom for exact integer sums and products, one bit below the
-# 2**53 up to which float64 holds every integer (module docstring)
-_FLOAT_BOUND = 1 << 52
 
 # the modulus of _mod_rank, a prime whose residues multiply below 2**62
 _PRIME = (1 << 31) - 1
@@ -208,35 +204,18 @@ class RatMatrix:
 
 
 def _gram(points: np.ndarray) -> np.ndarray:
-    """sum over the rows p of (p - p0)(p - p0)^T, p0 the first row: float64
-    chunk products summed in an int64 array where the module docstring's
-    bounds hold, else Python integers, in an object array."""
-    if points.dtype != object and not np.issubdtype(points.dtype, np.integer):
-        raise ValueError("point arrays must have an integer dtype")
-    if points.dtype == object and not all(isinstance(v, int) for v in points.flat):
-        raise ValueError("object point arrays must hold Python integers")
-    if points.dtype.itemsize == 1:
-        # the dtype's range bounds every column, with no pass
-        hi, lo = [int(np.iinfo(points.dtype).max)], [int(np.iinfo(points.dtype).min)]
-    else:
-        hi, lo = points.max(axis=0).tolist(), points.min(axis=0).tolist()
-    spread = max((h - l for h, l in zip(hi, lo)), default=0)
-    square = spread * spread
-    fast = (
-        max(map(abs, hi + lo), default=0) < _FLOAT_BOUND
-        and square < _FLOAT_BOUND
-        and points.shape[0] * square < _INT64_BOUND
-    )
-    dtype = np.float64 if fast else object
-    # k = 2**52 // (square + 1) rows give k * square <= 2**52 - k < 2**52
-    chunk = min(_GRAM_CHUNK, _FLOAT_BOUND // (square + 1)) if fast else _GRAM_CHUNK
-    base = points[0].astype(dtype)
-    gram = np.zeros((points.shape[1], points.shape[1]), dtype=np.int64 if fast else object)
-    for start in range(0, points.shape[0], chunk):
-        diff = points[start : start + chunk].astype(dtype)
+    """sum over the rows p of (p - p0)(p - p0)^T, p0 the first row, of a
+    uint8 0/1 array: float64 chunk products, exact by the module
+    docstring's bound, summed in an int64 array.  Any other dtype is a
+    TypeError: its callers hand it cube corners and checked 0/1 arrays."""
+    if points.dtype != np.uint8:
+        raise TypeError(f"_gram takes a uint8 array, not {points.dtype}")
+    base = points[0].astype(np.float64)
+    gram = np.zeros((points.shape[1], points.shape[1]), dtype=np.int64)
+    for start in range(0, points.shape[0], _GRAM_CHUNK):
+        diff = points[start : start + _GRAM_CHUNK].astype(np.float64)
         diff -= base
-        product = diff.T @ diff
-        gram += product.astype(np.int64) if fast else product
+        gram += (diff.T @ diff).astype(np.int64)
     return gram
 
 
@@ -244,15 +223,23 @@ def affine_dimension(points) -> int:
     """Dimension of the affine hull of a nonempty point collection.
 
     A single point has dimension 0.  Accepts a 2-D integer (or object array
-    of Python integers) ndarray, reduced to its Gram matrix, or any iterable
-    of rational coordinate sequences, whose differences are ranked directly.
+    of Python integers) ndarray, or any iterable of rational coordinate
+    sequences.  A 0/1 array is reduced to its Gram matrix by `_gram`; the
+    differences of any other rows are ranked directly.
     """
     if isinstance(points, np.ndarray):
         if points.ndim != 2:
             raise ValueError("expected a 2-D array of points")
         if points.shape[0] == 0:
             raise ValueError("affine hull of no points is undefined")
-        return _int_rank(_gram(points).tolist())
+        if points.dtype == object:
+            if not all(isinstance(v, int) for v in points.flat):
+                raise ValueError("object point arrays must hold Python integers")
+        elif not np.issubdtype(points.dtype, np.integer):
+            raise ValueError("point arrays must have an integer dtype")
+        if ((points == 0) | (points == 1)).all():
+            return _int_rank(_gram(points.astype(np.uint8, copy=False)).tolist())
+        points = points.tolist()
 
     pts = [tuple(as_rational(c) for c in p) for p in points]
     if not pts:

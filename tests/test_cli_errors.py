@@ -67,6 +67,7 @@ NON_INTEGERS = {
     "ordering-bool-index": ("w.json", _ordering(3, [[True, 2, 5]]), "diameter --problem lop --instance {f}"),
     "ordering-float-n": ("w.json", _ordering(3.7, []), "diameter --problem lop --instance {f}"),
     "ordering-bool-n": ("w.json", _ordering(True, []), "diameter --problem lop --instance {f}"),
+    "model-bool-n": ("m.json", json.dumps({"n": True, "objective": [1], "constraints": []}), "solve {f}"),
 }
 
 
@@ -79,6 +80,38 @@ def test_non_integer_is_input_error(case, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 3
     assert "input error" in err and "is not an integer" in err
+    assert "Traceback" not in err and out == ""
+
+
+# strings and objects where a coefficient list belongs, which read entry by
+# entry would pass as vectors: file name, content, argv with {f} standing for
+# the file
+NOT_LISTS = {
+    "model-objective": ("m.json", json.dumps({"objective": "12"}), "solve {f}"),
+    "model-coeffs": (
+        "m.json",
+        json.dumps({"objective": [1, 2], "constraints": [{"coeffs": "11", "sense": "<=", "rhs": 1}]}),
+        "solve {f}",
+    ),
+    "model-variable-names": ("m.json", json.dumps({"objective": [1, 2], "variable_names": "ab"}), "solve {f}"),
+    "check-facet-a-string": ("q.json", json.dumps({"a": "100000", "a0": 1}), "check-facet {f} --problem lop --n 2"),
+    "check-facet-a-object": (
+        "q.json",
+        json.dumps({"a": {str(k): int(k == 1) for k in range(1, 7)}, "a0": 1}),
+        "check-facet {f} --problem lop --n 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_LISTS))
+def test_non_list_vector_is_input_error(case, tmp_path, capsys):
+    name, content, argv = NOT_LISTS[case]
+    path = tmp_path / name
+    path.write_text(content)
+    code = main(argv.format(f=path).split())
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "input error" in err and "must be a list" in err
     assert "Traceback" not in err and out == ""
 
 

@@ -70,6 +70,24 @@ class TestDictRoundTrip:
         with pytest.raises(ParseError):
             model_from_dict(d2)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("objective", "12"), ("constraints", {}), ("variable_names", "ab"), ("n", True)],
+        ids=["objective-string", "constraints-object", "variable-names-string", "n-bool"],
+    )
+    def test_strings_objects_and_bools_rejected(self, field, value):
+        # a string or an object read entry by entry would pass as a vector
+        d = model_to_dict(BinaryProgram([1] if field == "n" else [1, 2], []))
+        d[field] = value
+        with pytest.raises(ParseError):
+            model_from_dict(d)
+
+    def test_string_coeffs_rejected(self):
+        d = model_to_dict(BinaryProgram([1, 2], [Constraint([1, 1], "<=", 1)]))
+        d["constraints"][0]["coeffs"] = "11"
+        with pytest.raises(ParseError):
+            model_from_dict(d)
+
 
 class TestLpText:
     def test_equality_split(self):

@@ -228,24 +228,6 @@ class TestPairMoments:
         dp = build_diameter(BinaryProgram([0, 0, 0], []), None, "conjugate")
         self.assert_moments_match(enumerate_points(dp, base_points=[(1, 1, 1), (0, 1, 1), (1, 0, 0)]))
 
-    def test_python_int_path(self, monkeypatch):
-        # with the int64 bound at 1 the corner Gram matrix off U is summed
-        # on Python integers
-        want = array_pivots(suites._lop_points(3))
-        grams = []
-
-        def summing(points):
-            grams.append(_gram(points))
-            return grams[-1]
-
-        monkeypatch.setattr(ratlinalg, "_INT64_BOUND", 1)
-        monkeypatch.setattr(polytope, "_gram", summing)
-        ps = suites._lop_points(3)
-        assert ps.hull_dimension() == 12 and ps._pivots == want
-        # U is the 6 z columns; the 36 pair corners are ranked on x and y
-        assert [g.shape for g in grams] == [(12, 12)]
-        assert grams[0].dtype == object and all(type(v) is int for v in grams[0].flat)
-
     def test_infeasible_model(self):
         bp = BinaryProgram([1, 1], [Constraint([1, 1], ">=", 3)])
         ps = enumerate_points(build_diameter(bp, None, "conjugate"))

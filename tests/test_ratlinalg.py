@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diamopt import suites
+from diamopt import ratlinalg, suites
 from diamopt.ratlinalg import (
     _PRIME,
     RatMatrix,
@@ -242,7 +242,9 @@ def _deficient_01(rng, rows=40):
 
 
 class TestGram:
-    """`_gram` against a Python-int reference, on every side of its bounds."""
+    """`_gram` against a Python-int reference on uint8 0/1 rows; any other
+    integer rows, past every float64 and int64 bound, through
+    `affine_dimension`'s Bareiss row path against the reference's rank."""
 
     @pytest.mark.parametrize(
         "make",
@@ -250,6 +252,7 @@ class TestGram:
             pytest.param(lambda rng: suites._lop_points(3).array, id="ordering n=3"),
             pytest.param(lambda rng: suites._tsp_points(5).array, id="tour n=5"),
             pytest.param(lambda rng: rng.integers(0, 2, size=(5000, 12), dtype=np.uint8), id="random 0/1"),
+            pytest.param(lambda rng: _deficient_01(rng).astype(np.uint8), id="deficient 0/1"),
             pytest.param(lambda rng: rng.integers(-128, 128, size=(300, 9), dtype=np.int8), id="int8"),
             pytest.param(lambda rng: rng.integers(-1000, 1000, size=(9000, 7), dtype=np.int64), id="int64"),
             pytest.param(lambda rng: rng.integers(-50, 50, size=(200, 5)).astype(object), id="object"),
@@ -257,42 +260,58 @@ class TestGram:
     )
     def test_matches_reference(self, make):
         points = make(np.random.default_rng(11))
-        assert _gram(points).tolist() == gram_reference(points)
+        want = gram_reference(points)
+        if points.dtype == np.uint8:
+            assert _gram(points).tolist() == want
+        assert affine_dimension(points) == _int_rank(want)
+
+    @pytest.mark.parametrize("chunk", [1, 5, ratlinalg._GRAM_CHUNK])
+    def test_chunk_borders(self, chunk, monkeypatch):
+        # 5000 rows cross the border of every chunk size, one row at a time at 1
+        points = np.random.default_rng(chunk).integers(0, 2, size=(5000, 9), dtype=np.uint8)
+        monkeypatch.setattr(ratlinalg, "_GRAM_CHUNK", chunk)
+        got = _gram(points)
+        assert got.dtype == np.int64 and got.tolist() == gram_reference(points)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, object])
+    def test_other_dtypes_are_refused(self, dtype):
+        with pytest.raises(TypeError):
+            _gram(np.array([[0, 1], [1, 1]]).astype(dtype))
 
     @pytest.mark.parametrize("bits", [25, 27])
     def test_products_past_the_float_bound(self, bits):
-        # spread 2**25 allows four rows per float chunk; 2**27 has products
-        # past 2**53, so the float tier must not take them at all
+        # spread 2**25 and 2**27: squares near and past 2**53
         rng = np.random.default_rng(bits)
         points = rng.integers(0, 1 << bits, size=(200, 4), dtype=np.int64)
-        assert _gram(points).tolist() == gram_reference(points)
+        assert affine_dimension(points) == _int_rank(gram_reference(points)) == 4
 
     def test_sum_past_the_int64_bound(self):
-        # every product fits a float chunk, but 5000 of them pass 2**63
+        # every product fits float64, but 5000 of them pass 2**63
         spread = (1 << 26) - 1
         points = spread * np.random.default_rng(4).integers(0, 2, size=(5000, 3), dtype=np.int64)
-        assert _gram(points).tolist() == gram_reference(points)
-        assert max(max(row) for row in gram_reference(points)) >= 1 << 63
+        want = gram_reference(points)
+        assert affine_dimension(points) == _int_rank(want) == 3
+        assert max(max(row) for row in want) >= 1 << 63
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_large_entries_small_spread(self, sign):
         # entries near 2**60 do not survive a cast to float64; spread 7 does
         points = sign * ((1 << 60) + np.random.default_rng(2).integers(0, 8, size=(50, 5), dtype=np.int64))
-        assert _gram(points).tolist() == gram_reference(points)
         assert affine_dimension(points) == affine_dimension(points.tolist()) == 5
+        assert _int_rank(gram_reference(points)) == 5
 
     @pytest.mark.parametrize("k", [0, 20, 26, 27, 31, 62, 64])
     @pytest.mark.parametrize("offset", [0, 1])
     def test_scaled_01_keeps_affine_dimension(self, k, offset):
-        # scales 2**k and 2**k + 1 cross the float, chunk, int64 and object
-        # boundaries; 2**k + 1 also has odd products that float64 would round
+        # scales 2**k and 2**k + 1, past float64 and int64 products; scale 1
+        # is an int64 0/1 array, which goes to _gram
         bits = _deficient_01(np.random.default_rng(k))
         scale = (1 << k) + offset
         points = bits.astype(object) * scale
         if scale < 1 << 63:
             points = points.astype(np.int64)
         assert affine_dimension(points) == affine_dimension(points.tolist()) == affine_dimension(bits.tolist())
-        assert _gram(points).tolist() == gram_reference(points)
+        assert affine_dimension(points) == _int_rank(gram_reference(points))
 
 
 def unweighted(points, origin, copies=None, scale=None):
@@ -309,9 +328,9 @@ def unweighted(points, origin, copies=None, scale=None):
 
 class TestWeightedGram:
     """A weighted Gram matrix, sum w (p - o)(p - o)^T, is the plain `_gram`
-    of the rows `unweighted` lists, on each of its tiers: float64 chunks
-    summed in int64 where the bounds hold, Python integers otherwise; zero
-    weights and an origin off the rows included."""
+    of the rows `unweighted` lists when they are 0/1, and its rank is their
+    affine dimension otherwise (o leads them; any weight > 0 keeps p - o's
+    direction): zero weights and an origin off the rows included."""
 
     @staticmethod
     def case(seed, rows, cols, spread, top_weight):
@@ -322,6 +341,16 @@ class TestWeightedGram:
         origin = rng.integers(-spread, spread, size=cols, dtype=np.int64)
         return points, weights, origin
 
+    @staticmethod
+    def case01(seed, rows, cols, top_weight):
+        """uint8 0/1 points and origin, and weights as in case."""
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        weights = rng.integers(0, top_weight, size=rows, dtype=np.int64, endpoint=True)
+        weights[::3] = 0
+        origin = rng.integers(0, 2, size=cols, dtype=np.uint8)
+        return points, weights, origin
+
     def test_defaults_are_unit_weights_about_the_first_row(self):
         points = suites._tsp_points(4).array
         ones = np.ones(len(points), dtype=np.int64)
@@ -330,46 +359,49 @@ class TestWeightedGram:
         assert _gram(unweighted(points, points[0], copies=ones)).tolist() == want
 
     def test_float_tier(self):
-        points, weights, origin = self.case(1, 3000, 6, 9, 20)
+        # 0/1 rows copied up to 20 times, about 20,000 rows over five chunks
+        points, weights, origin = self.case01(1, 3000, 6, 20)
         got = _gram(unweighted(points, origin, copies=weights))
         assert got.dtype == np.int64 and got.tolist() == gram_reference(points, weights, origin)
 
     def test_int64_sum_tier(self):
-        # scales up to 2**21 leave about 20 rows per exact float chunk, and the
-        # sums pass 2**53, where only the int64 sum is exact
+        # scales up to 2**21: weighted sums past 2**53
         points, scale, origin = self.case(2, 1000, 4, 8, 1 << 21)
-        got = _gram(unweighted(points, origin, scale=scale))
-        assert got.dtype == np.int64 and got.tolist() == gram_reference(points, scale.astype(object) ** 2, origin)
-        assert max(map(max, got.tolist())) > 1 << 53
+        want = gram_reference(points, scale.astype(object) ** 2, origin)
+        assert affine_dimension(unweighted(points, origin, scale=scale)) == _int_rank(want) == 4
+        assert max(map(max, want)) > 1 << 53
 
     @pytest.mark.parametrize("top_weight", [1 << 52, 1 << 62, 1 << 70])
     def test_python_int_tier(self, top_weight):
-        # one row scaled by sqrt(top_weight): a spread whose square float64
-        # cannot hold exactly, or an int64 sum past 2**62
+        # one row scaled by sqrt(top_weight): a square past float64's exact
+        # integers, or a sum past 2**62, in Python integers
         points, scale, origin = self.case(3, 200, 5, 16, 1 << 20)
         scale = scale.astype(object)
         scale[1] = math.isqrt(top_weight)
-        got = _gram(unweighted(points.astype(object), origin.astype(object), scale=scale))
-        assert got.dtype == object and all(type(v) is int for v in got.flat)
-        assert got.tolist() == gram_reference(points, scale**2, origin)
+        rows = unweighted(points.astype(object), origin.astype(object), scale=scale)
+        with pytest.raises(TypeError):
+            _gram(rows)
+        assert affine_dimension(rows) == affine_dimension(rows.tolist()) == _int_rank(gram_reference(points, scale**2, origin))
 
     def test_sum_past_the_int64_bound(self):
-        # spread 2**25 fits a float chunk of three rows, but the 40,000 rows
-        # scaled by 2**9 (weight 2**18) sum past 2**63
+        # the 40,000 rows scaled by 2**9 (weight 2**18) sum past 2**63
         rng = np.random.default_rng(4)
         points = (1 << 16) * rng.integers(0, 2, size=(40000, 3), dtype=np.int64)
         scale = np.full(len(points), 1 << 9, dtype=np.int64)
         scale[::3] = 0
         origin = np.zeros(3, dtype=np.int64)
-        got = _gram(unweighted(points, origin, scale=scale))
-        assert got.dtype == object and got.tolist() == gram_reference(points, scale**2, origin)
-        assert max(map(max, got.tolist())) >= 1 << 63
+        want = gram_reference(points, scale**2, origin)
+        assert affine_dimension(unweighted(points, origin, scale=scale)) == _int_rank(want) == 3
+        assert max(map(max, want)) >= 1 << 63
 
     def test_zero_weights(self):
-        points, _, origin = self.case(5, 50, 4, 9, 1)
+        # every listed row is the origin: a zero Gram matrix, dimension 0
+        points, _, origin = self.case01(5, 50, 4, 1)
         zeros = np.zeros(len(points), dtype=np.int64)
         assert _gram(unweighted(points, origin, copies=zeros)).tolist() == [[0] * 4] * 4
-        assert _gram(unweighted(points, origin, scale=zeros)).tolist() == [[0] * 4] * 4
+        assert affine_dimension(unweighted(points, origin, scale=zeros)) == 0
+        points, _, origin = self.case(5, 50, 4, 9, 1)
+        assert affine_dimension(unweighted(points, origin, scale=zeros)) == 0
 
 
 class TestModRank:
