@@ -277,8 +277,9 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--problem", choices=(*FAMILIES, "raw"), default="raw", help="model family"
     )
-    p.add_argument("--n", type=int, help="instance size for lop/tsp (costs all zero)")
-    p.add_argument("--instance", metavar="PATH", help="instance or model file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--n", type=int, help="instance size for lop/tsp (costs all zero)")
+    source.add_argument("--instance", metavar="PATH", help="instance or model file")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help=_CAP_HELP + "; diameter cross-checks when 3n <= cap")
 
 
@@ -322,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diameter", help="find two maximally distant optima")
     _add_instance_flags(p)
     p.add_argument("--variant", choices=("full", "conjugate"), default="full")
-    p.add_argument("--epsilon", metavar="NUM/DEN", help="penalty override, e.g. 1/24")
-    p.add_argument(
+    penalty = p.add_mutually_exclusive_group()
+    penalty.add_argument("--epsilon", metavar="NUM/DEN", help="penalty override, e.g. 1/24")
+    penalty.add_argument(
         "--theoretical-epsilon",
         action="store_true",
         help="use the optimality-gap penalty (needs enumeration of the base model)",

@@ -31,11 +31,12 @@ direction is zero on U.
 A face splits each cube by the row, on the cube's free columns where the
 row is nonzero, into sub-cubes, each wholly tight or not.  Validity and
 the tight count (2^r per tight sub-cube, r free columns left) are exact
-sums.  The face's dimension is |U| + rank(corner - first corner) over the
-tight sub-cubes, U the free columns left in them, ranked with the U
-columns dropped on the pivot columns J of G: the projection onto J is
+sums.  The tight sub-cubes are cubes too, so the face's dimension is read
+the hull's way, by the same routine (_hull_pivots): |U| + rank(corner -
+first corner), U the free columns left in them, with the U columns dropped
+and only the pivot columns J of G read.  The projection onto J is
 injective on the hull's directions, and U lies in J, as e_j (j in U) is a
-direction.
+direction.  Every rank is exact.
 
 The (x | y | z) layout belongs to diameter: the inherited facet families,
 the z bounds and the lifted equation systems place their blocks with
@@ -57,16 +58,7 @@ import numpy as np
 from .bpcore import DEFAULT_ENUM_CAP, HOLDS, BinaryProgram, bit_table, feasible_blocks, support_masks
 from .diameter import DiameterProgram, coupling, paired
 from .errors import CapExceededError, InfeasibleModelError
-from .ratlinalg import (
-    RatMatrix,
-    _gram,
-    _int_rank,
-    _mod_rank,
-    _pivot_columns,
-    as_rational,
-    int_dtype,
-    scaled_int_vector,
-)
+from .ratlinalg import RatMatrix, _gram, _pivot_columns, as_rational, int_dtype, scaled_int_vector
 
 DEFAULT_MAX_POINTS = 2_000_000
 
@@ -114,13 +106,14 @@ class PointSet:
         arr = arr.astype(np.uint8, copy=False)
         if not _strictly_increasing(arr):
             arr = np.unique(arr, axis=0)
-        self._hold(np.ascontiguousarray(arr), np.zeros(arr.shape, dtype=bool))
+        self._hold(np.ascontiguousarray(arr), np.zeros(arr.shape, dtype=bool), len(arr))
 
-    def _hold(self, corners: np.ndarray, free: np.ndarray) -> "PointSet":
-        """Hold ascending cubes, uint8 corners 0 on their free columns: the
-        body of both constructors, PointSet(points) and enumerate_points."""
+    def _hold(self, corners: np.ndarray, free: np.ndarray, count: int) -> "PointSet":
+        """Hold ascending cubes, uint8 corners 0 on their free columns, with
+        their number of points: the body of both constructors,
+        PointSet(points) and enumerate_points, each of which knows the count."""
         self.corners, self.free = corners, free
-        self.count, self.dim_ambient = _cube_count(free.sum(axis=1)), corners.shape[1]
+        self.count, self.dim_ambient = count, corners.shape[1]
         self._array: np.ndarray | None = None
         self._pivots: list[int] | None = None
         return self
@@ -147,10 +140,7 @@ class PointSet:
         if self._pivots is None:
             if self.count == 0:
                 raise InfeasibleModelError("no feasible point: the empty point set has no affine hull")
-            spans = self.free.any(axis=0)  # U
-            rest = np.flatnonzero(~spans)
-            pivots = _pivot_columns(_gram(self.corners[:, rest]).tolist())
-            self._pivots = sorted(np.flatnonzero(spans).tolist() + rest[pivots].tolist())
+            self._pivots = _hull_pivots(self.corners, self.free, range(self.dim_ambient))
         return len(self._pivots)
 
 
@@ -158,6 +148,20 @@ def _cube_count(widths: np.ndarray) -> int:
     """Points of the cubes with the given numbers of free columns: the sum
     of 2^k, as a Python integer."""
     return sum(c << k for k, c in enumerate(np.bincount(widths).tolist()))
+
+
+def _hull_pivots(corners: np.ndarray, free: np.ndarray, cols: Sequence[int]) -> list[int]:
+    """The pivot columns among cols of the Gram matrix of nonempty cubes'
+    points, ascending: U, the columns of cols free in some cube, and the
+    Bareiss pivots of the corner Gram matrix on the other columns of cols
+    (module docstring).  Their number is the points' affine dimension when
+    projecting onto cols is injective on their directions: every column
+    for the hull, the hull's pivot columns for a face."""
+    cols = np.asarray(cols, dtype=np.intp)
+    spans = free.any(axis=0)[cols]  # U
+    rest = cols[~spans]
+    pivots = _pivot_columns(_gram(corners[:, rest]).tolist())
+    return sorted(cols[spans].tolist() + rest[pivots].tolist())
 
 
 def _cube_rows(corners: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -259,12 +263,13 @@ def enumerate_points(
     m = len(base)
     base = np.array(base, dtype=np.uint8).reshape(m, n)
     shared = (base[:, None, :] & base[None, :, :]).reshape(-1, n)
-    if _cube_count(n - shared.sum(axis=1, dtype=np.int64)) > max_points:
+    count = _cube_count(n - shared.sum(axis=1, dtype=np.int64))
+    if count > max_points:
         raise _over_cap(max_points)
     corners = np.concatenate([np.repeat(base, m, axis=0), np.tile(base, (m, 1)), shared], axis=1)
     free = np.zeros(corners.shape, dtype=bool)
     free[:, 2 * n :] = shared == 0
-    return PointSet.__new__(PointSet)._hold(corners, free)
+    return PointSet.__new__(PointSet)._hold(corners, free, count)
 
 
 def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
@@ -319,12 +324,10 @@ def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
     The empty face reports dimension -1, and a face tight at every point
     is the whole polytope.
 
-    No point is built (module docstring).  When some point is not tight,
-    the face lies in a hyperplane missing the hull, so dim - 1 bounds its
-    dimension; the rank modulo a prime of the tight corners' Gram matrix
-    (ratlinalg._mod_rank) is a lower one, and reaching dim - 1 - |U|
-    certifies a facet.  Otherwise (a lower face, or a prime dividing a
-    needed minor) that Gram matrix is ranked by Bareiss.
+    No point is built (module docstring).  The face's dimension is the
+    number of pivot columns of its tight sub-cubes among the hull's, found
+    by the hull's own routine, _hull_pivots: exactly, by Bareiss, on one
+    Gram matrix of the tight corners.
     """
     if len(ineq.a) != ps.dim_ambient:
         raise ValueError("inequality width disagrees with the point set")
@@ -337,22 +340,14 @@ def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
     vals = _values(corners, a, b)
     tight = vals == b
     valid = bool(HOLDS[ineq.sense](vals, b).all())
-    left = loose.sum(axis=1)[cube[tight]]
-    tight_count = sum(c << r for r, c in enumerate(np.bincount(left).tolist()))
+    tight_count = _cube_count(loose.sum(axis=1)[cube[tight]])
     pdim = ps.hull_dimension()
     if tight_count == 0:
         face_dim = -1
     elif tight_count == ps.count:
         face_dim = pdim
     else:
-        spans = loose[cube[tight]].any(axis=0)  # U
-        keep = [j for j in ps._pivots if not spans[j]]
-        gram = _gram(corners[np.ix_(np.flatnonzero(tight), keep)])
-        lower = int(spans.sum())
-        if _mod_rank(gram) == pdim - 1 - lower:
-            face_dim = pdim - 1
-        else:
-            face_dim = lower + _int_rank(gram.tolist())
+        face_dim = len(_hull_pivots(corners[tight], loose[cube[tight]], ps._pivots))
     return FacetReport(
         label=ineq.label,
         valid=valid,

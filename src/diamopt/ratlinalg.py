@@ -1,10 +1,10 @@
 """Exact rational linear algebra.
 
-Every exact rank in the polyhedral code comes from one routine,
-`_pivot_columns`: fraction-free (Bareiss) elimination on Python integers,
-whose division by the previous pivot is exact; `_int_rank` counts its
-pivots.  Rational rows are scaled to integers row by row first, which
-leaves the rank unchanged.
+Every exact rank in the library comes from one routine, `_pivot_columns`:
+fraction-free (Bareiss) elimination on Python integers, whose division by
+the previous pivot is exact; the rank is its number of pivots.  Rational
+rows are scaled to integers row by row first, which leaves the rank
+unchanged.
 
 A 0/1 point array is reduced to its Gram matrix G = sum (p - p0)(p - p0)^T
 before elimination: over the rationals rank(D) = rank(D^T D), and G is only
@@ -17,17 +17,9 @@ every integer and the 2**62 of the int64 rule.  (Any uint8 rows, fewer than
 2**46 of them, stay exact too: 255**2 * 2**12 < 2**53 and 255**2 * 2**46 <
 2**62.)  So no result depends on summation order, FMA or BLAS threads.
 `affine_dimension` ranks any other integer array by Bareiss on its rows'
-differences.  `int_dtype` is the one int64 overflow rule, shared with the
-int64 dot products in bpcore and polytope, so no result depends on silent
-wraparound.
-
-`_mod_rank` is the one bound beside the exact kernel: Gaussian elimination
-of an int64 matrix modulo the prime p = 2**31 - 1, in int64.  Residues
-stay below 2**31, so every product of two stays below 2**62, the same int64
-rule.  The rank mod p is a lower bound on the rational rank, never above
-it: rank r mod p means some r x r minor is nonzero mod p, so that minor is
-a nonzero integer.  It settles a rank only where a proven upper bound meets
-it (polytope's face ranks); everywhere else `_int_rank` decides.
+differences, taken on Python integers.  `int_dtype` is the one int64
+overflow rule, shared with the int64 dot products in bpcore and polytope,
+so no result depends on silent wraparound.
 """
 
 from __future__ import annotations
@@ -41,9 +33,6 @@ import numpy as np
 # int64 headroom: a value known to stay below 2**62 in size leaves a factor
 # of two before any numpy int64 sum or product could wrap.
 _INT64_BOUND = 1 << 62
-
-# the modulus of _mod_rank, a prime whose residues multiply below 2**62
-_PRIME = (1 << 31) - 1
 
 # The Gram matrix is summed at most this many points at a time, so the
 # difference block has a fixed size however many points there are
@@ -132,44 +121,6 @@ def _pivot_columns(rows) -> list[int]:
     return pivots
 
 
-def _int_rank(rows) -> int:
-    """Rank of an integer matrix: its number of Bareiss pivots."""
-    return len(_pivot_columns(rows))
-
-
-def _mod_rank(matrix: np.ndarray) -> int:
-    """Rank of a 2-D int64 array modulo _PRIME, at most its rational rank.
-
-    Any other dtype is a TypeError: the one caller, polytope's face rank,
-    hands it int64 Gram matrices only and ranks anything past the int64
-    bound exactly.  Each pivot row is scaled to a leading 1 by the pivot's
-    inverse; every product then multiplies two residues below 2**31, so it
-    stays below 2**62.
-    """
-    if matrix.dtype != np.int64:
-        raise TypeError(f"_mod_rank takes an int64 array, not {matrix.dtype}")
-    p = _PRIME
-    work = matrix % p
-    rank = 0
-    for col in range(work.shape[1]):
-        live = work[rank:, col].nonzero()[0]
-        if len(live) == 0:
-            continue
-        k = rank + int(live[0])
-        if k != rank:
-            work[[rank, k]] = work[[k, rank]]
-        pivot = work[rank]
-        pivot *= pow(int(pivot[col]), -1, p)
-        pivot %= p
-        below = work[rank + 1 :]
-        below -= below[:, col : col + 1] * pivot
-        below %= p
-        rank += 1
-        if rank == work.shape[0]:
-            break
-    return rank
-
-
 class RatMatrix:
     """Dense matrix of Fractions.
 
@@ -199,8 +150,8 @@ class RatMatrix:
         return f"RatMatrix({self.nrows}x{self.ncols})"
 
     def rank(self) -> int:
-        """Exact rank: each row scaled to integers, then `_int_rank`."""
-        return _int_rank(scaled_int_vector(r)[0] for r in self.rows)
+        """Exact rank: each row scaled to integers, then Bareiss."""
+        return len(_pivot_columns(scaled_int_vector(r)[0] for r in self.rows))
 
 
 def _gram(points: np.ndarray) -> np.ndarray:
@@ -225,7 +176,8 @@ def affine_dimension(points) -> int:
     A single point has dimension 0.  Accepts a 2-D integer (or object array
     of Python integers) ndarray, or any iterable of rational coordinate
     sequences.  A 0/1 array is reduced to its Gram matrix by `_gram`; the
-    differences of any other rows are ranked directly.
+    differences of any other integer rows are ranked directly, and rational
+    rows are scaled to integers first.
     """
     if isinstance(points, np.ndarray):
         if points.ndim != 2:
@@ -233,13 +185,14 @@ def affine_dimension(points) -> int:
         if points.shape[0] == 0:
             raise ValueError("affine hull of no points is undefined")
         if points.dtype == object:
-            if not all(isinstance(v, int) for v in points.flat):
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in points.flat):
                 raise ValueError("object point arrays must hold Python integers")
         elif not np.issubdtype(points.dtype, np.integer):
             raise ValueError("point arrays must have an integer dtype")
         if ((points == 0) | (points == 1)).all():
-            return _int_rank(_gram(points.astype(np.uint8, copy=False)).tolist())
-        points = points.tolist()
+            return len(_pivot_columns(_gram(points.astype(np.uint8, copy=False)).tolist()))
+        rows = points.tolist()
+        return len(_pivot_columns([a - b for a, b in zip(r, rows[0])] for r in rows[1:]))
 
     pts = [tuple(as_rational(c) for c in p) for p in points]
     if not pts:
@@ -247,4 +200,4 @@ def affine_dimension(points) -> int:
     base = pts[0]
     if any(len(p) != len(base) for p in pts):
         raise ValueError("points of mixed dimension")
-    return _int_rank(scaled_int_vector([a - b for a, b in zip(p, base)])[0] for p in pts[1:])
+    return len(_pivot_columns(scaled_int_vector([a - b for a, b in zip(p, base)])[0] for p in pts[1:]))

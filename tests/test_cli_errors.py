@@ -162,3 +162,28 @@ def test_infeasible_model_lists_no_points(tmp_path, capsys):
     code = main(f"points --problem raw --instance {path} --format json".split())
     assert code == 0
     assert json.loads(capsys.readouterr().out) == {"problem": "raw", "n": 2, "ambient": 6, "count": 0, "points": []}
+
+
+# options that each pick the same thing: argv with {f} standing for an
+# ordering n=3 instance file, and the two option names
+CONFLICTS = {
+    "epsilon": ("diameter --problem lop --n 3 --epsilon 1/8 --theoretical-epsilon", "--theoretical-epsilon", "--epsilon"),
+    "diameter-source": ("diameter --problem lop --n 3 --instance {f}", "--instance", "--n"),
+    "points-source": ("points --problem lop --n 3 --instance {f}", "--instance", "--n"),
+    "dim-source": ("dim --problem lop --n 3 --instance {f}", "--instance", "--n"),
+    "check-facet-source": ("check-facet {f} --problem lop --n 3 --instance {f}", "--instance", "--n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFLICTS))
+def test_conflicting_options_are_usage_errors(case, tmp_path, capsys):
+    # neither option may silently win over the other
+    argv, second, first = CONFLICTS[case]
+    path = tmp_path / "w.json"
+    path.write_text(_ordering(3, []))
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(f=path).split())
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3
+    assert f"argument {second}: not allowed with argument {first}" in err
+    assert "usage:" in err and out == ""

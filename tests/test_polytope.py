@@ -23,8 +23,6 @@ from diamopt.polytope import (
 from diamopt.ratlinalg import (
     RatMatrix,
     _gram,
-    _int_rank,
-    _mod_rank,
     _pivot_columns,
     affine_dimension,
     scaled_int_vector,
@@ -442,14 +440,13 @@ class TestCheckInequality:
 
 
 class TestFaceRank:
-    """A face with some point not tight has dimension at most dim - 1, so
-    check_inequality takes the rank modulo a prime of the tight sub-cube
-    corners' Gram matrix, on the pivot columns outside U (the free columns
-    left in the tight sub-cubes), first, and ranks that Gram matrix exactly
-    only when it falls short of dim - 1 - |U|; a face tight at every point
-    is the whole polytope and takes neither.  Every case is checked against
-    the exact rank of the whole tight point set, on tour n=5 (35,712
-    points, dim 20)."""
+    """check_inequality ranks a face the hull's way, with _hull_pivots: one
+    exact `_pivot_columns` call on the tight sub-cube corners' Gram matrix,
+    over the hull's pivot columns outside U (the free columns left in the
+    tight sub-cubes), so on at most dim - |U| columns.  A face tight at
+    every point is the whole polytope and takes none.  Every case is
+    checked against the exact rank of the whole tight point set, on tour
+    n=5 (35,712 points, dim 20)."""
 
     @pytest.fixture(scope="class")
     def tour5(self):
@@ -459,59 +456,61 @@ class TestFaceRank:
 
     @staticmethod
     def ranked(ps, q):
-        """The report, the shape of each Gram matrix summed, the rank of
-        each modular certificate and each exact rank it took."""
-        grams, certificates, exact = [], [], []
+        """The report, the shape of each Gram matrix summed and the pivot
+        columns of each exact rank taken."""
+        grams, pivots = [], []
 
         def summing(points):
             grams.append(points.shape)
             return _gram(points)
 
-        def modular(gram):
-            certificates.append(_mod_rank(gram))
-            return certificates[-1]
-
-        def exactly(rows):
-            exact.append(_int_rank(rows))
-            return exact[-1]
+        def eliminating(rows):
+            pivots.append(_pivot_columns(rows))
+            return pivots[-1]
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(polytope, "_gram", summing)
-            m.setattr(polytope, "_mod_rank", modular)
-            m.setattr(polytope, "_int_rank", exactly)
+            m.setattr(polytope, "_pivot_columns", eliminating)
             r = check_inequality(ps, q)
         assert r == brute_force_report(ps, q, 20), q.label
-        return r, grams, certificates, exact
+        return r, grams, pivots
 
     def test_every_family_takes_the_subset(self, tour5):
-        # one corner per tight sub-cube, far fewer than the tight points
         for q in facet_families(10, tsp.base_facets(5)):
-            r, grams, certificates, exact = self.ranked(tour5, q)
+            r, grams, pivots = self.ranked(tour5, q)
             assert r.is_facet, q.label
+            # one corner per tight sub-cube, far fewer than the tight points
             assert len(grams) == 1 and grams[0][0] < r.tight_point_count, q.label
-            # U takes 20 - width columns, so the bound dim - 1 - |U| is width - 1
-            assert certificates == [grams[0][1] - 1] and exact == [], q.label
+            # one exact rank on the pivot columns outside U: |U| + width = dim
+            width = grams[0][1]
+            assert len(pivots) == 1 and width == 20 - (r.face_dimension - len(pivots[0])), q.label
 
     def test_tight_everywhere_takes_no_rank(self, tour5):
         rows, rhs = tsp.degree_system(5)
-        r, grams, certificates, exact = self.ranked(
-            tour5, Inequality(paired(10, x=rows[0]), rhs[0], "<=", "degree_1[x]")
-        )
+        r, grams, pivots = self.ranked(tour5, Inequality(paired(10, x=rows[0]), rhs[0], "<=", "degree_1[x]"))
         assert r.valid and r.tight_point_count == tour5.count
         assert r.face_dimension == 20 and not r.is_facet
-        assert grams == certificates == exact == []
+        assert grams == pivots == []
 
-    def test_lower_face_falls_back_to_the_whole_face(self, tour5):
+    def test_lower_face_takes_one_exact_rank(self, tour5):
         # z_1 + z_2 >= 0 is tight where both vanish: two facets meet there
-        r, grams, certificates, exact = self.ranked(
-            tour5, Inequality(paired(10, z=[1, 1] + [0] * 8), 0, ">=", "z_1_z_2")
-        )
+        r, grams, pivots = self.ranked(tour5, Inequality(paired(10, z=[1, 1] + [0] * 8), 0, ">=", "z_1_z_2"))
         assert r.valid and not r.is_facet and r.face_dimension < 19
         assert r.tight_point_count > 1000
         assert len(grams) == 1 and grams[0][0] < r.tight_point_count
         width = grams[0][1]
-        assert len(certificates) == 1 and certificates[0] < width - 1
-        assert exact == [r.face_dimension - (20 - width)]
+        assert len(pivots) == 1 and len(pivots[0]) < width - 1
+        assert r.face_dimension == 20 - width + len(pivots[0])
+
+    def test_fractional_row_takes_one_exact_rank(self, tour5):
+        # x_12 / 2 + x_13 / 3 <= 5/6 is tight where vertex 1 sits between 2
+        # and 3 on the x tour: a lower face, scaled to 3 x_12 + 2 x_13 <= 5
+        a = [Fraction(0)] * 10
+        a[tsp.edge_index(1, 2, 5)], a[tsp.edge_index(1, 3, 5)] = Fraction(1, 2), Fraction(1, 3)
+        r, grams, pivots = self.ranked(tour5, Inequality(paired(10, x=a), Fraction(5, 6), "<=", "x_12_x_13_frac"))
+        assert r.valid and not r.is_facet and 0 < r.tight_point_count < tour5.count
+        assert len(grams) == 1 and len(pivots) == 1
+        assert r.face_dimension == 20 - grams[0][1] + len(pivots[0]) < 19
 
     def test_small_face_sums_one_gram(self, tour5):
         # x and y both avoid the five edges off the tour 1-2-3-4-5, so both
@@ -520,28 +519,9 @@ class TestFaceRank:
         a = [0] * 10
         for i, j in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5)):
             a[tsp.edge_index(i, j, 5)] = 1
-        r, grams, certificates, exact = self.ranked(tour5, Inequality(paired(10, x=a, y=a), 0, ">=", "avoid_tour"))
+        r, grams, pivots = self.ranked(tour5, Inequality(paired(10, x=a, y=a), 0, ">=", "avoid_tour"))
         assert r.valid and r.tight_point_count == 32 and r.face_dimension == 5
-        assert grams == [(1, 15)] and certificates == [0] and exact == [0]
-
-    def test_unlucky_prime_falls_back_to_the_whole_face(self, tour5):
-        # modulo 3 the Gram matrices lose rank on some faces; each of those
-        # is ranked exactly, and every report stays what it was
-        families = facet_families(10, tsp.base_facets(5))
-        before = [check_inequality(tour5, q) for q in families]
-        fallbacks = 0
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(ratlinalg, "_PRIME", 3)
-            for q, expected in zip(families, before):
-                r, grams, certificates, exact = self.ranked(tour5, q)
-                assert r == expected, q.label
-                assert len(grams) == len(certificates) == 1, q.label
-                if certificates[0] == grams[0][1] - 1:
-                    assert exact == [], q.label
-                else:
-                    assert exact == [grams[0][1] - 1], q.label
-                    fallbacks += 1
-        assert fallbacks > 0
+        assert grams == [(1, 15)] and pivots == [[]]
 
     def test_invalid_row(self, tour5):
         # edges 12 and 13 share a tour whenever vertex 1 sits between 2 and 3
@@ -819,6 +799,7 @@ class TestCornerRankIdentity:
 
     @staticmethod
     def agree(ps):
+        assert ps.count == len(ps.array)
         assert ps.hull_dimension() == affine_dimension(ps.array)
         assert ps._pivots == array_pivots(ps)
         arr = ps.array
@@ -878,7 +859,8 @@ class TestCornerRankIdentity:
 
         while not corners:
             grow([])
-        return PointSet.__new__(PointSet)._hold(np.array(corners, dtype=np.uint8), np.array(free, dtype=bool))
+        count = sum(1 << sum(f) for f in free)
+        return PointSet.__new__(PointSet)._hold(np.array(corners, dtype=np.uint8), np.array(free, dtype=bool), count)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cubes_free_anywhere(self, seed):

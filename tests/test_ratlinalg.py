@@ -8,11 +8,8 @@ import pytest
 
 from diamopt import ratlinalg, suites
 from diamopt.ratlinalg import (
-    _PRIME,
     RatMatrix,
     _gram,
-    _int_rank,
-    _mod_rank,
     _pivot_columns,
     affine_dimension,
     as_integer,
@@ -123,14 +120,14 @@ class TestRankBuilder:
         rng = random.Random(seed)
         ncols = rng.randint(3, 8)
         rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(12)]
-        assert _int_rank(rows) == RatMatrix(rows).rank() == fraction_rank(rows)
+        assert len(_pivot_columns(rows)) == RatMatrix(rows).rank() == fraction_rank(rows)
 
     def test_block_feed_matches_row_feed(self):
         # the ndarray (Gram) path and the list (row) path agree
         rng = np.random.default_rng(3)
         block = rng.integers(-5, 6, size=(200, 7), dtype=np.int64)
         rows = block.tolist()
-        assert _int_rank(rows) == fraction_rank(rows)
+        assert len(_pivot_columns(rows)) == fraction_rank(rows)
         diffs = [[a - b for a, b in zip(r, rows[0])] for r in rows[1:]]
         assert affine_dimension(block) == affine_dimension(rows) == fraction_rank(diffs)
 
@@ -138,13 +135,13 @@ class TestRankBuilder:
         # entries near 2^40 put the Gram sum past the int64 bound
         big = 1 << 40
         rows = [[big, big + 1, 1], [big - 1, big, 2], [1, 2, 3]]
-        assert _int_rank(rows) == RatMatrix(rows).rank() == fraction_rank(rows)
+        assert len(_pivot_columns(rows)) == RatMatrix(rows).rank() == fraction_rank(rows)
         assert affine_dimension(np.array(rows, dtype=np.int64)) == affine_dimension(rows) == 2
 
     def test_bigint_rows(self):
         huge = 10**30
         rows = [[huge, 1], [huge + 1, 1]]
-        assert _int_rank(rows) == RatMatrix(rows).rank() == 2
+        assert len(_pivot_columns(rows)) == RatMatrix(rows).rank() == 2
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pivots_are_the_first_column_basis(self, seed):
@@ -156,12 +153,30 @@ class TestRankBuilder:
         columns = lambda cols: [[row[j] for j in cols] for row in rows]
         want = [j for j in range(7) if fraction_rank(columns(range(j + 1))) > fraction_rank(columns(range(j)))]
         assert _pivot_columns(rows) == want
-        assert _int_rank(rows) == len(want) == fraction_rank(rows)
+        assert len(_pivot_columns(rows)) == len(want) == fraction_rank(rows)
 
     def test_saturation(self):
         # rank never exceeds the width, however many rows follow
-        assert _int_rank([[1, 0]]) == 1
-        assert _int_rank([[1, 0], [0, 1], [1, 1], [3, -2]]) == 2
+        assert _pivot_columns([[1, 0]]) == [0]
+        assert _pivot_columns([[1, 0], [0, 1], [1, 1], [3, -2]]) == [0, 1]
+
+    def test_empty_shapes(self):
+        assert _pivot_columns([]) == _pivot_columns([[], [], []]) == []
+        assert _pivot_columns([[0, 0], [0, 0]]) == [] and RatMatrix([]).rank() == 0
+
+    def test_negative_entries(self):
+        assert _pivot_columns([[-1, 1], [1, -1]]) == [0]
+        assert _pivot_columns([[-1, 1], [1, 1]]) == [0, 1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_rank_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        for shape in [(6, 6), (4, 9), (9, 4)]:
+            while True:
+                rows = rng.integers(-1000, 1000, size=shape).tolist()
+                if fraction_rank(rows) == min(shape):
+                    break
+            assert len(_pivot_columns(rows)) == RatMatrix(rows).rank() == min(shape)
 
     def test_rejects_float_blocks(self):
         with pytest.raises(ValueError):
@@ -218,6 +233,24 @@ class TestAffineDimension:
         pts = [[0, 0], [2**64 - 1, 1], [1, 2**64 - 1]]
         assert affine_dimension(np.array(pts, dtype=np.uint64)) == affine_dimension(pts) == 2
 
+    def test_integer_arrays_take_no_fraction(self, monkeypatch):
+        # integer rows are differenced on Python integers; only the
+        # iterable path reads Fractions
+        rows = [[3, -1, 7], [5, 2, 7], [1, -4, 7], [2**70, 0, 7], [9, 9, 7]]
+        want = affine_dimension(rows)
+
+        def refuse(x):
+            raise AssertionError(f"{x!r} read as a Fraction")
+
+        monkeypatch.setattr(ratlinalg, "as_rational", refuse)
+        assert affine_dimension(np.array(rows, dtype=object)) == want == 2
+        assert affine_dimension(np.array(rows[:3] + rows[4:], dtype=np.int64)) == 2
+
+    @pytest.mark.parametrize("rows", [[[True, 5], [0, 7]], [[True, 0], [0, 1]]], ids=["integers", "0/1"])
+    def test_object_bools_are_refused(self, rows):
+        with pytest.raises(ValueError, match="Python integers"):
+            affine_dimension(np.array(rows, dtype=object))
+
 
 def gram_reference(points, weights=None, origin=None):
     """sum of w (p - o)(p - o)^T on Python integers, entry by entry; by
@@ -263,7 +296,7 @@ class TestGram:
         want = gram_reference(points)
         if points.dtype == np.uint8:
             assert _gram(points).tolist() == want
-        assert affine_dimension(points) == _int_rank(want)
+        assert affine_dimension(points) == fraction_rank(want)
 
     @pytest.mark.parametrize("chunk", [1, 5, ratlinalg._GRAM_CHUNK])
     def test_chunk_borders(self, chunk, monkeypatch):
@@ -283,14 +316,14 @@ class TestGram:
         # spread 2**25 and 2**27: squares near and past 2**53
         rng = np.random.default_rng(bits)
         points = rng.integers(0, 1 << bits, size=(200, 4), dtype=np.int64)
-        assert affine_dimension(points) == _int_rank(gram_reference(points)) == 4
+        assert affine_dimension(points) == fraction_rank(gram_reference(points)) == 4
 
     def test_sum_past_the_int64_bound(self):
         # every product fits float64, but 5000 of them pass 2**63
         spread = (1 << 26) - 1
         points = spread * np.random.default_rng(4).integers(0, 2, size=(5000, 3), dtype=np.int64)
         want = gram_reference(points)
-        assert affine_dimension(points) == _int_rank(want) == 3
+        assert affine_dimension(points) == fraction_rank(want) == 3
         assert max(max(row) for row in want) >= 1 << 63
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -298,7 +331,7 @@ class TestGram:
         # entries near 2**60 do not survive a cast to float64; spread 7 does
         points = sign * ((1 << 60) + np.random.default_rng(2).integers(0, 8, size=(50, 5), dtype=np.int64))
         assert affine_dimension(points) == affine_dimension(points.tolist()) == 5
-        assert _int_rank(gram_reference(points)) == 5
+        assert fraction_rank(gram_reference(points)) == 5
 
     @pytest.mark.parametrize("k", [0, 20, 26, 27, 31, 62, 64])
     @pytest.mark.parametrize("offset", [0, 1])
@@ -311,7 +344,7 @@ class TestGram:
         if scale < 1 << 63:
             points = points.astype(np.int64)
         assert affine_dimension(points) == affine_dimension(points.tolist()) == affine_dimension(bits.tolist())
-        assert affine_dimension(points) == _int_rank(gram_reference(points))
+        assert affine_dimension(points) == fraction_rank(gram_reference(points))
 
 
 def unweighted(points, origin, copies=None, scale=None):
@@ -368,7 +401,7 @@ class TestWeightedGram:
         # scales up to 2**21: weighted sums past 2**53
         points, scale, origin = self.case(2, 1000, 4, 8, 1 << 21)
         want = gram_reference(points, scale.astype(object) ** 2, origin)
-        assert affine_dimension(unweighted(points, origin, scale=scale)) == _int_rank(want) == 4
+        assert affine_dimension(unweighted(points, origin, scale=scale)) == fraction_rank(want) == 4
         assert max(map(max, want)) > 1 << 53
 
     @pytest.mark.parametrize("top_weight", [1 << 52, 1 << 62, 1 << 70])
@@ -381,7 +414,7 @@ class TestWeightedGram:
         rows = unweighted(points.astype(object), origin.astype(object), scale=scale)
         with pytest.raises(TypeError):
             _gram(rows)
-        assert affine_dimension(rows) == affine_dimension(rows.tolist()) == _int_rank(gram_reference(points, scale**2, origin))
+        assert affine_dimension(rows) == affine_dimension(rows.tolist()) == fraction_rank(gram_reference(points, scale**2, origin))
 
     def test_sum_past_the_int64_bound(self):
         # the 40,000 rows scaled by 2**9 (weight 2**18) sum past 2**63
@@ -391,7 +424,7 @@ class TestWeightedGram:
         scale[::3] = 0
         origin = np.zeros(3, dtype=np.int64)
         want = gram_reference(points, scale**2, origin)
-        assert affine_dimension(unweighted(points, origin, scale=scale)) == _int_rank(want) == 3
+        assert affine_dimension(unweighted(points, origin, scale=scale)) == fraction_rank(want) == 3
         assert max(map(max, want)) >= 1 << 63
 
     def test_zero_weights(self):
@@ -402,69 +435,3 @@ class TestWeightedGram:
         assert affine_dimension(unweighted(points, origin, scale=zeros)) == 0
         points, _, origin = self.case(5, 50, 4, 9, 1)
         assert affine_dimension(unweighted(points, origin, scale=zeros)) == 0
-
-
-class TestModRank:
-    """The rank modulo _PRIME never exceeds the rational rank, and meets it
-    on matrices no prime-sized minor conspires against."""
-
-    @staticmethod
-    def ranks(rows):
-        return _mod_rank(np.array(rows, dtype=np.int64)), _int_rank(rows), fraction_rank(rows)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_lower_bound_on_seeded_matrices(self, seed):
-        rng = random.Random(seed)
-        nrows, ncols, rank = rng.randint(1, 9), rng.randint(1, 9), rng.randint(0, 6)
-        left = [[rng.randint(-99, 99) for _ in range(rank)] for _ in range(nrows)]
-        right = [[rng.randint(-99, 99) for _ in range(ncols)] for _ in range(rank)]
-        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
-        if rank == 0:
-            rows = [[0] * ncols for _ in range(nrows)]
-        modular, bareiss, reference = self.ranks(rows)
-        assert modular <= bareiss == reference
-
-    @pytest.mark.parametrize("bits", [62, 63, 80])
-    def test_object_entries(self, bits):
-        # an object array of Python integers is refused; its residues,
-        # reduced on Python integers, take the int64 elimination
-        rng = random.Random(bits)
-        rows = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(5)] for _ in range(5)]
-        rows[0][0] = 1 << bits
-        rows.append([a - b for a, b in zip(rows[0], rows[1])])
-        with pytest.raises(TypeError, match="int64"):
-            _mod_rank(np.array(rows, dtype=object))
-        residues = np.array([[v % _PRIME for v in row] for row in rows], dtype=np.int64)
-        assert _mod_rank(residues) <= _int_rank(rows) == fraction_rank(rows) == 5
-
-    @pytest.mark.parametrize("dtype", [object, np.int32, np.uint8, np.float64])
-    def test_other_dtypes_are_refused(self, dtype):
-        with pytest.raises(TypeError, match="int64"):
-            _mod_rank(np.eye(3, dtype=dtype))
-
-    @pytest.mark.parametrize("dtype", [np.int64])
-    def test_multiples_of_the_prime_vanish(self, dtype):
-        rng = random.Random(7)
-        rows = [[_PRIME * rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        assert fraction_rank(rows) > 0
-        assert _mod_rank(np.array(rows, dtype=dtype)) == 0
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_equal_on_full_rank_matrices(self, seed):
-        rng = np.random.default_rng(seed)
-        for shape in [(6, 6), (4, 9), (9, 4)]:
-            while True:
-                rows = rng.integers(-1000, 1000, size=shape).tolist()
-                if fraction_rank(rows) == min(shape):
-                    break
-            modular, bareiss, reference = self.ranks(rows)
-            assert modular == bareiss == reference == min(shape)
-
-    def test_negative_entries_reduce_like_python(self):
-        # [[-1, 1], [1, -1]] is rank 1, and -1 must reduce to p - 1, not wrap
-        assert _mod_rank(np.array([[-1, 1], [1, -1]], dtype=np.int64)) == 1
-        assert _mod_rank(np.array([[-1, 1], [1, 1]], dtype=np.int64)) == 2
-
-    def test_empty_shapes(self):
-        assert _mod_rank(np.zeros((0, 0), dtype=np.int64)) == 0
-        assert _mod_rank(np.zeros((3, 0), dtype=np.int64)) == 0
