@@ -285,7 +285,9 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
     _add_instance_flags(p)
-    p.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS, help="abort beyond this many points")
+    p.add_argument(
+        "--max-points", type=int, default=DEFAULT_MAX_POINTS, help="abort beyond this many points or grid cells of one face"
+    )
     _add_output_flags(p)
 
 

@@ -8,35 +8,33 @@ integer rank computations, and an inequality is certified a facet by the
 definition itself: valid everywhere, tight on a face whose affine dimension
 is one below the hull's.
 
-A point set is held as disjoint cubes in ascending order, and as nothing
-else: cube k is corners[k] with the columns where free[k] is True (0 in the
-corner) set to 0 or 1 at will.  The ordered base pair (u, v) is the cube
-with corner (u, v, S), S = u AND v the shared support, and its
-k = n - |S| other z columns free, 2^k points; a point array is one cube
-per point with no free column.  The count, the hull's dimension, every
-face and the first point are read off the cubes, and the points are
-generated only when read: the listing.
+A paired point set is held as its base points and nothing else: B, the m
+sorted, distinct base feasible points u_a.  Pair (a, b) is the cube
+x = u_a, y = u_b, z = 1 on the shared support u_a AND u_b and free on the
+other loose[a, b] = n - u_a . u_b z columns.  The pairs ascend in the
+order a m + b, and the points are generated only when read: the listing.
 
-The hull's directions are the cube corners' and the free columns': a cube
-with free column j holds points that differ in column j alone, so e_j is a
-direction.  With U the columns free in some cube, the direction space is
-R^U plus the span of the corner differences c - p0 with the U columns
-dropped, p0 = corners[0] the first point in lexicographic order.  So the
-dimension is |U| + rank(corner - p0) off U, ranked on the corners' Gram
-matrix, whose entries the 0/+-1 differences bound by the number of cubes.
-The pivot columns of the point set's Gram matrix G are U and the corner
-Gram matrix's pivots: a column combination that vanishes on every
-direction is zero on U.
+The hull's directions are D x D x R^U: D the span of the u_a - u_0, and U
+the z columns where some base point has a 0 (pair (a, a) is free there;
+every other z column is 1 at every point).  So dim P_D = 2 dim P + |U|,
+the paper's inheritance of dimension, and the pivot columns of the
+points' Gram matrix G = sum (p - p0)(p - p0)^T are P, n + P and 2n + U, P
+the Bareiss pivots of the base points' Gram matrix: a column combination
+vanishes on every direction exactly when its x and y parts vanish on D
+and its z part on U.
 
-A face splits each cube by the row, on the cube's free columns where the
-row is nonzero, into sub-cubes, each wholly tight or not.  Validity and
-the tight count (2^r per tight sub-cube, r free columns left) are exact
-sums.  The tight sub-cubes are cubes too, so the face's dimension is read
-the hull's way, by the same routine (_hull_pivots): |U| + rank(corner -
-first corner), U the free columns left in them, with the U columns dropped
-and only the pivot columns J of G read.  The projection onto J is
-injective on the hull's directions, and U lies in J, as e_j (j in U) is a
-direction.  Every rank is exact.
+A face is read off the m x m pair grid.  With Z the z columns where a row
+(alpha, beta, gamma) is nonzero, its value on the cell (a, b, s), s a
+pattern of values on Z, is X_a + Y_b + gamma . s, X = B alpha and
+Y = B beta.  The cell exists when s is 1 wherever u_a and u_b share a
+column of Z, and holds 2^r points, r the pair's free z columns off Z.  So
+validity, the tight cells and the tight count are exact, one grid pass
+per pattern: m^2 2^|Z| cells, which max_points bounds.  A tight cell is a
+cube with corner (u_a, u_b, s, 1 elsewhere), so the face's dimension is
+read the hull's way: |U_f| + rank(corner - first corner), U_f the columns
+free in some tight cell, ranked on the corners' Gram matrix over the
+hull's pivot columns outside U_f.  Projecting onto them is injective on
+the hull's directions, and U_f lies among them.  Every rank is exact.
 
 The (x | y | z) layout belongs to diameter: the inherited facet families,
 the z bounds and the lifted equation systems place their blocks with
@@ -62,8 +60,8 @@ from .ratlinalg import RatMatrix, _gram, _pivot_columns, as_rational, int_dtype,
 
 DEFAULT_MAX_POINTS = 2_000_000
 
-# rows compared at a time by _strictly_increasing, so its scratch arrays
-# have a fixed size however many points there are
+# rows compared at a time by _strictly_increasing, and grid cells at a time
+# by check_inequality, so their scratch arrays have a fixed size
 _ORDER_CHUNK = 1 << 16
 
 
@@ -84,46 +82,28 @@ def _strictly_increasing(arr: np.ndarray) -> bool:
 
 
 class PointSet:
-    """Distinct 0/1 points in lexicographic order, held as ascending cubes
-    (module docstring): cube k is corners[k] with the columns where free[k]
-    is True set to 0 or 1 at will.
+    """The paired points (u_a, u_b, z), z >= u_a AND u_b, over base points
+    B, an m x n uint8 array of sorted, distinct rows as enumerate_points
+    builds it (module docstring); max_points, the limit it was built
+    under, also bounds each face's work.  The point array is generated
+    only on its first read."""
 
-    PointSet(points) is one cube per point, with no free column: rows that
-    already satisfy the invariant are kept as given after an
-    O(rows * columns) check; any other array is sorted and deduplicated
-    with np.unique.  enumerate_points holds a paired set as its pair cubes.
-    The hull's dimension and pivot columns come from the corners and the
-    free columns; the point array is generated only on its first read.
-    """
-
-    def __init__(self, points):
-        arr = np.asarray(points)
-        if arr.ndim != 2:
-            raise ValueError("points must form a 2-D array")
-        # checked before the cast, which would truncate 0.5 and wrap -1 or 256
-        if not ((arr == 0) | (arr == 1)).all():
-            raise ValueError("points must be 0/1")
-        arr = arr.astype(np.uint8, copy=False)
-        if not _strictly_increasing(arr):
-            arr = np.unique(arr, axis=0)
-        self._hold(np.ascontiguousarray(arr), np.zeros(arr.shape, dtype=bool), len(arr))
-
-    def _hold(self, corners: np.ndarray, free: np.ndarray, count: int) -> "PointSet":
-        """Hold ascending cubes, uint8 corners 0 on their free columns, with
-        their number of points: the body of both constructors,
-        PointSet(points) and enumerate_points, each of which knows the count."""
-        self.corners, self.free = corners, free
-        self.count, self.dim_ambient = count, corners.shape[1]
+    def __init__(self, base: np.ndarray, max_points: int):
+        n = base.shape[1]
+        wide = base.astype(np.float64)
+        # exact: every entry of B B^T is an integer of size at most n
+        self.loose = n - (wide @ wide.T).astype(np.int64)
+        self.base, self.max_points = base, max_points
+        self.count, self.dim_ambient = _cube_count(self.loose.ravel()), 3 * n
         self._array: np.ndarray | None = None
         self._pivots: list[int] | None = None
-        return self
 
     @property
     def array(self) -> np.ndarray:
         if self._array is None:
-            arr = _cube_rows(self.corners, self.free)
+            arr = _pair_rows(self.base)
             if not _strictly_increasing(arr):
-                raise RuntimeError("cube points generated out of lexicographic order")
+                raise RuntimeError("paired points generated out of lexicographic order")
             self._array = arr
         return self._array
 
@@ -131,16 +111,16 @@ class PointSet:
         return f"PointSet({self.count} points in R^{self.dim_ambient})"
 
     def hull_dimension(self) -> int:
-        """The affine dimension, |U| + rank(corner - p0) off U (module
-        docstring), and the pivot columns of G, kept: U and the corner Gram
-        matrix's Bareiss pivots.  A column combination vanishes on G exactly
-        when it vanishes on every p - p0, so projecting onto the pivot
-        columns is injective on the hull's directions.  An empty set is the
-        point set of an infeasible model, which has no affine hull."""
+        """The affine dimension 2 dim P + |U|, with the pivot columns of G
+        kept for the faces (module docstring).  An empty set is the point
+        set of an infeasible model, which has no affine hull."""
         if self._pivots is None:
             if self.count == 0:
                 raise InfeasibleModelError("no feasible point: the empty point set has no affine hull")
-            self._pivots = _hull_pivots(self.corners, self.free, range(self.dim_ambient))
+            n = self.base.shape[1]
+            pivots = _pivot_columns(_gram(self.base).tolist())
+            spans = np.flatnonzero(~self.base.all(axis=0))  # U
+            self._pivots = pivots + [n + j for j in pivots] + (2 * n + spans).tolist()
         return len(self._pivots)
 
 
@@ -150,34 +130,22 @@ def _cube_count(widths: np.ndarray) -> int:
     return sum(c << k for k, c in enumerate(np.bincount(widths).tolist()))
 
 
-def _hull_pivots(corners: np.ndarray, free: np.ndarray, cols: Sequence[int]) -> list[int]:
-    """The pivot columns among cols of the Gram matrix of nonempty cubes'
-    points, ascending: U, the columns of cols free in some cube, and the
-    Bareiss pivots of the corner Gram matrix on the other columns of cols
-    (module docstring).  Their number is the points' affine dimension when
-    projecting onto cols is injective on their directions: every column
-    for the hull, the hull's pivot columns for a face."""
-    cols = np.asarray(cols, dtype=np.intp)
-    spans = free.any(axis=0)[cols]  # U
-    rest = cols[~spans]
-    pivots = _pivot_columns(_gram(corners[:, rest]).tolist())
-    return sorted(cols[spans].tolist() + rest[pivots].tolist())
-
-
-def _cube_rows(corners: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """The cubes' points as a uint8 array, in PointSet order: each corner
-    2^k times, its k free columns, in ascending order, filled with the
-    lexicographic table bpcore.bit_table.  The cubes ascend, so the rows
-    are distinct and in order by construction."""
-    widths = free.sum(axis=1)
+def _pair_rows(base: np.ndarray) -> np.ndarray:
+    """The paired points over base points B as a uint8 array, in PointSet
+    order: the corner (u_a, u_b, u_a AND u_b) of each pair 2^k times, its k
+    free z columns filled with the lexicographic table bpcore.bit_table.
+    The pairs ascend, so the rows are distinct and in order by construction."""
+    m, n = base.shape
+    shared = (base[:, None, :] & base[None, :, :]).reshape(-1, n)
+    widths = n - shared.sum(axis=1, dtype=np.int64)
     ends = np.cumsum(1 << widths)
-    out = np.repeat(corners, 1 << widths, axis=0)
+    out = np.repeat(np.concatenate([np.repeat(base, m, axis=0), np.tile(base, (m, 1)), shared], axis=1), 1 << widths, 0)
     tables: dict[int, np.ndarray] = {}
-    for c in np.flatnonzero(widths).tolist():  # a cube with no free column is its corner
+    for c in np.flatnonzero(widths).tolist():  # a pair with no free column is its corner
         k = int(widths[c])
         if k not in tables:
             tables[k] = bit_table(k)
-        out[ends[c] - (1 << k) : ends[c], free[c]] = tables[k]
+        out[ends[c] - (1 << k) : ends[c], 2 * n :][:, shared[c] == 0] = tables[k]
     return out
 
 
@@ -236,13 +204,11 @@ def enumerate_points(
     the front end can (ordering and tour do); otherwise it is read from
     bpcore.feasible_blocks(dp.base, cap), a 2^n scan under the cap.
 
-    The set is held as the m^2 pair cubes of the sorted, deduplicated base
-    points u_a, pair a m + b: corner (u_a, u_b, u_a AND u_b), free on the
-    other k z columns.  The count N, the sum of 2^k, is computed exactly on
-    Python integers from the shared supports and checked against
-    max_points before the 3n-wide cube arrays are built; it bounds the
-    pairs (m^2 <= N, so no cube array is larger than the point array that
-    the same max_points admits) and the sub-cubes of every later face.
+    The set is held as its sorted, deduplicated base points (PointSet).
+    The count N, the sum of 2^loose over the m^2 pairs, is computed exactly
+    on Python integers and checked against max_points; m^2 <= N, so the
+    pair grid is never larger than the point array the same max_points
+    admits.
     """
     if dp.include_lower_coupling:
         raise ValueError("point enumeration is defined for the conjugate variant")
@@ -253,23 +219,18 @@ def enumerate_points(
     # least k^2 and reading isqrt(max_points) + 1 of them is enough to
     # refuse; islice takes no stop past sys.maxsize, and no list gets there
     limit = min(math.isqrt(max(max_points, 0)) + 1, sys.maxsize)
-    base = [tuple(int(v) for v in p) for p in itertools.islice(base_points, limit)]
+    base = [tuple(p) for p in itertools.islice(base_points, limit)]
     if len(base) == limit:
         raise _over_cap(max_points)
+    # checked before the cast, which would truncate 0.5 to 0
     for p in base:
         if len(p) != n or any(v not in (0, 1) for v in p):
             raise ValueError("base points must be 0/1 vectors of base length")
-    base = sorted(set(base))
-    m = len(base)
-    base = np.array(base, dtype=np.uint8).reshape(m, n)
-    shared = (base[:, None, :] & base[None, :, :]).reshape(-1, n)
-    count = _cube_count(n - shared.sum(axis=1, dtype=np.int64))
-    if count > max_points:
+    base = sorted({tuple(map(int, p)) for p in base})
+    ps = PointSet(np.array(base, dtype=np.uint8).reshape(len(base), n), max_points)
+    if ps.count > max_points:
         raise _over_cap(max_points)
-    corners = np.concatenate([np.repeat(base, m, axis=0), np.tile(base, (m, 1)), shared], axis=1)
-    free = np.zeros(corners.shape, dtype=bool)
-    free[:, 2 * n :] = shared == 0
-    return PointSet.__new__(PointSet)._hold(corners, free, count)
+    return ps
 
 
 def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
@@ -287,33 +248,15 @@ def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
     return lifted
 
 
-def _values(points: np.ndarray, a: Sequence[int], b: int) -> np.ndarray:
-    """a . p for every row p of a 0/1 array, exactly: in int64, as a_j times
-    column j over a's nonzero columns read in place, when sum |a| (which
-    bounds every partial sum) and |b| are below 2**62; else on Python ints."""
+def _base_values(base: np.ndarray, a: Sequence[int], b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B alpha, B beta) for an integer row (alpha, beta, gamma) and its
+    right-hand side b, exactly: in int64 when sum |a|, which bounds the
+    row's value at every point, and |b| are below 2**62 (int_dtype), else
+    on Python integers."""
+    n = base.shape[1]
     dtype = int_dtype(max(sum(map(abs, a)), abs(b)))
-    nz = [j for j, c in enumerate(a) if c]
-    if dtype is object:
-        return points[:, nz] @ np.array([a[j] for j in nz], dtype=object)
-    vals = np.zeros(len(points), dtype=np.int64)
-    for j in nz:
-        # an int64 loop whatever the numpy casting rules make of a[j]
-        vals += np.multiply(points[:, j], a[j], dtype=np.int64)
-    return vals
-
-
-def _split(corners: np.ndarray, free: np.ndarray, cols: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(corners, cube of each) of the sub-cubes that fix every free column
-    in cols: per column j, those with j free get a copy with j = 1.  They
-    are disjoint and nonempty, so never more than the points."""
-    cube = np.arange(len(corners))
-    for j in cols:
-        split = np.flatnonzero(free[cube, j])
-        if len(split):
-            ones = corners[split]
-            ones[:, j] = 1
-            corners, cube = np.concatenate([corners, ones]), np.concatenate([cube, cube[split]])
-    return corners, cube
+    x, y = np.array(a[: 2 * n], dtype=dtype).reshape(2, n) @ base.T  # B is cast to dtype
+    return x, y
 
 
 def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
@@ -324,30 +267,61 @@ def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
     The empty face reports dimension -1, and a face tight at every point
     is the whole polytope.
 
-    No point is built (module docstring).  The face's dimension is the
-    number of pivot columns of its tight sub-cubes among the hull's, found
-    by the hull's own routine, _hull_pivots: exactly, by Bareiss, on one
-    Gram matrix of the tight corners.
+    No point is built: the face is read off the pair grid (module
+    docstring).  Its m^2 2^|Z| cells are refused past the set's max_points
+    (or sys.maxsize, past which a pattern index would not fit int64).
     """
     if len(ineq.a) != ps.dim_ambient:
         raise ValueError("inequality width disagrees with the point set")
     a, b, _ = scaled_int_vector(ineq.a, ineq.a0)
-    cols = [j for j, c in enumerate(a) if c]
-    corners, free = ps.corners, ps.free
-    corners, cube = _split(corners, free, cols)
-    loose = free.copy()  # the free columns with a zero coefficient
-    loose[:, cols] = False
-    vals = _values(corners, a, b)
-    tight = vals == b
-    valid = bool(HOLDS[ineq.sense](vals, b).all())
-    tight_count = _cube_count(loose.sum(axis=1)[cube[tight]])
     pdim = ps.hull_dimension()
+    base, n = ps.base, ps.dim_ambient // 3
+    zs = [j for j in range(n) if a[2 * n + j]]
+    k, pairs = len(zs), len(base) ** 2
+    if pairs << k > min(ps.max_points, sys.maxsize):
+        work = f"{pairs << k} grid cells ({pairs} pairs x 2^{k} z patterns)"
+        raise CapExceededError(f"face work of {work} exceeds max_points={ps.max_points}")
+    x, y = _base_values(base, a, b)
+    pair_vals = (x[:, None] + y[None, :]).ravel()
+    holds = HOLDS[ineq.sense]
+    if zs:
+        gamma = np.array([a[2 * n + j] for j in zs], dtype=pair_vals.dtype)
+        bz = base.take(zs, axis=1)
+        # bit k-1-i is set where the pair shares column zs[i], as in the
+        # pattern's index in bit_table; off counts the free z columns off Z
+        # (a uint8 product: k <= 62 by the cap)
+        shared = ((bz << np.arange(k - 1, -1, -1)) @ bz.T).ravel()
+        off = (ps.loose - k + bz @ bz.T).ravel()
+        valid, tight = True, []
+        step = max(1, _ORDER_CHUNK // pairs)
+        for lo in range(0, 1 << k, step):
+            table = bit_table(k, lo, min(lo + step, 1 << k))
+            vals = pair_vals + (table @ gamma)[:, None]
+            cell = (shared & ~np.arange(lo, lo + len(table))[:, None]) == 0
+            valid = valid and bool(holds(vals, b)[cell].all())
+            s, p = np.nonzero(cell & (vals == b))
+            tight.append((table[s], p))
+        patterns, cells = (np.concatenate(t) for t in zip(*tight))
+    else:  # one pattern and every cell exists: the common row, read in fewer passes
+        valid = bool(holds(pair_vals, b).all())
+        cells = np.flatnonzero(pair_vals == b)
+        patterns, off = np.empty((len(cells), 0), dtype=np.int64), ps.loose.ravel()
+    tight_count = _cube_count(off[cells])
     if tight_count == 0:
         face_dim = -1
     elif tight_count == ps.count:
         face_dim = pdim
     else:
-        face_dim = len(_hull_pivots(corners[tight], loose[cube[tight]], ps._pivots))
+        ia, ib = np.divmod(cells, len(base))
+        x, y = base.take(ia, axis=0), base.take(ib, axis=0)
+        z = x & y  # the corner: 1 on the columns off Z every tight pair shares
+        spans = ~z.all(axis=0)  # U_f, once Z is dropped
+        spans[zs] = False
+        z[:, zs] = patterns
+        free = spans.tolist()
+        cols = [c for c in ps._pivots if c < 2 * n or not free[c - 2 * n]]
+        corners = np.concatenate([x, y, z], axis=1)[:, cols]
+        face_dim = sum(free) + len(_pivot_columns(_gram(corners).tolist()))
     return FacetReport(
         label=ineq.label,
         valid=valid,
@@ -362,20 +336,26 @@ def verify_minimal_system(ps: PointSet, system: EquationSystem) -> bool:
     """Every point satisfies the system and the hull dimension equals
     ambient minus the system's rank (rows are independent by construction).
 
-    No point is visited: each row, scaled to integers a . v = b, holds at
-    every point exactly when a is zero on the columns free in some cube
-    (each is a direction of the hull) and a . c = b at every cube corner c.
+    No point is visited: a row (alpha, beta, gamma) . v = b, scaled to
+    integers, holds at every point exactly when gamma is zero on U (each
+    e_j there is a direction of the hull), B alpha and B beta are constant,
+    and those two constants plus sum gamma make b, z being 1 off U: O(m)
+    work a row.
     """
     if system.matrix.ncols != ps.dim_ambient:
         raise ValueError("system width disagrees with the point set")
-    spans = ps.free.any(axis=0).tolist()
+    pdim = ps.hull_dimension()
+    n = ps.dim_ambient // 3
+    fixed = ps.base.all(axis=0).tolist()  # the z columns off U
     for row, d in zip(system.matrix.rows, system.rhs):
         a, b, _ = scaled_int_vector(row, d)
-        if any(c and free for c, free in zip(a, spans)):
+        gamma = a[2 * n :]
+        if any(c and not f for c, f in zip(gamma, fixed)):
             return False
-        if not (_values(ps.corners, a, b) == b).all():
+        x, y = _base_values(ps.base, a, b)
+        if (x != x[0]).any() or (y != y[0]).any() or x[0] + y[0] + sum(gamma) != b:
             return False
-    return ps.hull_dimension() == ps.dim_ambient - system.matrix.nrows
+    return pdim == ps.dim_ambient - system.matrix.nrows
 
 
 def nonnegativity_facets(names: Sequence[str]) -> list[Inequality]:

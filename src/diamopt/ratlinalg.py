@@ -158,7 +158,7 @@ def _gram(points: np.ndarray) -> np.ndarray:
     """sum over the rows p of (p - p0)(p - p0)^T, p0 the first row, of a
     uint8 0/1 array: float64 chunk products, exact by the module
     docstring's bound, summed in an int64 array.  Any other dtype is a
-    TypeError: its callers hand it cube corners and checked 0/1 arrays."""
+    TypeError: its callers hand it base points, face corners and 0/1 arrays."""
     if points.dtype != np.uint8:
         raise TypeError(f"_gram takes a uint8 array, not {points.dtype}")
     base = points[0].astype(np.float64)

@@ -137,7 +137,19 @@ def test_raw_point_cap_refuses_early(tmp_path, capsys):
     assert "point enumeration exceeds max_points=1000" in err
 
 
-INFEASIBLE_LP = "Maximize\n obj: x1 + x2\nSubject To\n r: x1 + x2 >= 3\nBinary\n x1\n x2\nEnd\n"
+def test_face_work_cap_exits_4(tmp_path, capsys):
+    # 1,008 points fit --max-points 2000, but a row on all six z columns
+    # costs 36 pairs x 2^6 patterns = 2,304 grid cells
+    q = tmp_path / "all_z.json"
+    q.write_text(json.dumps([{"a": [0] * 12 + [1] * 6, "a0": 6, "sense": "<=", "label": "all_z"}]))
+    code = main(f"check-facet {q} --problem lop --n 3 --max-points 2000".split())
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "face work of 2304 grid cells" in err and "max_points=2000" in err
+    assert "Traceback" not in err
+
+
+INFEASIBLE_LP ="Maximize\n obj: x1 + x2\nSubject To\n r: x1 + x2 >= 3\nBinary\n x1\n x2\nEnd\n"
 
 
 @pytest.mark.parametrize("command", ["dim", "diameter", "check-facet {q}"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from diamopt.errors import CapExceededError, InfeasibleModelError
 from diamopt.polytope import (
     EquationSystem,
     Inequality,
-    PointSet,
     check_disjoint_pair_condition,
     check_inequality,
     enumerate_points,
@@ -61,21 +61,44 @@ def paired_scan(dp):
     return np.concatenate([np.empty((0, dp.derived.n), dtype=np.uint8), *bpcore.feasible_blocks(dp.derived)])
 
 
+def paired_listing(base):
+    """The paired points over the base points by the definition, in Python:
+    every (u, v, z) with z >= u AND v, distinct and sorted."""
+    base = [tuple(map(int, p)) for p in base]
+    n = len(base[0])
+    zs = list(itertools.product((0, 1), repeat=n))
+    return sorted({u + v + z for u in base for v in base for z in zs if all(c >= a & b for a, b, c in zip(u, v, z))})
+
+
+def random_base(rng, m, n, ones=()):
+    """m seeded random 0/1 base points of width n, unsorted and possibly
+    repeated, with the columns in ones fixed at 1."""
+    base = rng.integers(0, 2, (m, n), dtype=np.uint8)
+    base[:, list(ones)] = 1
+    return base
+
+
 class TestPointSet:
+    """A paired set is its sorted, distinct base points; enumerate_points
+    checks them and lists the pairs' points by the definition."""
+
     def test_dedup_and_order(self):
-        ps = PointSet([[1, 0], [0, 1], [1, 0], [0, 0]])
-        assert ps.count == 3
-        assert ps.array.tolist() == [[0, 0], [0, 1], [1, 0]]
+        base = [[1, 0], [0, 1], [1, 0], [0, 0]]
+        ps = pairs_of(base)
+        assert ps.base.dtype == np.uint8 and ps.base.tolist() == [[0, 0], [0, 1], [1, 0]]
+        assert ps.loose.tolist() == [[2, 2, 2], [2, 1, 2], [2, 2, 1]]
+        assert ps.array.tolist() == [list(p) for p in paired_listing(base)]
+        assert ps.count == len(ps.array) == 4 + 4 + 4 + 4 + 2 + 4 + 4 + 4 + 2
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            PointSet([[0, 2]])
+        with pytest.raises(ValueError, match="base points must be 0/1"):
+            pairs_of([[0, 2]])
 
     @pytest.mark.parametrize(
         "points",
         [
-            [[0.5, 1], [1, 1]],  # a uint8 cast would truncate it to [[0, 1], [1, 1]]
-            [[0, -1]],  # and wrap or overflow these
+            [[0.5, 1], [1, 1]],  # an int cast would truncate it to [[0, 1], [1, 1]]
+            [[0, -1]],  # and wrap or overflow these in uint8
             [[0, 256]],
             [[1, 1 << 70]],
             np.array([[0.0, 1.0], [1.0, 0.25]]),
@@ -83,20 +106,32 @@ class TestPointSet:
         ],
     )
     def test_values_are_checked_before_the_cast(self, points):
-        with pytest.raises(ValueError, match="points must be 0/1"):
-            PointSet(points)
+        with pytest.raises(ValueError, match="base points must be 0/1"):
+            pairs_of(points)
 
     def test_float_and_bool_arrays_of_0_1(self):
         for arr in (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[True, True], [False, True]])):
-            ps = PointSet(arr)
-            assert ps.array.dtype == np.uint8 and ps.array.tolist() == [[0, 1], [1, 1]]
-            assert ps.hull_dimension() == 1
+            ps = pairs_of(arr)
+            assert ps.base.dtype == np.uint8 and ps.base.tolist() == [[0, 1], [1, 1]]
+            assert ps.array.dtype == np.uint8
+            # column 2 is 1 at both base points, so z_2 is too: 2 * 1 + 1
+            assert ps.hull_dimension() == affine_dimension(ps.array) == 3
 
     def test_hull_dimension_simple(self):
-        square = PointSet([[0, 0], [0, 1], [1, 0], [1, 1]])
-        assert square.hull_dimension() == 2
-        segment = PointSet([[0, 0], [1, 1]])
-        assert segment.hull_dimension() == 1
+        square = pairs_of([[0, 0], [0, 1], [1, 0], [1, 1]])
+        assert square.hull_dimension() == affine_dimension(square.array) == 2 * 2 + 2
+        segment = pairs_of([[0, 0], [1, 1]])
+        assert segment.hull_dimension() == affine_dimension(segment.array) == 2 * 1 + 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_base_arrays_list_their_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            base = random_base(rng, int(rng.integers(1, 7)), int(rng.integers(1, 5)))
+            ps = pairs_of(base)
+            assert ps.base.tolist() == np.unique(base, axis=0).tolist()
+            assert ps.array.tolist() == [list(p) for p in paired_listing(base)]
+            assert ps.count == len(ps.array)
 
 
 class TestEnumeratePoints:
@@ -176,7 +211,7 @@ def family_points(family, n):
 def pairs_of(base):
     """The paired set of the model with no rows over the listed base points,
     with no point cap."""
-    dp = build_diameter(BinaryProgram([0] * len(base[0]), []), None, "conjugate")
+    dp = build_diameter(BinaryProgram([0] * np.shape(base)[1], []), None, "conjugate")
     return enumerate_points(dp, base_points=base, max_points=1 << 200)
 
 
@@ -187,8 +222,9 @@ def array_pivots(ps):
 
 class TestPairMoments:
     """enumerate_points counts the paired points from the m^2 base pairs, and
-    hull_dimension reads the pivot columns of G off the pair corners and
-    their free columns; both must equal what the point array gives."""
+    hull_dimension reads the pivot columns of G off the base points and
+    the z columns where one of them has a 0; both must equal what the
+    point array gives."""
 
     @staticmethod
     def assert_moments_match(ps):
@@ -197,7 +233,10 @@ class TestPairMoments:
         assert ps._array is None
         assert ps._pivots == array_pivots(ps)
         assert ps.count == len(ps.array) and ps.dim_ambient == ps.array.shape[1]
-        assert ps.corners[0].tolist() == ps.array[0].tolist()
+        # the first point is (u_0, u_0, u_0), and pair (a, b) has n - u_a . u_b free z columns
+        assert ps.array[0].tolist() == ps.base[0].tolist() * 3
+        n, base = ps.base.shape[1], ps.base.tolist()
+        assert ps.loose.tolist() == [[n - sum(a & b for a, b in zip(u, v)) for v in base] for u in base]
 
     @pytest.mark.parametrize("family,n", [("lop", 2), ("lop", 3), ("lop", 4), ("tsp", 4), ("tsp", 5)])
     def test_families(self, family, n):
@@ -235,7 +274,7 @@ class TestPairMoments:
 
     @pytest.mark.parametrize("family,n,base_dim", [("lop", 5, 10), ("tsp", 6, 9)])
     def test_beyond_enumeration(self, family, n, base_dim):
-        # 1.2 G and 31 M points, past DEFAULT_MAX_POINTS: the pair corners
+        # 1.2 G and 31 M points, past DEFAULT_MAX_POINTS: the base points
         # give dim P_D = 2 dim P + n (3n ambient, n base variables) exactly
         ps = family_points(family, n)
         assert ps.count > polytope.DEFAULT_MAX_POINTS
@@ -264,7 +303,7 @@ class TestPairMoments:
         # four points of weight <= 1 over 61 columns have 29 * 2^60 > 2^63
         # paired points; G is summed here from the uncentred moments,
         # 4G = 4M - 2p0 (2s)^T - 2s (2p0)^T + N 2p0 (2p0)^T, pair by pair,
-        # and its pivot columns must be the ones read off the pair corners
+        # and its pivot columns must be the ones read off the base points
         n = 61
         base = np.zeros((4, n), dtype=np.uint8)
         base[1, 60] = base[2, 30] = base[3, 0] = 1  # in lexicographic order
@@ -297,11 +336,32 @@ class TestPairMoments:
 
     @pytest.mark.parametrize("chunk", [1, 5, ratlinalg._GRAM_CHUNK])
     def test_pair_rows_cross_gram_chunks(self, chunk, monkeypatch):
-        # the 36 pair corners cross _gram's chunk borders, one row at a time at 1
+        # the 6 base points cross _gram's chunk borders, one row at a time at 1
         want = array_pivots(suites._lop_points(3))
         monkeypatch.setattr(ratlinalg, "_GRAM_CHUNK", chunk)
         ps = suites._lop_points(3)
         assert ps.count == 1008 and ps.hull_dimension() == 12 and ps._pivots == want
+
+
+class TestInheritedDimension:
+    """The hull of a paired set is the paper's 2 dim P + |U|, U the z
+    columns where some base point has a 0, and its pivot columns are the
+    point array's.  Checked on seeded random base arrays, two in three
+    with a coordinate fixed at 1, where 2 dim P + n fails."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_bases(self, seed):
+        rng = np.random.default_rng(seed)
+        for t in range(12):
+            n = int(rng.integers(2, 6))
+            base = random_base(rng, int(rng.integers(1, 7)), n, ones=range(t % 3))
+            ps = pairs_of(base)
+            spans = sum(any(p[j] == 0 for p in base.tolist()) for j in range(n))
+            dim = 2 * affine_dimension(base) + spans
+            assert ps.hull_dimension() == dim == affine_dimension(ps.array)
+            assert ps._pivots == array_pivots(ps)
+            if t % 3:
+                assert spans < n and dim < 2 * affine_dimension(base) + n
 
 
 class TestLazyPoints:
@@ -310,13 +370,13 @@ class TestLazyPoints:
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        rows = polytope._cube_rows
+        rows = polytope._pair_rows
 
-        def spy(corners, free):
-            calls.append(rows(corners, free))
+        def spy(base):
+            calls.append(rows(base))
             return calls[-1]
 
-        monkeypatch.setattr(polytope, "_cube_rows", spy)
+        monkeypatch.setattr(polytope, "_pair_rows", spy)
         return calls
 
     def test_dimension_and_minimality_build_no_point(self, builds):
@@ -401,18 +461,24 @@ class TestCheckInequality:
         ],
     )
     def test_row_values_at_the_int64_bound(self, a, b, dtype):
-        # the array's points are its sub-cubes, so these are the values the
-        # face path compares with b
-        ps = PointSet(bpcore.bit_table(5))
-        vals = polytope._values(ps.array, a, b)
-        assert vals.dtype == dtype
-        reference = [sum(c * v for c, v in zip(a, p)) for p in ps.array.tolist()]
-        assert vals.tolist() == reference
+        # the five coefficients sit on x_1, y_2, z_3, x_2 and z_1 of the pair
+        # grid over all eight points of {0,1}^3; X = B alpha and Y = B beta
+        # are the values the face path adds up and compares with b
+        row = [0] * 9
+        for col, c in zip((0, 4, 8, 1, 6), a):
+            row[col] = c
+        ps = pairs_of(bpcore.bit_table(3))
+        x, y = polytope._base_values(ps.base, row, b)
+        assert x.dtype == y.dtype == dtype
+        base = ps.base.tolist()
+        assert x.tolist() == [sum(c * v for c, v in zip(row[:3], p)) for p in base]
+        assert y.tolist() == [sum(c * v for c, v in zip(row[3:6], p)) for p in base]
+        reference = [sum(c * v for c, v in zip(row, p)) for p in ps.array.tolist()]
         for sense in ("<=", ">="):
-            r = check_inequality(ps, Inequality(a, b, sense))
+            r = check_inequality(ps, Inequality(row, b, sense))
             assert r.tight_point_count == sum(v == b for v in reference)
             assert r.valid == all(v <= b if sense == "<=" else v >= b for v in reference)
-            assert r == brute_force_report(ps, Inequality(a, b, sense))
+            assert r == brute_force_report(ps, Inequality(row, b, sense))
 
     def test_fractional_inequality(self):
         ps = paired_points_free(1)
@@ -422,28 +488,28 @@ class TestCheckInequality:
         assert r.is_facet  # same facet as the integer form
 
     def test_coordinate_relabeling_preserves_reports(self):
+        # a permutation of the base coordinates, applied to the base points
+        # and to the row in all three blocks, relabels the paired points
         rng = random.Random(31)
-        ps = paired_points_free(2)
-        ineq = Inequality([1, 0, 1, 0, -1, 0], 1, "<=", "coupling_1")
-        base = check_inequality(ps, ineq)
+        base = random_base(np.random.default_rng(31), 6, 4, ones=[3])
+        ps = pairs_of(base)
+        rows = facet_families(4, []) + random_rows(rng, ps, 9)
+        reports = [check_inequality(ps, q) for q in rows]
         for _ in range(5):
-            perm = list(range(6))
+            perm = list(range(4))
             rng.shuffle(perm)
-            arr = ps.array[:, perm]
-            a = [Fraction(0)] * 6
-            for new, old in enumerate(perm):
-                a[new] = ineq.a[old]
-            r = check_inequality(PointSet(arr), Inequality(a, ineq.a0, "<=", "relabeled"))
-            assert r.valid == base.valid
-            assert r.face_dimension == base.face_dimension
-            assert r.tight_point_count == base.tight_point_count
+            moved = pairs_of(base[:, perm])
+            cols = [block * 4 + j for block in range(3) for j in perm]
+            for q, want in zip(rows, reports):
+                q = Inequality([q.a[c] for c in cols], q.a0, q.sense, q.label)
+                assert check_inequality(moved, q) == want == brute_force_report(moved, q), q.label
 
 
 class TestFaceRank:
-    """check_inequality ranks a face the hull's way, with _hull_pivots: one
-    exact `_pivot_columns` call on the tight sub-cube corners' Gram matrix,
-    over the hull's pivot columns outside U (the free columns left in the
-    tight sub-cubes), so on at most dim - |U| columns.  A face tight at
+    """check_inequality ranks a face the hull's way: one exact
+    `_pivot_columns` call on the Gram matrix of the tight cells' corners,
+    over the hull's pivot columns outside U_f (the columns free in some
+    tight cell), so on at most dim - |U_f| columns.  A face tight at
     every point is the whole polytope and takes none.  Every case is
     checked against the exact rank of the whole tight point set, on tour
     n=5 (35,712 points, dim 20)."""
@@ -479,7 +545,7 @@ class TestFaceRank:
         for q in facet_families(10, tsp.base_facets(5)):
             r, grams, pivots = self.ranked(tour5, q)
             assert r.is_facet, q.label
-            # one corner per tight sub-cube, far fewer than the tight points
+            # one corner per tight cell, far fewer than the tight points
             assert len(grams) == 1 and grams[0][0] < r.tight_point_count, q.label
             # one exact rank on the pivot columns outside U: |U| + width = dim
             width = grams[0][1]
@@ -515,7 +581,7 @@ class TestFaceRank:
     def test_small_face_sums_one_gram(self, tour5):
         # x and y both avoid the five edges off the tour 1-2-3-4-5, so both
         # are that tour and z is free on the other five: 32 points, dim 5.
-        # That is one sub-cube, whose five free columns are the whole rank.
+        # That is one cell, whose five free columns are the whole rank.
         a = [0] * 10
         for i, j in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5)):
             a[tsp.edge_index(i, j, 5)] = 1
@@ -568,7 +634,7 @@ def kinds(reports, count):
 
 
 class TestSubCubeOracle:
-    """check_inequality reads a face off the pair sub-cubes and never builds
+    """check_inequality reads a face off the pair grid and never builds
     a point; brute_force_report reads it off the point array.  Both give
     the same report on every input."""
 
@@ -625,18 +691,16 @@ class TestSubCubeOracle:
 
     @pytest.mark.parametrize("family,n", [("lop", 3), ("tsp", 4)])
     def test_array_built_sets(self, family, n):
-        # a point array is one sub-cube per point, with no free column
+        # the family's base points as an array, shuffled and with repeated
+        # rows, give the listed set: the same base points and the same faces
         paired = suites._paired_points(suites.FAMILIES[family], n)
-        ps = PointSet(paired.array)
-        assert not ps.free.any() and ps.corners.tolist() == paired.array.tolist()
+        rng = np.random.default_rng(n)
+        base = np.array(list(suites.FAMILIES[family].module.base_points(n)), dtype=np.uint8)
+        ps = pairs_of(rng.permutation(np.concatenate([base, base[rng.integers(0, len(base), 5)]])))
+        assert ps.base.tolist() == paired.base.tolist() and ps.loose.tolist() == paired.loose.tolist()
         assert ps.count == paired.count and ps.hull_dimension() == paired.hull_dimension()
         assert ps._pivots == paired._pivots == array_pivots(paired)
-        assert ps.corners[0].tolist() == paired.corners[0].tolist()
-        # unsorted, with duplicate rows: the same cubes as the sorted form
-        rng = np.random.default_rng(n)
-        mixed = PointSet(rng.permutation(np.concatenate([paired.array, paired.array[rng.integers(0, ps.count, 50)]])))
-        assert mixed.corners.tolist() == ps.corners.tolist() and mixed.free.tolist() == ps.free.tolist()
-        assert mixed.count == ps.count
+        assert ps.array.tolist() == paired.array.tolist()
         rows = facet_families(ps.dim_ambient // 3, suites.FAMILIES[family].module.base_facets(n))
         rows += random_rows(random.Random(n), paired, 12)
         for q, r in zip(rows, self.agree(ps, rows)):
@@ -644,20 +708,42 @@ class TestSubCubeOracle:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_arrays(self, seed):
+        # seeded random base arrays, every other one with a coordinate fixed
+        # at 1, against rows with random coefficients on all three blocks
         rng = np.random.default_rng(seed)
-        for _ in range(8):
-            ps = PointSet(rng.integers(0, 2, (int(rng.integers(1, 40)), 6)))
+        seen = set()
+        for t in range(8):
+            ps = pairs_of(random_base(rng, int(rng.integers(1, 7)), int(rng.integers(2, 5)), ones=range(t % 2)))
+            width = ps.dim_ambient
             rows = [
-                Inequality(rng.integers(-2, 3, 6).tolist(), int(rng.integers(-2, 3)), sense, "random")
+                Inequality(rng.integers(-2, 3, width).tolist(), int(rng.integers(-2, 3)), sense, "random")
                 for sense in ("<=", ">=")
                 for _ in range(6)
             ]
-            self.agree(ps, rows)
+            rows += random_rows(random.Random(seed), ps, 6)
+            seen |= kinds(self.agree(ps, rows), ps.count)
+        assert seen >= {"invalid", "empty", "whole", "facet", "lower"}
 
 
 class TestBeyondEnumerationFaces:
     """Every family is certified past the point cap, where no point array
     fits: ordering n=5 (1.2 G points) and tour n=6 (31 M points)."""
+
+    # (tight count, face dimension) of every family in facet_families order,
+    # as runs of (repeats, report); computed by the earlier cube-splitting
+    # face path and frozen here
+    FROZEN = {
+        "lop": [(80, (599961600, 39)), (20, (525662208, 39)), (20, (674260992, 39)), (20, (599961600, 39))],
+        "tsp": [
+            (30, (18671616, 32)),
+            (30, (12447744, 32)),
+            (40, (9335808, 32)),
+            (30, (12447744, 32)),
+            (15, (14029824, 32)),
+            (15, (17089536, 32)),
+            (15, (12447744, 32)),
+        ],
+    }
 
     @pytest.mark.parametrize("family,n,dim,families", [("lop", 5, 40, 140), ("tsp", 6, 33, 175)])
     def test_every_family_is_a_facet(self, family, n, dim, families):
@@ -668,7 +754,48 @@ class TestBeyondEnumerationFaces:
         assert len(reports) == families
         assert all(r.valid and r.is_facet and r.polytope_dimension == dim for r in reports)
         assert all(0 < r.tight_point_count < ps.count for r in reports)
+        faces = [(r.tight_point_count, r.face_dimension) for r in reports]
+        assert faces == [face for repeats, face in self.FROZEN[family] for _ in range(repeats)]
         assert ps._array is None
+
+
+class TestFaceWork:
+    """A face costs m^2 2^|Z| grid cells, Z the row's nonzero z columns,
+    and check_inequality refuses past the set's max_points, even when the
+    points themselves are under it."""
+
+    @staticmethod
+    def ordering3(max_points):
+        dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
+        return enumerate_points(dp, base_points=lop.base_points(3), max_points=max_points)
+
+    def test_all_z_row_past_the_cap(self):
+        ps = self.ordering3(2000)
+        assert ps.count == 1008 < ps.max_points == 2000
+        cells = r"2304 grid cells \(36 pairs x 2\^6 z patterns\) exceeds max_points=2000"
+        with pytest.raises(CapExceededError, match=cells):
+            check_inequality(ps, Inequality(paired(6, z=[1] * 6), 6, "<=", "all_z"))
+        # five z columns are 36 * 2^5 = 1,152 cells, under the cap
+        q = Inequality(paired(6, z=[1] * 5 + [0]), 5, "<=", "five_z")
+        assert check_inequality(ps, q) == brute_force_report(ps, q)
+        # the default cap reads the all-z row
+        q = Inequality(paired(6, z=[1] * 6), 6, "<=", "all_z")
+        assert check_inequality(self.ordering3(polytope.DEFAULT_MAX_POINTS), q) == brute_force_report(ps, q)
+
+    def test_ordering4_all_z_row_at_the_default_cap(self):
+        # 483,840 points, under the cap, but 576 * 2^12 = 2,359,296 cells
+        ps = suites._lop_points(4)
+        with pytest.raises(CapExceededError, match="2359296 grid cells"):
+            check_inequality(ps, Inequality(paired(12, z=[1] * 12), 12, "<=", "all_z"))
+
+    @pytest.mark.parametrize("chunk", [1, 100, polytope._ORDER_CHUNK])
+    def test_patterns_cross_chunks(self, chunk, monkeypatch):
+        # 36 pairs: at a chunk of 1 or 100 each pass takes one or two
+        # patterns, so the cells of a row span several passes
+        ps = self.ordering3(polytope.DEFAULT_MAX_POINTS)
+        rows = random_rows(random.Random(chunk), ps, 12)
+        monkeypatch.setattr(polytope, "_ORDER_CHUNK", chunk)
+        TestSubCubeOracle.agree(ps, rows)
 
 
 class TestEquationSystem:
@@ -729,34 +856,58 @@ def minimal_per_point(ps, system):
 
 
 class TestMinimalSystemByGram:
-    """verify_minimal_system reads the free columns and a . c = b at the
-    cube corners c, never the points."""
+    """verify_minimal_system reads the rows off the base points: zero on U,
+    B alpha and B beta constant, and the right-hand side at the first
+    point; never the paired points.  Each verdict is also checked point by
+    point."""
+
+    @staticmethod
+    def verdict(ps, rows, rhs):
+        system = EquationSystem(rows, rhs)
+        got = verify_minimal_system(ps, system)
+        assert got == minimal_per_point(ps, system)
+        return got
 
     def test_row_broken_at_one_point(self):
-        # x1 + x2 = 1 holds at 010 and 100, the first point among them, and
-        # fails only at 111; the hull has dimension 3 - 1 all the same
-        ps = PointSet([[0, 1, 0], [1, 0, 0], [1, 1, 1]])
-        system = EquationSystem([[1, 1, 0]], [1])
-        assert ps.hull_dimension() == 2
-        assert not verify_minimal_system(ps, system)
-        assert not minimal_per_point(ps, system)
+        # x1 + x2 = 1 holds at 010 and 100, the first base points, and fails
+        # only at 111; x1 + x2 - x3 = 1 holds at all three, so the hull has
+        # dimension 2 * 2 + 3 = 9 - 2 all the same
+        ps = pairs_of([[0, 1, 0], [1, 0, 0], [1, 1, 1]])
+        assert ps.hull_dimension() == affine_dimension(ps.array) == 7
+        plane = [1, 1, -1]
+        assert self.verdict(ps, [paired(3, x=plane), paired(3, y=plane)], [1, 1])
+        assert not self.verdict(ps, [paired(3, x=[1, 1, 0]), paired(3, y=plane)], [1, 1])
+        assert not self.verdict(ps, [paired(3, x=plane), paired(3, y=[1, 1, 0])], [1, 1])
 
     def test_rhs_off_at_every_point(self):
-        # x1 + x2 is 1 at every point, so only the right-hand side can fail
-        ps = PointSet([[0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1]])
-        assert verify_minimal_system(ps, EquationSystem([[1, 1, 0]], [1]))
-        assert not verify_minimal_system(ps, EquationSystem([[1, 1, 0]], [2]))
-        assert not verify_minimal_system(ps, EquationSystem([[1, 1, 0]], [0]))
+        # x1 + x2 is 1 at every base point, so only the right-hand side can fail
+        ps = pairs_of([[0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1]])
+        rows = [paired(3, x=[1, 1, 0]), paired(3, y=[1, 1, 0])]
+        assert self.verdict(ps, rows, [1, 1])
+        assert not self.verdict(ps, rows, [2, 1])
+        assert not self.verdict(ps, rows, [1, 0])
 
     def test_fractional_rows(self):
-        ps = PointSet([[0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1]])
-        half = Fraction(1, 2)
-        assert verify_minimal_system(ps, EquationSystem([[half, half, 0]], [half]))
+        ps = pairs_of([[0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1]])
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        y = paired(3, y=[1, 1, 0])
+        assert self.verdict(ps, [paired(3, x=[half, half, 0]), y], [half, 1])
         # 2 x1 + 2 x2 = 3 after scaling: off at every point
-        third = Fraction(1, 3)
-        assert not verify_minimal_system(ps, EquationSystem([[third, third, 0]], [half]))
-        # x1 + x2/2 = 1/2 holds at the first point, 010, and fails at 10*
-        assert not verify_minimal_system(ps, EquationSystem([[1, half, 0]], [half]))
+        assert not self.verdict(ps, [paired(3, x=[third, third, 0]), y], [half, 1])
+        # x1 + x2/2 = 1/2 holds at the first base point, 010, and fails at 10*
+        assert not self.verdict(ps, [paired(3, x=[1, half, 0]), y], [half, 1])
+
+    def test_z_rows(self):
+        # column 1 is 1 at both base points, so z_1 = 1 at every point and
+        # z_2 varies: dim = 2 * 1 + 1 = 6 - 3
+        ps = pairs_of([[1, 0], [1, 1]])
+        fixed = [paired(2, x=[1, 0]), paired(2, y=[1, 0])]
+        assert ps.hull_dimension() == 3
+        assert self.verdict(ps, fixed + [paired(2, z=[1, 0])], [1, 1, 1])
+        assert self.verdict(ps, fixed + [paired(2, x=[1, 0], z=[2, 0])], [1, 1, 3])
+        assert not self.verdict(ps, fixed + [paired(2, z=[1, 0])], [1, 1, 0])
+        assert not self.verdict(ps, fixed + [paired(2, z=[0, 1])], [1, 1, 1])
+        assert not self.verdict(ps, fixed + [paired(2, z=[1, 1])], [1, 1, 1])
 
     def test_agrees_with_per_point_on_tour5(self):
         ps = suites._tsp_points(5)
@@ -791,11 +942,11 @@ class TestMinimalSystemByGram:
 
 
 class TestCornerRankIdentity:
-    """hull_dimension is |U| + rank(corner - p0) off U, U the columns free
-    in some cube, and its pivot columns are those of the point array's Gram
-    matrix; verify_minimal_system reads the same U and the corners.  Checked
-    against the point array on every family set the suites use and on
-    seeded random models."""
+    """hull_dimension is 2 rank(B - b0) + |U|, U the z columns where some
+    base point has a 0, and its pivot columns are those of the point
+    array's Gram matrix; verify_minimal_system reads the same U and B.
+    Checked against the point array on every family set the suites use,
+    on seeded random models and on random base arrays."""
 
     @staticmethod
     def agree(ps):
@@ -810,9 +961,9 @@ class TestCornerRankIdentity:
             system = EquationSystem(*zip(*valid))
             verdicts.append(verify_minimal_system(ps, system))
             assert verdicts[-1] == minimal_per_point(ps, system)
-        for j in np.flatnonzero(ps.free.any(axis=0)).tolist():
-            # a free column varies, so v_j = (its value at p0) is refused
-            # on its own and beside rows that hold
+        for j in sorted(set(range(ps.dim_ambient)) - set(constant)):
+            # a column that varies makes v_j = (its value at p0) fail, on
+            # its own and beside rows that hold
             row = [int(i == j) for i in range(ps.dim_ambient)]
             for rows in ([(row, int(arr[0, j]))], valid + [(row, int(arr[0, j]))]):
                 system = EquationSystem(*zip(*rows))
@@ -840,42 +991,24 @@ class TestCornerRankIdentity:
                 models += 1
         assert verdicts == {True, False}
 
-    @staticmethod
-    def random_cubes(rng, width):
-        """Ascending disjoint cubes with free columns anywhere: the leaves of
-        a random binary trie on the leading columns, each a cube whose other
-        columns are free or fixed at random."""
-        corners, free = [], []
-
-        def grow(prefix):
-            if len(prefix) == width or rng.random() < 0.3:
-                tail = [rng.choice((0, 1, None)) for _ in range(width - len(prefix))]
-                corners.append(prefix + [v or 0 for v in tail])
-                free.append([False] * len(prefix) + [v is None for v in tail])
-            else:
-                for bit in (0, 1):
-                    if rng.random() < 0.8:
-                        grow(prefix + [bit])
-
-        while not corners:
-            grow([])
-        count = sum(1 << sum(f) for f in free)
-        return PointSet.__new__(PointSet)._hold(np.array(corners, dtype=np.uint8), np.array(free, dtype=bool), count)
-
     @pytest.mark.parametrize("seed", range(4))
     def test_cubes_free_anywhere(self, seed):
-        # paired sets have U in the z block, after every pivot off U; here
-        # free columns also precede the corners' pivots
-        rng = random.Random(seed)
+        # seeded random base arrays with columns fixed at 0 or 1 anywhere,
+        # so the varying z columns sit among constant ones in every block
+        rng = np.random.default_rng(seed)
         for _ in range(30):
-            self.agree(self.random_cubes(rng, rng.randint(1, 9)))
+            n = int(rng.integers(1, 5))
+            base = random_base(rng, int(rng.integers(1, 6)), n)
+            fixed = rng.integers(0, 3, n)  # 0 or 1: the column's value; 2: random
+            base[:, fixed == 0], base[:, fixed == 1] = 0, 1
+            self.agree(pairs_of(base))
 
     def test_free_column_row_holding_at_every_corner(self):
-        # the one cube (0, 0, z): x = 0, z = 0 holds at its corner and has
+        # the one pair (0, 0, z): x = 0, z = 0 holds at its first point and has
         # two rows for a hull of dimension 3 - 2, yet z is free
         ps = pairs_of([[0]])
         system = EquationSystem([[1, 0, 0], [0, 0, 1]], [0, 0])
-        assert ps.hull_dimension() == 1 and ps.free.tolist() == [[False, False, True]]
+        assert ps.hull_dimension() == 1 and ps.base.tolist() == [[0]] and ps.loose.tolist() == [[1]]
         assert not verify_minimal_system(ps, system) and not minimal_per_point(ps, system)
         assert verify_minimal_system(ps, EquationSystem([[1, 0, 0], [0, 1, 0]], [0, 0]))
 
@@ -936,14 +1069,15 @@ def _no_unique(monkeypatch):
 
 
 class TestPointOrder:
-    """PointSet keeps sorted distinct rows without sorting, and point
-    enumeration produces them so."""
+    """enumerate_points keeps the base points sorted and distinct whatever
+    order they come in, and the listing generates the paired points in
+    order, checked in one pass without sorting."""
 
     @staticmethod
     def cases():
         rng = np.random.default_rng(5)
-        sorted_rows = np.unique(rng.integers(0, 2, (300, 9), dtype=np.uint8), axis=0)
-        last_col = np.zeros((4, 6), dtype=np.uint8)
+        sorted_rows = np.unique(rng.integers(0, 2, (40, 4), dtype=np.uint8), axis=0)
+        last_col = np.zeros((4, 3), dtype=np.uint8)
         last_col[1::2, -1] = 1  # rows 0/1 and 2/3 differ only in the last column
         yield "shuffled", rng.permutation(sorted_rows)
         yield "duplicates", np.repeat(sorted_rows, 2, axis=0)
@@ -953,22 +1087,25 @@ class TestPointOrder:
         yield "one-row", sorted_rows[:1]
         yield "zero-rows", np.zeros((0, 5), dtype=np.uint8)
         for k in range(20):
-            yield f"random-{k}", rng.integers(0, 2, (rng.integers(2, 60), rng.integers(1, 5)), dtype=np.uint8)
+            yield f"random-{k}", rng.integers(0, 2, (rng.integers(2, 8), rng.integers(1, 4)), dtype=np.uint8)
 
     @pytest.mark.parametrize("chunk", [3, polytope._ORDER_CHUNK])
     def test_matches_np_unique(self, chunk, monkeypatch):
-        # a chunk of 3 rows puts many consecutive pairs across chunk borders
+        # a chunk of 3 rows puts many consecutive points of the listing's
+        # order check across chunk borders
         monkeypatch.setattr(polytope, "_ORDER_CHUNK", chunk)
         for name, arr in self.cases():
-            ps = PointSet(arr)
-            want = np.unique(arr, axis=0) if len(arr) else arr
-            assert ps.array.dtype == np.uint8, name
-            assert ps.array.tolist() == want.tolist(), name
+            ps = pairs_of(arr)
+            assert ps.base.tolist() == np.unique(arr, axis=0).tolist(), name
+            assert ps.array.dtype == np.uint8 and ps.array.shape == (ps.count, 3 * arr.shape[1]), name
+            assert ps.array.tolist() == ([list(p) for p in paired_listing(arr)] if len(arr) else []), name
 
     def test_sorted_distinct_input_is_not_resorted(self, monkeypatch):
-        rows = np.unique(np.random.default_rng(1).integers(0, 2, (200, 8), dtype=np.uint8), axis=0)
+        rows = np.unique(np.random.default_rng(1).integers(0, 2, (40, 5), dtype=np.uint8), axis=0)
+        want = [list(p) for p in paired_listing(rows)]
         _no_unique(monkeypatch)
-        assert PointSet(rows).array.tolist() == rows.tolist()
+        ps = pairs_of(rows)
+        assert ps.base.tolist() == rows.tolist() and ps.array.tolist() == want
 
     @pytest.mark.parametrize("family,n", [("lop", 2), ("lop", 3), ("tsp", 4), ("tsp", 5)])
     def test_family_points_need_no_sort(self, family, n, monkeypatch):
