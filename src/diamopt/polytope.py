@@ -14,6 +14,10 @@ x = u_a, y = u_b, z = 1 on the shared support u_a AND u_b and free on the
 other loose[a, b] = n - u_a . u_b z columns.  The pairs ascend in the
 order a m + b, and the points are generated only when read: the listing.
 
+max_points bounds only the arrays a point set builds, each refused by the
+code that builds it: the m x m pair grid (enumerate_points), the m^2 2^|Z|
+cells of a face (check_inequality) and the N listed points (array).
+
 The hull's directions are D x D x R^U: D the span of the u_a - u_0, and U
 the z columns where some base point has a 0 (pair (a, a) is free there;
 every other z column is 1 at every point).  So dim P_D = 2 dim P + |U|,
@@ -85,8 +89,8 @@ class PointSet:
     """The paired points (u_a, u_b, z), z >= u_a AND u_b, over base points
     B, an m x n uint8 array of sorted, distinct rows as enumerate_points
     builds it (module docstring); max_points, the limit it was built
-    under, also bounds each face's work.  The point array is generated
-    only on its first read."""
+    under, bounds each face's grid cells and the point array, which is
+    generated only on its first read."""
 
     def __init__(self, base: np.ndarray, max_points: int):
         n = base.shape[1]
@@ -101,6 +105,8 @@ class PointSet:
     @property
     def array(self) -> np.ndarray:
         if self._array is None:
+            if self.count > self.max_points:
+                raise CapExceededError(f"point listing of {self.count} points exceeds max_points={self.max_points}")
             arr = _pair_rows(self.base)
             if not _strictly_increasing(arr):
                 raise RuntimeError("paired points generated out of lexicographic order")
@@ -188,10 +194,6 @@ class EquationSystem:
         return f"EquationSystem({self.matrix.nrows} rows, {self.matrix.ncols} cols)"
 
 
-def _over_cap(max_points: int) -> CapExceededError:
-    return CapExceededError(f"point enumeration exceeds max_points={max_points}")
-
-
 def enumerate_points(
     dp: DiameterProgram,
     base_points: Iterable[Sequence[int]] | None = None,
@@ -204,33 +206,28 @@ def enumerate_points(
     the front end can (ordering and tour do); otherwise it is read from
     bpcore.feasible_blocks(dp.base, cap), a 2^n scan under the cap.
 
-    The set is held as its sorted, deduplicated base points (PointSet).
-    The count N, the sum of 2^loose over the m^2 pairs, is computed exactly
-    on Python integers and checked against max_points; m^2 <= N, so the
-    pair grid is never larger than the point array the same max_points
-    admits.
+    The set is held as its sorted, deduplicated base points (PointSet),
+    with the count N, the sum of 2^loose over the m^2 pairs, exact on
+    Python integers.  max_points bounds the m x m pair grid here, not N.
     """
     if dp.include_lower_coupling:
         raise ValueError("point enumeration is defined for the conjugate variant")
     n = dp.base.n
     if base_points is None:
         base_points = (row for block in feasible_blocks(dp.base, cap) for row in block.tolist())
-    # each ordered pair adds at least one point, so k base points give at
-    # least k^2 and reading isqrt(max_points) + 1 of them is enough to
-    # refuse; islice takes no stop past sys.maxsize, and no list gets there
+    # m base points make an m x m grid, so reading isqrt(max_points) + 1 of
+    # them is enough to refuse; islice takes no stop past sys.maxsize, and
+    # no list gets there
     limit = min(math.isqrt(max(max_points, 0)) + 1, sys.maxsize)
     base = [tuple(p) for p in itertools.islice(base_points, limit)]
     if len(base) == limit:
-        raise _over_cap(max_points)
+        raise CapExceededError(f"pair grid of {limit} or more base points exceeds max_points={max_points}")
     # checked before the cast, which would truncate 0.5 to 0
     for p in base:
         if len(p) != n or any(v not in (0, 1) for v in p):
             raise ValueError("base points must be 0/1 vectors of base length")
     base = sorted({tuple(map(int, p)) for p in base})
-    ps = PointSet(np.array(base, dtype=np.uint8).reshape(len(base), n), max_points)
-    if ps.count > max_points:
-        raise _over_cap(max_points)
-    return ps
+    return PointSet(np.array(base, dtype=np.uint8).reshape(len(base), n), max_points)
 
 
 def lift_equation_system(base_system: EquationSystem) -> EquationSystem:
@@ -272,7 +269,9 @@ def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
     (or sys.maxsize, past which a pattern index would not fit int64).
     """
     if len(ineq.a) != ps.dim_ambient:
-        raise ValueError("inequality width disagrees with the point set")
+        raise ValueError(
+            f"inequality {ineq.label!r} has {len(ineq.a)} coefficients, ambient dimension is {ps.dim_ambient}"
+        )
     a, b, _ = scaled_int_vector(ineq.a, ineq.a0)
     pdim = ps.hull_dimension()
     base, n = ps.base, ps.dim_ambient // 3

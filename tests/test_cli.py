@@ -128,6 +128,7 @@ class TestDiameter:
             capsys, "diameter", "--problem", "raw", "--instance", ties_model, "--epsilon=-1/2"
         )
         assert code == 3
+        assert "epsilon must be positive" in err
         code, _, err = run(
             capsys, "diameter", "--problem", "raw", "--instance", ties_model, "--epsilon", "zero"
         )
@@ -236,6 +237,49 @@ class TestPointsAndDim:
         assert "2^9 scan refused (cap 8)" in err
 
 
+def ordered_pair_count(points):
+    """The paired point count from first principles: the sum over ordered
+    pairs (u, v) of base points of 2^(n - |u AND v|), on Python integers."""
+    masks = [int("".join(map(str, p)), 2) for p in points]
+    n = len(points[0])
+    return sum(1 << (n - (u & v).bit_count()) for u in masks for v in masks)
+
+
+class TestPastThePointCap:
+    """dim and check-facet build no point, so --max-points bounds only their
+    pair grid and face cells; points, which lists the points, exits 4."""
+
+    @pytest.mark.parametrize("problem,n,count,dim", [("lop", 5, 1_199_923_200, 40), ("tsp", 6, 31_119_360, 33)])
+    def test_dim_past_the_point_count(self, problem, n, count, dim, capsys):
+        base = list(suites.FAMILIES[problem].module.base_points(n))
+        assert ordered_pair_count(base) == count
+        code, out, err = run(capsys, "dim", "--problem", problem, "--n", str(n), "--format", "json")
+        assert code == 0 and err == ""
+        want = {"ambient": 3 * len(base[0]), "count": count, "dimension": dim, "n": n, "problem": problem}
+        assert json.loads(out) == want
+        code, out, err = run(capsys, "points", "--problem", problem, "--n", str(n))
+        assert code == 4 and out == ""
+        assert f"point listing of {count} points exceeds max_points=2000000" in err
+
+    def test_dim_stops_at_the_pair_grid(self, capsys):
+        # ordering n=6: 720 base points, 518,400 grid cells; n=7: 5,040
+        # base points, whose grid passes the default 2,000,000
+        code, out, _ = run(capsys, "dim", "--problem", "lop", "--n", "6")
+        assert code == 0 and "dimension: 60" in out.splitlines()
+        code, out, err = run(capsys, "dim", "--problem", "lop", "--n", "7")
+        assert code == 4 and out == ""
+        assert "pair grid of 1415 or more base points exceeds max_points=2000000" in err
+
+    def test_tour6_coupling_facet(self, tmp_path, capsys):
+        a = [0] * 45
+        a[0], a[15], a[30] = 1, 1, -1
+        path = tmp_path / "pair_ub_1.json"
+        path.write_text(json.dumps([{"a": a, "a0": 1, "sense": "<=", "label": "pair_ub_1"}]))
+        code, out, err = run(capsys, "check-facet", str(path), "--problem", "tsp", "--n", "6")
+        assert code == 0 and err == ""
+        assert out == "FACET      pair_ub_1 (face dim 32/33, tight on 12447744)\n"
+
+
 class TestCheckFacet:
     def test_mixed_report(self, tmp_path, capsys):
         ineqs = [
@@ -267,6 +311,7 @@ class TestCheckFacet:
         path.write_text(json.dumps({"a": [1, 0], "a0": 0, "sense": ">=", "label": "w"}))
         code, _, err = run(capsys, "check-facet", str(path), "--problem", "tsp", "--n", "4")
         assert code == 3
+        assert "inequality 'w' has 2 coefficients, ambient dimension is 18" in err
 
     def test_bad_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
@@ -306,6 +351,14 @@ class TestUsage:
             main(argv.split())
         assert exc.value.code == 3
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", ["0", "-5", "five"])
+    def test_max_points_below_one_is_a_usage_error(self, limit, capsys):
+        # not a cap overflow (exit 4): no set fits a limit below 1
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "--problem", "lop", "--n", "3", "--max-points", limit])
+        assert exc.value.code == 3
+        assert "--max-points: must be an integer of at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", ["0", "-5", "five"])
     def test_trials_below_one_is_a_usage_error(self, trials, capsys):

@@ -134,7 +134,7 @@ def test_raw_point_cap_refuses_early(tmp_path, capsys):
     code = main(f"dim --problem raw --instance {model} --max-points 1000".split())
     err = capsys.readouterr().err
     assert code == 4
-    assert "point enumeration exceeds max_points=1000" in err
+    assert "pair grid of 32 or more base points exceeds max_points=1000" in err
 
 
 def test_face_work_cap_exits_4(tmp_path, capsys):

@@ -202,10 +202,15 @@ def paired_points_free_capped():
 
 
 def family_points(family, n):
-    """A family's size-n paired set past the point cap: no array is built."""
-    fam = suites.FAMILIES[family]
-    dp = build_diameter(fam.module.build(fam.zero(n)), None, "conjugate")
-    return enumerate_points(dp, base_points=fam.module.base_points(n), max_points=10**12)
+    """A family's size-n paired set at the default cap, which bounds its
+    pair grid and faces but not its point count: no array is built."""
+    return suites._paired_points(suites.FAMILIES[family], n)
+
+
+def ordering3(max_points=polytope.DEFAULT_MAX_POINTS):
+    """Ordering n=3's paired set: 6 base points, 36 pairs, 1,008 points."""
+    dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
+    return enumerate_points(dp, base_points=lop.base_points(3), max_points=max_points)
 
 
 def pairs_of(base):
@@ -725,6 +730,37 @@ class TestSubCubeOracle:
         assert seen >= {"invalid", "empty", "whole", "facet", "lower"}
 
 
+class TestCapBoundsBuiltArrays:
+    """max_points bounds the arrays a point set builds, each where it is
+    built: the m x m pair grid when the base points are read, the grid
+    cells of a face (TestFaceWork) and the point listing.  It does not
+    bound the point count, so a set whose points exceed it still gives its
+    hull, minimality and faces."""
+
+    def test_ordering3_past_its_point_count(self):
+        # m = 6 base points: 36 grid cells and at most 72 per family face,
+        # under 100, though the 1,008 points are not
+        ps, full = ordering3(100), ordering3()
+        assert ps.count == full.count == 1008 > ps.max_points == 100
+        assert ps.hull_dimension() == 12
+        assert verify_minimal_system(ps, lift_equation_system(EquationSystem(*lop.pick_one_system(3))))
+        rows = facet_families(6, lop.base_facets(3))
+        assert [check_inequality(ps, q) for q in rows] == [check_inequality(full, q) for q in rows]
+        with pytest.raises(CapExceededError, match="point listing of 1008 points exceeds max_points=100"):
+            ps.array
+        assert ps._array is None
+
+    def test_pair_grid_is_bounded_at_m_squared(self):
+        assert ordering3(36).hull_dimension() == 12
+        with pytest.raises(CapExceededError, match="pair grid of 6 or more base points exceeds max_points=35"):
+            ordering3(35)
+
+    def test_listing_at_its_count(self):
+        assert len(ordering3(1008).array) == 1008
+        with pytest.raises(CapExceededError, match="point listing of 1008 points exceeds max_points=1007"):
+            ordering3(1007).array
+
+
 class TestBeyondEnumerationFaces:
     """Every family is certified past the point cap, where no point array
     fits: ordering n=5 (1.2 G points) and tour n=6 (31 M points)."""
@@ -764,13 +800,8 @@ class TestFaceWork:
     and check_inequality refuses past the set's max_points, even when the
     points themselves are under it."""
 
-    @staticmethod
-    def ordering3(max_points):
-        dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
-        return enumerate_points(dp, base_points=lop.base_points(3), max_points=max_points)
-
     def test_all_z_row_past_the_cap(self):
-        ps = self.ordering3(2000)
+        ps = ordering3(2000)
         assert ps.count == 1008 < ps.max_points == 2000
         cells = r"2304 grid cells \(36 pairs x 2\^6 z patterns\) exceeds max_points=2000"
         with pytest.raises(CapExceededError, match=cells):
@@ -780,7 +811,7 @@ class TestFaceWork:
         assert check_inequality(ps, q) == brute_force_report(ps, q)
         # the default cap reads the all-z row
         q = Inequality(paired(6, z=[1] * 6), 6, "<=", "all_z")
-        assert check_inequality(self.ordering3(polytope.DEFAULT_MAX_POINTS), q) == brute_force_report(ps, q)
+        assert check_inequality(ordering3(), q) == brute_force_report(ps, q)
 
     def test_ordering4_all_z_row_at_the_default_cap(self):
         # 483,840 points, under the cap, but 576 * 2^12 = 2,359,296 cells
@@ -792,7 +823,7 @@ class TestFaceWork:
     def test_patterns_cross_chunks(self, chunk, monkeypatch):
         # 36 pairs: at a chunk of 1 or 100 each pass takes one or two
         # patterns, so the cells of a row span several passes
-        ps = self.ordering3(polytope.DEFAULT_MAX_POINTS)
+        ps = ordering3()
         rows = random_rows(random.Random(chunk), ps, 12)
         monkeypatch.setattr(polytope, "_ORDER_CHUNK", chunk)
         TestSubCubeOracle.agree(ps, rows)
@@ -1140,5 +1171,5 @@ class TestPointOrder:
         # polytope reads feasible sets as blocks and no longer imports the tuple list
         assert not hasattr(polytope, "enumerate_feasible")
         dp = build_diameter(BinaryProgram([1] * 7, []), None, "conjugate")
-        with pytest.raises(CapExceededError, match="point enumeration exceeds max_points=1000"):
+        with pytest.raises(CapExceededError, match="pair grid of 32 or more base points exceeds max_points=1000"):
             enumerate_points(dp, max_points=1000)
