@@ -298,13 +298,19 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
     A row is pruned as soon as its reachable value range excludes the
     right-hand side.  The bound at a node is the fixed prefix value, plus
     every positive objective coefficient among the free uncovered variables,
-    plus the forced penalties, plus the cardinality rows' shares.  Forced
-    penalties: take a row whose last nonzero column j is uncovered and has
-    c_j < 0; once its second-to-last column is fixed, x_j alone decides the
-    row, and if x_j = 0 breaks it every completion sets x_j = 1 and pays
-    c_j.  Each forced free variable adds its c_j once, until j is branched
-    on and the gain charges it.  In a paired (x | y | z) program this
-    charges z_i's penalty as soon as y_i is fixed.
+    plus the forced columns' charges, plus the cardinality rows' shares.
+    Forced columns: once a row's second-to-last nonzero column is fixed,
+    its last one j alone decides the row, and when only one value of x_j
+    meets it, every completion sets x_j to that value.  Only that value is
+    branched on at depth j, and a column forced both ways has no feasible
+    completion, so the node is cut (at the root: infeasible after 1 node).
+    An uncovered forced column is charged once, until j is branched on and
+    the gain counts it: min(c_j, 0) when forced to 1, -max(c_j, 0) when
+    forced to 0.  Forced values never enter the rows' fixed parts, which
+    the cardinality rows' `need` reads.  On an ordering, fixing x_ij forces
+    x_ji = 1 - x_ij at once, so a broken 3-dicycle row is seen at the
+    column that breaks it; in a paired (x | y | z) program z_i's penalty is
+    charged as soon as y_i is fixed.
 
     Cardinality rows (see _cardinality_rows) are = rows with one positive
     coefficient t: at a node, exactly need = (b - fixed part) / t of the
@@ -316,7 +322,7 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
     search therefore runs on the objective times L: the bound is those
     shares plus L times the rest, compared with L * (best - slack) in
     Python integers.  Covered columns leave the positive sum and the forced
-    penalties, so no value is counted twice.  On the pick-one rows of an
+    charges, so no value is counted twice.  On the pick-one rows of an
     ordering this is the bound sum(max(w_ij, w_ji)), on the degree rows of
     a tour half of every city's two best edges.  Free columns are a suffix
     of each row, so each row's largest-share sums are tabled once by (its
@@ -352,9 +358,9 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
             shares[j].append((i, t, b, tables[f], tables[f + 1]))
 
     # touched[d]: (row, coeff, bottom, top) for each row with a nonzero in
-    # column d, its window once x_d is fixed; triggers[d]: (row, j, bottom,
-    # top) for each row that x_j alone decides from depth d on, j its last
-    # nonzero column, c_j < 0 and j uncovered, its window with x_j = 0
+    # column d, its window once x_d is fixed; triggers[d]: (row, j, coeff,
+    # bottom, top) for each row that x_j alone decides from depth d on, j its
+    # last nonzero column, its window with x_j = 0
     touched = [[] for _ in range(n)]
     triggers = [[] for _ in range(n + 1)]
     root = []
@@ -366,10 +372,11 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
         for d in cols:
             lo, hi = lo - min(a[d], 0), hi - max(a[d], 0)
             touched[d].append((i, a[d], *_window(sense, b, lo, hi)))
-        if cols and c_int[cols[-1]] < 0 and not cover[cols[-1]]:
-            triggers[cols[-2] + 1 if len(cols) > 1 else 0].append((i, cols[-1], *_window(sense, b, 0, 0)))
+        if cols:
+            j = cols[-1]
+            triggers[cols[-2] + 1 if len(cols) > 1 else 0].append((i, j, a[j], *_window(sense, b, 0, 0)))
 
-    acc = [0] * len(rows)  # each row's value over the fixed columns
+    acc = [0] * len(rows)  # each row's value over the branched columns
 
     def rows_ok(entries) -> bool:
         for i, _, bottom, top in entries:
@@ -377,27 +384,42 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
                 return False
         return True
 
-    forced = [0] * n  # rows that force x_j = 1 at the current node
-    bumped = [[] for _ in range(n + 1)]  # the variables triggers[d] forced
+    # charge[v][j]: what x_j = v in every completion adds to the bound, for
+    # j uncovered (a covered column's value is in its shares)
+    charge = [[0 if k else v * cj - max(cj, 0) for cj, k in zip(c_int, cover)] for v in (0, 1)]
+    ban = ([0] * n, [0] * n)  # ban[v][j]: the rows that rule x_j = v out at the current node
+    bumped = [[] for _ in range(n + 1)]  # (v, j) for each ban triggers[d] made
 
-    def force(d: int) -> int:
-        """Apply triggers[d]; return the penalty of the newly forced variables."""
+    def force(d: int) -> int | None:
+        """Apply triggers[d]; return the charge of the newly forced columns,
+        or None when a row's last column has no value left."""
         pen = 0
-        for i, j, bottom, top in triggers[d]:
-            if not bottom <= acc[i] <= top:  # x_j = 0 breaks the row
-                forced[j] += 1
-                bumped[d].append(j)
-                if forced[j] == 1:
-                    pen += c_int[j]
+        for i, j, coeff, bottom, top in triggers[d]:
+            s = acc[i]
+            if bottom <= s <= top:
+                if bottom <= s + coeff <= top:
+                    continue
+                v = 1  # x_j = 1 breaks the row
+            elif bottom <= s + coeff <= top:
+                v = 0
+            else:
+                return None
+            ban[v][j] += 1
+            bumped[d].append((v, j))
+            if ban[1 - v][j]:
+                return None
+            if ban[v][j] == 1:
+                pen += charge[1 - v][j]
         return pen
 
-    if not rows_ok(root):
+    pen = force(0)
+    if pen is None or not rows_ok(root):
         return SolveReport("infeasible", None, 1)
     assign = [0] * n
     obj = [0] * (n + 1)  # prefix value of the node at each depth
-    # the rest of the bound of the node at each depth: forced penalties plus
+    # the rest of the bound of the node at each depth: forced charges plus
     # the cardinality rows' shares
-    extra = [force(0) + card_root] + [0] * n
+    extra = [pen + card_root] + [0] * n
     nxt = [1] * n  # next value to branch on at each depth; -1 when both are done
     best_val: int | None = None
     best_assign: tuple[int, ...] | None = None
@@ -408,8 +430,8 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
     nodes, d = 1, 0
 
     def undo(d: int) -> None:
-        for j in bumped[d + 1]:
-            forced[j] -= 1
+        for v, j in bumped[d + 1]:
+            ban[v][j] -= 1
         bumped[d + 1].clear()
         if assign[d]:
             for i, coeff, _, _ in touched[d]:
@@ -420,13 +442,15 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
         if d < n and nxt[d] >= 0:  # branch on x_d
             val = nxt[d]
             nxt[d] = val - 1
+            if ban[val][d]:  # only the forced value is tried
+                continue
             if val:
                 assign[d] = 1
                 for i, coeff, _, _ in touched[d]:
                     acc[i] += coeff
-            if rows_ok(touched[d]):
+            if rows_ok(touched[d]) and (pen := force(d + 1)) is not None:
                 obj[d + 1] = obj[d] + (c_int[d] if val else 0)
-                delta = force(d + 1) - (c_int[d] if forced[d] else 0)
+                delta = pen - (charge[val][d] if ban[1 - val][d] else 0)  # the gain now charges x_d
                 for i, t, b, before, after in shares[d]:
                     need = (b - acc[i]) // t  # ones the row's free columns still take
                     delta += after[need] - before[need + val]

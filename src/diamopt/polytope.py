@@ -48,7 +48,6 @@ diameter program solves.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -215,18 +214,19 @@ def enumerate_points(
     n = dp.base.n
     if base_points is None:
         base_points = (row for block in feasible_blocks(dp.base, cap) for row in block.tolist())
-    # m base points make an m x m grid, so reading isqrt(max_points) + 1 of
-    # them is enough to refuse; islice takes no stop past sys.maxsize, and
-    # no list gets there
-    limit = min(math.isqrt(max(max_points, 0)) + 1, sys.maxsize)
-    base = [tuple(p) for p in itertools.islice(base_points, limit)]
-    if len(base) == limit:
-        raise CapExceededError(f"pair grid of {limit} or more base points exceeds max_points={max_points}")
-    # checked before the cast, which would truncate 0.5 to 0
-    for p in base:
+    # m distinct base points make an m x m grid, so reading until
+    # isqrt(max_points) + 1 of them are distinct is enough to refuse
+    limit = math.isqrt(max(max_points, 0)) + 1
+    distinct = set()
+    for p in base_points:
+        p = tuple(p)
+        # checked before the cast, which would truncate 0.5 to 0
         if len(p) != n or any(v not in (0, 1) for v in p):
             raise ValueError("base points must be 0/1 vectors of base length")
-    base = sorted({tuple(map(int, p)) for p in base})
+        distinct.add(tuple(map(int, p)))
+        if len(distinct) == limit:
+            raise CapExceededError(f"pair grid of {limit} or more base points exceeds max_points={max_points}")
+    base = sorted(distinct)
     return PointSet(np.array(base, dtype=np.uint8).reshape(len(base), n), max_points)
 
 

@@ -222,6 +222,76 @@ class TestBranchAndBound:
         assert rep.best.assignment == (0,) * (2 * k) and rep.best.objective_value == 0
         assert rep.nodes_explored < 1 << k
 
+    def test_forced_zero_is_charged_before_its_column(self):
+        # max sum(z) over (x | z) with x_i + z_i <= 1: every x_i = 1 forces
+        # z_i = 0 and takes its +1 out of the bound at once; charged only
+        # when z_i is branched on, the search again visits all 2^k x
+        # prefixes (20,464 nodes for k = 12), against 247
+        k = 12
+        rows = [Constraint([int(j in (i, k + i)) for j in range(2 * k)], "<=", 1) for i in range(k)]
+        rep = solve_bnb(BinaryProgram([0] * k + [1] * k, rows))
+        assert rep.best.assignment == (0,) * k + (1,) * k and rep.best.objective_value == k
+        assert rep.nodes_explored < 1 << k
+
+
+class TestForcedColumns:
+    """A row's last column is forced once the row's other columns are
+    fixed and only one of its values meets the row; a column forced both
+    ways cuts the node."""
+
+    @pytest.mark.parametrize("lead", [0, 11])
+    def test_conflict_at_the_root(self, lead):
+        # x_j = 1 and x_j = 0 after `lead` free columns: both rows decide
+        # x_j at the root, so the search stops there (2^lead nodes and more
+        # when the conflict waits for column j)
+        n = lead + 1
+        rows = [Constraint([int(j == lead) for j in range(n)], "=", v) for v in (1, 0)]
+        bp = BinaryProgram([0] * n, rows)
+        assert solve_enumerate(bp).status == "infeasible"
+        for slack in (-1, 0):
+            rep = solve_bnb(bp, slack=slack)
+            assert (rep.status, rep.best, rep.nodes_explored, rep.pool) == ("infeasible", None, 1, None)
+
+    def test_conflict_below_the_root(self):
+        # x_1 + x_3 = 1 and x_2 + x_3 = 1: x_1 != x_2 forces x_3 both ways,
+        # so those nodes are cut when x_2 is fixed (7 nodes, 9 when x_3 is
+        # branched on there)
+        rows = [Constraint([1, 0, 1], "=", 1), Constraint([0, 1, 1], "=", 1)]
+        rep = solve_bnb(BinaryProgram([0, 0, 0], rows), slack=0)
+        assert rep.pool == ((1, 1, 0), (0, 0, 1)) and rep.nodes_explored == 7
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equality_heavy_models_match_brute_force(self, seed):
+        # short = rows over a few columns force and conflict at many depths
+        rng = random.Random(120 + seed)
+        statuses = set()
+        for _ in range(40):
+            n = rng.randint(2, 10)
+            c = [rng.randint(-5, 5) for _ in range(n)]
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                cols = rng.sample(range(n), rng.randint(1, min(n, 4)))
+                a = [rng.choice((-3, -2, -1, 1, 2, 3)) if j in cols else 0 for j in range(n)]
+                lo, hi = sum(v for v in a if v < 0), sum(v for v in a if v > 0)
+                rows.append(Constraint(a, rng.choice(("=", "=", "<=", ">=")), rng.randint(lo, hi)))
+            bp = BinaryProgram(c, rows)
+            c_int = bp.scaled()[0]
+            value = {x: sum(ci for ci, xi in zip(c_int, x) if xi) for x in brute_feasible(bp)}
+            enum = solve_enumerate(bp)
+            statuses.add(enum.status)
+            for slack in (-1, 0, 2):
+                rep = solve_bnb(bp, slack=slack)
+                assert rep.status == enum.status
+                if not value:
+                    assert rep.best is None and rep.pool is None
+                    continue
+                top = max(value.values())
+                assert rep.best.assignment == max(x for x, v in value.items() if v == top)
+                assert rep.best.objective_value == enum.best.objective_value
+                if slack >= 0:
+                    assert list(rep.pool) == sorted((x for x, v in value.items() if v >= top - slack), reverse=True)
+        assert statuses == {"optimal", "infeasible"}
+
 
 class TestPool:
     """solve_bnb with a slack: every feasible point within the slack of the
@@ -295,8 +365,8 @@ def cardinality_program(rng):
         cols = rng.sample(range(n), 4)
         rows.append(Constraint(row(cols, Fraction(1, 3)), "=", Fraction(rng.randint(1, 3), 3)))
     if rng.random() < 0.7:
-        # j is in a cardinality row and ends a <= row, so its negative cost
-        # is a forced-penalty trigger and a share at once
+        # j is in a cardinality row and ends a <= row, so the <= row can
+        # force x_j while its negative cost is read from its shares
         j = rng.randrange(2, n)
         rows.append(Constraint(row({j, rng.randrange(j)}), "=", 1))
         c[j] = -rng.randint(1, 5)
@@ -356,7 +426,7 @@ class TestCardinalityBound:
         bp = tsp.build(tsp.TspInstance.zero(7))
         assert bpcore._cardinality_rows(*bp.scaled()[:2]) == []
         # the node counts of the search without the bound
-        assert [solve_bnb(bp, slack=s).nodes_explored for s in (-1, 0)] == [22, 3941]
+        assert [solve_bnb(bp, slack=s).nodes_explored for s in (-1, 0)] == [22, 3800]
 
     def test_a_row_past_the_table_limit_is_left_out(self, monkeypatch):
         bp = BinaryProgram([3, 1, 2, 5], [Constraint([1, 1, 1, 1], "=", 2)])

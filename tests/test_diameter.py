@@ -358,36 +358,47 @@ class TestNodeCounts:
 
     def test_forced_penalties_on_zero_cost_tours(self):
         # every tour is optimal, so the base-optimum cuts cut nothing and the
-        # forced z penalties carry the search: 80,877 paired nodes without them
+        # forced columns carry the search: 4,455 paired nodes, 80,877
+        # without them
         paired, _ = paired_nodes(build(tsp.build(tsp.TspInstance.zero(6))))
         assert paired < 10_000
 
     def test_base_optimum_cuts_on_a_weighted_ordering(self):
-        # ordering n=6, seed 1, weights in [-4, 4]: 12,608 paired and 3,581
-        # base nodes; without the cuts 52,905 paired nodes, and 140,864
-        # without the forced penalties as well
+        # ordering n=6, seed 1, weights in [-4, 4]: 2,306 paired and 937
+        # base nodes; without the cuts 17,362 paired nodes, and 140,864
+        # without the forced columns as well
         paired, base = paired_nodes(ordering6_seed1())
-        assert paired + base < 50_000
+        assert paired + base < 10_000
 
     def test_pool_search_on_a_weighted_ordering(self, monkeypatch):
-        # the same ordering takes 4,450 pool nodes, and no paired search
+        # the same ordering takes 1,068 pool nodes, and no paired search
         assert pool_nodes(monkeypatch, ordering6_seed1()) < 10_000
 
     def test_cardinality_rows_on_a_weighted_ordering_and_tour(self, monkeypatch):
-        # the pick-one and degree rows bound the pool search: 4,450 nodes
-        # for the ordering and 455 for tour n=7, seed 1, costs in [1, 6];
-        # 7,374 and 1,507 without them
+        # the pick-one and degree rows bound the pool search: 1,068 nodes
+        # for the ordering and 449 for tour n=7, seed 1, costs in [1, 6];
+        # 990 and 1,483 without them (on the ordering the forced columns
+        # alone, charged on every column once no row covers it, do better)
         assert pool_nodes(monkeypatch, ordering6_seed1()) < 5_000
         assert pool_nodes(monkeypatch, tour7_seed1()) < 600
 
     def test_lp_round_trip_keeps_the_cardinality_rows(self, monkeypatch):
         # lp_string writes the pick-one rows as = rows, so the bound still
-        # reads them after parse_lp: 4,450 pool nodes either way (7,374
-        # when they came back as <= pairs)
+        # reads them after parse_lp: 1,068 pool nodes either way (990 when
+        # they came back as <= pairs)
         dp = ordering6_seed1()
         back = build(parse_lp(lp_string(dp.base)[0]))
         assert back.base.constraints == dp.base.constraints
-        assert pool_nodes(monkeypatch, back) == pool_nodes(monkeypatch, dp) == 4450
+        assert pool_nodes(monkeypatch, back) == pool_nodes(monkeypatch, dp) == 1068
+
+    def test_forced_columns_on_orderings(self, monkeypatch):
+        # fixing x_ij forces x_ji = 1 - x_ij at once, so a broken 3-dicycle
+        # row is seen at the column that breaks it: 1,068 pool nodes on the
+        # weighted ordering and 10,649 on the zero-cost ordering n=6 (every
+        # ordering optimal); 4,450 and 45,987 with only negative-cost
+        # columns forced to 1
+        assert pool_nodes(monkeypatch, ordering6_seed1()) < 1_500
+        assert pool_nodes(monkeypatch, build(lop.build(lop.LopInstance.zero(6)))) < 15_000
 
 
 class TestTwoPhases:

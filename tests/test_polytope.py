@@ -186,7 +186,7 @@ class TestEnumeratePoints:
             enumerate_points(dp, cap=8)
 
     def test_huge_max_points(self):
-        # past sys.maxsize, where the base point read limit is clamped
+        # past sys.maxsize: the base point read limit is a Python integer
         dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
         ps = enumerate_points(dp, max_points=1 << 200)
         assert ps.count == 1008 and ps.hull_dimension() == 12
@@ -754,6 +754,18 @@ class TestCapBoundsBuiltArrays:
         assert ordering3(36).hull_dimension() == 12
         with pytest.raises(CapExceededError, match="pair grid of 6 or more base points exceeds max_points=35"):
             ordering3(35)
+
+    def test_only_distinct_base_points_count(self):
+        # ordering n=3's 6 points listed twice still make a 6 x 6 grid
+        dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
+        twice = enumerate_points(dp, base_points=list(lop.base_points(3)) * 2, max_points=36)
+        assert twice.count == 1008 and twice.hull_dimension() == 12
+        # 7 distinct points, each listed three times, make a 7 x 7 grid
+        seven = list(itertools.product((0, 1), repeat=3))[:7] * 3
+        dp = build_diameter(BinaryProgram([0] * 3, []), None, "conjugate")
+        with pytest.raises(CapExceededError, match="pair grid of 7 or more base points exceeds max_points=36"):
+            enumerate_points(dp, base_points=seven, max_points=36)
+        assert enumerate_points(dp, base_points=seven, max_points=49).base.shape == (7, 3)
 
     def test_listing_at_its_count(self):
         assert len(ordering3(1008).array) == 1008
