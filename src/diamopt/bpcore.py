@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, InfeasibleModelError
-from .ratlinalg import as_rational, int_dtype, scaled_int_vector
+from .ratlinalg import as_rational, as_rationals, int_dtype, scaled_int_vector
 
 # row sense -> whether (lhs, rhs) satisfies it
 HOLDS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
@@ -37,9 +37,12 @@ POOL_LIMIT = math.isqrt(1 << DEFAULT_ENUM_CAP)
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    """One row; BinaryProgram brings its numbers to as_rational's normal
+    form (an int, or a lowest-terms Fraction when not an integer)."""
+
+    coeffs: tuple[int | Fraction, ...]
     sense: str
-    rhs: Fraction
+    rhs: int | Fraction
     name: str = ""
 
 
@@ -63,15 +66,16 @@ class SolveReport:
 class BinaryProgram:
     """max c.x, rows over x in {0,1}^n.
 
-    Coefficients are normalized to Fraction on construction; equalities and
-    >= rows are stored as given (they are only split when exporting LP
-    text).
+    Every number is brought to as_rational's normal form on construction:
+    an int for an integer value, a lowest-terms Fraction otherwise, so an
+    all-integer model holds no Fraction.  Equalities and >= rows are stored
+    as given (they are only split when exporting LP text).
     """
 
     __slots__ = ("n", "c", "constraints", "variable_names", "_scaled")
 
     def __init__(self, c: Sequence, constraints: Iterable = (), variable_names=None):
-        self.c = tuple(map(as_rational, c))
+        self.c = as_rationals(c)
         self.n = len(self.c)
         if self.n < 1:
             raise ValueError("need at least one variable")
@@ -82,7 +86,7 @@ class BinaryProgram:
             else:
                 coeffs, sense, rhs = con[0], con[1], con[2]
                 name = con[3] if len(con) > 3 else ""
-            coeffs = tuple(map(as_rational, coeffs))
+            coeffs = as_rationals(coeffs)
             if len(coeffs) != self.n:
                 raise ValueError(f"row {k}: {len(coeffs)} coefficients, expected {self.n}")
             if sense not in SENSES:
@@ -109,7 +113,8 @@ class BinaryProgram:
         return f"BinaryProgram(n={self.n}, rows={len(self.constraints)})"
 
     def objective_of(self, assignment: Sequence[int]) -> Fraction:
-        return sum((ci for ci, xi in zip(self.c, assignment) if xi), Fraction(0))
+        # summed as ints while the coefficients are ints
+        return Fraction(sum(ci for ci, xi in zip(self.c, assignment) if xi))
 
     def scaled(self):
         """Integer-scaled copy (c_int, rows, dtype) with rows = (coeffs, sense, rhs).
@@ -251,8 +256,10 @@ def _cardinality_rows(c_int, rows) -> list:
     to the bound and is left out, as is one past CARD_TABLE_LIMIT."""
     out = []
     for i, (a, sense, b) in enumerate(rows):
+        if sense != "=":
+            continue
         cols = [j for j, v in enumerate(a) if v]
-        if sense != "=" or not cols or not any(c_int[j] for j in cols):
+        if not cols or not any(c_int[j] for j in cols):
             continue
         t = a[cols[0]]
         if t > 0 and all(a[j] == t for j in cols) and b % t == 0 and 0 <= b // t <= len(cols):
@@ -296,9 +303,15 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
     number of variables.
 
     A row is pruned as soon as its reachable value range excludes the
-    right-hand side.  The bound at a node is the fixed prefix value, plus
-    every positive objective coefficient among the free uncovered variables,
-    plus the forced columns' charges, plus the cardinality rows' shares.
+    right-hand side, and each branch checks only the rows it can break
+    (activity-based row checks, as in Achterberg's Constraint Integer
+    Programming, 2007): x_d = 0 leaves the row's value where it is, so only
+    a row whose range end moved is checked, and x_d = 1 is checked only
+    against the end the value moves toward.  A <= row with positive
+    coefficients is never checked at x_d = 0.  The bound at a node is the
+    fixed prefix value, plus every positive objective coefficient among the
+    free uncovered variables, plus the forced columns' charges, plus the
+    cardinality rows' shares.
     Forced columns: once a row's second-to-last nonzero column is fixed,
     its last one j alone decides the row, and when only one value of x_j
     meets it, every completion sets x_j to that value.  Only that value is
@@ -357,21 +370,41 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
         for f, j in enumerate(cols):
             shares[j].append((i, t, b, tables[f], tables[f + 1]))
 
-    # touched[d]: (row, coeff, bottom, top) for each row with a nonzero in
-    # column d, its window once x_d is fixed; triggers[d]: (row, j, coeff,
-    # bottom, top) for each row that x_j alone decides from depth d on, j its
-    # last nonzero column, its window with x_j = 0
+    # touched[d]: (row, coeff) for each row with a nonzero in column d;
+    # checks[v][d]: (row, bottom, top) for each row that x_d = v can break,
+    # its window once x_d is fixed, with the end x_d = v cannot cross made
+    # infinite; triggers[d]: (row, j, coeff, bottom, top) for each row that
+    # x_j alone decides from depth d on, j its last nonzero column, its
+    # window with x_j = 0
     touched = [[] for _ in range(n)]
+    checks = ([[] for _ in range(n)], [[] for _ in range(n)])
     triggers = [[] for _ in range(n + 1)]
     root = []
     for i, (a, sense, b) in enumerate(rows):
         cols = list(itertools.compress(range(n), a))
         lo = sum(a[d] for d in cols if a[d] < 0)
         hi = sum(a[d] for d in cols if a[d] > 0)
-        root.append((i, 0, *_window(sense, b, lo, hi)))
+        root.append((i, *_window(sense, b, lo, hi)))
+        # every node's rows lie in their windows (the root check, then
+        # these).  x_d = 0 keeps acc and moves the window's end on coeff's
+        # side: the bottom b - hi up for coeff > 0, the top b - lo down for
+        # coeff < 0.  x_d = 1 moves acc with that end, toward the other one.
+        # So each value checks one end, and only an end the sense has.
         for d in cols:
-            lo, hi = lo - min(a[d], 0), hi - max(a[d], 0)
-            touched[d].append((i, a[d], *_window(sense, b, lo, hi)))
+            coeff = a[d]
+            touched[d].append((i, coeff))
+            if coeff > 0:
+                hi -= coeff
+                if sense != "<=":
+                    checks[0][d].append((i, b - hi, math.inf))
+                if sense != ">=":
+                    checks[1][d].append((i, -math.inf, b - lo))
+            else:
+                lo -= coeff
+                if sense != ">=":
+                    checks[0][d].append((i, -math.inf, b - lo))
+                if sense != "<=":
+                    checks[1][d].append((i, b - hi, math.inf))
         if cols:
             j = cols[-1]
             triggers[cols[-2] + 1 if len(cols) > 1 else 0].append((i, j, a[j], *_window(sense, b, 0, 0)))
@@ -379,7 +412,7 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
     acc = [0] * len(rows)  # each row's value over the branched columns
 
     def rows_ok(entries) -> bool:
-        for i, _, bottom, top in entries:
+        for i, bottom, top in entries:
             if not bottom <= acc[i] <= top:
                 return False
         return True
@@ -434,7 +467,7 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
             ban[v][j] -= 1
         bumped[d + 1].clear()
         if assign[d]:
-            for i, coeff, _, _ in touched[d]:
+            for i, coeff in touched[d]:
                 acc[i] -= coeff
             assign[d] = 0
 
@@ -446,9 +479,9 @@ def solve_bnb(bp: BinaryProgram, slack: int = -1) -> SolveReport:
                 continue
             if val:
                 assign[d] = 1
-                for i, coeff, _, _ in touched[d]:
+                for i, coeff in touched[d]:
                     acc[i] += coeff
-            if rows_ok(touched[d]) and (pen := force(d + 1)) is not None:
+            if rows_ok(checks[val][d]) and (pen := force(d + 1)) is not None:
                 obj[d + 1] = obj[d] + (c_int[d] if val else 0)
                 delta = pen - (charge[val][d] if ban[1 - val][d] else 0)  # the gain now charges x_d
                 for i, t, b, before, after in shares[d]:

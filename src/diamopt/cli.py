@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification or certification failed, 2 the
 model is infeasible, 3 bad input (usage errors included), 4 an enumeration
-cap was exceeded.
+cap was exceeded.  A reader that closes stdout early ends the run quietly
+with 0.
 
 JSON output is deterministic: keys sorted, fixed separators, no
 timestamps, so identical inputs give byte-identical reports.
@@ -20,11 +21,16 @@ timestamps, so identical inputs give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .bpcore import DEFAULT_ENUM_CAP, solve_bnb, solve_enumerate
 from .diameter import build as build_diameter
@@ -49,15 +55,21 @@ EXIT_CAP = 4
 _CAP_HELP = "enumeration cap (default %(default)s): the largest n of a 2^n base-model scan"
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        out = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        out = "\n".join(text_lines) + "\n"
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _write(args, pieces: Iterable[str]) -> None:
+    """Write the report, given as consecutive pieces of text, to --out or stdout."""
     if args.out:
-        Path(args.out).write_text(out)
+        with open(args.out, "w") as f:
+            f.writelines(pieces)
     else:
-        sys.stdout.write(out)
+        sys.stdout.writelines(pieces)
+
+
+def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    _write(args, [_json(payload) + "\n" if args.format == "json" else "\n".join(text_lines) + "\n"])
 
 
 def _load_model(path: str):
@@ -172,14 +184,37 @@ def cmd_diameter(args) -> int:
     return EXIT_OK
 
 
+# rows of a point listing turned into text at a time
+_LISTING_CHUNK = 1 << 14
+
+
+def _listing(points: np.ndarray, quote: str, sep: str) -> Iterator[str]:
+    """sep.join of the rows of a 0/1 array, each as its digits between two
+    quotes, in pieces of _LISTING_CHUNK rows: no string is made per row."""
+    d, q = points.shape[1], len(quote)
+    for lo in range(0, len(points), _LISTING_CHUNK):
+        chunk = points[lo : lo + _LISTING_CHUNK]
+        out = np.empty((len(chunk), d + 2 * q + len(sep)), dtype=np.uint8)
+        out[:, :q] = out[:, q + d : 2 * q + d] = np.frombuffer(quote.encode(), np.uint8)
+        out[:, q : q + d] = chunk + ord("0")
+        out[:, 2 * q + d :] = np.frombuffer(sep.encode(), np.uint8)
+        text = out.tobytes().decode("ascii")
+        yield text if lo + len(chunk) < len(points) else text[: len(text) - len(sep)]
+
+
 def cmd_points(args) -> int:
+    """The listing is written in pieces straight from the point array,
+    byte for byte the report _emit would write with one string per point."""
     meta, ps = _paired_points(args)
-    digits = (ps.array + ord("0")).view(f"S{ps.dim_ambient}")  # one b"0101..." per row
-    rows = [row.decode() for row in digits.ravel().tolist()]
-    payload = dict(meta, ambient=ps.dim_ambient, count=ps.count, points=rows)
-    lines = [f"# {meta['problem']} n={meta['n']} ambient={ps.dim_ambient} count={ps.count}"]
-    lines += rows
-    _emit(args, payload, lines)
+    points = ps.array
+    if args.format == "json":
+        marker = '"points":[]'
+        head, _, tail = _json(dict(meta, ambient=ps.dim_ambient, count=ps.count, points=[])).partition(marker)
+        pieces = itertools.chain([head + marker[:-1]], _listing(points, '"', ","), ["]" + tail + "\n"])
+    else:
+        header = f"# {meta['problem']} n={meta['n']} ambient={ps.dim_ambient} count={ps.count}\n"
+        pieces = itertools.chain([header], _listing(points, "", "\n"), ["\n" if len(points) else ""])
+    _write(args, pieces)
     return EXIT_OK
 
 
@@ -368,6 +403,12 @@ def main(argv=None) -> int:
     except DiamoptError as e:
         print(f"diamopt: verification failed: {e}", file=sys.stderr)
         return EXIT_VERIFY
+    except BrokenPipeError:
+        # the reader of stdout stopped early (`diamopt points ... | head`):
+        # stop quietly, and point stdout at devnull so the flush at exit
+        # does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (OSError, ValueError) as e:
         print(f"diamopt: input error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -143,10 +143,10 @@ def theoretical_epsilon(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP) -> Epsil
     return EpsilonChoice(Fraction(top[1] - top[0], scaled_int_vector(bp.c)[2] * bp.n), THEORETICAL)
 
 
-def paired(n: int, x=None, y=None, z=None) -> tuple[Fraction, ...]:
+def paired(n: int, x=None, y=None, z=None) -> tuple:
     """One row over the 3n paired coordinates (x | y | z) from n-wide
     blocks; a block left out is zero."""
-    zero = (Fraction(0),) * n
+    zero = (0,) * n
     return sum((zero if b is None else tuple(b) for b in (x, y, z)), ())
 
 
@@ -156,12 +156,12 @@ def split(v: tuple) -> tuple[tuple, tuple, tuple]:
     return v[:n], v[n : 2 * n], v[2 * n :]
 
 
-def coupling(n: int, i: int, lower: bool = False) -> tuple[tuple[Fraction, ...], str, Fraction]:
+def coupling(n: int, i: int, lower: bool = False) -> tuple[tuple[int, ...], str, int]:
     """Coupling row i as (coefficients, sense, rhs): the upper row
     x_i + y_i - z_i <= 1, or the lower row x_i + y_i + z_i >= 1."""
-    e, z = [Fraction(0)] * n, [Fraction(0)] * n
-    e[i], z[i] = Fraction(1), Fraction(1 if lower else -1)
-    return paired(n, e, e, z), ">=" if lower else "<=", Fraction(1)
+    e, z = [0] * n, [0] * n
+    e[i], z[i] = 1, 1 if lower else -1
+    return paired(n, e, e, z), ">=" if lower else "<=", 1
 
 
 def build(bp: BinaryProgram, eps=None, variant: str = "full") -> DiameterProgram:

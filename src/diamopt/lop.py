@@ -47,7 +47,7 @@ class LopInstance:
         if n_items < 2:
             raise ValueError("need at least two items")
         self.n_items = n_items
-        table = {p: Fraction(0) for p in ordered_pairs(n_items)}
+        table = {p: 0 for p in ordered_pairs(n_items)}
         if weights:
             for (i, j), w in dict(weights).items():
                 if (i, j) not in table:
@@ -59,7 +59,7 @@ class LopInstance:
     def zero(cls, n_items: int) -> "LopInstance":
         return cls(n_items)
 
-    def weight_vector(self) -> tuple[Fraction, ...]:
+    def weight_vector(self) -> tuple[int | Fraction, ...]:
         return tuple(self.weights[p] for p in ordered_pairs(self.n_items))
 
     def __repr__(self):
@@ -172,9 +172,9 @@ def dicycle_facets(n: int) -> list[Inequality]:
             for k in range(i + 1, n + 1):
                 if j == k:
                     continue
-                a = [Fraction(0)] * (n * (n - 1))
-                a[pair_index(i, j, n)] = a[pair_index(j, k, n)] = a[pair_index(k, i, n)] = Fraction(1)
-                out.append(Inequality(tuple(a), Fraction(2), "<=", f"cyc_{i}_{j}_{k}"))
+                a = [0] * (n * (n - 1))
+                a[pair_index(i, j, n)] = a[pair_index(j, k, n)] = a[pair_index(k, i, n)] = 1
+                out.append(Inequality(tuple(a), 2, "<=", f"cyc_{i}_{j}_{k}"))
     return out
 
 
@@ -187,10 +187,10 @@ def pick_one_system(n: int):
     rows = []
     rhs = []
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        a = [Fraction(0)] * (n * (n - 1))
-        a[pair_index(i, j, n)] = a[pair_index(j, i, n)] = Fraction(1)
+        a = [0] * (n * (n - 1))
+        a[pair_index(i, j, n)] = a[pair_index(j, i, n)] = 1
         rows.append(tuple(a))
-        rhs.append(Fraction(1))
+        rhs.append(1)
     return rows, rhs
 
 
@@ -206,7 +206,7 @@ def lift_inequality(ineq: Inequality, n_items: int) -> Inequality:
     if len(ineq.a) != 3 * len(old_pairs):
         raise ValueError(f"expected {3 * len(old_pairs)} coordinates for n_items={n}")
     moved = [pair_index(i, j, n + 1) for i, j in old_pairs]
-    blocks = [[Fraction(0)] * ((n + 1) * n) for _ in range(3)]
+    blocks = [[0] * ((n + 1) * n) for _ in range(3)]
     for block, old in zip(blocks, split(ineq.a)):
         for k, v in zip(moved, old):
             block[k] = v

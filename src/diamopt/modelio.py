@@ -219,8 +219,9 @@ _NUM = re.compile(r"[+-]?(\d+(?:\.\d+)?|\.\d+)$")
 
 
 def _parse_expr(expr: str, line_no: int):
-    """Parse 'a x + b y - z' into {name: Fraction}."""
-    out: dict[str, Fraction] = {}
+    """Parse 'a x + b y - z' into {name: coefficient}, each an int or a
+    Fraction."""
+    out: dict[str, int | Fraction] = {}
     pos = 0
     expr = expr.strip()
     while pos < len(expr):
@@ -228,10 +229,10 @@ def _parse_expr(expr: str, line_no: int):
         if not m or m.start() != pos:
             raise ParseError(f"line {line_no}: cannot read term at {expr[pos:]!r}")
         sign, num, name = m.groups()
-        coeff = Fraction(num) if num else Fraction(1)
+        coeff = as_rational(num) if num else 1
         if sign == "-":
             coeff = -coeff
-        out[name] = out.get(name, Fraction(0)) + coeff
+        out[name] = out.get(name, 0) + coeff
         pos = m.end()
         while pos < len(expr) and expr[pos] == " ":
             pos += 1
@@ -248,8 +249,8 @@ def parse_lp(text: str) -> BinaryProgram:
     """
     section = None
     minimize = False
-    obj: dict[str, Fraction] | None = None
-    rows: list[tuple[str, dict[str, Fraction], str, Fraction]] = []
+    obj: dict[str, int | Fraction] | None = None
+    rows: list[tuple[str, dict[str, int | Fraction], str, int | Fraction]] = []
     binaries: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("\\")[0].strip()
@@ -286,7 +287,7 @@ def parse_lp(text: str) -> BinaryProgram:
             lhs, sense, rhs_text = body[: m.start()], m.group(1), body[m.end() :].strip()
             if not _NUM.match(rhs_text):
                 raise ParseError(f"line {line_no}: bad right-hand side {rhs_text!r}")
-            rows.append((name, _parse_expr(lhs, line_no), sense, Fraction(rhs_text)))
+            rows.append((name, _parse_expr(lhs, line_no), sense, as_rational(rhs_text)))
         elif section == "bin":
             for tok in line.split():
                 binaries.append(tok)
@@ -303,10 +304,10 @@ def parse_lp(text: str) -> BinaryProgram:
             if name not in known:
                 raise ParseError(f"variable {name} is not declared Binary")
     sign = -1 if minimize else 1
-    c = [sign * obj.get(name, Fraction(0)) for name in order]
+    c = [sign * obj.get(name, 0) for name in order]
     cons = []
     for name, terms, sense, rhs in rows:
-        coeffs = tuple(terms.get(v, Fraction(0)) for v in order)
+        coeffs = tuple(terms.get(v, 0) for v in order)
         cons.append(Constraint(coeffs, sense, rhs, name))
     return BinaryProgram(c, cons, order)
 

@@ -59,7 +59,7 @@ import numpy as np
 from .bpcore import DEFAULT_ENUM_CAP, HOLDS, BinaryProgram, bit_table, feasible_blocks, support_masks
 from .diameter import DiameterProgram, coupling, paired
 from .errors import CapExceededError, InfeasibleModelError
-from .ratlinalg import RatMatrix, _gram, _pivot_columns, as_rational, int_dtype, scaled_int_vector
+from .ratlinalg import RatMatrix, _gram, _pivot_columns, as_rational, as_rationals, int_dtype, scaled_int_vector
 
 DEFAULT_MAX_POINTS = 2_000_000
 
@@ -156,13 +156,17 @@ def _pair_rows(base: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Inequality:
-    a: tuple[Fraction, ...]
-    a0: Fraction
+    """a . v <= a0 or a . v >= a0, its numbers brought to as_rational's
+    normal form on construction: an int for an integer value, a
+    lowest-terms Fraction otherwise."""
+
+    a: tuple[int | Fraction, ...]
+    a0: int | Fraction
     sense: str  # "<=" | ">="
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(as_rational(v) for v in self.a))
+        object.__setattr__(self, "a", as_rationals(self.a))
         object.__setattr__(self, "a0", as_rational(self.a0))
         if self.sense not in ("<=", ">="):
             raise ValueError(f"bad sense {self.sense!r}")
@@ -183,7 +187,7 @@ class EquationSystem:
 
     def __init__(self, matrix, rhs: Sequence):
         self.matrix = matrix if isinstance(matrix, RatMatrix) else RatMatrix(matrix)
-        self.rhs = tuple(as_rational(v) for v in rhs)
+        self.rhs = as_rationals(rhs)
         if len(self.rhs) != self.matrix.nrows:
             raise ValueError("rhs length != row count")
         if self.matrix.rank() != self.matrix.nrows:
@@ -361,9 +365,9 @@ def nonnegativity_facets(names: Sequence[str]) -> list[Inequality]:
     """v_k >= 0 for every coordinate, labelled by its variable name."""
     out = []
     for k, name in enumerate(names):
-        a = [Fraction(0)] * len(names)
-        a[k] = Fraction(1)
-        out.append(Inequality(tuple(a), Fraction(0), ">=", f"{name}_ge_0"))
+        a = [0] * len(names)
+        a[k] = 1
+        out.append(Inequality(tuple(a), 0, ">=", f"{name}_ge_0"))
     return out
 
 

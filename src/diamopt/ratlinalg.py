@@ -20,6 +20,10 @@ every integer and the 2**62 of the int64 rule.  (Any uint8 rows, fewer than
 differences, taken on Python integers.  `int_dtype` is the one int64
 overflow rule, shared with the int64 dot products in bpcore and polytope,
 so no result depends on silent wraparound.
+
+Exact numbers have one normal form, as_rational's: an int for an integer
+value, a lowest-terms Fraction otherwise.  An all-integer row is never
+coerced again, and scaled_int_vector returns it as it is.
 """
 
 from __future__ import annotations
@@ -53,40 +57,63 @@ def as_integer(x) -> int:
     raise ValueError(f"{x!r} is not an integer")
 
 
-def as_rational(x) -> Fraction:
-    """Coerce ints, strings like '3/7' or '0.25', [num, den] pairs of ints
-    and Fractions to Fraction.  A bool, a non-integer inside a pair and a
-    zero denominator are malformed input: ValueError."""
-    if isinstance(x, Fraction):
+def as_rational(x) -> int | Fraction:
+    """An exact number in normal form: an int for an integer value, a
+    lowest-terms Fraction for any other rational.  Accepts ints, numpy
+    integers, strings like '3/7' or '0.25', [num, den] pairs of integers
+    and Fractions.  A bool, a non-integer inside a pair and a zero
+    denominator are malformed input: ValueError; a float is TypeError."""
+    if type(x) is int:  # first: an isinstance test on an int goes through ABCMeta
         return x
-    try:
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, (int, np.integer)):
-            return Fraction(as_integer(x))
-        if isinstance(x, (list, tuple)) and len(x) == 2:
-            return Fraction(as_integer(x[0]), as_integer(x[1]))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {x!r}") from None
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+    if isinstance(x, Fraction):
+        q = x
+    else:
+        try:
+            if isinstance(x, str):
+                q = Fraction(x)
+            elif isinstance(x, (int, np.integer)):
+                return as_integer(x)
+            elif isinstance(x, (list, tuple)) and len(x) == 2:
+                q = Fraction(as_integer(x[0]), as_integer(x[1]))
+            else:
+                raise TypeError(f"cannot interpret {x!r} as a rational")
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    return q.numerator if q.denominator == 1 else q
+
+
+def _all_int(row: tuple) -> bool:
+    """Whether every entry is a Python int (no bool, no numpy integer), an
+    entry as_rational returns as it is."""
+    return set(map(type, row)) <= {int}
+
+
+def as_rationals(values) -> tuple:
+    """as_rational of each value, as a tuple; an all-int row is returned as
+    it is, with no call per entry."""
+    row = tuple(values)
+    return row if _all_int(row) else tuple(map(as_rational, row))
 
 
 def scaled_int_vector(coeffs: Sequence, rhs=None):
     """Clear denominators from a rational row.
 
     Returns (int_coeffs, int_rhs, scale) where scale > 0, so any comparison
-    row . v <= rhs is equivalent to int_coeffs . v <= int_rhs.
+    row . v <= rhs is equivalent to int_coeffs . v <= int_rhs.  A row of
+    ints (and an int or no rhs) comes back as it is, with scale 1; any
+    other row is brought to as_rational's normal form first.
     """
-    cs = list(map(as_rational, coeffs))
-    dens = {c.denominator for c in cs}
+    cs = tuple(coeffs)
+    if _all_int(cs) and (rhs is None or type(rhs) is int):
+        return cs, rhs, 1
+    cs = tuple(map(as_rational, cs))
+    dens = {c.denominator for c in cs}  # an int's denominator is 1
     if rhs is not None:
         rhs = as_rational(rhs)
         dens.add(rhs.denominator)
     scale = math.lcm(*dens)  # 1 for an empty row
-    if scale == 1:
-        ints = tuple(c.numerator for c in cs)
-    else:  # scale is a multiple of every denominator: no Fraction arithmetic
-        ints = tuple(c.numerator * (scale // c.denominator) for c in cs)
+    # scale is a multiple of every denominator: no Fraction arithmetic
+    ints = tuple(c.numerator * (scale // c.denominator) for c in cs)
     if rhs is None:
         return ints, None, scale
     return ints, rhs.numerator * (scale // rhs.denominator), scale
@@ -122,16 +149,16 @@ def _pivot_columns(rows) -> list[int]:
 
 
 class RatMatrix:
-    """Dense matrix of Fractions.
+    """Dense rational matrix.
 
-    Construction normalizes every entry through Fraction, which keeps the
-    lowest-terms / positive-denominator invariants for free.
+    Construction brings every entry to as_rational's normal form: an int
+    for an integer value, a lowest-terms Fraction otherwise.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Sequence]):
-        rs = tuple(tuple(as_rational(x) for x in row) for row in rows)
+        rs = tuple(map(as_rationals, rows))
         if rs:
             w = len(rs[0])
             for r in rs:
@@ -194,7 +221,7 @@ def affine_dimension(points) -> int:
         rows = points.tolist()
         return len(_pivot_columns([a - b for a, b in zip(r, rows[0])] for r in rows[1:]))
 
-    pts = [tuple(as_rational(c) for c in p) for p in points]
+    pts = [as_rationals(p) for p in points]
     if not pts:
         raise ValueError("affine hull of no points is undefined")
     base = pts[0]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 from types import ModuleType
 from typing import Callable
@@ -112,14 +111,14 @@ def _extra_tour4_inequalities():
     """Two mixed rows on tour n=4: x on edges 12, 13, y on 12, 24, and one z."""
 
     def edge_vector(*es):
-        a = [Fraction(0)] * 6
+        a = [0] * 6
         for i, j in es:
             a[tsp.edge_index(i, j, 4)] += 1
         return a
 
     x, y = edge_vector((1, 2), (1, 3)), edge_vector((1, 2), (2, 4))
     return [
-        Inequality(paired(6, x, y, edge_vector((i, j))), Fraction(3), ">=", f"mixed_z_{i}_{j}")
+        Inequality(paired(6, x, y, edge_vector((i, j))), 3, ">=", f"mixed_z_{i}_{j}")
         for i, j in ((2, 3), (1, 4))
     ]
 

@@ -50,7 +50,7 @@ class TspInstance:
         if n < 3:
             raise ValueError("need at least three cities")
         self.n = n
-        table = {e: Fraction(0) for e in edges(n)}
+        table = {e: 0 for e in edges(n)}
         if costs:
             for (i, j), w in dict(costs).items():
                 key = (min(i, j), max(i, j))
@@ -63,7 +63,7 @@ class TspInstance:
     def zero(cls, n: int) -> "TspInstance":
         return cls(n)
 
-    def cost_vector(self) -> tuple[Fraction, ...]:
+    def cost_vector(self) -> tuple[int | Fraction, ...]:
         return tuple(self.costs[e] for e in edges(n=self.n))
 
     def __repr__(self):
@@ -234,11 +234,11 @@ def subtour_facets(n: int, sizes: Sequence[int] | None = None) -> list[Inequalit
     out = []
     for size in sizes:
         for subset in itertools.combinations(range(1, n + 1), size):
-            a = [Fraction(0)] * (n * (n - 1) // 2)
+            a = [0] * (n * (n - 1) // 2)
             for i, j in itertools.combinations(subset, 2):
-                a[edge_index(i, j, n)] = Fraction(1)
+                a[edge_index(i, j, n)] = 1
             name = "sub_" + "_".join(str(v) for v in subset)
-            out.append(Inequality(tuple(a), Fraction(size - 1), "<=", name))
+            out.append(Inequality(tuple(a), size - 1, "<=", name))
     return out
 
 
@@ -251,12 +251,12 @@ def degree_system(n: int):
     rows = []
     rhs = []
     for v in range(1, n + 1):
-        a = [Fraction(0)] * (n * (n - 1) // 2)
+        a = [0] * (n * (n - 1) // 2)
         for u in range(1, n + 1):
             if u != v:
-                a[edge_index(u, v, n)] = Fraction(1)
+                a[edge_index(u, v, n)] = 1
         rows.append(tuple(a))
-        rhs.append(Fraction(2))
+        rhs.append(2)
     return rows, rhs
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diamopt import bpcore, tsp
+from diamopt import bpcore, lop, tsp
 from diamopt.bpcore import (
     POOL_LIMIT,
     BinaryProgram,
@@ -19,6 +19,7 @@ from diamopt.bpcore import (
     solve_enumerate,
 )
 from diamopt.errors import CapExceededError, InfeasibleModelError
+from diamopt.modelio import lp_string
 
 
 def brute_feasible(bp):
@@ -67,6 +68,34 @@ class TestModel:
         bp = BinaryProgram([0, 0], [Constraint([1, 1], "=", 1)])
         assert is_feasible(bp, (1, 0))
         assert not is_feasible(bp, (1, 1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fraction_and_int_rows_are_one_model(self, seed):
+        # integer values given as Fraction(k) are held as the ints k, so the
+        # two spellings of a model scale, solve and print alike
+        rng = random.Random(300 + seed)
+        for _ in range(25):
+            ints = random_binary_program(rng, max_n=10, max_rows=5)
+            fracs = BinaryProgram(
+                [Fraction(v) for v in ints.c],
+                [Constraint(tuple(map(Fraction, r.coeffs)), r.sense, Fraction(r.rhs), r.name) for r in ints.constraints],
+            )
+            assert {type(v) for r in fracs.constraints for v in (*r.coeffs, r.rhs)} | set(map(type, fracs.c)) == {int}
+            assert fracs.scaled() == ints.scaled()
+            for slack in (-1, 3):
+                assert solve_bnb(fracs, slack) == solve_bnb(ints, slack)
+            assert lp_string(fracs)[0].encode() == lp_string(ints)[0].encode()
+
+    def test_int_rows_make_no_fraction(self, monkeypatch):
+        # the ordering and tour builders write int rows, and scaling them
+        # creates no Fraction
+        def refuse(cls, *args, **kw):
+            raise AssertionError(f"Fraction{args} made")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        for bp in (lop.build(lop.LopInstance(5, {(1, 2): 3, (4, 1): -2})), tsp.build(tsp.TspInstance(6, {(1, 2): 5}))):
+            c_int, rows, _ = bp.scaled()
+            assert c_int is bp.c and all(a is con.coeffs for (a, _, _), con in zip(rows, bp.constraints))
 
 
 class TestEnumerate:

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -200,6 +204,36 @@ class TestPointsAndDim:
         header = f"# {problem} n={n} ambient={ps.dim_ambient} count={ps.count}"
         rows = ["".join(str(int(v)) for v in row) for row in ps.array]
         assert out.splitlines() == [header] + rows
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_points_listing_bytes(self, fmt, tmp_path, capsys):
+        # the listing is written in pieces; its bytes are those of the one
+        # string per point report, on 35,712 points (three pieces)
+        ps = suites._paired_points(suites.FAMILIES["tsp"], 5)
+        rows = ["".join(map(str, row)) for row in ps.array.tolist()]
+        meta = {"problem": "tsp", "n": 5, "ambient": 30, "count": ps.count}
+        if fmt == "json":
+            want = json.dumps(dict(meta, points=rows), sort_keys=True, separators=(",", ":")) + "\n"
+        else:
+            want = "\n".join(["# tsp n=5 ambient=30 count=35712", *rows]) + "\n"
+        path = tmp_path / "points.out"
+        code, out, _ = run(capsys, "points", "--problem", "tsp", "--n", "5", "--format", fmt)
+        assert code == 0 and out == want
+        assert main(["points", "--problem", "tsp", "--n", "5", "--format", fmt, "--out", str(path)]) == 0
+        assert path.read_bytes() == want.encode()
+
+    def test_points_listing_to_a_closed_pipe(self):
+        # the reader takes 100 bytes of a 1.1 MB listing and closes the pipe:
+        # no error message and exit 0, not an input error
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "diamopt.cli", "points", "--problem", "tsp", "--n", "5"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0 and err == b""
+        assert head.startswith(b"# tsp n=5 ambient=30 count=35712\n")
 
     def test_max_points_exit(self, capsys):
         code, _, err = run(

@@ -326,29 +326,34 @@ def paired_nodes(dp):
     return paired_search(dp, base.best.objective_value).nodes_explored, base.nodes_explored
 
 
-def pool_nodes(monkeypatch, dp):
-    """Solve dp and return the nodes of its one pool search."""
-    solve, nodes = diameter.solve_bnb, []
+def pool_search(monkeypatch, dp):
+    """Solve dp and return the report of its one pool search."""
+    solve, reports = diameter.solve_bnb, []
 
-    def counted(model, **kw):
-        rep = solve(model, **kw)
-        nodes.append(rep.nodes_explored)
-        return rep
+    def recorded(model, **kw):
+        reports.append(solve(model, **kw))
+        return reports[-1]
 
-    monkeypatch.setattr(diameter, "solve_bnb", counted)
+    monkeypatch.setattr(diameter, "solve_bnb", recorded)
     solve_diameter(dp)
-    assert len(nodes) == 1
-    return nodes[0]
+    assert len(reports) == 1
+    return reports[0]
 
 
-def ordering6_seed1():
-    rng = random.Random(1)
+def pool_nodes(monkeypatch, dp):
+    return pool_search(monkeypatch, dp).nodes_explored
+
+
+def ordering6(seed):
+    """Ordering n=6 with weights in [-4, 4] drawn from random.Random(seed)."""
+    rng = random.Random(seed)
     weights = {p: rng.randint(-4, 4) for p in lop.ordered_pairs(6)}
     return build(lop.build(lop.LopInstance(6, weights)))
 
 
-def tour7_seed1():
-    rng = random.Random(1)
+def tour7(seed):
+    """Tour n=7 with costs in [1, 6] drawn from random.Random(seed)."""
+    rng = random.Random(seed)
     costs = {e: rng.randint(1, 6) for e in tsp.edges(7)}
     return build(tsp.build(tsp.TspInstance(7, costs)))
 
@@ -367,26 +372,26 @@ class TestNodeCounts:
         # ordering n=6, seed 1, weights in [-4, 4]: 2,306 paired and 937
         # base nodes; without the cuts 17,362 paired nodes, and 140,864
         # without the forced columns as well
-        paired, base = paired_nodes(ordering6_seed1())
+        paired, base = paired_nodes(ordering6(1))
         assert paired + base < 10_000
 
     def test_pool_search_on_a_weighted_ordering(self, monkeypatch):
         # the same ordering takes 1,068 pool nodes, and no paired search
-        assert pool_nodes(monkeypatch, ordering6_seed1()) < 10_000
+        assert pool_nodes(monkeypatch, ordering6(1)) < 10_000
 
     def test_cardinality_rows_on_a_weighted_ordering_and_tour(self, monkeypatch):
         # the pick-one and degree rows bound the pool search: 1,068 nodes
         # for the ordering and 449 for tour n=7, seed 1, costs in [1, 6];
         # 990 and 1,483 without them (on the ordering the forced columns
         # alone, charged on every column once no row covers it, do better)
-        assert pool_nodes(monkeypatch, ordering6_seed1()) < 5_000
-        assert pool_nodes(monkeypatch, tour7_seed1()) < 600
+        assert pool_nodes(monkeypatch, ordering6(1)) < 5_000
+        assert pool_nodes(monkeypatch, tour7(1)) < 600
 
     def test_lp_round_trip_keeps_the_cardinality_rows(self, monkeypatch):
         # lp_string writes the pick-one rows as = rows, so the bound still
         # reads them after parse_lp: 1,068 pool nodes either way (990 when
         # they came back as <= pairs)
-        dp = ordering6_seed1()
+        dp = ordering6(1)
         back = build(parse_lp(lp_string(dp.base)[0]))
         assert back.base.constraints == dp.base.constraints
         assert pool_nodes(monkeypatch, back) == pool_nodes(monkeypatch, dp) == 1068
@@ -397,8 +402,29 @@ class TestNodeCounts:
         # weighted ordering and 10,649 on the zero-cost ordering n=6 (every
         # ordering optimal); 4,450 and 45,987 with only negative-cost
         # columns forced to 1
-        assert pool_nodes(monkeypatch, ordering6_seed1()) < 1_500
+        assert pool_nodes(monkeypatch, ordering6(1)) < 1_500
         assert pool_nodes(monkeypatch, build(lop.build(lop.LopInstance.zero(6)))) < 15_000
+
+    @pytest.mark.parametrize(
+        "family, seed, nodes, pool",
+        [
+            (ordering6, 1, 1068, ["623541"]),
+            (ordering6, 5, 456, ["251346"]),
+            (ordering6, 9, 425, ["243651", "342651"]),
+            (tour7, 1, 449, ["1275436", "1274536", "1527436"]),
+            (tour7, 2, 126, ["1276453", "1354276"]),
+            (tour7, 3, 203, ["1267345", "1264375"]),
+        ],
+        ids=["ordering6-1", "ordering6-5", "ordering6-9", "tour7-1", "tour7-2", "tour7-3"],
+    )
+    def test_benchmark_pool_searches_exactly(self, monkeypatch, family, seed, nodes, pool):
+        # the six searches of the diverse-pairs benchmark at solve_diameter's
+        # slack, pinned: a change that keeps every answer but visits other
+        # nodes shows here (pools as rankings, ranks of items 1..6, or tours)
+        rep = pool_search(monkeypatch, family(seed))
+        incidence = lop.perm_to_incidence if family is ordering6 else tsp.tour_to_incidence
+        assert rep.nodes_explored == nodes
+        assert rep.pool == tuple(incidence(tuple(map(int, p))) for p in pool)
 
 
 class TestTwoPhases:

@@ -57,6 +57,18 @@ class TestAsRational:
         with pytest.raises(ValueError, match="is not an integer"):
             as_rational(x)
 
+    def test_normal_form(self):
+        # an integer value is an int however it comes in; any other
+        # rational stays a Fraction
+        for v in (3, np.int64(3), "4/2", Fraction(4, 2), [6, 3], Fraction(-8, 4)):
+            assert type(as_rational(v)) is int
+        assert as_rational("4/2") == as_rational(Fraction(4, 2)) == 2
+        assert type(as_rational("1/2")) is Fraction and as_rational("1/2") == Fraction(1, 2)
+        assert type(as_rational([2, 4])) is Fraction
+        for bad in (True, np.bool_(True), [True, 1], "1/0", [1, 0]):
+            with pytest.raises((ValueError, TypeError)):
+                as_rational(bad)
+
     def test_integer_pairs(self):
         assert as_rational((np.int64(-6), np.uint8(4))) == Fraction(-3, 2)
         assert as_integer(np.int8(-3)) == -3 and type(as_integer(np.int8(-3))) is int
@@ -74,6 +86,25 @@ class TestScaledIntVector:
         # rows are normalized by their content
         assert [Fraction(v, scale) for v in ints] == [Fraction(2), Fraction(-4)]
         assert Fraction(rhs, scale) == Fraction(6)
+
+    def test_int_row_is_returned_as_is(self, monkeypatch):
+        row = (2, -4, 0)
+
+        def refuse(x):
+            raise AssertionError(f"{x!r} coerced again")
+
+        monkeypatch.setattr(ratlinalg, "as_rational", refuse)
+        ints, rhs, scale = scaled_int_vector(row, 6)
+        assert ints is row and rhs == 6 and scale == 1
+        assert scaled_int_vector(row) == (row, None, 1)
+
+    def test_mixed_rows_are_normalized(self):
+        # a Fraction of denominator 1 counts as its integer; a bool or a
+        # numpy integer is not taken for an int
+        assert scaled_int_vector([Fraction(4, 2), 1], Fraction(6, 3)) == ((2, 1), 2, 1)
+        assert scaled_int_vector([np.int64(3), Fraction(1, 2)]) == ((6, 1), None, 2)
+        with pytest.raises(ValueError):
+            scaled_int_vector([True, 1])
 
 
 def vandermonde(nodes, ncols):
