@@ -10,12 +10,11 @@ structure than two products glued together.
 from fractions import Fraction
 
 from diamopt import lop, tsp
-from diamopt.diameter import build as build_diameter, paired
+from diamopt.diameter import paired
 from diamopt.polytope import Inequality, check_inequality, enumerate_points, facet_families
 
-dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
 base = [lop.perm_to_incidence(p) for p in lop.all_permutations(3)]
-ps3 = enumerate_points(dp, base_points=base)
+ps3 = enumerate_points(lop.build(lop.LopInstance.zero(3)), base_points=base)
 
 fams = facet_families(6, lop.base_facets(3))
 certified = sum(check_inequality(ps3, q).is_facet for q in fams)
@@ -34,9 +33,8 @@ print(
 # other fixing 12, 24, coupled through a z variable
 print()
 print("tour n=4 mixed inequalities")
-dp4 = build_diameter(tsp.build(tsp.TspInstance.zero(4)), None, "conjugate")
 tours = [tsp.tour_to_incidence(t) for t in tsp.all_tours(4)]
-ps4 = enumerate_points(dp4, base_points=tours)
+ps4 = enumerate_points(tsp.build(tsp.TspInstance.zero(4)), base_points=tours)
 
 
 def edge_vector(*es):

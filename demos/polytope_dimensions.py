@@ -8,7 +8,6 @@ tours).
 """
 
 from diamopt import lop, tsp
-from diamopt.diameter import build as build_diameter
 from diamopt.polytope import (
     EquationSystem,
     enumerate_points,
@@ -18,9 +17,8 @@ from diamopt.polytope import (
 
 print("ordering polytopes")
 for n in (2, 3):
-    dp = build_diameter(lop.build(lop.LopInstance.zero(n)), None, "conjugate")
     base = [lop.perm_to_incidence(p) for p in lop.all_permutations(n)]
-    ps = enumerate_points(dp, base_points=base)
+    ps = enumerate_points(lop.build(lop.LopInstance.zero(n)), base_points=base)
     system = lift_equation_system(EquationSystem(*lop.pick_one_system(n)))
     minimal = verify_minimal_system(ps, system)
     print(
@@ -31,9 +29,8 @@ for n in (2, 3):
 
 print("tour polytopes")
 for n in (4, 5):
-    dp = build_diameter(tsp.build(tsp.TspInstance.zero(n)), None, "conjugate")
     base = [tsp.tour_to_incidence(t) for t in tsp.all_tours(n)]
-    ps = enumerate_points(dp, base_points=base)
+    ps = enumerate_points(tsp.build(tsp.TspInstance.zero(n)), base_points=base)
     system = lift_equation_system(EquationSystem(*tsp.degree_system(n)))
     minimal = verify_minimal_system(ps, system)
     print(

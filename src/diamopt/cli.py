@@ -111,9 +111,8 @@ def _paired_points(args):
     directly, which is what makes the larger point sets reachable at all;
     a raw model's base feasible set is scanned."""
     meta, bp, family = _instance_setup(args)
-    dp = build_diameter(bp, None, "conjugate")
     base = family.module.base_points(meta["n"]) if family else None
-    ps = enumerate_points(dp, base_points=base, cap=args.cap, max_points=args.max_points)
+    ps = enumerate_points(bp, base_points=base, cap=args.cap, max_points=args.max_points)
     return meta, ps
 
 

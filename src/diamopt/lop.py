@@ -91,15 +91,11 @@ def perm_to_incidence(sigma: Sequence[int]) -> tuple[int, ...]:
     return tuple(1 if s[i - 1] < s[j - 1] else 0 for i, j in ordered_pairs(n))
 
 
-def incidence_to_perm(x: Sequence[int], n_items: int | None = None) -> tuple[int, ...]:
-    """Invert perm_to_incidence; rejects vectors that are not orderings."""
+def incidence_to_perm(x: Sequence[int], n: int) -> tuple[int, ...]:
+    """Invert perm_to_incidence for n items; rejects vectors that are not orderings."""
     x = tuple(int(v) for v in x)
-    if n_items is None:
-        # n(n-1) coordinates
-        n_items = round((1 + (1 + 4 * len(x)) ** 0.5) / 2)
-    if len(x) != n_items * (n_items - 1):
+    if len(x) != n * (n - 1):
         raise ValueError(f"{len(x)} coordinates do not form an ordered-pair vector")
-    n = n_items
     sigma = []
     for i in range(1, n + 1):
         before = sum(x[pair_index(j, i, n)] for j in range(1, n + 1) if j != i)

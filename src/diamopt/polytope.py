@@ -11,8 +11,10 @@ is one below the hull's.
 A paired point set is held as its base points and nothing else: B, the m
 sorted, distinct base feasible points u_a.  Pair (a, b) is the cube
 x = u_a, y = u_b, z = 1 on the shared support u_a AND u_b and free on the
-other loose[a, b] = n - u_a . u_b z columns.  The pairs ascend in the
-order a m + b, and the points are generated only when read: the listing.
+other loose[a, b] = n - u_a . u_b z columns.  The points are generated
+only when read, the listing: the pairs ascend in the order a m + b and
+each pair's free z columns run through bpcore.bit_table, so the listing
+is distinct and in lexicographic order by construction.
 
 max_points bounds only the arrays a point set builds, each refused by the
 code that builds it: the m x m pair grid (enumerate_points), the m^2 2^|Z|
@@ -57,31 +59,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bpcore import DEFAULT_ENUM_CAP, HOLDS, BinaryProgram, bit_table, feasible_blocks, support_masks
-from .diameter import DiameterProgram, coupling, paired
+from .diameter import coupling, paired
 from .errors import CapExceededError, InfeasibleModelError
 from .ratlinalg import RatMatrix, _gram, _pivot_columns, as_rational, as_rationals, int_dtype, scaled_int_vector
 
 DEFAULT_MAX_POINTS = 2_000_000
 
-# rows compared at a time by _strictly_increasing, and grid cells at a time
-# by check_inequality, so their scratch arrays have a fixed size
+# grid cells at a time in check_inequality's pattern blocks, so its scratch
+# arrays have a fixed size
 _ORDER_CHUNK = 1 << 16
-
-
-def _strictly_increasing(arr: np.ndarray) -> bool:
-    """Whether the rows of a 0/1 array are distinct and in increasing
-    lexicographic order: at the first column where two consecutive rows
-    differ, the earlier row has 0 and the later one 1.  O(rows * columns)."""
-    if arr.shape[1] == 0:
-        return arr.shape[0] < 2
-    for lo in range(0, arr.shape[0] - 1, _ORDER_CHUNK):
-        hi = min(lo + _ORDER_CHUNK, arr.shape[0] - 1)
-        prev, nxt = arr[lo:hi], arr[lo + 1 : hi + 1]
-        # argmax is 0 for equal rows, where nxt > prev fails as it should
-        first = (prev != nxt).argmax(axis=1)[:, None]
-        if not (np.take_along_axis(nxt, first, 1) > np.take_along_axis(prev, first, 1)).all():
-            return False
-    return True
 
 
 class PointSet:
@@ -89,7 +75,7 @@ class PointSet:
     B, an m x n uint8 array of sorted, distinct rows as enumerate_points
     builds it (module docstring); max_points, the limit it was built
     under, bounds each face's grid cells and the point array, which is
-    generated only on its first read."""
+    generated in lexicographic order on its first read."""
 
     def __init__(self, base: np.ndarray, max_points: int):
         n = base.shape[1]
@@ -106,10 +92,7 @@ class PointSet:
         if self._array is None:
             if self.count > self.max_points:
                 raise CapExceededError(f"point listing of {self.count} points exceeds max_points={self.max_points}")
-            arr = _pair_rows(self.base)
-            if not _strictly_increasing(arr):
-                raise RuntimeError("paired points generated out of lexicographic order")
-            self._array = arr
+            self._array = _pair_rows(self.base)
         return self._array
 
     def __repr__(self):
@@ -185,8 +168,8 @@ class FacetReport:
 class EquationSystem:
     """Independent equation rows M v = d satisfied by a polytope."""
 
-    def __init__(self, matrix, rhs: Sequence):
-        self.matrix = matrix if isinstance(matrix, RatMatrix) else RatMatrix(matrix)
+    def __init__(self, rows: Sequence[Sequence], rhs: Sequence):
+        self.matrix = RatMatrix(rows)
         self.rhs = as_rationals(rhs)
         if len(self.rhs) != self.matrix.nrows:
             raise ValueError("rhs length != row count")
@@ -198,26 +181,25 @@ class EquationSystem:
 
 
 def enumerate_points(
-    dp: DiameterProgram,
+    bp: BinaryProgram,
     base_points: Iterable[Sequence[int]] | None = None,
     cap: int = DEFAULT_ENUM_CAP,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> PointSet:
-    """All 0/1 feasible triples (x, y, z) of a conjugate diameter program:
-    every ordered pair (x, y) of base feasible points, z forced to 1 on the
-    shared support and free elsewhere.  base_points lists the base set when
-    the front end can (ordering and tour do); otherwise it is read from
-    bpcore.feasible_blocks(dp.base, cap), a 2^n scan under the cap.
+    """All 0/1 feasible triples (x, y, z) of the conjugate diameter program
+    of the base model bp: every ordered pair (x, y) of base feasible points,
+    z forced to 1 on the shared support and free elsewhere.  base_points
+    lists the base set when the front end can (ordering and tour do);
+    otherwise it is read from bpcore.feasible_blocks(bp, cap), a 2^n scan
+    under the cap.
 
     The set is held as its sorted, deduplicated base points (PointSet),
     with the count N, the sum of 2^loose over the m^2 pairs, exact on
     Python integers.  max_points bounds the m x m pair grid here, not N.
     """
-    if dp.include_lower_coupling:
-        raise ValueError("point enumeration is defined for the conjugate variant")
-    n = dp.base.n
+    n = bp.n
     if base_points is None:
-        base_points = (row for block in feasible_blocks(dp.base, cap) for row in block.tolist())
+        base_points = (row for block in feasible_blocks(bp, cap) for row in block.tolist())
     # m distinct base points make an m x m grid, so reading until
     # isqrt(max_points) + 1 of them are distinct is enough to refuse
     limit = math.isqrt(max(max_points, 0)) + 1

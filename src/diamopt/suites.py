@@ -77,8 +77,7 @@ TSP_EXPECTED = {4: {"dim": 10, "points": 108}, 5: {"dim": 20, "points": 35712}}
 
 def _paired_points(family: Family, n: int):
     """Paired-copy point set of the family's size-n model."""
-    dp = build_diameter(family.module.build(family.zero(n)), None, "conjugate")
-    return enumerate_points(dp, base_points=family.module.base_points(n))
+    return enumerate_points(family.module.build(family.zero(n)), base_points=family.module.base_points(n))
 
 
 def _lop_points(n: int):

@@ -117,11 +117,9 @@ def tour_to_incidence(t: Sequence[int]) -> tuple[int, ...]:
     return tuple(1 if e in es else 0 for e in edges(n))
 
 
-def incidence_to_tour(x: Sequence[int], n: int | None = None) -> tuple[int, ...]:
+def incidence_to_tour(x: Sequence[int], n: int) -> tuple[int, ...]:
     """Invert tour_to_incidence; rejects anything but a single n-cycle."""
     x = tuple(int(v) for v in x)
-    if n is None:
-        n = round((1 + (1 + 8 * len(x)) ** 0.5) / 2)
     if len(x) != n * (n - 1) // 2:
         raise ValueError(f"{len(x)} coordinates do not form an edge vector")
     adj = {v: [] for v in range(1, n + 1)}

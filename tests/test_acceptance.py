@@ -44,15 +44,13 @@ def _ok(msg):
 
 
 def lop_points(n):
-    dp = build_diameter(lop.build(lop.LopInstance.zero(n)), None, "conjugate")
     base = [lop.perm_to_incidence(p) for p in lop.all_permutations(n)]
-    return enumerate_points(dp, base_points=base)
+    return enumerate_points(lop.build(lop.LopInstance.zero(n)), base_points=base)
 
 
 def tsp_points(n):
-    dp = build_diameter(tsp.build(tsp.TspInstance.zero(n)), None, "conjugate")
     base = [tsp.tour_to_incidence(t) for t in tsp.all_tours(n)]
-    return enumerate_points(dp, base_points=base)
+    return enumerate_points(tsp.build(tsp.TspInstance.zero(n)), base_points=base)
 
 
 def test_c01_ordering_hull_dimensions():

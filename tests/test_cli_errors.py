@@ -48,6 +48,75 @@ def test_zero_denominator_is_input_error(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _lp(objective="obj: 3 x + 2 y", rows=" c1: x + y <= 1", binary="Binary\n x y\n"):
+    return f"Maximize\n {objective}\nSubject To\n{rows}\n{binary}End\n"
+
+
+def _tsplib(header="EDGE_WEIGHT_TYPE: EXPLICIT", dimension="DIMENSION: 3", weights="0 1 1\n1 0 1\n1 1 0"):
+    return f"{dimension}\n{header}\nEDGE_WEIGHT_SECTION\n{weights}\nEOF\n"
+
+
+# every refusal of a malformed file or option, each with the words of its
+# own message: file name and content (None: no file), argv with {f}
+# standing for the file, and a piece of the message
+REFUSALS = {
+    "lp-unreadable-term": ("m.lp", _lp(objective="obj: 3 x + * y"), "solve {f}", "line 2: cannot read term at '+ * y'"),
+    "lp-empty-expression": ("m.lp", _lp(objective="obj:"), "solve {f}", "line 2: empty expression"),
+    "lp-objective-on-two-lines": ("m.lp", _lp(objective="obj: 3 x\n + 2 y"), "solve {f}", "objective must be a single"),
+    "lp-row-without-relation": ("m.lp", _lp(rows=" c1: x + y"), "solve {f}", "line 4: constraint without relation"),
+    "lp-bad-right-hand-side": ("m.lp", _lp(rows=" c1: x + y <= one"), "solve {f}", "bad right-hand side 'one'"),
+    "lp-no-objective": ("m.lp", "Subject To\n c1: x <= 1\nBinary\n x\nEnd\n", "solve {f}", "no objective section"),
+    "lp-no-binary-section": ("m.lp", _lp(binary=""), "solve {f}", "no Binary section"),
+    "tsplib-weight-type": (
+        "w.tsp", _tsplib(header="EDGE_WEIGHT_TYPE: EUC_2D"), "diameter --problem tsp --instance {f}",
+        "EDGE_WEIGHT_TYPE EUC_2D unsupported",
+    ),
+    "tsplib-weight-format": (
+        "w.tsp", _tsplib(header="EDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: UPPER_ROW"),
+        "diameter --problem tsp --instance {f}", "EDGE_WEIGHT_FORMAT UPPER_ROW unsupported",
+    ),
+    "tsplib-no-dimension": (
+        "w.tsp", _tsplib(dimension="NAME: three"), "diameter --problem tsp --instance {f}", "missing or bad DIMENSION",
+    ),
+    "tsplib-non-integer-dimension": (
+        "w.tsp", _tsplib(dimension="DIMENSION: 3.5"), "diameter --problem tsp --instance {f}",
+        "missing or bad DIMENSION",
+    ),
+    "tsplib-entry-count": (
+        "w.tsp", _tsplib(weights="0 1 1\n1 0 1\n1 1"), "diameter --problem tsp --instance {f}",
+        "expected 9 weight entries, found 8",
+    ),
+    "matrix-text-empty": ("w.txt", "# no matrix\n\n", "diameter --problem lop --instance {f}", "empty matrix text"),
+    "matrix-text-non-integer-size": (
+        "w.txt", "2.5\n0 1\n1 0\n", "diameter --problem lop --instance {f}", "first token must be the size",
+    ),
+    "instance-json-entry-length": (
+        "w.json", json.dumps({"n": 3, "weights": [[1, 2]]}), "diameter --problem lop --instance {f}",
+        "weight entry [1, 2] should be [i, j, num, den]",
+    ),
+    "instance-json-duplicate-entry": (
+        "w.json", json.dumps({"n": 3, "costs": [[1, 2, 1], [2, 1, 1]]}), "diameter --problem tsp --instance {f}",
+        "duplicate cost for (1, 2)",
+    ),
+    "instance-json-malformed": ("w.json", '{"n": 3,', "diameter --problem lop --instance {f}", "Expecting"),
+    "model-json-malformed": ("m.json", '{"objective": [1, 2]', "solve {f}", "Expecting"),
+    "raw-without-instance": (None, None, "diameter --problem raw", "--problem raw requires --instance MODEL"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refused_input_is_input_error(case, tmp_path, capsys):
+    name, content, argv, message = REFUSALS[case]
+    path = tmp_path / (name or "unused")
+    if content is not None:
+        path.write_text(content)
+    code = main(argv.format(f=path).split())
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "input error" in err and message in err
+    assert "Traceback" not in err and out == ""
+
+
 def _model(objective):
     return json.dumps({"objective": objective, "constraints": []})
 

@@ -8,7 +8,6 @@ from diamopt import lop
 from diamopt.bpcore import enumerate_feasible
 from diamopt.errors import ParseError
 from diamopt.polytope import check_inequality, enumerate_points
-from diamopt.diameter import build as build_diameter
 from diamopt.ratlinalg import RatMatrix
 
 
@@ -162,9 +161,8 @@ class TestFacetsAndLifting:
 
     def test_lifted_dicycle_is_still_facet(self):
         inst = lop.LopInstance.zero(3)
-        dp = build_diameter(lop.build(inst), None, "conjugate")
         base = [lop.perm_to_incidence(p) for p in lop.all_permutations(3)]
-        ps = enumerate_points(dp, base_points=base)
+        ps = enumerate_points(lop.build(inst), base_points=base)
         from diamopt.polytope import facet_families
 
         q = facet_families(2, lop.base_facets(2))[0]

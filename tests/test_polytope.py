@@ -31,8 +31,7 @@ from diamopt.ratlinalg import (
 
 def paired_points_free(n):
     """Paired point set of the model with no rows at all."""
-    dp = build_diameter(BinaryProgram([0] * n, []), None, "conjugate")
-    return enumerate_points(dp)
+    return enumerate_points(BinaryProgram([0] * n, []))
 
 
 def point_values(points, q):
@@ -55,9 +54,11 @@ def brute_force_report(ps, q, pdim=None):
     return polytope.FacetReport(q.label, valid, int(tight.sum()), face, pdim, valid and face == pdim - 1)
 
 
-def paired_scan(dp):
-    """The paired program's feasible set by the 2^(3n) scan of dp.derived,
-    the reference that enumerate_points is checked against."""
+def paired_scan(bp):
+    """The feasible set of bp's conjugate diameter program by the 2^(3n)
+    scan of its rows, the reference that enumerate_points is checked
+    against."""
+    dp = build_diameter(bp, None, "conjugate")
     return np.concatenate([np.empty((0, dp.derived.n), dtype=np.uint8), *bpcore.feasible_blocks(dp.derived)])
 
 
@@ -145,26 +146,26 @@ class TestEnumeratePoints:
     # listed base points, scanned base points and the paired scan agree
     def test_structured_equals_raw_ordering_n2(self):
         inst = lop.LopInstance.zero(2)
-        dp = build_diameter(lop.build(inst), None, "conjugate")
+        bp = lop.build(inst)
         base = [lop.perm_to_incidence(p) for p in lop.all_permutations(2)]
-        structured = enumerate_points(dp, base_points=base)
-        assert structured.array.tolist() == enumerate_points(dp).array.tolist() == paired_scan(dp).tolist()
+        structured = enumerate_points(bp, base_points=base)
+        assert structured.array.tolist() == enumerate_points(bp).array.tolist() == paired_scan(bp).tolist()
         assert structured.count == 12
 
     def test_structured_equals_raw_ordering_n3(self):
         inst = lop.LopInstance.zero(3)
-        dp = build_diameter(lop.build(inst), None, "conjugate")
+        bp = lop.build(inst)
         base = [lop.perm_to_incidence(p) for p in lop.all_permutations(3)]
-        structured = enumerate_points(dp, base_points=base)
-        assert structured.array.tolist() == enumerate_points(dp).array.tolist() == paired_scan(dp).tolist()
+        structured = enumerate_points(bp, base_points=base)
+        assert structured.array.tolist() == enumerate_points(bp).array.tolist() == paired_scan(bp).tolist()
         assert structured.count == 1008
 
     def test_structured_equals_raw_tour_n4(self):
         inst = tsp.TspInstance.zero(4)
-        dp = build_diameter(tsp.build(inst), None, "conjugate")
+        bp = tsp.build(inst)
         base = [tsp.tour_to_incidence(t) for t in tsp.all_tours(4)]
-        structured = enumerate_points(dp, base_points=base)
-        assert structured.array.tolist() == enumerate_points(dp).array.tolist() == paired_scan(dp).tolist()
+        structured = enumerate_points(bp, base_points=base)
+        assert structured.array.tolist() == enumerate_points(bp).array.tolist() == paired_scan(bp).tolist()
         assert structured.count == 108
 
     @pytest.mark.parametrize("seed", range(4))
@@ -172,23 +173,20 @@ class TestEnumeratePoints:
         rng = random.Random(seed)
         for _ in range(10):
             bp = bpcore.random_binary_program(rng, max_n=6, max_rows=3)
-            dp = build_diameter(bp, None, "conjugate")
-            assert enumerate_points(dp).array.tolist() == paired_scan(dp).tolist()
+            assert enumerate_points(bp).array.tolist() == paired_scan(bp).tolist()
 
     def test_base_scan_reaches_past_the_paired_scan(self):
         # n = 9 fits the cap of 26, 3n = 27 does not: x1..x7 are pinned to 1,
         # and each of x8, x9 adds the 7 points of the one-variable case
         bp = BinaryProgram([0] * 9, [Constraint([1] * 7 + [0, 0], ">=", 7)])
-        dp = build_diameter(bp, None, "conjugate")
-        ps = enumerate_points(dp)
+        ps = enumerate_points(bp)
         assert ps.count == 49 and ps.hull_dimension() == 6
         with pytest.raises(CapExceededError, match=r"2\^9 scan refused \(cap 8\)"):
-            enumerate_points(dp, cap=8)
+            enumerate_points(bp, cap=8)
 
     def test_huge_max_points(self):
         # past sys.maxsize: the base point read limit is a Python integer
-        dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
-        ps = enumerate_points(dp, max_points=1 << 200)
+        ps = enumerate_points(lop.build(lop.LopInstance.zero(3)), max_points=1 << 200)
         assert ps.count == 1008 and ps.hull_dimension() == 12
 
     def test_max_points_cap(self):
@@ -197,8 +195,7 @@ class TestEnumeratePoints:
 
 
 def paired_points_free_capped():
-    dp = build_diameter(BinaryProgram([0] * 4, []), None, "conjugate")
-    return enumerate_points(dp, max_points=10)
+    return enumerate_points(BinaryProgram([0] * 4, []), max_points=10)
 
 
 def family_points(family, n):
@@ -209,15 +206,13 @@ def family_points(family, n):
 
 def ordering3(max_points=polytope.DEFAULT_MAX_POINTS):
     """Ordering n=3's paired set: 6 base points, 36 pairs, 1,008 points."""
-    dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
-    return enumerate_points(dp, base_points=lop.base_points(3), max_points=max_points)
+    return enumerate_points(lop.build(lop.LopInstance.zero(3)), base_points=lop.base_points(3), max_points=max_points)
 
 
 def pairs_of(base):
     """The paired set of the model with no rows over the listed base points,
     with no point cap."""
-    dp = build_diameter(BinaryProgram([0] * np.shape(base)[1], []), None, "conjugate")
-    return enumerate_points(dp, base_points=base, max_points=1 << 200)
+    return enumerate_points(BinaryProgram([0] * np.shape(base)[1], []), base_points=base, max_points=1 << 200)
 
 
 def array_pivots(ps):
@@ -253,26 +248,25 @@ class TestPairMoments:
         rng = random.Random(seed)
         for _ in range(10):
             bp = bpcore.random_binary_program(rng, max_n=6, max_rows=3)
-            ps = enumerate_points(build_diameter(bp, None, "conjugate"))
+            ps = enumerate_points(bp)
             if ps.count:
                 self.assert_moments_match(ps)
 
     @pytest.mark.parametrize("point", [(0, 0, 0), (1, 0, 1), (1, 1, 1)])
     def test_single_base_point(self, point):
         # (1, 1, 1) paired with itself has no free z column: k = 0, one point
-        dp = build_diameter(BinaryProgram([0, 0, 0], []), None, "conjugate")
-        ps = enumerate_points(dp, base_points=[point])
+        ps = enumerate_points(BinaryProgram([0, 0, 0], []), base_points=[point])
         assert ps.count == 2 ** point.count(0)
         self.assert_moments_match(ps)
         assert ps.hull_dimension() == point.count(0)
 
     def test_all_ones_among_others(self):
-        dp = build_diameter(BinaryProgram([0, 0, 0], []), None, "conjugate")
-        self.assert_moments_match(enumerate_points(dp, base_points=[(1, 1, 1), (0, 1, 1), (1, 0, 0)]))
+        bp = BinaryProgram([0, 0, 0], [])
+        self.assert_moments_match(enumerate_points(bp, base_points=[(1, 1, 1), (0, 1, 1), (1, 0, 0)]))
 
     def test_infeasible_model(self):
         bp = BinaryProgram([1, 1], [Constraint([1, 1], ">=", 3)])
-        ps = enumerate_points(build_diameter(bp, None, "conjugate"))
+        ps = enumerate_points(bp)
         assert ps.count == 0 and ps.array.shape == (0, 6)
         with pytest.raises(InfeasibleModelError):
             ps.hull_dimension()
@@ -688,7 +682,7 @@ class TestSubCubeOracle:
         seen = set()
         for _ in range(10):
             bp = bpcore.random_binary_program(rng, max_n=6, max_rows=3)
-            ps = enumerate_points(build_diameter(bp, None, "conjugate"))
+            ps = enumerate_points(bp)
             if ps.count and bp.n > 1:
                 rows = facet_families(bp.n, []) + random_rows(rng, ps, 6)
                 seen |= kinds(self.agree(ps, rows), ps.count)
@@ -757,15 +751,15 @@ class TestCapBoundsBuiltArrays:
 
     def test_only_distinct_base_points_count(self):
         # ordering n=3's 6 points listed twice still make a 6 x 6 grid
-        dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
-        twice = enumerate_points(dp, base_points=list(lop.base_points(3)) * 2, max_points=36)
+        bp = lop.build(lop.LopInstance.zero(3))
+        twice = enumerate_points(bp, base_points=list(lop.base_points(3)) * 2, max_points=36)
         assert twice.count == 1008 and twice.hull_dimension() == 12
         # 7 distinct points, each listed three times, make a 7 x 7 grid
         seven = list(itertools.product((0, 1), repeat=3))[:7] * 3
-        dp = build_diameter(BinaryProgram([0] * 3, []), None, "conjugate")
+        bp = BinaryProgram([0] * 3, [])
         with pytest.raises(CapExceededError, match="pair grid of 7 or more base points exceeds max_points=36"):
-            enumerate_points(dp, base_points=seven, max_points=36)
-        assert enumerate_points(dp, base_points=seven, max_points=49).base.shape == (7, 3)
+            enumerate_points(bp, base_points=seven, max_points=36)
+        assert enumerate_points(bp, base_points=seven, max_points=49).base.shape == (7, 3)
 
     def test_listing_at_its_count(self):
         assert len(ordering3(1008).array) == 1008
@@ -879,9 +873,9 @@ class TestEquationSystem:
 
     def test_verify_minimal_system(self):
         inst = lop.LopInstance.zero(2)
-        dp = build_diameter(lop.build(inst), None, "conjugate")
+        bp = lop.build(inst)
         base = [lop.perm_to_incidence(p) for p in lop.all_permutations(2)]
-        ps = enumerate_points(dp, base_points=base)
+        ps = enumerate_points(bp, base_points=base)
         good = lift_equation_system(EquationSystem(*lop.pick_one_system(2)))
         assert verify_minimal_system(ps, good)
         # wrong right-hand side: no longer satisfied
@@ -1028,7 +1022,7 @@ class TestCornerRankIdentity:
         models, verdicts = 0, set()
         while models < 40:
             bp = bpcore.random_binary_program(rng, max_n=6, max_rows=3)
-            ps = enumerate_points(build_diameter(bp, None, "conjugate"))
+            ps = enumerate_points(bp)
             if ps.count:
                 verdicts |= set(self.agree(ps))
                 models += 1
@@ -1111,10 +1105,28 @@ def _no_unique(monkeypatch):
     monkeypatch.setattr(np, "unique", refuse)
 
 
+def strictly_increasing(arr, chunk=1 << 16):
+    """Whether the rows of a 0/1 array are distinct and in increasing
+    lexicographic order: at the first column where two consecutive rows
+    differ, the earlier row has 0 and the later one 1.  O(rows * columns),
+    chunk consecutive pairs of rows at a time."""
+    if arr.shape[1] == 0:
+        return arr.shape[0] < 2
+    for lo in range(0, arr.shape[0] - 1, chunk):
+        hi = min(lo + chunk, arr.shape[0] - 1)
+        prev, nxt = arr[lo:hi], arr[lo + 1 : hi + 1]
+        # argmax is 0 for equal rows, where nxt > prev fails as it should
+        first = (prev != nxt).argmax(axis=1)[:, None]
+        if not (np.take_along_axis(nxt, first, 1) > np.take_along_axis(prev, first, 1)).all():
+            return False
+    return True
+
+
 class TestPointOrder:
     """enumerate_points keeps the base points sorted and distinct whatever
-    order they come in, and the listing generates the paired points in
-    order, checked in one pass without sorting."""
+    order they come in, and the listing generates the paired points
+    distinct and in lexicographic order by construction, with no sort and
+    no check at run time; strictly_increasing checks it here."""
 
     @staticmethod
     def cases():
@@ -1132,16 +1144,33 @@ class TestPointOrder:
         for k in range(20):
             yield f"random-{k}", rng.integers(0, 2, (rng.integers(2, 8), rng.integers(1, 4)), dtype=np.uint8)
 
-    @pytest.mark.parametrize("chunk", [3, polytope._ORDER_CHUNK])
-    def test_matches_np_unique(self, chunk, monkeypatch):
-        # a chunk of 3 rows puts many consecutive points of the listing's
-        # order check across chunk borders
-        monkeypatch.setattr(polytope, "_ORDER_CHUNK", chunk)
+    @pytest.mark.parametrize("chunk", [3, 1 << 16])
+    def test_matches_np_unique(self, chunk):
+        # a chunk of 3 rows puts many consecutive points of the order check
+        # across chunk borders
         for name, arr in self.cases():
             ps = pairs_of(arr)
             assert ps.base.tolist() == np.unique(arr, axis=0).tolist(), name
             assert ps.array.dtype == np.uint8 and ps.array.shape == (ps.count, 3 * arr.shape[1]), name
+            assert strictly_increasing(ps.array, chunk), name
             assert ps.array.tolist() == ([list(p) for p in paired_listing(arr)] if len(arr) else []), name
+
+    def test_order_check_refuses_swaps_and_repeats(self):
+        rows = pairs_of(np.eye(3, dtype=np.uint8)).array
+        assert strictly_increasing(rows) and strictly_increasing(rows[:1]) and strictly_increasing(rows[:0])
+        for i in (0, 5, len(rows) - 2):
+            swapped = rows.copy()
+            swapped[[i, i + 1]] = swapped[[i + 1, i]]
+            assert not strictly_increasing(swapped) and not strictly_increasing(swapped, 3)
+        assert not strictly_increasing(np.insert(rows, 7, rows[7], axis=0))
+        assert strictly_increasing(np.zeros((1, 0), dtype=np.uint8))
+        assert not strictly_increasing(np.zeros((2, 0), dtype=np.uint8))
+
+    @pytest.mark.parametrize("family,n", [("lop", 4), ("tsp", 5)])
+    def test_family_listings_are_in_order(self, family, n):
+        # ordering n=4: 483,840 points over 24 base points; tour n=5: 35,712 over 12
+        ps = family_points(family, n)
+        assert len(ps.array) == ps.count and strictly_increasing(ps.array)
 
     def test_sorted_distinct_input_is_not_resorted(self, monkeypatch):
         rows = np.unique(np.random.default_rng(1).integers(0, 2, (40, 5), dtype=np.uint8), axis=0)
@@ -1159,20 +1188,20 @@ class TestPointOrder:
         assert ps.hull_dimension() == expected["dim"]
 
     def test_raw_scan_needs_no_sort(self, monkeypatch):
-        dp = build_diameter(tsp.build(tsp.TspInstance.zero(4)), None, "conjugate")
-        want = paired_scan(dp).tolist()
+        bp = tsp.build(tsp.TspInstance.zero(4))
+        want = paired_scan(bp).tolist()
         _no_unique(monkeypatch)
-        assert enumerate_points(dp).array.tolist() == want
+        assert enumerate_points(bp).array.tolist() == want
 
     @pytest.mark.parametrize("seed", range(3))
     def test_base_point_order_does_not_matter(self, seed, monkeypatch):
-        dp = build_diameter(lop.build(lop.LopInstance.zero(3)), None, "conjugate")
+        bp = lop.build(lop.LopInstance.zero(3))
         base = list(lop.base_points(3))
         shuffled = base + base[:4]
         random.Random(seed).shuffle(shuffled)
-        want = enumerate_points(dp, base_points=base).array
+        want = enumerate_points(bp, base_points=base).array
         _no_unique(monkeypatch)
-        got = enumerate_points(dp, base_points=shuffled).array
+        got = enumerate_points(bp, base_points=shuffled).array
         assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
     def test_raw_refusal_lists_no_tuples(self, monkeypatch):
@@ -1182,6 +1211,5 @@ class TestPointOrder:
         monkeypatch.setattr(bpcore, "enumerate_feasible", refuse)
         # polytope reads feasible sets as blocks and no longer imports the tuple list
         assert not hasattr(polytope, "enumerate_feasible")
-        dp = build_diameter(BinaryProgram([1] * 7, []), None, "conjugate")
         with pytest.raises(CapExceededError, match="pair grid of 32 or more base points exceeds max_points=1000"):
-            enumerate_points(dp, max_points=1000)
+            enumerate_points(BinaryProgram([1] * 7, []), max_points=1000)
