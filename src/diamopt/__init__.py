@@ -29,7 +29,6 @@ from .diameter import (
     result_to_dict,
     solve_diameter,
     theoretical_epsilon,
-    verify_z_semantics,
 )
 from .errors import CapExceededError, DiamoptError, InfeasibleModelError, ParseError
 from .modelio import (
@@ -99,7 +98,6 @@ __all__ = [
     "solve_enumerate",
     "theoretical_epsilon",
     "verify_minimal_system",
-    "verify_z_semantics",
     "write_lp",
 ]
 

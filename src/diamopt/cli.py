@@ -161,8 +161,7 @@ def cmd_diameter(args) -> int:
     elif args.theoretical_epsilon:
         eps = theoretical_epsilon(bp, args.cap)
     dp = build_diameter(bp, eps, args.variant)
-    constant_norm = family.constant_norm(n) if family and args.variant != "full" else None
-    res = solve_diameter(dp, constant_norm=constant_norm, cap=args.cap)
+    res = solve_diameter(dp, constant_norm=family.constant_norm(n) if family else None, cap=args.cap)
     payload = result_to_dict(res)
     payload["problem"] = meta["problem"]
     lines = [

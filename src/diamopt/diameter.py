@@ -4,7 +4,8 @@ Given max c.x over a feasible binary program, the derived program pairs two
 copies x, y of the model with indicator variables z and charges each z_i a
 small penalty epsilon.  For a small enough epsilon both halves of an optimal
 solution are optimal for the base model and the pair is as far apart as two
-optima can be; the z block then reads off the squared distance directly.
+optima can be.  At an optimum z is a function of the pair, so a result
+stores only the pair and reads z, the distance and the bound off it.
 
 Two couplings are available.  The full variant pins z_i = 1 exactly when
 x_i = y_i, so n - sum(z) equals the squared distance of the returned pair.
@@ -54,7 +55,6 @@ from .ratlinalg import as_rational, int_dtype, scaled_int_vector
 INTEGER_RULE = "integer-rule"
 RATIONAL_RULE = "rational-rule"
 THEORETICAL = "theoretical"
-USER_SUPPLIED = "user-supplied"
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,7 @@ class EpsilonChoice:
 class DiameterProgram:
     base: BinaryProgram
     epsilon: Fraction
-    epsilon_rule: str
-    include_lower_coupling: bool
-
-    @property
-    def variant(self) -> str:
-        return "full" if self.include_lower_coupling else "conjugate"
+    variant: str  # "full" or "conjugate"
 
     @cached_property
     def derived(self) -> BinaryProgram:
@@ -89,21 +84,37 @@ class DiameterProgram:
         rows = [(paired(n, x=con.coeffs), con.sense, con.rhs, con.name + "_x") for con in bp.constraints]
         rows += [(paired(n, y=con.coeffs), con.sense, con.rhs, con.name + "_y") for con in bp.constraints]
         rows += [(*coupling(n, i), f"pair_ub_{v}") for i, v in enumerate(bp.variable_names)]
-        if self.include_lower_coupling:
+        if self.variant == "full":
             rows += [(*coupling(n, i, lower=True), f"pair_lb_{v}") for i, v in enumerate(bp.variable_names)]
         return BinaryProgram(c, rows, names)
 
 
 @dataclass(frozen=True)
 class DiverseOptimaResult:
+    """The pair a solve decides; z, the distance and the bound follow from it."""
+
     x_star: tuple[int, ...]
     y_star: tuple[int, ...]
-    z_star: tuple[int, ...]
-    diameter: int
     variant: str
     epsilon: Fraction
     base_objective: Fraction
-    diameter_upper_bound: int | None  # n - sum(z); carried for conjugate solves
+
+    @property
+    def z_star(self) -> tuple[int, ...]:
+        """The least z the couplings allow: agreement (full) or shared ones (conjugate)."""
+        if self.variant == "full":
+            return tuple(int(a == b) for a, b in zip(self.x_star, self.y_star))
+        return tuple(a & b for a, b in zip(self.x_star, self.y_star))
+
+    @property
+    def diameter(self) -> int:
+        """Squared distance of the pair."""
+        return sum(a != b for a, b in zip(self.x_star, self.y_star))
+
+    @property
+    def diameter_upper_bound(self) -> int | None:
+        """n - sum(z) for a conjugate solve; None for a full one."""
+        return None if self.variant == "full" else len(self.x_star) - sum(self.z_star)
 
 
 def choose_epsilon(bp: BinaryProgram) -> EpsilonChoice:
@@ -171,20 +182,10 @@ def build(bp: BinaryProgram, eps=None, variant: str = "full") -> DiameterProgram
         raise ValueError(f"unknown variant {variant!r}")
     if eps is None:
         eps = choose_epsilon(bp)
-    if isinstance(eps, EpsilonChoice):
-        eps_value, rule = eps.value, eps.justification
-    else:
-        eps_value, rule = as_rational(eps), USER_SUPPLIED
+    eps_value = eps.value if isinstance(eps, EpsilonChoice) else as_rational(eps)
     if eps_value <= 0:
         raise ValueError("epsilon must be positive")
-    return DiameterProgram(bp, eps_value, rule, variant == "full")
-
-
-def verify_z_semantics(res: DiverseOptimaResult) -> bool:
-    """z reads off agreement (full) or shared support (conjugate)."""
-    if res.variant == "full":
-        return all(z == (x == y) for x, y, z in zip(res.x_star, res.y_star, res.z_star))
-    return all(z == (x == 1 == y) for x, y, z in zip(res.x_star, res.y_star, res.z_star))
+    return DiameterProgram(bp, eps_value, variant)
 
 
 def _grid(dp: DiameterProgram) -> tuple[int, int, int]:
@@ -219,7 +220,7 @@ def best_pair(dp: DiameterProgram, halves: np.ndarray) -> tuple[int, int, Fracti
     dtype = score_dtype(dp)
     u = objective_values(dp.base, halves).astype(dtype) * q
     a, shift = pen, 0
-    if dp.include_lower_coupling:
+    if dp.variant == "full":
         u = u + halves.sum(axis=1, dtype=np.int64).astype(dtype) * pen
         a, shift = 2 * pen, pen * n
     x = halves.astype(np.float64)
@@ -306,8 +307,9 @@ def solve_diameter(
     two 2^21 base scans to every 7-city tour solve.  cap=None reads as the
     default cap: perfbench/workloads.py still passes it.
     constant_norm is a caller-certified promise that every optimum of the
-    base model has squared norm k; with it, a conjugate solve pins the
-    distance to 2*(k - sum(z)) instead of only bounding it.
+    base model has squared norm k, checked on both halves (DiamoptError
+    when broken); under it a conjugate solve's distance is the diameter,
+    2*(k - sum(z)), and not only bounded by n - sum(z).
     """
     n = dp.base.n
     if cap is None:
@@ -318,12 +320,11 @@ def solve_diameter(
         raise InfeasibleModelError("base model is infeasible; no diverse pair exists")
     if base.pool is None:
         report = paired_search(dp, base.best.objective_value)
-        x, y, z = split(report.best.assignment)
+        x, y, _ = split(report.best.assignment)
         value = report.best.objective_value
     else:
         i, j, value = best_pair(dp, np.array(base.pool, dtype=np.uint8))
         x, y = base.pool[i], base.pool[j]
-        z = tuple(int(a == b) if dp.include_lower_coupling else a & b for a, b in zip(x, y))
 
     if 3 * n <= cap:
         check = paired_optimum(dp, cap)
@@ -333,33 +334,9 @@ def solve_diameter(
                 f"{'infeasible' if check is None else check}"
             )
 
-    diameter = sum(1 for a, b in zip(x, y) if a != b)
-    z_sum = sum(z)
-    res = DiverseOptimaResult(
-        x_star=x,
-        y_star=y,
-        z_star=z,
-        diameter=diameter,
-        variant=dp.variant,
-        epsilon=dp.epsilon,
-        base_objective=dp.base.objective_of(x),
-        diameter_upper_bound=None if dp.include_lower_coupling else n - z_sum,
-    )
-    if not verify_z_semantics(res):
-        raise DiamoptError("optimal z block does not match its variant semantics")
-    if dp.variant == "full" and diameter != n - z_sum:
-        raise DiamoptError(f"identity violated: distance {diameter} != n - sum(z) = {n - z_sum}")
-    if constant_norm is not None:
-        k = constant_norm
-        if sum(x) != k or sum(y) != k:
-            raise DiamoptError(
-                f"constant-norm promise broken: |x|={sum(x)}, |y|={sum(y)}, claimed {k}"
-            )
-        if dp.variant == "conjugate" and diameter != 2 * (k - z_sum):
-            raise DiamoptError(
-                f"identity violated: distance {diameter} != 2*(k - sum(z)) = {2 * (k - z_sum)}"
-            )
-    return res
+    if constant_norm is not None and not sum(x) == sum(y) == constant_norm:
+        raise DiamoptError(f"constant-norm promise broken: |x|={sum(x)}, |y|={sum(y)}, claimed {constant_norm}")
+    return DiverseOptimaResult(x, y, dp.variant, dp.epsilon, dp.base.objective_of(x))
 
 
 def diameter_by_enumeration(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP) -> int:

@@ -107,12 +107,13 @@ def incidence_to_perm(x: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def all_permutations(n: int) -> list[tuple[int, ...]]:
-    return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+    return list(itertools.permutations(range(1, n + 1)))
 
 
 def base_points(n: int) -> Iterator[tuple[int, ...]]:
-    """The feasible set of build, every ranking's incidence vector, made lazily."""
-    return (perm_to_incidence(p) for p in all_permutations(n))
+    """The feasible set of build, every ranking's incidence vector in the
+    order of all_permutations, made one ranking at a time: no n! list."""
+    return map(perm_to_incidence, itertools.permutations(range(1, n + 1)))
 
 
 def kendall_tau(s1: Sequence[int], s2: Sequence[int]) -> int:

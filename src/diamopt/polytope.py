@@ -378,10 +378,16 @@ def facet_families(n: int, base_facets: Sequence[Inequality]) -> list[Inequality
 
 @dataclass(frozen=True)
 class DisjointPairReport:
-    existential: bool
     existential_witness: tuple[tuple[int, ...], tuple[int, ...]] | None
-    universal: bool
     universal_counterexample: tuple[int, ...] | None
+
+    @property
+    def existential(self) -> bool:
+        return self.existential_witness is not None
+
+    @property
+    def universal(self) -> bool:
+        return self.universal_counterexample is None
 
 
 def check_disjoint_pair_condition(bp: BinaryProgram) -> DisjointPairReport:
@@ -393,20 +399,12 @@ def check_disjoint_pair_condition(bp: BinaryProgram) -> DisjointPairReport:
     """
     rows = np.concatenate([np.empty((0, bp.n), dtype=np.uint8), *feasible_blocks(bp)])
     masks = support_masks(rows)
-    witness = None
-    counterexample = None
-    universal = True
+    witness = counterexample = None
     for i, mi in enumerate(masks):
         partner = next((j for j, mj in enumerate(masks) if mi & mj == 0), None)
         if partner is None:
-            universal = False
             if counterexample is None:
                 counterexample = tuple(rows[i].tolist())
         elif witness is None:
             witness = (tuple(rows[i].tolist()), tuple(rows[partner].tolist()))
-    return DisjointPairReport(
-        existential=witness is not None,
-        existential_witness=witness,
-        universal=universal,
-        universal_counterexample=counterexample,
-    )
+    return DisjointPairReport(witness, counterexample)

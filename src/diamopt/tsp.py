@@ -143,18 +143,20 @@ def incidence_to_tour(x: Sequence[int], n: int) -> tuple[int, ...]:
     return canonical_tour(walk)
 
 
+def _tours(n: int) -> Iterator[tuple[int, ...]]:
+    """The (n-1)!/2 canonical tours, lexicographically, one at a time."""
+    return ((1,) + rest for rest in itertools.permutations(range(2, n + 1)) if rest[0] < rest[-1])
+
+
 def all_tours(n: int) -> list[tuple[int, ...]]:
     """All (n-1)!/2 canonical tours, lexicographically."""
-    out = []
-    for rest in itertools.permutations(range(2, n + 1)):
-        if rest[0] < rest[-1]:
-            out.append((1,) + rest)
-    return out
+    return list(_tours(n))
 
 
 def base_points(n: int) -> Iterator[tuple[int, ...]]:
-    """The feasible set of build, every tour's incidence vector, made lazily."""
-    return (tour_to_incidence(t) for t in all_tours(n))
+    """The feasible set of build, every tour's incidence vector in the
+    order of all_tours, made one tour at a time: no (n-1)!/2 list."""
+    return map(tour_to_incidence, _tours(n))
 
 
 def tour_cost(inst: TspInstance, t: Sequence[int]) -> Fraction:

@@ -30,7 +30,6 @@ from diamopt.diameter import (
     score_dtype,
     solve_diameter,
     theoretical_epsilon,
-    verify_z_semantics,
 )
 from diamopt.errors import CapExceededError, DiamoptError, InfeasibleModelError
 from diamopt.modelio import lp_string, parse_lp
@@ -120,13 +119,11 @@ class TestBuild:
         bp = BinaryProgram([4, 7], [])
         dp = build(bp, Fraction(1, 10), "full")
         assert dp.derived.c == (4, 7, 4, 7, Fraction(-1, 10), Fraction(-1, 10))
-        assert dp.epsilon_rule == "user-supplied"
 
     def test_epsilon_choice_is_respected(self):
         bp = BinaryProgram([1], [])
         dp = build(bp, EpsilonChoice(Fraction(1, 5), "handpicked"), "full")
         assert dp.epsilon == Fraction(1, 5)
-        assert dp.epsilon_rule == "handpicked"
 
     def test_bad_inputs(self):
         bp = BinaryProgram([1], [])
@@ -159,8 +156,10 @@ class TestSolve:
         rng = random.Random(7 if variant == "full" else 8)
         for _ in range(20):
             bp = feasible_random_model(rng, max_n=7, max_rows=4)
-            res = solve_diameter(build(bp, None, variant))
-            assert verify_z_semantics(res)
+            dp = build(bp, None, variant)
+            res = solve_diameter(dp)
+            # z is read off the pair, and is the z of the paired program's largest optimum
+            assert res.x_star + res.y_star + res.z_star == solve_bnb(dp.derived).best.assignment
             if variant == "full":
                 assert res.diameter == bp.n - sum(res.z_star)
                 assert res.diameter_upper_bound is None
@@ -260,6 +259,14 @@ class TestSolve:
             dp = build(bp, eps, variant)
             scan = solve_enumerate(dp.derived)
             assert paired_optimum(dp) == (scan.best.objective_value if scan.best else None)
+
+    def test_a_result_stores_only_the_pair(self):
+        names = [f.name for f in dataclasses.fields(diameter.DiverseOptimaResult)]
+        assert names == ["x_star", "y_star", "variant", "epsilon", "base_objective"]
+        res = diameter.DiverseOptimaResult((1, 1, 0, 0), (1, 0, 1, 0), "conjugate", Fraction(1, 8), Fraction(0))
+        assert (res.z_star, res.diameter, res.diameter_upper_bound) == ((1, 0, 0, 0), 2, 3)
+        res = dataclasses.replace(res, variant="full")
+        assert (res.z_star, res.diameter, res.diameter_upper_bound) == ((1, 0, 0, 1), 2, None)
 
     def test_result_dict_shape(self):
         bp = BinaryProgram([1, 1], [])

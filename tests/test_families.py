@@ -70,12 +70,18 @@ class NoListing(Exception):
     pass
 
 
+def _refuse(n):
+    raise NoListing(f"listed the base points of n={n}")
+
+
 @pytest.fixture
 def tours_unlisted(monkeypatch):
-    def refuse(n):
-        raise NoListing(f"listed the tours of n={n}")
+    monkeypatch.setattr(tsp, "all_tours", _refuse)
 
-    monkeypatch.setattr(tsp, "all_tours", refuse)
+
+@pytest.fixture
+def orderings_unlisted(monkeypatch):
+    monkeypatch.setattr(lop, "all_permutations", _refuse)
 
 
 def test_diameter_lists_no_base_points(tours_unlisted, capsys):
@@ -88,17 +94,37 @@ def test_cap_refuses_before_listing_base_points(tours_unlisted, capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
-def test_cap_refuses_after_few_tours(monkeypatch, capsys):
-    # 2,000,000 points are refused once isqrt(2,000,000) + 1 = 1,415 tours are read
+def _cap_refuses_after_few_points(monkeypatch, capsys, module, to_incidence, argv):
+    # 2,000,000 points are refused once isqrt(2,000,000) + 1 = 1,415 base
+    # points are read, with no list of them all made first
     calls = 0
-    real = tsp.tour_to_incidence
+    real = getattr(module, to_incidence)
 
     def counted(t):
         nonlocal calls
         calls += 1
         return real(t)
 
-    monkeypatch.setattr(tsp, "tour_to_incidence", counted)
-    assert main(["dim", "--problem", "tsp", "--n", "10"]) == 4
+    monkeypatch.setattr(module, to_incidence, counted)
+    assert main(argv) == 4
     assert "cap exceeded" in capsys.readouterr().err
     assert calls <= 1415
+
+
+def test_cap_refuses_after_few_tours(tours_unlisted, monkeypatch, capsys):
+    _cap_refuses_after_few_points(monkeypatch, capsys, tsp, "tour_to_incidence", ["dim", "--problem", "tsp", "--n", "10"])
+
+
+def test_cap_refuses_after_few_orderings(orderings_unlisted, monkeypatch, capsys):
+    # 12! = 479,001,600 orderings: listing them all first would exhaust memory
+    _cap_refuses_after_few_points(monkeypatch, capsys, lop, "perm_to_incidence", ["dim", "--problem", "lop", "--n", "12"])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_ordering_base_points_are_the_listing(n):
+    assert list(lop.base_points(n)) == [lop.perm_to_incidence(p) for p in lop.all_permutations(n)]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_tour_base_points_are_the_listing(n):
+    assert list(tsp.base_points(n)) == [tsp.tour_to_incidence(t) for t in tsp.all_tours(n)]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -1080,6 +1081,8 @@ class TestDisjointPair:
         rep = check_disjoint_pair_condition(BinaryProgram([0, 0], []))
         assert rep.existential and rep.universal
         assert rep.universal_counterexample is None
+        # the report stores the two vectors; the verdicts are read off them
+        assert [f.name for f in dataclasses.fields(rep)] == ["existential_witness", "universal_counterexample"]
 
     def test_forced_overlap(self):
         bp = BinaryProgram([0, 0], [Constraint([1, 1], "=", 2, "all_on")])
