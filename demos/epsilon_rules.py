@@ -1,8 +1,8 @@
-"""How the z-penalty is chosen, and what goes wrong without the rules.
+"""How the z-penalty is chosen, and what goes wrong without the rule.
 
 The penalty must be small enough that trading base objective for extra
-distance never pays.  Integer objectives get 1/(2n); rational objectives
-shrink that by the least common multiple of the denominators; enumerating
+distance never pays.  One rule gives 1/(2nL), L the least common multiple
+of the objective's denominators (1 for an integer objective); enumerating
 the optimality gap gives the tight threshold.
 """
 
@@ -17,16 +17,14 @@ from diamopt.diameter import (
     theoretical_epsilon,
 )
 
+print("rule: epsilon = 1/(2nL), L the lcm of the objective's denominators")
 int_model = BinaryProgram([3, 3, 2, 2], [Constraint([1, 1, 1, 1], "<=", 2)])
-eps = choose_epsilon(int_model)
-print(f"integer objective, n=4   -> epsilon {eps.value}  ({eps.justification})")
+print(f"integer objective, n=4   -> L = 1,  epsilon {choose_epsilon(int_model)}")
 
 rat_model = BinaryProgram([Fraction(1, 6), Fraction(3, 4)], [])
-eps = choose_epsilon(rat_model)
-print(f"denominators 6 and 4     -> epsilon {eps.value}  ({eps.justification})")
+print(f"denominators 6 and 4     -> L = 12, epsilon {choose_epsilon(rat_model)}")
 
-gap = theoretical_epsilon(int_model)
-print(f"enumerated optimality gap -> epsilon {gap.value}  ({gap.justification})")
+print(f"enumerated optimality gap -> epsilon {theoretical_epsilon(int_model)}  (the tight threshold)")
 
 # a penalty above the threshold buys distance with base objective: on
 # max x1 the pair (1, .), (0, .) is "far" but half of it is not optimal

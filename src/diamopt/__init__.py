@@ -23,7 +23,6 @@ from .bpcore import (
 from .diameter import (
     DiameterProgram,
     DiverseOptimaResult,
-    EpsilonChoice,
     choose_epsilon,
     diameter_by_enumeration,
     result_to_dict,
@@ -63,7 +62,6 @@ __all__ = [
     "DiamoptError",
     "DisjointPairReport",
     "DiverseOptimaResult",
-    "EpsilonChoice",
     "EquationSystem",
     "FacetReport",
     "Inequality",

@@ -21,7 +21,8 @@ an optimal pair is among them.  Every pair of the pool is then scored
 exactly, with z as small as its couplings allow, and the first best pair in
 lexicographic order is the paired program's lexicographically largest
 optimum.  Only when the pool passes bpcore.POOL_LIMIT halves is the paired
-program itself solved, by branch and bound with both halves cut at v* - eps*n.
+program itself solved, by branch and bound with both halves cut at v* - eps*n;
+a full program on tours is solved through its conjugate twin at 2*eps.
 
 The exhaustive references scan the base program's 2^n points, never the
 paired program's 2^(3n): diameter_by_enumeration reads the diameter off the
@@ -32,7 +33,6 @@ scores the pairs of the base feasible set.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -51,17 +51,6 @@ from .bpcore import (
 )
 from .errors import CapExceededError, DiamoptError, InfeasibleModelError
 from .ratlinalg import as_rational, int_dtype, scaled_int_vector
-
-INTEGER_RULE = "integer-rule"
-RATIONAL_RULE = "rational-rule"
-THEORETICAL = "theoretical"
-
-
-@dataclass(frozen=True)
-class EpsilonChoice:
-    value: Fraction
-    justification: str
-
 
 @dataclass(frozen=True)
 class DiameterProgram:
@@ -117,21 +106,14 @@ class DiverseOptimaResult:
         return None if self.variant == "full" else len(self.x_star) - sum(self.z_star)
 
 
-def choose_epsilon(bp: BinaryProgram) -> EpsilonChoice:
-    """Penalty that cannot disturb optimality of the x/y blocks.
-
-    Integer objectives get 1/(2n).  Rational objectives get 1/(2nL) with L
-    the least common multiple of the coefficient denominators, which scales
-    the integer rule by the grid the objective lives on.
-    """
-    n = bp.n
-    dens = [ci.denominator for ci in bp.c]
-    if all(d == 1 for d in dens):
-        return EpsilonChoice(Fraction(1, 2 * n), INTEGER_RULE)
-    return EpsilonChoice(Fraction(1, 2 * n * math.lcm(*dens)), RATIONAL_RULE)
+def choose_epsilon(bp: BinaryProgram) -> Fraction:
+    """Penalty that cannot disturb optimality of the x/y blocks: 1/(2nL),
+    L the least common multiple of the objective's denominators (1 for an
+    integer objective), the grid the objective lives on."""
+    return Fraction(1, 2 * bp.n * scaled_int_vector(bp.c)[2])
 
 
-def theoretical_epsilon(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP) -> EpsilonChoice:
+def theoretical_epsilon(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Tight threshold from the optimality gap, by one exhaustive scan.
 
     Any epsilon at or below (best - second best)/n keeps the x/y blocks
@@ -149,9 +131,9 @@ def theoretical_epsilon(bp: BinaryProgram, cap: int = DEFAULT_ENUM_CAP) -> Epsil
     if not top:
         raise InfeasibleModelError("model has no feasible point")
     if len(top) == 1:
-        return EpsilonChoice(Fraction(1), THEORETICAL)
+        return Fraction(1)
     # c_int is c times the scale of its denominators
-    return EpsilonChoice(Fraction(top[1] - top[0], scaled_int_vector(bp.c)[2] * bp.n), THEORETICAL)
+    return Fraction(top[1] - top[0], scaled_int_vector(bp.c)[2] * bp.n)
 
 
 def paired(n: int, x=None, y=None, z=None) -> tuple:
@@ -180,9 +162,7 @@ def build(bp: BinaryProgram, eps=None, variant: str = "full") -> DiameterProgram
     its rows, DiameterProgram.derived, are built on first use."""
     if variant not in ("full", "conjugate"):
         raise ValueError(f"unknown variant {variant!r}")
-    if eps is None:
-        eps = choose_epsilon(bp)
-    eps_value = eps.value if isinstance(eps, EpsilonChoice) else as_rational(eps)
+    eps_value = choose_epsilon(bp) if eps is None else as_rational(eps)
     if eps_value <= 0:
         raise ValueError("epsilon must be positive")
     return DiameterProgram(bp, eps_value, variant)
@@ -293,7 +273,11 @@ def solve_diameter(
     allow, is the lexicographically largest optimum of dp.derived.  When
     the pool passes bpcore.POOL_LIMIT halves, paired_search solves the paired
     program instead and returns the same optimum; only that fallback reads
-    dp.derived.
+    a paired program's rows.  A full solve under constant_norm = k with
+    2k < n (tours; on orderings 2k = n) solves the conjugate program at
+    penalty 2*eps there: with |x| = |y| = k a pair agrees on n - 2k + 2x.y
+    columns, so the two objectives differ by the constant eps*(n - 2k) and
+    share their lexicographically largest optimum.
 
     The cross-check compares the paired objective value with
     paired_optimum, the same optimum computed from the base feasible set,
@@ -306,10 +290,11 @@ def solve_diameter(
     cap is the one switch for exhaustive work; gating on n <= cap would add
     two 2^21 base scans to every 7-city tour solve.  cap=None reads as the
     default cap: perfbench/workloads.py still passes it.
-    constant_norm is a caller-certified promise that every optimum of the
-    base model has squared norm k, checked on both halves (DiamoptError
-    when broken); under it a conjugate solve's distance is the diameter,
-    2*(k - sum(z)), and not only bounded by n - sum(z).
+    constant_norm is a caller-certified promise that every feasible point
+    of the base model has squared norm k, checked on both halves
+    (DiamoptError when broken).  The ordering and tour rows guarantee it,
+    and only their callers pass it.  Under it a conjugate solve's distance
+    is the diameter, 2*(k - sum(z)), and not only bounded by n - sum(z).
     """
     n = dp.base.n
     if cap is None:
@@ -319,9 +304,11 @@ def solve_diameter(
     if base.status != "optimal":
         raise InfeasibleModelError("base model is infeasible; no diverse pair exists")
     if base.pool is None:
-        report = paired_search(dp, base.best.objective_value)
+        twin = dp.variant == "full" and constant_norm is not None and 2 * constant_norm < n
+        solved = DiameterProgram(dp.base, 2 * dp.epsilon, "conjugate") if twin else dp
+        report = paired_search(solved, base.best.objective_value)
         x, y, _ = split(report.best.assignment)
-        value = report.best.objective_value
+        value = report.best.objective_value - (dp.epsilon * (n - 2 * constant_norm) if twin else 0)
     else:
         i, j, value = best_pair(dp, np.array(base.pool, dtype=np.uint8))
         x, y = base.pool[i], base.pool[j]
@@ -363,7 +350,7 @@ def verify_listed_diameter(
     halves of the solved pair must be listed optima, and the certified
     distance must equal twice the largest distance over all listed pairs.
     """
-    dp = build(bp, choose_epsilon(bp), "conjugate")
+    dp = build(bp, None, "conjugate")
     res = solve_diameter(dp, constant_norm=constant_norm)
     listed = {to_incidence(p) for p in optima}
     if res.x_star not in listed or res.y_star not in listed:

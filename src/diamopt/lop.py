@@ -210,10 +210,6 @@ def lift_inequality(ineq: Inequality, n_items: int) -> Inequality:
     return Inequality(paired((n + 1) * n, *blocks), ineq.a0, ineq.sense, ineq.label)
 
 
-def lop_from_json_dict(d: dict) -> LopInstance:
-    return instance_from_json(d, LopInstance, "weights", "ordering")
-
-
 def lop_from_matrix_text(text: str) -> LopInstance:
     """Dense-matrix text: first number n, then n*n entries; diagonal ignored."""
     tokens = []
@@ -246,4 +242,6 @@ def lop_from_matrix_text(text: str) -> LopInstance:
 
 def load_lop(path: str) -> LopInstance:
     """JSON (.json) or dense-matrix text (anything else)."""
-    return load_instance(path, lop_from_json_dict, lop_from_matrix_text)
+    return load_instance(
+        path, lambda d: instance_from_json(d, LopInstance, "weights", "ordering"), lop_from_matrix_text
+    )

@@ -186,7 +186,7 @@ def suite_epsilon(trials: int = 50, seed: int = 1729) -> list[dict]:
         records.append(
             {
                 "claim": f"epsilon trial {made}: n={bp.n}, rows={len(bp.constraints)}",
-                "epsilon": f"{eps.value.numerator}/{eps.value.denominator}",
+                "epsilon": f"{eps.numerator}/{eps.denominator}",
                 "diameter": res.diameter,
                 "enumerated": oracle,
                 "halves_optimal": res.x_star in opt and res.y_star in opt,

@@ -260,10 +260,6 @@ def degree_system(n: int):
     return rows, rhs
 
 
-def tsp_from_json_dict(d: dict) -> TspInstance:
-    return instance_from_json(d, TspInstance, "costs", "tour", symmetric=True)
-
-
 def tsp_from_tsplib(text: str) -> TspInstance:
     """EXPLICIT full-matrix TSPLIB text; other weight types are rejected."""
     header: dict[str, str] = {}
@@ -321,4 +317,6 @@ def tsp_from_tsplib(text: str) -> TspInstance:
 
 def load_tsp(path: str) -> TspInstance:
     """JSON (.json) or explicit full-matrix TSPLIB (anything else)."""
-    return load_instance(path, tsp_from_json_dict, tsp_from_tsplib)
+    return load_instance(
+        path, lambda d: instance_from_json(d, TspInstance, "costs", "tour", symmetric=True), tsp_from_tsplib
+    )

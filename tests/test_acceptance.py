@@ -145,7 +145,7 @@ def test_c06_epsilon_rule_never_disturbs_optimality():
             continue
         done += 1
         eps = choose_epsilon(bp)
-        assert eps.value == Fraction(1, 2 * bp.n)  # integer data
+        assert eps == Fraction(1, 2 * bp.n)  # integer data
         res = solve_diameter(build_diameter(bp, eps, "full"))
         opt = {s.assignment for s in enumerate_optimal_set(bp)}
         if (

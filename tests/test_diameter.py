@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diamopt import diameter, lop, tsp
+from diamopt import bpcore, diameter, lop, tsp
 from diamopt.bpcore import (
     POOL_LIMIT,
     BinaryProgram,
@@ -18,9 +18,6 @@ from diamopt.bpcore import (
     solve_enumerate,
 )
 from diamopt.diameter import (
-    INTEGER_RULE,
-    RATIONAL_RULE,
-    EpsilonChoice,
     build,
     choose_epsilon,
     diameter_by_enumeration,
@@ -46,25 +43,22 @@ class TestEpsilon:
     def test_integer_rule(self):
         bp = BinaryProgram([3, -2, 0, 5], [])
         eps = choose_epsilon(bp)
-        assert eps.value == Fraction(1, 8)
-        assert eps.justification == INTEGER_RULE
+        assert type(eps) is Fraction and eps == Fraction(1, 8)
 
     def test_rational_rule_scales_by_lcm(self):
         bp = BinaryProgram([Fraction(1, 6), Fraction(3, 4)], [])
-        eps = choose_epsilon(bp)
         # lcm(6, 4) = 12, n = 2
-        assert eps.value == Fraction(1, 2 * 2 * 12)
-        assert eps.justification == RATIONAL_RULE
+        assert choose_epsilon(bp) == Fraction(1, 2 * 2 * 12)
 
     def test_theoretical_gap(self):
         # optima at value 5, runner-up at 3: gap 2 over n=2
         bp = BinaryProgram([5, 3], [Constraint([1, 1], "<=", 1)])
-        eps = theoretical_epsilon(bp)
-        assert eps.value == Fraction(2, 2)
+        assert theoretical_epsilon(bp) == Fraction(2, 2)
 
     def test_theoretical_when_all_values_tie(self):
         bp = BinaryProgram([0, 0], [])
-        assert theoretical_epsilon(bp).value == 1
+        eps = theoretical_epsilon(bp)
+        assert type(eps) is Fraction and eps == 1
 
     def test_theoretical_on_infeasible_model_raises(self):
         bp = BinaryProgram([1, 1], [Constraint([1, 1], ">=", 3)])
@@ -78,7 +72,7 @@ class TestEpsilon:
             {bp.objective_of(x) for x in itertools.product((0, 1), repeat=bp.n) if is_feasible(bp, x)}
         )
         want = (values[-1] - values[-2]) / bp.n if len(values) > 1 else 1
-        assert theoretical_epsilon(bp).value == want
+        assert theoretical_epsilon(bp) == want
 
     @pytest.mark.parametrize("seed", range(6))
     def test_theoretical_gap_on_rational_objective_matches_brute_force(self, seed):
@@ -89,12 +83,12 @@ class TestEpsilon:
             {bp.objective_of(x) for x in itertools.product((0, 1), repeat=bp.n) if is_feasible(bp, x)}
         )
         want = (values[-1] - values[-2]) / bp.n if len(values) > 1 else 1
-        assert theoretical_epsilon(bp) == EpsilonChoice(Fraction(want), "theoretical")
+        assert theoretical_epsilon(bp) == want
 
     def test_theoretical_gap_beyond_int64(self):
         # objective sums past 2^62 are taken in Python integers
         bp = BinaryProgram([2**70, 2**70 - 3, Fraction(1, 5)], [Constraint([1, 1, 0], "<=", 1)])
-        assert theoretical_epsilon(bp).value == Fraction(1, 5) / 3
+        assert theoretical_epsilon(bp) == Fraction(1, 5) / 3
 
 
 class TestBuild:
@@ -122,7 +116,7 @@ class TestBuild:
 
     def test_epsilon_choice_is_respected(self):
         bp = BinaryProgram([1], [])
-        dp = build(bp, EpsilonChoice(Fraction(1, 5), "handpicked"), "full")
+        dp = build(bp, Fraction(1, 5), "full")
         assert dp.epsilon == Fraction(1, 5)
 
     def test_bad_inputs(self):
@@ -497,6 +491,105 @@ class TestTwoPhases:
                 assert fallback.assignment == solve_bnb(dp.derived).best.assignment == pair
                 value = dp.derived.objective_of(pair)
                 assert fallback.objective_value == value == solve_enumerate(dp.derived).best.objective_value
+
+
+def tour(n, seed=None):
+    """Tour n with zero costs, or costs in [1, 2] drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return tsp.build(tsp.TspInstance(n, {e: 0 if seed is None else rng.randint(1, 2) for e in tsp.edges(n)}))
+
+
+def ordering(n, seed=None):
+    """Ordering n with zero weights, or weights in [0, 1] drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return lop.build(lop.LopInstance(n, {p: 0 if seed is None else rng.randint(0, 1) for p in lop.ordered_pairs(n)}))
+
+
+def recorded_searches(monkeypatch):
+    """The programs paired_search is called on, from now on."""
+    search, programs = diameter.paired_search, []
+    monkeypatch.setattr(diameter, "paired_search", lambda dp, v: programs.append(dp) or search(dp, v))
+    return programs
+
+
+class TestConjugateTwin:
+    """Past POOL_LIMIT a full solve whose feasible points all have norm k,
+    2k < n, runs the conjugate program at 2*eps and gives the full answer."""
+
+    @pytest.mark.parametrize(
+        "model, k",
+        [
+            (tour(6), 6),
+            (tour(6, 1), 6),
+            (tour(6, 2), 6),
+            (tour(7), 7),
+            (tour(7, 1), 7),
+            (tour(7, 2), 7),
+            (ordering(5), 10),
+            (ordering(5, 1), 10),
+            (ordering(6), 15),
+        ],
+        ids=["tour6", "tour6-1", "tour6-2", "tour7", "tour7-1", "tour7-2", "ordering5", "ordering5-1", "ordering6"],
+    )
+    @pytest.mark.parametrize("eps", [None, Fraction(1, 3)])
+    def test_the_fallback_gives_the_pool_pair(self, monkeypatch, model, k, eps):
+        dp = build(model, eps)
+        pool = solve_diameter(dp, constant_norm=k)
+        monkeypatch.setattr(bpcore, "POOL_LIMIT", 0)
+        programs = recorded_searches(monkeypatch)
+        res = solve_diameter(dp, constant_norm=k)
+        assert len(programs) == 1
+        assert (res.x_star, res.y_star) == (pool.x_star, pool.y_star)
+
+    @pytest.mark.parametrize("seed", [None, 1])
+    @pytest.mark.parametrize("eps", [None, Fraction(1, 3), 2])
+    def test_the_converted_value_passes_the_cross_check(self, monkeypatch, seed, eps):
+        # tour n=6 has 15 columns, so cap=45 runs paired_optimum on the full
+        # program; a twin value left unconverted is off by eps*(15 - 12)
+        monkeypatch.setattr(bpcore, "POOL_LIMIT", 0)
+        checks = []
+        check = diameter.paired_optimum
+        monkeypatch.setattr(diameter, "paired_optimum", lambda dp, cap: checks.append(check(dp, cap)) or checks[-1])
+        dp = build(tour(6, seed), eps)
+        res = solve_diameter(dp, constant_norm=6, cap=45)
+        assert checks == [dp.derived.objective_of(res.x_star + res.y_star + res.z_star)]
+
+    def test_the_twin_runs_only_where_2k_is_below_n(self, monkeypatch):
+        monkeypatch.setattr(bpcore, "POOL_LIMIT", 0)
+        programs = recorded_searches(monkeypatch)
+        dp = build(tour(6))
+        solve_diameter(dp, constant_norm=6)
+        solve_diameter(dp)  # no promise, no twin
+        # on orderings 2k = n: the full program itself
+        lp = build(ordering(5))
+        solve_diameter(lp, constant_norm=10)
+        assert [(p.variant, p.epsilon) for p in programs] == [
+            ("conjugate", 2 * dp.epsilon),
+            ("full", dp.epsilon),
+            ("full", lp.epsilon),
+        ]
+        assert programs[2] is lp
+
+    def test_pinned_random_models(self, monkeypatch):
+        # the identity needs only |x| = |y| = k, so it holds on raw models
+        # pinned to norm k, rational objectives included; n <= 8, so the
+        # cross-check runs on each
+        monkeypatch.setattr(bpcore, "POOL_LIMIT", 0)
+        rng = random.Random(59)
+        solved = 0
+        while solved < 12:
+            bp = feasible_random_model(rng, max_n=8, max_rows=3)
+            if bp.n < 3:
+                continue
+            k = rng.randint(1, (bp.n - 1) // 2)
+            c = bp.c if solved % 2 else [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in bp.c]
+            pinned = BinaryProgram(c, list(bp.constraints) + [Constraint([1] * bp.n, "=", k, "norm")])
+            if solve_bnb(pinned).status != "optimal":
+                continue
+            solved += 1
+            dp = build(pinned, rng.choice([None, Fraction(1, 3), 2]))
+            res = solve_diameter(dp, constant_norm=k)
+            assert res.x_star + res.y_star + res.z_star == solve_bnb(dp.derived).best.assignment
 
 
 class TestLazyDerived:
