@@ -22,9 +22,7 @@ for (i, j), w in {
 inst = lop.LopInstance(4, weights)
 bp = lop.build(inst)
 
-res = solve_diameter(
-    build_diameter(bp, None, "conjugate"), constant_norm=4 * 3 // 2
-)
+res = solve_diameter(build_diameter(bp, None, "conjugate"))
 
 p1 = lop.incidence_to_perm(res.x_star, 4)
 p2 = lop.incidence_to_perm(res.y_star, 4)

@@ -24,7 +24,7 @@ opt = tsp.optimal_tours(inst)
 print(f"tours tied at the optimum: {len(opt)} (cost {tsp.tour_cost(inst, opt[0])})")
 
 dp = build_diameter(tsp.build(inst), None, "conjugate")
-res = solve_diameter(dp, constant_norm=6)
+res = solve_diameter(dp)
 
 t1 = tsp.incidence_to_tour(res.x_star, 6)
 t2 = tsp.incidence_to_tour(res.y_star, 6)

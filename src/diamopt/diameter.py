@@ -22,7 +22,8 @@ exactly, with z as small as its couplings allow, and the first best pair in
 lexicographic order is the paired program's lexicographically largest
 optimum.  Only when the pool passes bpcore.POOL_LIMIT halves is the paired
 program itself solved, by branch and bound with both halves cut at v* - eps*n;
-a full program on tours is solved through its conjugate twin at 2*eps.
+a full program whose = rows pin every feasible norm to k, 2k < n (tours, from
+the front end or from LP text), is solved through its conjugate twin at 2*eps.
 
 The exhaustive references scan the base program's 2^n points, never the
 paired program's 2^(3n): diameter_by_enumeration reads the diameter off the
@@ -50,7 +51,7 @@ from .bpcore import (
     support_masks,
 )
 from .errors import CapExceededError, DiamoptError, InfeasibleModelError
-from .ratlinalg import as_rational, int_dtype, scaled_int_vector
+from .ratlinalg import _pivot_columns, as_rational, int_dtype, scaled_int_vector
 
 @dataclass(frozen=True)
 class DiameterProgram:
@@ -257,6 +258,16 @@ def paired_search(dp: DiameterProgram, base_value: Fraction) -> SolveReport:
     return solve_bnb(BinaryProgram(d.c, d.constraints + cuts, d.variable_names))
 
 
+def _pinned_norm(bp: BinaryProgram, x) -> int | None:
+    """|x|, for a feasible x, when the = rows give every feasible point that
+    norm: the all-ones row is a rational combination of them exactly when
+    adding it leaves their rank unchanged.  None otherwise; sufficient, not
+    necessary, since a <=/>= pair of rows is not read as an = row."""
+    eq = [a for a, sense, _ in bp.scaled()[1] if sense == "="]
+    pinned = len(_pivot_columns(eq)) == len(_pivot_columns(eq + [(1,) * bp.n]))
+    return sum(x) if pinned else None
+
+
 def solve_diameter(
     dp: DiameterProgram,
     constant_norm: int | None = None,
@@ -273,11 +284,12 @@ def solve_diameter(
     allow, is the lexicographically largest optimum of dp.derived.  When
     the pool passes bpcore.POOL_LIMIT halves, paired_search solves the paired
     program instead and returns the same optimum; only that fallback reads
-    a paired program's rows.  A full solve under constant_norm = k with
-    2k < n (tours; on orderings 2k = n) solves the conjugate program at
-    penalty 2*eps there: with |x| = |y| = k a pair agrees on n - 2k + 2x.y
-    columns, so the two objectives differ by the constant eps*(n - 2k) and
-    share their lexicographically largest optimum.
+    a paired program's rows.  There a full solve whose = rows pin the norm
+    to k with 2k < n (see _pinned_norm; tours, not orderings, where 2k = n)
+    solves the conjugate program at penalty 2*eps: with |x| = |y| = k a
+    pair agrees on n - 2k + 2x.y columns, so the two objectives differ by
+    the constant eps*(n - 2k) and share their lexicographically largest
+    optimum.
 
     The cross-check compares the paired objective value with
     paired_optimum, the same optimum computed from the base feasible set,
@@ -290,11 +302,9 @@ def solve_diameter(
     cap is the one switch for exhaustive work; gating on n <= cap would add
     two 2^21 base scans to every 7-city tour solve.  cap=None reads as the
     default cap: perfbench/workloads.py still passes it.
-    constant_norm is a caller-certified promise that every feasible point
-    of the base model has squared norm k, checked on both halves
-    (DiamoptError when broken).  The ordering and tour rows guarantee it,
-    and only their callers pass it.  Under it a conjugate solve's distance
-    is the diameter, 2*(k - sum(z)), and not only bounded by n - sum(z).
+    constant_norm, when given, is a claim that both halves have squared
+    norm k, checked on the result (DiamoptError when broken); it decides
+    nothing.
     """
     n = dp.base.n
     if cap is None:
@@ -304,11 +314,12 @@ def solve_diameter(
     if base.status != "optimal":
         raise InfeasibleModelError("base model is infeasible; no diverse pair exists")
     if base.pool is None:
-        twin = dp.variant == "full" and constant_norm is not None and 2 * constant_norm < n
+        k = _pinned_norm(dp.base, base.best.assignment) if dp.variant == "full" else None
+        twin = k is not None and 2 * k < n
         solved = DiameterProgram(dp.base, 2 * dp.epsilon, "conjugate") if twin else dp
         report = paired_search(solved, base.best.objective_value)
         x, y, _ = split(report.best.assignment)
-        value = report.best.objective_value - (dp.epsilon * (n - 2 * constant_norm) if twin else 0)
+        value = report.best.objective_value - (dp.epsilon * (n - 2 * k) if twin else 0)
     else:
         i, j, value = best_pair(dp, np.array(base.pool, dtype=np.uint8))
         x, y = base.pool[i], base.pool[j]
@@ -339,9 +350,7 @@ def maximisers(items: list, value) -> list:
     return [item for item, v in zip(items, values) if v == best]
 
 
-def verify_listed_diameter(
-    bp: BinaryProgram, constant_norm: int, optima: list, to_incidence, distance
-) -> bool:
+def verify_listed_diameter(bp: BinaryProgram, optima: list, to_incidence, distance) -> bool:
     """Conjugate diameter solve vs. brute force over a listed optimal set.
 
     `optima` lists every optimum of `bp` in the front end's own terms
@@ -351,7 +360,7 @@ def verify_listed_diameter(
     distance must equal twice the largest distance over all listed pairs.
     """
     dp = build(bp, None, "conjugate")
-    res = solve_diameter(dp, constant_norm=constant_norm)
+    res = solve_diameter(dp)
     listed = {to_incidence(p) for p in optima}
     if res.x_star not in listed or res.y_star not in listed:
         return False

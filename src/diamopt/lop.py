@@ -152,7 +152,7 @@ def verify_diameter_kendall(inst: LopInstance) -> bool:
     if n > 6:
         raise ValueError("verification enumerates n! rankings; n <= 6 only")
     opts = optimal_permutations(inst)
-    return verify_listed_diameter(build(inst), n * (n - 1) // 2, opts, perm_to_incidence, kendall_tau)
+    return verify_listed_diameter(build(inst), opts, perm_to_incidence, kendall_tau)
 
 
 def trivial_facets(n: int) -> list[Inequality]:

@@ -43,14 +43,14 @@ class Family:
 
     `module.build(instance)` and `module.base_points(n)` are looked up on
     the module at each call, so a wrapper installed on the module attribute
-    sees every call.
+    sees every call.  The norm every feasible point shares is not listed:
+    solve_diameter reads it off the model's = rows.
     """
 
     module: ModuleType
     zero: Callable  # n -> the instance with all weights zero
     load: Callable  # path -> instance
     size: Callable  # instance -> n
-    constant_norm: Callable  # n -> |x| shared by every feasible point
     decode: Callable  # (incidence vector, n) -> ranking or tour
     pair_key: str  # JSON field of the decoded pair
     pair_label: str  # text prefix of each decoded half
@@ -60,11 +60,11 @@ class Family:
 FAMILIES = {
     "lop": Family(
         lop, lop.LopInstance.zero, lop.load_lop, attrgetter("n_items"),
-        lambda n: n * (n - 1) // 2, lop.incidence_to_perm, "permutations", "ranks", " ",
+        lop.incidence_to_perm, "permutations", "ranks", " ",
     ),
     "tsp": Family(
         tsp, tsp.TspInstance.zero, tsp.load_tsp, attrgetter("n"),
-        lambda n: n, tsp.incidence_to_tour, "tours", "tour", "-",
+        tsp.incidence_to_tour, "tours", "tour", "-",
     ),
 }
 

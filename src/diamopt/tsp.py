@@ -181,50 +181,25 @@ def verify_diameter_discordant(inst: TspInstance) -> bool:
     if n > 8:
         raise ValueError("verification enumerates (n-1)!/2 tours; n <= 8 only")
     opts = optimal_tours(inst)
-    return verify_listed_diameter(
-        build(inst), n, opts, tour_to_incidence, lambda t1, t2: len(discordant_edges(t1, t2))
-    )
+    return verify_listed_diameter(build(inst), opts, tour_to_incidence, lambda t1, t2: len(discordant_edges(t1, t2)))
 
 
 def find_disjoint_tour(t: Sequence[int]) -> tuple[int, ...] | None:
     """An edge-disjoint tour on the same cities, when one exists.
 
-    None for n in {3, 4} (the n tour edges plus n more will not fit in
-    C(n,2)); the complement tour for n = 5; for larger n a backtracking
-    walk in the complement graph, where minimum degree n - 3 is large
-    enough that a tour always exists.
+    None for n in {3, 4}: the n tour edges plus n more do not fit in
+    C(n, 2).  For n >= 5 the tour visits t's positions 0, 2, 4, ... and
+    then the odd ones: 1, 3, ..., n-2 for odd n, and 1, n-1, n-3, ..., 3
+    for even n.  Each step, the closing one included, joins two positions
+    at cyclic distance 2 or 3 on t (3 only for even n, between n-2 and 1
+    and between 3 and 0), never at distance 1, so no edge is one of t's.
     """
     t = canonical_tour(t)
     n = len(t)
-    if n in (3, 4):
+    if n < 5:
         return None
-    used = tour_edges(t)
-    adj = {
-        v: [u for u in range(1, n + 1) if u != v and (min(u, v), max(u, v)) not in used]
-        for v in range(1, n + 1)
-    }
-    path = [1]
-    seen = {1}
-
-    def extend() -> bool:
-        if len(path) == n:
-            return 1 in adj[path[-1]]
-        for u in adj[path[-1]]:
-            if u not in seen:
-                path.append(u)
-                seen.add(u)
-                if extend():
-                    return True
-                path.pop()
-                seen.remove(u)
-        return False
-
-    if not extend():
-        return None
-    result = canonical_tour(path)
-    if tour_edges(result) & used:
-        raise RuntimeError("complement walk reused an edge")
-    return result
+    odd = range(1, n, 2) if n % 2 else (1, *range(n - 1, 2, -2))
+    return canonical_tour([t[i] for i in (*range(0, n, 2), *odd)])
 
 
 def subtour_facets(n: int, sizes: Sequence[int] | None = None) -> list[Inequality]:

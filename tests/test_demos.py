@@ -18,7 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 DIGESTS = {
     "diverse_orderings.py": "61d762e70c41cc98a6f350269a65b44a8ca13368893c466bd0aed2391403351f",
-    "diverse_tours.py": "99d272c80583fe83cbbde2adbf8ff81e63a36affe1be2aa9cd25654f2e60ce36",
+    "diverse_tours.py": "d10f86d637f6f0b35d7acb0571b380ec90735a1a9842821bfa687ec3cd012f5d",
     "epsilon_rules.py": "16dbd6f4c2c238868548138f46ab5214d502d7e0c74ada308c3cc3516b4fa070",
     "facet_certification.py": "e75d8662769f2e4438582a7e0d0a1b3977d5222063dca6d0d845af36af7b5ff1",
     "polytope_dimensions.py": "c3e7758328fe00f1693ba0e78e87c71282f8b9664d7a5dd90688fa8ad90ee3ff",

@@ -513,8 +513,8 @@ def recorded_searches(monkeypatch):
 
 
 class TestConjugateTwin:
-    """Past POOL_LIMIT a full solve whose feasible points all have norm k,
-    2k < n, runs the conjugate program at 2*eps and gives the full answer."""
+    """Past POOL_LIMIT a full solve whose = rows pin every feasible norm to
+    k, 2k < n, runs the conjugate program at 2*eps and gives the full answer."""
 
     @pytest.mark.parametrize(
         "model, k",
@@ -558,17 +558,35 @@ class TestConjugateTwin:
         monkeypatch.setattr(bpcore, "POOL_LIMIT", 0)
         programs = recorded_searches(monkeypatch)
         dp = build(tour(6))
-        solve_diameter(dp, constant_norm=6)
-        solve_diameter(dp)  # no promise, no twin
+        twin = solve_diameter(dp)
+        # the same tour with each degree row written as a <=/>= pair: no =
+        # row is left to pin the norm, so the full program itself
+        rows = []
+        for con in dp.base.constraints:
+            rows += [(con.coeffs, s, con.rhs) for s in ("<=", ">=")] if con.sense == "=" else [con]
+        pairs = build(BinaryProgram(dp.base.c, rows))
+        full = solve_diameter(pairs)
         # on orderings 2k = n: the full program itself
         lp = build(ordering(5))
-        solve_diameter(lp, constant_norm=10)
+        solve_diameter(lp)
         assert [(p.variant, p.epsilon) for p in programs] == [
             ("conjugate", 2 * dp.epsilon),
-            ("full", dp.epsilon),
+            ("full", pairs.epsilon),
             ("full", lp.epsilon),
         ]
-        assert programs[2] is lp
+        assert programs[1] is pairs and programs[2] is lp
+        assert (twin.x_star, twin.y_star) == (full.x_star, full.y_star)
+
+    def test_a_raw_lp_tour_takes_the_twin(self, monkeypatch):
+        # the LP text keeps the degree rows as = rows, so the norm is read
+        # off the model itself, with no front end to vouch for it
+        front = solve_diameter(build(tour(8)))
+        monkeypatch.setattr(bpcore, "POOL_LIMIT", 0)
+        programs = recorded_searches(monkeypatch)
+        dp = build(parse_lp(lp_string(tour(8))[0]))
+        res = solve_diameter(dp)
+        assert [(p.variant, p.epsilon) for p in programs] == [("conjugate", 2 * dp.epsilon)]
+        assert (res.x_star, res.y_star) == (front.x_star, front.y_star) and res.diameter == 16
 
     def test_pinned_random_models(self, monkeypatch):
         # the identity needs only |x| = |y| = k, so it holds on raw models
@@ -590,6 +608,27 @@ class TestConjugateTwin:
             dp = build(pinned, rng.choice([None, Fraction(1, 3), 2]))
             res = solve_diameter(dp, constant_norm=k)
             assert res.x_star + res.y_star + res.z_star == solve_bnb(dp.derived).best.assignment
+
+
+class TestPinnedNorm:
+    """|x| when the = rows give every feasible point that norm, else None."""
+
+    @pytest.mark.parametrize(
+        "model, k",
+        [(ordering(n), n * (n - 1) // 2) for n in range(3, 7)]
+        + [(tour(n), n) for n in range(4, 9)]
+        + [
+            (BinaryProgram([1, 2, 3, 4, 5], [([1] * 5, "=", 3), ([1, 1, 0, 0, 0], "<=", 1)]), 3),
+            (BinaryProgram([0] * 6, [([Fraction(1, 2)] * 6, "=", 1)]), 2),
+            (BinaryProgram([1, 1, 1], [([1, 1, 0], "=", 1)]), None),
+            (BinaryProgram([1, 1, 1], [([1, 1, 1], "<=", 2)]), None),
+        ],
+        ids=[f"ordering{n}" for n in range(3, 7)]
+        + [f"tour{n}" for n in range(4, 9)]
+        + ["sum-is-k", "rational-half-sum", "two-of-three", "no-equality"],
+    )
+    def test_the_equality_rows_decide(self, model, k):
+        assert diameter._pinned_norm(model, solve_bnb(model).best.assignment) == k
 
 
 class TestLazyDerived:

@@ -96,7 +96,7 @@ LIBRARY = {
     # ordering n=3 listed as one ranking: the solved pair is not in the list
     "diameter-unlisted-half": (
         lambda: verify_listed_diameter(
-            lop.build(lop.LopInstance.zero(3)), 3, [(1, 2, 3)], lop.perm_to_incidence, lop.kendall_tau
+            lop.build(lop.LopInstance.zero(3)), [(1, 2, 3)], lop.perm_to_incidence, lop.kendall_tau
         ),
         None,
         False,

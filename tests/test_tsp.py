@@ -125,7 +125,8 @@ class TestDisjointTours:
         for t in tsp.all_tours(4):
             assert tsp.find_disjoint_tour(t) is None
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    # 1,100 and 10,000 cities: the construction must not recurse per city
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 1100, 10000])
     def test_found_tours_are_disjoint(self, n):
         rng = random.Random(70 + n)
         tours = tsp.all_tours(n) if n <= 5 else None
@@ -138,7 +139,7 @@ class TestDisjointTours:
                 t = tsp.canonical_tour((1, *rest))
             other = tsp.find_disjoint_tour(t)
             assert other is not None
-            assert tsp.canonical_tour(other) == other
+            assert tsp.canonical_tour(other) == other and sorted(other) == list(range(1, n + 1))
             assert not (set(tsp.tour_edges(t)) & set(tsp.tour_edges(other)))
 
 
