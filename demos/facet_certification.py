@@ -10,8 +10,9 @@ structure than two products glued together.
 from fractions import Fraction
 
 from diamopt import lop, tsp
+from diamopt.bpcore import Constraint
 from diamopt.diameter import paired
-from diamopt.polytope import Inequality, check_inequality, enumerate_points, facet_families
+from diamopt.polytope import check_inequality, enumerate_points, facet_families
 
 base = [lop.perm_to_incidence(p) for p in lop.all_permutations(3)]
 ps3 = enumerate_points(lop.build(lop.LopInstance.zero(3)), base_points=base)
@@ -46,7 +47,7 @@ def edge_vector(*es):
 
 for zedge in [(2, 3), (1, 4)]:
     a = paired(6, edge_vector((1, 2), (1, 3)), edge_vector((1, 2), (2, 4)), edge_vector(zedge))
-    q = Inequality(a, Fraction(3), ">=", f"mixed_z_{zedge[0]}_{zedge[1]}")
+    q = Constraint(a, ">=", Fraction(3), f"mixed_z_{zedge[0]}_{zedge[1]}")
     r = check_inequality(ps4, q)
     print(
         f"  {q.label}: valid={r.valid}, facet={r.is_facet},"

@@ -43,7 +43,6 @@ from .polytope import (
     DisjointPairReport,
     EquationSystem,
     FacetReport,
-    Inequality,
     PointSet,
     check_disjoint_pair_condition,
     check_inequality,
@@ -64,7 +63,6 @@ __all__ = [
     "DiverseOptimaResult",
     "EquationSystem",
     "FacetReport",
-    "Inequality",
     "InfeasibleModelError",
     "ParseError",
     "PointSet",

@@ -14,7 +14,7 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -37,13 +37,21 @@ POOL_LIMIT = math.isqrt(1 << DEFAULT_ENUM_CAP)
 
 @dataclass(frozen=True)
 class Constraint:
-    """One row; BinaryProgram brings its numbers to as_rational's normal
-    form (an int, or a lowest-terms Fraction when not an integer)."""
+    """One row coeffs . x (<=, =, >=) rhs, its numbers brought to
+    as_rational's normal form on construction: an int for an integer
+    value, a lowest-terms Fraction otherwise.  It is the one row type: a
+    front end's build solves the very rows the polyhedral suites certify."""
 
     coeffs: tuple[int | Fraction, ...]
     sense: str
     rhs: int | Fraction
-    name: str = ""
+    label: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", as_rationals(self.coeffs))
+        object.__setattr__(self, "rhs", as_rational(self.rhs))
+        if self.sense not in HOLDS:
+            raise ValueError(f"bad sense {self.sense!r}")
 
 
 @dataclass(frozen=True)
@@ -66,10 +74,11 @@ class SolveReport:
 class BinaryProgram:
     """max c.x, rows over x in {0,1}^n.
 
-    Every number is brought to as_rational's normal form on construction:
-    an int for an integer value, a lowest-terms Fraction otherwise, so an
-    all-integer model holds no Fraction.  Equalities and >= rows are stored
-    as given (they are only split when exporting LP text).
+    Every number is in as_rational's normal form: the objective is brought
+    to it here, and a row by Constraint, so an all-integer model holds no
+    Fraction.  The Constraint rows given are stored as they are (a tuple
+    row is made one, an unlabelled row is labelled c1, c2, ...);
+    equalities and >= rows are only split when exporting LP text.
     """
 
     __slots__ = ("n", "c", "constraints", "variable_names", "_scaled")
@@ -81,17 +90,11 @@ class BinaryProgram:
             raise ValueError("need at least one variable")
         rows = []
         for k, con in enumerate(constraints):
-            if isinstance(con, Constraint):
-                coeffs, sense, rhs, name = con.coeffs, con.sense, con.rhs, con.name
-            else:
-                coeffs, sense, rhs = con[0], con[1], con[2]
-                name = con[3] if len(con) > 3 else ""
-            coeffs = as_rationals(coeffs)
-            if len(coeffs) != self.n:
-                raise ValueError(f"row {k}: {len(coeffs)} coefficients, expected {self.n}")
-            if sense not in SENSES:
-                raise ValueError(f"row {k}: bad sense {sense!r}")
-            rows.append(Constraint(coeffs, sense, as_rational(rhs), name or f"c{k + 1}"))
+            if not isinstance(con, Constraint):
+                con = Constraint(*con)
+            if len(con.coeffs) != self.n:
+                raise ValueError(f"row {k}: {len(con.coeffs)} coefficients, expected {self.n}")
+            rows.append(con if con.label else replace(con, label=f"c{k + 1}"))
         self.constraints = tuple(rows)
         names = tuple(f"x_{i + 1}" for i in range(self.n)) if variable_names is None else tuple(variable_names)
         if len(names) != self.n:

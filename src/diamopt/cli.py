@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification or certification failed, 2 the
 model is infeasible, 3 bad input (usage errors included), 4 an enumeration
-cap was exceeded.  A reader that closes stdout early ends the run quietly
-with 0.
+cap was exceeded or an allocation failed (out of memory).  A reader that
+closes stdout early ends the run quietly with 0.
 
 JSON output is deterministic: keys sorted, fixed separators, no
 timestamps, so identical inputs give byte-identical reports.
@@ -32,17 +32,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bpcore import DEFAULT_ENUM_CAP, solve_bnb, solve_enumerate
+from .bpcore import DEFAULT_ENUM_CAP, Constraint, solve_bnb, solve_enumerate
 from .diameter import build as build_diameter
 from .diameter import result_to_dict, solve_diameter, theoretical_epsilon
 from .errors import CapExceededError, DiamoptError, InfeasibleModelError, ParseError
 from .modelio import json_list, load_model_json, load_model_lp
-from .polytope import (
-    DEFAULT_MAX_POINTS,
-    Inequality,
-    check_inequality,
-    enumerate_points,
-)
+from .polytope import DEFAULT_MAX_POINTS, check_inequality, enumerate_points
 from .ratlinalg import as_rational
 from .suites import FAMILIES, SUITES, run_suite
 
@@ -231,7 +226,7 @@ def cmd_dim(args) -> int:
     return EXIT_OK
 
 
-def _parse_inequalities(path: str) -> list[Inequality]:
+def _parse_inequalities(path: str) -> list[Constraint]:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -243,13 +238,13 @@ def _parse_inequalities(path: str) -> list[Inequality]:
     out = []
     for k, item in enumerate(data):
         try:
-            a = tuple(as_rational(v) for v in json_list(item["a"], "a"))
-            a0 = as_rational(item["a0"])
-            sense = item.get("sense", "<=")
-            label = item.get("label", f"ineq_{k + 1}")
+            a, label = json_list(item["a"], "a"), item.get("label", f"ineq_{k + 1}")
+            q = Constraint(a, item.get("sense", "<="), item["a0"], label)
+            if q.sense == "=":  # check-facet certifies inequalities, not equations
+                raise ValueError("bad sense '='")
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: inequality {k + 1}: {e}") from e
-        out.append(Inequality(a, a0, sense, label))
+        out.append(q)
     return out
 
 
@@ -394,6 +389,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except CapExceededError as e:
         print(f"diamopt: cap exceeded: {e}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("diamopt: cap exceeded: out of memory", file=sys.stderr)
         return EXIT_CAP
     except InfeasibleModelError as e:
         print(f"diamopt: infeasible: {e}", file=sys.stderr)

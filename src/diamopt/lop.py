@@ -20,11 +20,11 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .bpcore import BinaryProgram
+from .bpcore import BinaryProgram, Constraint
 from .diameter import maximisers, paired, split, verify_listed_diameter
 from .errors import ParseError
 from .modelio import instance_from_json, load_instance
-from .polytope import Inequality, nonnegativity_facets
+from .polytope import nonnegativity_facets
 from .ratlinalg import as_rational
 
 
@@ -72,9 +72,8 @@ def build(inst: LopInstance) -> BinaryProgram:
     n = inst.n_items
     rows, rhs = pick_one_system(n)
     names = (f"pick_{i}_{j}" for i, j in itertools.combinations(range(1, n + 1), 2))
-    cons = [(a, "=", b, name) for a, b, name in zip(rows, rhs, names)]
-    cons += [(f.a, f.sense, f.a0, f.label) for f in dicycle_facets(n)]
-    return BinaryProgram(inst.weight_vector(), cons, [f"x_{i}_{j}" for i, j in ordered_pairs(n)])
+    cons = [Constraint(a, "=", b, name) for a, b, name in zip(rows, rhs, names)]
+    return BinaryProgram(inst.weight_vector(), cons + dicycle_facets(n), [f"x_{i}_{j}" for i, j in ordered_pairs(n)])
 
 
 def _check_perm(sigma: Sequence[int]) -> tuple[int, ...]:
@@ -155,12 +154,12 @@ def verify_diameter_kendall(inst: LopInstance) -> bool:
     return verify_listed_diameter(build(inst), opts, perm_to_incidence, kendall_tau)
 
 
-def trivial_facets(n: int) -> list[Inequality]:
+def trivial_facets(n: int) -> list[Constraint]:
     """x_ij >= 0 for every ordered pair (each is x_ji <= 1 in disguise)."""
     return nonnegativity_facets([f"x_{i}_{j}" for i, j in ordered_pairs(n)])
 
 
-def dicycle_facets(n: int) -> list[Inequality]:
+def dicycle_facets(n: int) -> list[Constraint]:
     """The 3-dicycle rows x_ij + x_jk + x_ki <= 2, i < j, i < k, j != k:
     two per unordered triple, one for each orientation."""
     out = []
@@ -171,11 +170,11 @@ def dicycle_facets(n: int) -> list[Inequality]:
                     continue
                 a = [0] * (n * (n - 1))
                 a[pair_index(i, j, n)] = a[pair_index(j, k, n)] = a[pair_index(k, i, n)] = 1
-                out.append(Inequality(tuple(a), 2, "<=", f"cyc_{i}_{j}_{k}"))
+                out.append(Constraint(tuple(a), "<=", 2, f"cyc_{i}_{j}_{k}"))
     return out
 
 
-def base_facets(n: int) -> list[Inequality]:
+def base_facets(n: int) -> list[Constraint]:
     return trivial_facets(n) + dicycle_facets(n)
 
 
@@ -191,7 +190,7 @@ def pick_one_system(n: int):
     return rows, rhs
 
 
-def lift_inequality(ineq: Inequality, n_items: int) -> Inequality:
+def lift_inequality(ineq: Constraint, n_items: int) -> Constraint:
     """Zero-pad a 3-block inequality from n items to n+1 items.
 
     Coefficients on pairs among 1..n are copied in each of the x, y, z
@@ -200,14 +199,14 @@ def lift_inequality(ineq: Inequality, n_items: int) -> Inequality:
     """
     n = n_items
     old_pairs = ordered_pairs(n)
-    if len(ineq.a) != 3 * len(old_pairs):
+    if len(ineq.coeffs) != 3 * len(old_pairs):
         raise ValueError(f"expected {3 * len(old_pairs)} coordinates for n_items={n}")
     moved = [pair_index(i, j, n + 1) for i, j in old_pairs]
     blocks = [[0] * ((n + 1) * n) for _ in range(3)]
-    for block, old in zip(blocks, split(ineq.a)):
+    for block, old in zip(blocks, split(ineq.coeffs)):
         for k, v in zip(moved, old):
             block[k] = v
-    return Inequality(paired((n + 1) * n, *blocks), ineq.a0, ineq.sense, ineq.label)
+    return Constraint(paired((n + 1) * n, *blocks), ineq.sense, ineq.rhs, ineq.label)
 
 
 def lop_from_matrix_text(text: str) -> LopInstance:

@@ -83,7 +83,7 @@ def lp_string(bp: BinaryProgram) -> tuple[str, list[str]]:
     for con in bp.constraints:
         # a >= row is written negated as <=; an = row keeps its sense, which
         # solve_bnb's cardinality bound reads
-        name, coeffs, rhs, sense = con.name, con.coeffs, con.rhs, con.sense
+        name, coeffs, rhs, sense = con.label, con.coeffs, con.rhs, con.sense
         if sense == ">=":
             coeffs, rhs, sense = tuple(-a for a in coeffs), -rhs, "<="
         dec, exact = decimal_form(rhs)
@@ -107,7 +107,7 @@ def model_to_dict(bp: BinaryProgram) -> dict:
         "objective": [rational_to_json(v) for v in bp.c],
         "constraints": [
             {
-                "name": con.name,
+                "name": con.label,
                 "coeffs": [rational_to_json(v) for v in con.coeffs],
                 "sense": con.sense,
                 "rhs": rational_to_json(con.rhs),

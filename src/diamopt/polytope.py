@@ -45,7 +45,9 @@ the hull's directions, and U_f lies among them.  Every rank is exact.
 The (x | y | z) layout belongs to diameter: the inherited facet families,
 the z bounds and the lifted equation systems place their blocks with
 diameter.paired, and the coupling family is diameter.coupling, the row the
-diameter program solves.
+diameter program solves.  An inequality is a bpcore.Constraint with sense
+<= or >=: the same row objects a front end's build solves are the ones
+certified here.
 """
 
 from __future__ import annotations
@@ -53,15 +55,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bpcore import DEFAULT_ENUM_CAP, HOLDS, BinaryProgram, bit_table, feasible_blocks, support_masks
+from .bpcore import DEFAULT_ENUM_CAP, HOLDS, BinaryProgram, Constraint, bit_table, feasible_blocks, support_masks
 from .diameter import coupling, paired
 from .errors import CapExceededError, InfeasibleModelError
-from .ratlinalg import RatMatrix, _gram, _pivot_columns, as_rational, as_rationals, int_dtype, scaled_int_vector
+from .ratlinalg import RatMatrix, _gram, _pivot_columns, as_rationals, int_dtype, scaled_int_vector
 
 DEFAULT_MAX_POINTS = 2_000_000
 
@@ -135,24 +136,6 @@ def _pair_rows(base: np.ndarray) -> np.ndarray:
             tables[k] = bit_table(k)
         out[ends[c] - (1 << k) : ends[c], 2 * n :][:, shared[c] == 0] = tables[k]
     return out
-
-
-@dataclass(frozen=True)
-class Inequality:
-    """a . v <= a0 or a . v >= a0, its numbers brought to as_rational's
-    normal form on construction: an int for an integer value, a
-    lowest-terms Fraction otherwise."""
-
-    a: tuple[int | Fraction, ...]
-    a0: int | Fraction
-    sense: str  # "<=" | ">="
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_rationals(self.a))
-        object.__setattr__(self, "a0", as_rational(self.a0))
-        if self.sense not in ("<=", ">="):
-            raise ValueError(f"bad sense {self.sense!r}")
 
 
 @dataclass(frozen=True)
@@ -242,7 +225,7 @@ def _base_values(base: np.ndarray, a: Sequence[int], b: int) -> tuple[np.ndarray
     return x, y
 
 
-def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
+def check_inequality(ps: PointSet, ineq: Constraint) -> FacetReport:
     """Certify an inequality against an enumerated polytope.
 
     valid   = holds at every point;
@@ -254,11 +237,11 @@ def check_inequality(ps: PointSet, ineq: Inequality) -> FacetReport:
     docstring).  Its m^2 2^|Z| cells are refused past the set's max_points
     (or sys.maxsize, past which a pattern index would not fit int64).
     """
-    if len(ineq.a) != ps.dim_ambient:
+    if len(ineq.coeffs) != ps.dim_ambient:
         raise ValueError(
-            f"inequality {ineq.label!r} has {len(ineq.a)} coefficients, ambient dimension is {ps.dim_ambient}"
+            f"inequality {ineq.label!r} has {len(ineq.coeffs)} coefficients, ambient dimension is {ps.dim_ambient}"
         )
-    a, b, _ = scaled_int_vector(ineq.a, ineq.a0)
+    a, b, _ = scaled_int_vector(ineq.coeffs, ineq.rhs)
     pdim = ps.hull_dimension()
     base, n = ps.base, ps.dim_ambient // 3
     zs = [j for j in range(n) if a[2 * n + j]]
@@ -343,36 +326,34 @@ def verify_minimal_system(ps: PointSet, system: EquationSystem) -> bool:
     return pdim == ps.dim_ambient - system.matrix.nrows
 
 
-def nonnegativity_facets(names: Sequence[str]) -> list[Inequality]:
+def nonnegativity_facets(names: Sequence[str]) -> list[Constraint]:
     """v_k >= 0 for every coordinate, labelled by its variable name."""
     out = []
     for k, name in enumerate(names):
         a = [0] * len(names)
         a[k] = 1
-        out.append(Inequality(tuple(a), 0, ">=", f"{name}_ge_0"))
+        out.append(Constraint(tuple(a), ">=", 0, f"{name}_ge_0"))
     return out
 
 
-def facet_families(n: int, base_facets: Sequence[Inequality]) -> list[Inequality]:
+def facet_families(n: int, base_facets: Sequence[Constraint]) -> list[Constraint]:
     """The inherited and coupling inequality families over 3n coordinates.
 
     For each base facet a.x <= a0: its copy on the x block and on the y
     block; then 0 <= z_i <= 1 and x_i + y_i - z_i <= 1 for every
     coordinate.
     """
-    out: list[Inequality] = []
+    out: list[Constraint] = []
     for k, f in enumerate(base_facets):
-        if len(f.a) != n:
-            raise ValueError(f"base facet {k} has width {len(f.a)}, expected {n}")
+        if len(f.coeffs) != n:
+            raise ValueError(f"base facet {k} has width {len(f.coeffs)}, expected {n}")
         tag = f.label or f"base{k}"
-        out.append(Inequality(paired(n, x=f.a), f.a0, f.sense, f"{tag}[x]"))
-        out.append(Inequality(paired(n, y=f.a), f.a0, f.sense, f"{tag}[y]"))
+        out.append(Constraint(paired(n, x=f.coeffs), f.sense, f.rhs, f"{tag}[x]"))
+        out.append(Constraint(paired(n, y=f.coeffs), f.sense, f.rhs, f"{tag}[y]"))
     zs = nonnegativity_facets([f"z{i}" for i in range(1, n + 1)])
-    out += [Inequality(paired(n, z=f.a), f.a0, f.sense, f.label) for f in zs]
-    out += [Inequality(paired(n, z=f.a), 1, "<=", f"z{i}_le_1") for i, f in enumerate(zs, start=1)]
-    for i in range(n):
-        a, sense, rhs = coupling(n, i)
-        out.append(Inequality(a, rhs, sense, f"pair_ub_{i + 1}"))
+    out += [Constraint(paired(n, z=f.coeffs), f.sense, f.rhs, f.label) for f in zs]
+    out += [Constraint(paired(n, z=f.coeffs), "<=", 1, f"z{i}_le_1") for i, f in enumerate(zs, start=1)]
+    out += [Constraint(*coupling(n, i), f"pair_ub_{i + 1}") for i in range(n)]
     return out
 
 

@@ -17,7 +17,7 @@ from types import ModuleType
 from typing import Callable
 
 from . import lop, tsp
-from .bpcore import enumerate_optimal_set, random_binary_program, solve_bnb
+from .bpcore import Constraint, enumerate_optimal_set, random_binary_program, solve_bnb
 from .diameter import (
     build as build_diameter,
     choose_epsilon,
@@ -27,7 +27,6 @@ from .diameter import (
 )
 from .polytope import (
     EquationSystem,
-    Inequality,
     check_disjoint_pair_condition,
     check_inequality,
     enumerate_points,
@@ -117,7 +116,7 @@ def _extra_tour4_inequalities():
 
     x, y = edge_vector((1, 2), (1, 3)), edge_vector((1, 2), (2, 4))
     return [
-        Inequality(paired(6, x, y, edge_vector((i, j))), 3, ">=", f"mixed_z_{i}_{j}")
+        Constraint(paired(6, x, y, edge_vector((i, j))), ">=", 3, f"mixed_z_{i}_{j}")
         for i, j in ((2, 3), (1, 4))
     ]
 

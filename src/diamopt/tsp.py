@@ -19,11 +19,11 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .bpcore import BinaryProgram
+from .bpcore import BinaryProgram, Constraint
 from .diameter import maximisers, verify_listed_diameter
 from .errors import CapExceededError, ParseError
 from .modelio import instance_from_json, load_instance
-from .polytope import Inequality, nonnegativity_facets
+from .polytope import nonnegativity_facets
 from .ratlinalg import as_rational
 
 BUILD_CAP = 10
@@ -82,10 +82,9 @@ def build(inst: TspInstance) -> BinaryProgram:
     if n > BUILD_CAP:
         raise CapExceededError(f"dense subtour build refused for n={n} (cap {BUILD_CAP})")
     rows, rhs = degree_system(n)
-    cons = [(a, "=", b, f"deg_{v}") for v, (a, b) in enumerate(zip(rows, rhs), start=1)]
-    cons += [(f.a, f.sense, f.a0, f.label) for f in subtour_facets(n, range(2, n))]
+    cons = [Constraint(a, "=", b, f"deg_{v}") for v, (a, b) in enumerate(zip(rows, rhs), start=1)]
     c = tuple(-w for w in inst.cost_vector())
-    return BinaryProgram(c, cons, [f"x_{i}_{j}" for i, j in edges(n)])
+    return BinaryProgram(c, cons + subtour_facets(n, range(2, n)), [f"x_{i}_{j}" for i, j in edges(n)])
 
 
 def canonical_tour(seq: Sequence[int]) -> tuple[int, ...]:
@@ -202,7 +201,7 @@ def find_disjoint_tour(t: Sequence[int]) -> tuple[int, ...] | None:
     return canonical_tour([t[i] for i in (*range(0, n, 2), *odd)])
 
 
-def subtour_facets(n: int, sizes: Sequence[int] | None = None) -> list[Inequality]:
+def subtour_facets(n: int, sizes: Sequence[int] | None = None) -> list[Constraint]:
     """Subtour rows as inequalities; defaults to 2 <= |A| <= n-2."""
     if sizes is None:
         sizes = range(2, n - 1)
@@ -213,11 +212,11 @@ def subtour_facets(n: int, sizes: Sequence[int] | None = None) -> list[Inequalit
             for i, j in itertools.combinations(subset, 2):
                 a[edge_index(i, j, n)] = 1
             name = "sub_" + "_".join(str(v) for v in subset)
-            out.append(Inequality(tuple(a), size - 1, "<=", name))
+            out.append(Constraint(tuple(a), "<=", size - 1, name))
     return out
 
 
-def base_facets(n: int) -> list[Inequality]:
+def base_facets(n: int) -> list[Constraint]:
     return nonnegativity_facets([f"x_{i}_{j}" for i, j in edges(n)]) + subtour_facets(n)
 
 

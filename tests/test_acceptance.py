@@ -16,6 +16,7 @@ import pytest
 
 from diamopt import lop, tsp
 from diamopt.bpcore import (
+    Constraint,
     is_feasible,
     random_binary_program,
     solve_bnb,
@@ -30,7 +31,6 @@ from diamopt.diameter import (
 )
 from diamopt.polytope import (
     EquationSystem,
-    Inequality,
     check_inequality,
     enumerate_points,
     facet_families,
@@ -125,7 +125,7 @@ def test_c05_extra_tour_inequalities_are_facets():
         a[m + ix[(1, 2)]] += 1
         a[m + ix[(2, 4)]] += 1
         a[2 * m + ix[zedge]] += 1
-        return Inequality(tuple(a), Fraction(3), ">=", label)
+        return Constraint(tuple(a), ">=", Fraction(3), label)
 
     ps4 = tsp_points(4)
     for q in (mixed((2, 3), "mixed_z_2_3"), mixed((1, 4), "mixed_z_1_4")):

@@ -46,7 +46,7 @@ class TestModel:
     def test_default_names(self):
         bp = BinaryProgram([1, 2], [Constraint([1, 1], "<=", 1)])
         assert bp.variable_names == ("x_1", "x_2")
-        assert bp.constraints[0].name == "c1"
+        assert bp.constraints[0].label == "c1"
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestModel:
             ints = random_binary_program(rng, max_n=10, max_rows=5)
             fracs = BinaryProgram(
                 [Fraction(v) for v in ints.c],
-                [Constraint(tuple(map(Fraction, r.coeffs)), r.sense, Fraction(r.rhs), r.name) for r in ints.constraints],
+                [Constraint(tuple(map(Fraction, r.coeffs)), r.sense, Fraction(r.rhs), r.label) for r in ints.constraints],
             )
             assert {type(v) for r in fracs.constraints for v in (*r.coeffs, r.rhs)} | set(map(type, fracs.c)) == {int}
             assert fracs.scaled() == ints.scaled()

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from diamopt import cli, lop
 from diamopt.cli import main
 
 TSPLIB_ZERO_DEN = """DIMENSION: 3
@@ -216,6 +217,27 @@ def test_face_work_cap_exits_4(tmp_path, capsys):
     assert code == 4
     assert "face work of 2304 grid cells" in err and "max_points=2000" in err
     assert "Traceback" not in err
+
+
+def _out_of_memory(*args, **kw):
+    raise MemoryError
+
+
+# the stand-in that fails to allocate, and the command that reaches it
+OUT_OF_MEMORY = {
+    "pair-grid": ("enumerate_points", "dim --problem lop --n 3"),
+    "ordering-build": ("build", "diameter --problem lop --n 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_MEMORY))
+def test_failed_allocation_exits_4(case, monkeypatch, capsys):
+    name, argv = OUT_OF_MEMORY[case]
+    monkeypatch.setattr(cli if name == "enumerate_points" else lop, name, _out_of_memory)
+    code = main(argv.split())
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "cap exceeded: out of memory" in err and "Traceback" not in err
 
 
 INFEASIBLE_LP ="Maximize\n obj: x1 + x2\nSubject To\n r: x1 + x2 >= 3\nBinary\n x1\n x2\nEnd\n"

@@ -76,7 +76,7 @@ def instance_dir(tmp_path):
     (tmp_path / "tour.tsp").write_text(TOUR_TSPLIB)
     (tmp_path / "raw.lp").write_text(RAW_MODEL)
     for name, base in (("tour4", tsp.base_facets(4)), ("ordering3", lop.base_facets(3))):
-        ineqs = [{"a": [str(v) for v in q.a], "a0": str(q.a0), "sense": q.sense, "label": q.label} for q in facet_families(6, base)]
+        ineqs = [{"a": [str(v) for v in q.coeffs], "a0": str(q.rhs), "sense": q.sense, "label": q.label} for q in facet_families(6, base)]
         (tmp_path / f"{name}.json").write_text(json.dumps(ineqs))
     return tmp_path
 

@@ -13,16 +13,12 @@ from diamopt.diameter import build as build_diameter
 from diamopt.polytope import EquationSystem, facet_families, lift_equation_system
 
 
-def _as_constraints(facets):
-    return [Constraint(f.a, f.sense, f.a0, f.label) for f in facets]
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_ordering_model_rows_are_the_certified_rows(n):
     rows, rhs = lop.pick_one_system(n)
     names = [f"pick_{i}_{j}" for i, j in itertools.combinations(range(1, n + 1), 2)]
     want = [Constraint(a, "=", b, name) for a, b, name in zip(rows, rhs, names)]
-    want += _as_constraints(lop.dicycle_facets(n))
+    want += lop.dicycle_facets(n)
     assert list(lop.build(lop.LopInstance.zero(n)).constraints) == want
 
 
@@ -30,7 +26,7 @@ def test_ordering_model_rows_are_the_certified_rows(n):
 def test_tour_model_rows_are_the_certified_rows(n):
     rows, rhs = tsp.degree_system(n)
     want = [Constraint(a, "=", b, f"deg_{v}") for v, (a, b) in enumerate(zip(rows, rhs), start=1)]
-    want += _as_constraints(tsp.subtour_facets(n, range(2, n)))
+    want += tsp.subtour_facets(n, range(2, n))
     assert list(tsp.build(tsp.TspInstance.zero(n)).constraints) == want
 
 
@@ -51,8 +47,8 @@ def _solved_rows(module, zero, n):
 @pytest.mark.parametrize("module, zero, system, n", PAIRED_CASES, ids=PAIRED_IDS)
 def test_certified_couplings_are_the_solved_couplings(module, zero, system, n):
     width, rows = _solved_rows(module, zero, n)
-    certified = [(q.a, q.sense, q.a0) for q in facet_families(width, module.base_facets(n)) if q.label.startswith("pair_ub_")]
-    solved = [(c.coeffs, c.sense, c.rhs) for c in rows if c.name.startswith("pair_ub_")]
+    certified = [(q.coeffs, q.sense, q.rhs) for q in facet_families(width, module.base_facets(n)) if q.label.startswith("pair_ub_")]
+    solved = [(c.coeffs, c.sense, c.rhs) for c in rows if c.label.startswith("pair_ub_")]
     assert len(solved) == width
     assert certified == solved
 

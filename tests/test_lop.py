@@ -81,8 +81,8 @@ class TestModel:
     @pytest.mark.parametrize("n,dicycles", [(3, 2), (4, 8)])
     def test_row_counts(self, n, dicycles):
         bp = lop.build(lop.LopInstance.zero(n))
-        picks = [c for c in bp.constraints if c.name.startswith("pick_")]
-        cycles = [c for c in bp.constraints if c.name.startswith("cyc_")]
+        picks = [c for c in bp.constraints if c.label.startswith("pick_")]
+        cycles = [c for c in bp.constraints if c.label.startswith("cyc_")]
         assert len(picks) == n * (n - 1) // 2
         assert len(cycles) == dicycles
 
@@ -142,20 +142,20 @@ class TestFacetsAndLifting:
         assert RatMatrix(rows).rank() == 6
 
     def test_lift_inequality_embedding(self):
-        from diamopt.polytope import Inequality
+        from diamopt.bpcore import Constraint
 
         # n=2 pairs are (1,2), (2,1); blocks x, y, z over 6 coordinates
-        q = Inequality([1, 2, 3, 4, 5, 6], 7, "<=", "probe")
+        q = Constraint([1, 2, 3, 4, 5, 6], "<=", 7, "probe")
         lifted = lop.lift_inequality(q, 2)
-        assert len(lifted.a) == 3 * 6  # three blocks over the n=3 pairs
+        assert len(lifted.coeffs) == 3 * 6  # three blocks over the n=3 pairs
         pairs3 = lop.ordered_pairs(3)
         i12, i21 = pairs3.index((1, 2)), pairs3.index((2, 1))
         want = [Fraction(0)] * 18
         want[i12], want[i21] = 1, 2
         want[6 + i12], want[6 + i21] = 3, 4
         want[12 + i12], want[12 + i21] = 5, 6
-        assert list(lifted.a) == want
-        assert lifted.a0 == q.a0
+        assert list(lifted.coeffs) == want
+        assert lifted.rhs == q.rhs
         assert lifted.sense == q.sense
         assert lifted.label == q.label
 

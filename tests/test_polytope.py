@@ -13,7 +13,6 @@ from diamopt.diameter import paired
 from diamopt.errors import CapExceededError, InfeasibleModelError
 from diamopt.polytope import (
     EquationSystem,
-    Inequality,
     check_disjoint_pair_condition,
     check_inequality,
     enumerate_points,
@@ -38,7 +37,7 @@ def paired_points_free(n):
 def point_values(points, q):
     """(a . p for every row p, b) for q scaled to integers: an int64 product
     where sum |a| leaves no room to wrap, Python integers otherwise."""
-    a, b, _ = scaled_int_vector(q.a, q.a0)
+    a, b, _ = scaled_int_vector(q.coeffs, q.rhs)
     nz = [j for j, c in enumerate(a) if c]
     dtype = np.int64 if sum(map(abs, a)) < 1 << 62 else object
     return points[:, nz].astype(dtype) @ np.array([a[j] for j in nz], dtype=dtype), b
@@ -401,11 +400,11 @@ class TestCheckInequality:
     # every facet checkable by hand
     def facets_by_hand(self):
         return [
-            Inequality([1, 1, -1], 1, "<=", "coupling"),
-            Inequality([0, 0, 1], 0, ">=", "z_lo"),
-            Inequality([0, 0, 1], 1, "<=", "z_hi"),
-            Inequality([1, 0, 0], 0, ">=", "x_lo"),
-            Inequality([0, 1, 0], 0, ">=", "y_lo"),
+            Constraint([1, 1, -1], "<=", 1, "coupling"),
+            Constraint([0, 0, 1], ">=", 0, "z_lo"),
+            Constraint([0, 0, 1], "<=", 1, "z_hi"),
+            Constraint([1, 0, 0], ">=", 0, "x_lo"),
+            Constraint([0, 1, 0], ">=", 0, "y_lo"),
         ]
 
     def test_hand_checked_facets(self):
@@ -417,26 +416,26 @@ class TestCheckInequality:
 
     def test_coupling_tight_points(self):
         ps = paired_points_free(1)
-        q = Inequality([1, 1, -1], 1, "<=", "coupling")
+        q = Constraint([1, 1, -1], "<=", 1, "coupling")
         r = check_inequality(ps, q)
         assert r.valid and r.tight_point_count == 3  # (0,1,0), (1,0,0), (1,1,1)
         assert r == brute_force_report(ps, q)
 
     def test_valid_but_not_facet(self):
         ps = paired_points_free(1)
-        r = check_inequality(ps, Inequality([1, 1, 1], 3, "<=", "vertex_only"))
+        r = check_inequality(ps, Constraint([1, 1, 1], "<=", 3, "vertex_only"))
         assert r.valid and not r.is_facet
         assert r.face_dimension == 0
 
     def test_invalid_inequality(self):
         ps = paired_points_free(1)
-        r = check_inequality(ps, Inequality([1, 0, 0], 0, "<=", "x_is_zero"))
+        r = check_inequality(ps, Constraint([1, 0, 0], "<=", 0, "x_is_zero"))
         assert not r.valid
         assert not r.is_facet
 
     def test_empty_face(self):
         ps = paired_points_free(1)
-        r = check_inequality(ps, Inequality([1, 1, 1], -1, ">=", "slack"))
+        r = check_inequality(ps, Constraint([1, 1, 1], ">=", -1, "slack"))
         assert r.valid
         assert r.tight_point_count == 0
         assert r.face_dimension == -1
@@ -445,9 +444,9 @@ class TestCheckInequality:
         # 2^62 + 2^62 wraps in int64; the verdicts must not
         ps = paired_points_free(1)
         big = 1 << 62
-        r = check_inequality(ps, Inequality([big, big, -big], big, "<=", "coupling_scaled"))
+        r = check_inequality(ps, Constraint([big, big, -big], "<=", big, "coupling_scaled"))
         assert r.valid and r.is_facet and r.tight_point_count == 3
-        r = check_inequality(ps, Inequality([big, big, 0], big, "<=", "x_plus_y"))
+        r = check_inequality(ps, Constraint([big, big, 0], "<=", big, "x_plus_y"))
         assert not r.valid and r.tight_point_count == 4
 
     @pytest.mark.parametrize(
@@ -475,15 +474,15 @@ class TestCheckInequality:
         assert y.tolist() == [sum(c * v for c, v in zip(row[3:6], p)) for p in base]
         reference = [sum(c * v for c, v in zip(row, p)) for p in ps.array.tolist()]
         for sense in ("<=", ">="):
-            r = check_inequality(ps, Inequality(row, b, sense))
+            r = check_inequality(ps, Constraint(row, sense, b))
             assert r.tight_point_count == sum(v == b for v in reference)
             assert r.valid == all(v <= b if sense == "<=" else v >= b for v in reference)
-            assert r == brute_force_report(ps, Inequality(row, b, sense))
+            assert r == brute_force_report(ps, Constraint(row, sense, b))
 
     def test_fractional_inequality(self):
         ps = paired_points_free(1)
         r = check_inequality(
-            ps, Inequality([Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)], Fraction(1, 2), "<=", "half")
+            ps, Constraint([Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)], "<=", Fraction(1, 2), "half")
         )
         assert r.is_facet  # same facet as the integer form
 
@@ -501,7 +500,7 @@ class TestCheckInequality:
             moved = pairs_of(base[:, perm])
             cols = [block * 4 + j for block in range(3) for j in perm]
             for q, want in zip(rows, reports):
-                q = Inequality([q.a[c] for c in cols], q.a0, q.sense, q.label)
+                q = Constraint([q.coeffs[c] for c in cols], q.sense, q.rhs, q.label)
                 assert check_inequality(moved, q) == want == brute_force_report(moved, q), q.label
 
 
@@ -553,14 +552,14 @@ class TestFaceRank:
 
     def test_tight_everywhere_takes_no_rank(self, tour5):
         rows, rhs = tsp.degree_system(5)
-        r, grams, pivots = self.ranked(tour5, Inequality(paired(10, x=rows[0]), rhs[0], "<=", "degree_1[x]"))
+        r, grams, pivots = self.ranked(tour5, Constraint(paired(10, x=rows[0]), "<=", rhs[0], "degree_1[x]"))
         assert r.valid and r.tight_point_count == tour5.count
         assert r.face_dimension == 20 and not r.is_facet
         assert grams == pivots == []
 
     def test_lower_face_takes_one_exact_rank(self, tour5):
         # z_1 + z_2 >= 0 is tight where both vanish: two facets meet there
-        r, grams, pivots = self.ranked(tour5, Inequality(paired(10, z=[1, 1] + [0] * 8), 0, ">=", "z_1_z_2"))
+        r, grams, pivots = self.ranked(tour5, Constraint(paired(10, z=[1, 1] + [0] * 8), ">=", 0, "z_1_z_2"))
         assert r.valid and not r.is_facet and r.face_dimension < 19
         assert r.tight_point_count > 1000
         assert len(grams) == 1 and grams[0][0] < r.tight_point_count
@@ -573,7 +572,7 @@ class TestFaceRank:
         # and 3 on the x tour: a lower face, scaled to 3 x_12 + 2 x_13 <= 5
         a = [Fraction(0)] * 10
         a[tsp.edge_index(1, 2, 5)], a[tsp.edge_index(1, 3, 5)] = Fraction(1, 2), Fraction(1, 3)
-        r, grams, pivots = self.ranked(tour5, Inequality(paired(10, x=a), Fraction(5, 6), "<=", "x_12_x_13_frac"))
+        r, grams, pivots = self.ranked(tour5, Constraint(paired(10, x=a), "<=", Fraction(5, 6), "x_12_x_13_frac"))
         assert r.valid and not r.is_facet and 0 < r.tight_point_count < tour5.count
         assert len(grams) == 1 and len(pivots) == 1
         assert r.face_dimension == 20 - grams[0][1] + len(pivots[0]) < 19
@@ -585,7 +584,7 @@ class TestFaceRank:
         a = [0] * 10
         for i, j in ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5)):
             a[tsp.edge_index(i, j, 5)] = 1
-        r, grams, pivots = self.ranked(tour5, Inequality(paired(10, x=a, y=a), 0, ">=", "avoid_tour"))
+        r, grams, pivots = self.ranked(tour5, Constraint(paired(10, x=a, y=a), ">=", 0, "avoid_tour"))
         assert r.valid and r.tight_point_count == 32 and r.face_dimension == 5
         assert grams == [(1, 15)] and pivots == [[]]
 
@@ -593,7 +592,7 @@ class TestFaceRank:
         # edges 12 and 13 share a tour whenever vertex 1 sits between 2 and 3
         a = [0] * 10
         a[tsp.edge_index(1, 2, 5)] = a[tsp.edge_index(1, 3, 5)] = 1
-        r = self.ranked(tour5, Inequality(paired(10, x=a), 1, "<=", "x_12_x_13"))[0]
+        r = self.ranked(tour5, Constraint(paired(10, x=a), "<=", 1, "x_12_x_13"))[0]
         assert not r.valid and not r.is_facet
         assert 0 < r.tight_point_count < tour5.count
 
@@ -614,8 +613,8 @@ def random_rows(rng, ps, k):
             a[j] = rng.choice((-1, 1, 2))
         vals = ps.array.astype(np.int64) @ np.array(a, dtype=np.int64)
         b = [int(vals.max()), int(vals[rng.randrange(len(vals))]), int(vals.max()) + 1][t % 3]
-        rows.append(Inequality(a, b, "<=", f"row_{t}"))
-    return rows + [Inequality([0] * (3 * n), 0, ">=", "zero")]
+        rows.append(Constraint(a, "<=", b, f"row_{t}"))
+    return rows + [Constraint([0] * (3 * n), ">=", 0, "zero")]
 
 
 def kinds(reports, count):
@@ -716,7 +715,7 @@ class TestSubCubeOracle:
             ps = pairs_of(random_base(rng, int(rng.integers(1, 7)), int(rng.integers(2, 5)), ones=range(t % 2)))
             width = ps.dim_ambient
             rows = [
-                Inequality(rng.integers(-2, 3, width).tolist(), int(rng.integers(-2, 3)), sense, "random")
+                Constraint(rng.integers(-2, 3, width).tolist(), sense, int(rng.integers(-2, 3)), "random")
                 for sense in ("<=", ">=")
                 for _ in range(6)
             ]
@@ -812,19 +811,19 @@ class TestFaceWork:
         assert ps.count == 1008 < ps.max_points == 2000
         cells = r"2304 grid cells \(36 pairs x 2\^6 z patterns\) exceeds max_points=2000"
         with pytest.raises(CapExceededError, match=cells):
-            check_inequality(ps, Inequality(paired(6, z=[1] * 6), 6, "<=", "all_z"))
+            check_inequality(ps, Constraint(paired(6, z=[1] * 6), "<=", 6, "all_z"))
         # five z columns are 36 * 2^5 = 1,152 cells, under the cap
-        q = Inequality(paired(6, z=[1] * 5 + [0]), 5, "<=", "five_z")
+        q = Constraint(paired(6, z=[1] * 5 + [0]), "<=", 5, "five_z")
         assert check_inequality(ps, q) == brute_force_report(ps, q)
         # the default cap reads the all-z row
-        q = Inequality(paired(6, z=[1] * 6), 6, "<=", "all_z")
+        q = Constraint(paired(6, z=[1] * 6), "<=", 6, "all_z")
         assert check_inequality(ordering3(), q) == brute_force_report(ps, q)
 
     def test_ordering4_all_z_row_at_the_default_cap(self):
         # 483,840 points, under the cap, but 576 * 2^12 = 2,359,296 cells
         ps = suites._lop_points(4)
         with pytest.raises(CapExceededError, match="2359296 grid cells"):
-            check_inequality(ps, Inequality(paired(12, z=[1] * 12), 12, "<=", "all_z"))
+            check_inequality(ps, Constraint(paired(12, z=[1] * 12), "<=", 12, "all_z"))
 
     @pytest.mark.parametrize("chunk", [1, 100, polytope._ORDER_CHUNK])
     def test_patterns_cross_chunks(self, chunk, monkeypatch):
@@ -887,7 +886,7 @@ class TestEquationSystem:
 def minimal_per_point(ps, system):
     """verify_minimal_system by evaluating every row at every point."""
     for row, d in zip(system.matrix.rows, system.rhs):
-        vals, b = point_values(ps.array, Inequality(row, d, "<="))
+        vals, b = point_values(ps.array, Constraint(row, "<=", d))
         if not (vals == b).all():
             return False
     return ps.hull_dimension() == ps.dim_ambient - system.matrix.nrows
@@ -1072,8 +1071,8 @@ class TestFacetFamilies:
         by_label = {q.label: q for q in fams}
         qx = by_label["x_1_2_ge_0[x]"]
         qy = by_label["x_1_2_ge_0[y]"]
-        assert qx.a[0] == 1 and all(v == 0 for v in qx.a[1:])
-        assert qy.a[2] == 1 and all(v == 0 for i, v in enumerate(qy.a) if i != 2)
+        assert qx.coeffs[0] == 1 and all(v == 0 for v in qx.coeffs[1:])
+        assert qy.coeffs[2] == 1 and all(v == 0 for i, v in enumerate(qy.coeffs) if i != 2)
 
 
 class TestDisjointPair:

@@ -13,7 +13,7 @@ from diamopt.bpcore import BinaryProgram, Constraint, is_feasible, solve_bnb
 from diamopt.diameter import build, solve_diameter, verify_listed_diameter
 from diamopt.errors import DiamoptError, ParseError
 from diamopt.modelio import decimal_form, lp_string
-from diamopt.polytope import EquationSystem, Inequality, enumerate_points, facet_families, verify_minimal_system
+from diamopt.polytope import EquationSystem, enumerate_points, facet_families, verify_minimal_system
 from diamopt.ratlinalg import RatMatrix, affine_dimension
 
 TSPLIB_HEADER_AFTER_WEIGHTS = """DIMENSION: 3
@@ -37,6 +37,9 @@ LIBRARY = {
     "bpcore-no-variables": (lambda: BinaryProgram([]), ValueError, "need at least one variable"),
     "bpcore-feasible-length": (lambda: is_feasible(BinaryProgram([1, 1]), (1,)), ValueError, "length mismatch"),
     "bpcore-feasible-not-binary": (lambda: is_feasible(BinaryProgram([1, 1]), (1, 2)), ValueError, "must be 0/1"),
+    "bpcore-bad-sense": (lambda: Constraint((1,), "<", 0), ValueError, "bad sense '<'"),
+    # a tuple row is made a Constraint, and refused the same way
+    "bpcore-tuple-bad-sense": (lambda: BinaryProgram([1], [((1,), "<", 0)]), ValueError, "bad sense '<'"),
     "lop-pair-index": (lambda: lop.pair_index(2, 2, 3), ValueError, "bad pair (2, 2) for n=3"),
     "lop-weight-out-of-range": (lambda: lop.LopInstance(3, {(1, 4): 1}), ValueError, "pair (1, 4) out of range"),
     "lop-incidence-length": (
@@ -47,7 +50,7 @@ LIBRARY = {
         lambda: lop.verify_diameter_kendall(lop.LopInstance.zero(7)), ValueError, "n <= 6 only",
     ),
     "lop-lift-width": (
-        lambda: lop.lift_inequality(Inequality((1,) * 6, 1, "<="), 3), ValueError, "expected 18 coordinates",
+        lambda: lop.lift_inequality(Constraint((1,) * 6, "<=", 1), 3), ValueError, "expected 18 coordinates",
     ),
     "tsp-edge-index": (lambda: tsp.edge_index(2, 2, 3), ValueError, "bad edge (2, 2) for n=3"),
     "tsp-cost-out-of-range": (lambda: tsp.TspInstance(3, {(1, 4): 1}), ValueError, "edge (1, 4) out of range"),
@@ -65,14 +68,13 @@ LIBRARY = {
     "tsp-tsplib-header-after-weights": (
         lambda: tsp.tsp_from_tsplib(TSPLIB_HEADER_AFTER_WEIGHTS), ParseError, "EDGE_WEIGHT_FORMAT UPPER_ROW unsupported",
     ),
-    "polytope-bad-sense": (lambda: Inequality((1,), 0, "<"), ValueError, "bad sense '<'"),
     "polytope-minimal-system-width": (
         lambda: verify_minimal_system(_ordering3_points(), EquationSystem(*lop.pick_one_system(3))),
         ValueError,
         "system width disagrees with the point set",
     ),
     "polytope-facet-family-width": (
-        lambda: facet_families(2, [Inequality((1,), 0, "<=")]), ValueError, "base facet 0 has width 1, expected 2",
+        lambda: facet_families(2, [Constraint((1,), "<=", 0)]), ValueError, "base facet 0 has width 1, expected 2",
     ),
     "ratlinalg-ragged": (lambda: RatMatrix([[1, 2], [3]]), ValueError, "ragged rows"),
     "ratlinalg-1d-array": (lambda: affine_dimension(np.array([1, 0])), ValueError, "expected a 2-D array"),
@@ -140,6 +142,11 @@ CLI = {
     "check-facet-not-valid": (
         "check-facet {f} --problem lop --n 3", "q.json", json.dumps(X12_ZERO), None, 1,
         "NOT VALID  x_1_2[x]<=0\n", "",
+    ),
+    # a Constraint admits =, but check-facet certifies inequalities only
+    "check-facet-equality": (
+        "check-facet {f} --problem lop --n 3", "q.json", json.dumps([dict(X12_ZERO[0], sense="=")]), None, 3,
+        "", "bad sense '='",
     ),
 }
 

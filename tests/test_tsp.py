@@ -54,8 +54,8 @@ class TestModel:
     @pytest.mark.parametrize("n,subtours", [(4, 10), (5, 25)])
     def test_row_counts(self, n, subtours):
         bp = tsp.build(tsp.TspInstance.zero(n))
-        deg = [c for c in bp.constraints if c.name.startswith("deg_")]
-        sub = [c for c in bp.constraints if c.name.startswith("sub_")]
+        deg = [c for c in bp.constraints if c.label.startswith("deg_")]
+        sub = [c for c in bp.constraints if c.label.startswith("sub_")]
         assert len(deg) == n
         assert len(sub) == subtours
 
