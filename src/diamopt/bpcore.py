@@ -77,8 +77,8 @@ class BinaryProgram:
     Every number is in as_rational's normal form: the objective is brought
     to it here, and a row by Constraint, so an all-integer model holds no
     Fraction.  The Constraint rows given are stored as they are (a tuple
-    row is made one, an unlabelled row is labelled c1, c2, ...);
-    equalities and >= rows are only split when exporting LP text.
+    row is made one, an unlabelled row is labelled c1, c2, ...), and LP
+    text writes each in its own sense.
     """
 
     __slots__ = ("n", "c", "constraints", "variable_names", "_scaled")

@@ -27,7 +27,6 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,7 +35,7 @@ from .bpcore import DEFAULT_ENUM_CAP, Constraint, solve_bnb, solve_enumerate
 from .diameter import build as build_diameter
 from .diameter import result_to_dict, solve_diameter, theoretical_epsilon
 from .errors import CapExceededError, DiamoptError, InfeasibleModelError, ParseError
-from .modelio import json_list, load_model_json, load_model_lp
+from .modelio import json_list, load_model_json, load_model_lp, read_json
 from .polytope import DEFAULT_MAX_POINTS, check_inequality, enumerate_points
 from .ratlinalg import as_rational
 from .suites import FAMILIES, SUITES, run_suite
@@ -227,10 +226,7 @@ def cmd_dim(args) -> int:
 
 
 def _parse_inequalities(path: str) -> list[Constraint]:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: {e}") from e
+    data = read_json(path)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

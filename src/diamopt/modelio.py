@@ -3,9 +3,12 @@
 The LP writer emits decimal coefficients.  A rational has an exact finite
 decimal expansion iff its lowest-terms denominator is of the form
 2^a * 5^b; anything else is rounded and flagged with a warning comment,
-and the exact values always travel in a JSON sidecar.  >= rows are
-negated to <= rows on export only; = and <= rows keep their sense, and the
-in-memory model keeps every row native.
+and the exact values always travel in a JSON sidecar.  Every row keeps
+its sense, so parse_lp(lp_string(bp)[0]) == bp whenever lp_string gives no
+warning.  lp_string refuses (ValueError) a name parse_lp could not read
+back: a variable name that is no identifier or is a section word (max,
+min, st, bin, end, ...), or a row label with ':', '\\', a line break or
+surrounding whitespace.
 """
 
 from __future__ import annotations
@@ -75,30 +78,22 @@ def lp_string(bp: BinaryProgram) -> tuple[str, list[str]]:
     """Fixed-form LP text for the model; returns (text, warnings)."""
     warnings: list[str] = []
     names = bp.variable_names
-    lines = []
-    body = []
-    body.append("Maximize")
-    body.append(f" obj: {_expr(bp.c, names, warnings, 'objective')}")
-    body.append("Subject To")
-    for con in bp.constraints:
-        # a >= row is written negated as <=; an = row keeps its sense, which
-        # solve_bnb's cardinality bound reads
-        name, coeffs, rhs, sense = con.label, con.coeffs, con.rhs, con.sense
-        if sense == ">=":
-            coeffs, rhs, sense = tuple(-a for a in coeffs), -rhs, "<="
-        dec, exact = decimal_form(rhs)
-        if not exact:
-            warnings.append(f"right-hand side {rhs} of {name} is inexact in decimal")
-        body.append(f" {name}: {_expr(coeffs, names, warnings, name)} {sense} {dec}")
-    body.append("Binary")
     for name in names:
-        body.append(f" {name}")
-    body.append("End")
-    lines.append("\\ binary program, maximization form")
-    for w in warnings:
-        lines.append(f"\\ warning: {w}; exact rationals in the JSON sidecar")
-    lines.extend(body)
-    return "\n".join(lines) + "\n", warnings
+        if not re.fullmatch(_NAME, name) or name.lower() in _HEADERS:
+            raise ValueError(f"variable name {name!r} cannot be read back from LP text")
+    body = ["Maximize", f" obj: {_expr(bp.c, names, warnings, 'objective')}", "Subject To"]
+    for con in bp.constraints:
+        name = con.label
+        if ":" in name or "\\" in name or name.splitlines() != [name.strip()]:  # one line, unpadded
+            raise ValueError(f"row label {name!r} cannot be read back from LP text")
+        dec, exact = decimal_form(con.rhs)
+        if not exact:
+            warnings.append(f"right-hand side {con.rhs} of {name} is inexact in decimal")
+        body.append(f" {name}: {_expr(con.coeffs, names, warnings, name)} {con.sense} {dec}")
+    body += ["Binary", *(f" {name}" for name in names), "End"]
+    head = ["\\ binary program, maximization form"]
+    head += [f"\\ warning: {w}; exact rationals in the JSON sidecar" for w in warnings]
+    return "\n".join(head + body) + "\n", warnings
 
 
 def model_to_dict(bp: BinaryProgram) -> dict:
@@ -179,17 +174,21 @@ def instance_from_json(d: dict, make, field: str, family: str, symmetric: bool =
         raise ParseError(f"bad {family} instance JSON: {e}") from e
 
 
+def read_json(path: str):
+    """The JSON value in the file at path; malformed JSON is ParseError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}: {e}") from e
+
+
 def load_instance(path: str, from_json, from_text):
     """Read an instance file: .json goes to from_json(dict), anything else to from_text(str)."""
+    if path.endswith(".json"):
+        return from_json(read_json(path))
     with open(path) as fh:
-        text = fh.read()
-    if not path.endswith(".json"):
-        return from_text(text)
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: {e}") from e
-    return from_json(d)
+        return from_text(fh.read())
 
 
 def write_lp(bp: BinaryProgram, path: str) -> list[str]:
@@ -204,17 +203,18 @@ def write_lp(bp: BinaryProgram, path: str) -> list[str]:
 
 
 def load_model_json(path: str) -> BinaryProgram:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from e
-    return model_from_dict(d)
+    return model_from_dict(read_json(path))
 
 
-_TERM = re.compile(
-    r"([+-])?\s*(\d+(?:\.\d+)?|\.\d+)?\s*([A-Za-z_][A-Za-z0-9_]*)"
-)
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # a variable name, if it is no one-word header
+# each header line parse_lp reads, lower-cased, and the section it opens
+_HEADERS = {
+    **dict.fromkeys(("maximize", "max", "minimize", "min"), "obj"),
+    **dict.fromkeys(("subject to", "st", "s.t.", "such that"), "rows"),
+    **dict.fromkeys(("binary", "binaries", "bin"), "bin"),
+    "end": "done",
+}
+_TERM = re.compile(rf"([+-])?\s*(\d+(?:\.\d+)?|\.\d+)?\s*({_NAME})")
 _NUM = re.compile(r"[+-]?(\d+(?:\.\d+)?|\.\d+)$")
 
 
@@ -257,18 +257,10 @@ def parse_lp(text: str) -> BinaryProgram:
         if not line:
             continue
         low = line.lower()
-        if low in ("maximize", "max", "minimize", "min"):
-            section = "obj"
-            minimize = low.startswith("min")
-            continue
-        if low in ("subject to", "st", "s.t.", "such that"):
-            section = "rows"
-            continue
-        if low in ("binary", "binaries", "bin"):
-            section = "bin"
-            continue
-        if low == "end":
-            section = "done"
+        if low in _HEADERS:
+            section = _HEADERS[low]
+            if section == "obj":
+                minimize = low.startswith("min")
             continue
         if section == "obj":
             body = line.split(":", 1)[1] if ":" in line else line

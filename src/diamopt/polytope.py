@@ -310,7 +310,7 @@ def verify_minimal_system(ps: PointSet, system: EquationSystem) -> bool:
     and those two constants plus sum gamma make b, z being 1 off U: O(m)
     work a row.
     """
-    if system.matrix.ncols != ps.dim_ambient:
+    if system.rhs and system.matrix.ncols != ps.dim_ambient:  # an empty system has no width
         raise ValueError("system width disagrees with the point set")
     pdim = ps.hull_dimension()
     n = ps.dim_ambient // 3

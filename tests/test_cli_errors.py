@@ -118,6 +118,19 @@ def test_refused_input_is_input_error(case, tmp_path, capsys):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv", ["solve {f}", "diameter --problem raw --instance {f}", "diameter --problem tsp --instance {f}", "check-facet {f} --problem lop --n 2"]
+)
+def test_malformed_json_names_the_file_and_the_fault(argv, tmp_path, capsys):
+    # models, instances and inequality files are read by one JSON reader
+    path = tmp_path / "f.json"
+    path.write_text('{"a": [1, 2]')
+    with pytest.raises(json.JSONDecodeError) as fault:
+        json.loads(path.read_text())
+    assert main(argv.format(f=path).split()) == 3
+    assert capsys.readouterr().err == f"diamopt: input error: {path}: {fault.value}\n"
+
+
 def _model(objective):
     return json.dumps({"objective": objective, "constraints": []})
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from diamopt import diameter, lop, tsp
 from diamopt.bpcore import BinaryProgram, Constraint, enumerate_feasible, random_binary_program
+from diamopt.diameter import build
 from diamopt.errors import ParseError
 from diamopt.modelio import (
     decimal_form,
@@ -100,10 +102,11 @@ class TestLpText:
         assert ">=" not in text and "<=" not in text
         assert parse_lp(text) == bp
 
-    def test_ge_negated(self):
+    def test_ge_keeps_its_sense(self):
         bp = BinaryProgram([1, 1], [Constraint([1, 2], ">=", 1, "low")])
         text, _ = lp_string(bp)
-        assert "- x_1 - 2 x_2 <= -1" in text
+        assert " low: x_1 + 2 x_2 >= 1" in text.splitlines()
+        assert "<=" not in text
 
     def test_warning_on_inexact(self):
         bp = BinaryProgram([Fraction(1, 3), 1], [])
@@ -121,6 +124,7 @@ class TestLpText:
         assert back.variable_names == bp.variable_names
         assert back.c == bp.c
         assert enumerate_feasible(back) == enumerate_feasible(bp)
+        assert back == bp
 
     def test_sidecar_is_exact(self, tmp_path):
         bp = BinaryProgram([Fraction(1, 3)], [Constraint([Fraction(1, 7)], "<=", 1)])
@@ -128,6 +132,24 @@ class TestLpText:
         write_lp(bp, str(path))
         side = load_model_json(str(path) + ".json")
         assert side == bp
+
+    @pytest.mark.parametrize("name", ["a-b", "x.1", "1x", "x y", ""])
+    def test_variable_name_must_be_an_identifier(self, name):
+        bp = BinaryProgram([1, 1], [], ["ok", name])
+        with pytest.raises(ValueError, match=f"variable name {name!r}"):
+            lp_string(bp)
+
+    @pytest.mark.parametrize("name", ["end", "End", "max", "MINIMIZE", "st", "bin", "Binaries"])
+    def test_variable_name_must_not_be_a_section_word(self, name):
+        bp = BinaryProgram([1, 1], [], ["ok", name])
+        with pytest.raises(ValueError, match=f"variable name {name!r}"):
+            lp_string(bp)
+
+    @pytest.mark.parametrize("label", ["r:1", "r\\1", " r", "r ", "r\n1"])
+    def test_row_label_must_read_back(self, label):
+        bp = BinaryProgram([1, 1], [Constraint([1, 1], "<=", 1, label)])
+        with pytest.raises(ValueError, match="row label"):
+            lp_string(bp)
 
     def test_minimize_negates(self):
         text = "Minimize\n obj: x + 2 y\nSubject To\n r: x + y <= 1\nBinary\n x\n y\nEnd\n"
@@ -155,3 +177,38 @@ def test_json_file_round_trip(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(model_to_dict(bp)))
     assert load_model_json(str(path)) == bp
+
+
+def _round_trip_models():
+    """Random models, zero-cost and costed front ends, and the full and
+    conjugate paired programs of 60 of the random models."""
+    models = [random_binary_program(random.Random(seed)) for seed in range(200)]
+    models += [lop.build(lop.LopInstance.zero(n)) for n in (3, 4, 5)]
+    models += [tsp.build(tsp.TspInstance.zero(n)) for n in (4, 5, 6)]
+    rng = random.Random(7)
+    models.append(lop.build(lop.LopInstance(4, {p: rng.randint(-4, 4) for p in lop.ordered_pairs(4)})))
+    models.append(tsp.build(tsp.TspInstance(5, {e: Fraction(rng.randint(1, 9), 4) for e in tsp.edges(5)})))
+    models += [build(bp, None, v).derived for bp in models[:60] for v in ("full", "conjugate")]
+    return models
+
+
+def test_lp_round_trip_is_the_identity():
+    # every row keeps its sense, label and exact numbers; a model whose text
+    # carries a warning is inexact in decimal and travels by its sidecar
+    identities = 0
+    for bp in _round_trip_models():
+        text, warnings = lp_string(bp)
+        if not warnings:
+            assert parse_lp(text) == bp, text
+            identities += 1
+    assert identities == 280  # and 48 inexact
+
+
+def test_paired_search_cut_rows_read_back(monkeypatch):
+    # the solve-time copy paired_search solves adds rows base_opt_x / base_opt_y
+    solved = []
+    monkeypatch.setattr(diameter, "solve_bnb", solved.append)
+    diameter.paired_search(build(BinaryProgram([1, 2], [Constraint([1, 1], "<=", 1)]), 1, "full"), 2)
+    (cut,) = solved
+    assert [con.label for con in cut.constraints[-2:]] == ["base_opt_x", "base_opt_y"]
+    assert parse_lp(lp_string(cut)[0]) == cut

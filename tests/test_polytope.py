@@ -882,6 +882,14 @@ class TestEquationSystem:
         bad = lift_equation_system(EquationSystem([[1, 1]], [2]))
         assert not verify_minimal_system(ps, bad)
 
+    def test_empty_system_of_a_full_dimensional_hull(self):
+        # hull 9 of 9: the empty system is minimal, and a row no point set
+        # of full dimension satisfies is not; an empty system has no width
+        ps = enumerate_points(BinaryProgram([0, 0, 0], [Constraint([1, 1, 1], "<=", 2)]))
+        assert ps.hull_dimension() == ps.dim_ambient == 9
+        assert verify_minimal_system(ps, lift_equation_system(EquationSystem([], [])))
+        assert not verify_minimal_system(ps, lift_equation_system(EquationSystem([[1, 1, 0]], [1])))
+
 
 def minimal_per_point(ps, system):
     """verify_minimal_system by evaluating every row at every point."""
