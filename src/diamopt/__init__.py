@@ -31,8 +31,7 @@ from .diameter import (
 )
 from .errors import CapExceededError, DiamoptError, InfeasibleModelError, ParseError
 from .modelio import (
-    load_model_json,
-    load_model_lp,
+    load_model,
     lp_string,
     model_from_dict,
     model_to_dict,
@@ -81,8 +80,7 @@ __all__ = [
     "facet_families",
     "is_feasible",
     "lift_equation_system",
-    "load_model_json",
-    "load_model_lp",
+    "load_model",
     "lp_string",
     "model_from_dict",
     "model_to_dict",

@@ -35,7 +35,7 @@ from .bpcore import DEFAULT_ENUM_CAP, Constraint, solve_bnb, solve_enumerate
 from .diameter import build as build_diameter
 from .diameter import result_to_dict, solve_diameter, theoretical_epsilon
 from .errors import CapExceededError, DiamoptError, InfeasibleModelError, ParseError
-from .modelio import json_list, load_model_json, load_model_lp, read_json
+from .modelio import json_list, load_model, read_json
 from .polytope import DEFAULT_MAX_POINTS, check_inequality, enumerate_points
 from .ratlinalg import as_rational
 from .suites import FAMILIES, SUITES, run_suite
@@ -66,12 +66,6 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     _write(args, [_json(payload) + "\n" if args.format == "json" else "\n".join(text_lines) + "\n"])
 
 
-def _load_model(path: str):
-    if path.endswith(".lp"):
-        return load_model_lp(path)
-    return load_model_json(path)
-
-
 def _bits(assignment) -> str:
     return "".join(str(v) for v in assignment)
 
@@ -88,7 +82,7 @@ def _instance_setup(args):
     if args.problem == "raw":
         if not args.instance:
             raise ParseError("--problem raw requires --instance MODEL")
-        bp = _load_model(args.instance)
+        bp = load_model(args.instance)
         return {"problem": "raw", "n": bp.n}, bp, None
     family = FAMILIES[args.problem]
     if args.instance:
@@ -97,7 +91,7 @@ def _instance_setup(args):
         inst = family.zero(args.n)
     else:
         raise ParseError(f"need --n or --instance for --problem {args.problem}")
-    return {"problem": args.problem, "n": family.size(inst)}, family.module.build(inst), family
+    return {"problem": args.problem, "n": inst.n}, family.module.build(inst), family
 
 
 def _paired_points(args):
@@ -111,7 +105,7 @@ def _paired_points(args):
 
 
 def cmd_solve(args) -> int:
-    bp = _load_model(args.model)
+    bp = load_model(args.model)
     if args.method == "enum":
         rep = solve_enumerate(bp, args.cap)
     else:
@@ -298,26 +292,30 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--n", type=int, help="instance size for lop/tsp (costs all zero)")
     source.add_argument("--instance", metavar="PATH", help="instance or model file")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help=_CAP_HELP + "; diameter cross-checks when 3n <= cap")
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_ENUM_CAP, help=_CAP_HELP + "; diameter cross-checks when 3n <= cap")
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
     _add_instance_flags(p)
     p.add_argument(
-        "--max-points", type=_positive_int, default=DEFAULT_MAX_POINTS, help="cap on pair grid, face cells, listed points"
+        "--max-points", type=_int_at_least(1), default=DEFAULT_MAX_POINTS, help="cap on pair grid, face cells, listed points"
     )
     _add_output_flags(p)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return value
+def _int_at_least(least: int):
+    """The argparse type of an integer no smaller than least."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {least}, got {text!r}")
+        return value
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a model exactly")
-    p.add_argument("model", help=".lp or .json model file")
+    p.add_argument("model", help="model file: JSON (.json) or LP text")
     p.add_argument("--method", choices=("bnb", "enum", "both"), default="bnb")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help=_CAP_HELP + " (--method enum|both)")
+    p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_ENUM_CAP, help=_CAP_HELP + " (--method enum|both)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_solve)
 
@@ -368,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--trials", type=_positive_int, default=50, help="random trials (epsilon suite), at least 1")
+    p.add_argument("--trials", type=_int_at_least(1), default=50, help="random trials (epsilon suite), at least 1")
     p.add_argument("--seed", type=int, default=1729, help="random seed (epsilon suite)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify)

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 from .bpcore import BinaryProgram, Constraint
 from .diameter import maximisers, paired, split, verify_listed_diameter
 from .errors import ParseError
-from .modelio import instance_from_json, load_instance
+from .modelio import PairWeights, instance_from_json, load_instance
 from .polytope import nonnegativity_facets
 from .ratlinalg import as_rational
 
@@ -38,42 +38,22 @@ def pair_index(i: int, j: int, n: int) -> int:
     return (i - 1) * (n - 1) + (j - 1) - (1 if j > i else 0)
 
 
-class LopInstance:
+class LopInstance(PairWeights):
     """Weights over all n(n-1) ordered pairs; missing pairs default to 0."""
 
-    __slots__ = ("n_items", "weights")
-
-    def __init__(self, n_items: int, weights=None):
-        if n_items < 2:
-            raise ValueError("need at least two items")
-        self.n_items = n_items
-        table = {p: 0 for p in ordered_pairs(n_items)}
-        if weights:
-            for (i, j), w in dict(weights).items():
-                if (i, j) not in table:
-                    raise ValueError(f"pair ({i}, {j}) out of range")
-                table[(i, j)] = as_rational(w)
-        self.weights = table
-
-    @classmethod
-    def zero(cls, n_items: int) -> "LopInstance":
-        return cls(n_items)
-
-    def weight_vector(self) -> tuple[int | Fraction, ...]:
-        return tuple(self.weights[p] for p in ordered_pairs(self.n_items))
-
-    def __repr__(self):
-        return f"LopInstance(n_items={self.n_items})"
+    pairs = staticmethod(ordered_pairs)
+    key = tuple
+    least, too_few, pair_word, weight_word = 2, "two items", "pair", "weight"
 
 
 def build(inst: LopInstance) -> BinaryProgram:
     """max sum w_ij x_ij s.t. the pick-one equalities (pick_i_j) and the
     3-dicycle rows (cyc_i_j_k), in that order."""
-    n = inst.n_items
+    n = inst.n
     rows, rhs = pick_one_system(n)
     names = (f"pick_{i}_{j}" for i, j in itertools.combinations(range(1, n + 1), 2))
     cons = [Constraint(a, "=", b, name) for a, b, name in zip(rows, rhs, names)]
-    return BinaryProgram(inst.weight_vector(), cons + dicycle_facets(n), [f"x_{i}_{j}" for i, j in ordered_pairs(n)])
+    return BinaryProgram(inst.vector(), cons + dicycle_facets(n), [f"x_{i}_{j}" for i, j in ordered_pairs(n)])
 
 
 def _check_perm(sigma: Sequence[int]) -> tuple[int, ...]:
@@ -140,23 +120,18 @@ def objective_value(inst: LopInstance, sigma: Sequence[int]) -> Fraction:
 
 def optimal_permutations(inst: LopInstance) -> list[tuple[int, ...]]:
     """All maximizing rankings, by full n! enumeration."""
-    return maximisers(all_permutations(inst.n_items), lambda p: objective_value(inst, p))
+    return maximisers(all_permutations(inst.n), lambda p: objective_value(inst, p))
 
 
 def verify_diameter_kendall(inst: LopInstance) -> bool:
     """Conjugate diameter solve vs. brute force over optimal rankings: the
     distance must be twice the largest Kendall tau between two optima.
     Exact for n up to 6 (enumeration of n! rankings)."""
-    n = inst.n_items
+    n = inst.n
     if n > 6:
         raise ValueError("verification enumerates n! rankings; n <= 6 only")
     opts = optimal_permutations(inst)
     return verify_listed_diameter(build(inst), opts, perm_to_incidence, kendall_tau)
-
-
-def trivial_facets(n: int) -> list[Constraint]:
-    """x_ij >= 0 for every ordered pair (each is x_ji <= 1 in disguise)."""
-    return nonnegativity_facets([f"x_{i}_{j}" for i, j in ordered_pairs(n)])
 
 
 def dicycle_facets(n: int) -> list[Constraint]:
@@ -175,7 +150,9 @@ def dicycle_facets(n: int) -> list[Constraint]:
 
 
 def base_facets(n: int) -> list[Constraint]:
-    return trivial_facets(n) + dicycle_facets(n)
+    """x_ij >= 0 for every ordered pair (each is x_ji <= 1 in disguise),
+    then the 3-dicycle rows."""
+    return nonnegativity_facets([f"x_{i}_{j}" for i, j in ordered_pairs(n)]) + dicycle_facets(n)
 
 
 def pick_one_system(n: int):

@@ -9,12 +9,17 @@ warning.  lp_string refuses (ValueError) a name parse_lp could not read
 back: a variable name that is no identifier or is a section word (max,
 min, st, bin, end, ...), or a row label with ':', '\\', a line break or
 surrounding whitespace.
+
+Files are read one way: a name ending in .json is JSON, anything else is
+text (load_instance; load_model reads models).  PairWeights is the
+instance of both front ends.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 
 from .bpcore import BinaryProgram, Constraint
@@ -122,18 +127,14 @@ def json_list(value, field: str) -> list:
 
 
 def model_from_dict(d: dict) -> BinaryProgram:
+    """The model of a JSON object; BinaryProgram and Constraint read each
+    number, so a malformed one is ParseError with their message."""
     try:
-        c = [as_rational(v) for v in json_list(d["objective"], "objective")]
-        cons = []
-        for row in json_list(d.get("constraints", []), "constraints"):
-            cons.append(
-                Constraint(
-                    tuple(as_rational(v) for v in json_list(row["coeffs"], "coeffs")),
-                    row["sense"],
-                    as_rational(row["rhs"]),
-                    row.get("name", ""),
-                )
-            )
+        c = json_list(d["objective"], "objective")
+        cons = [
+            Constraint(json_list(row["coeffs"], "coeffs"), row["sense"], row["rhs"], row.get("name", ""))
+            for row in json_list(d.get("constraints", []), "constraints")
+        ]
         names = d.get("variable_names")
         bp = BinaryProgram(c, cons, None if names is None else json_list(names, "variable_names"))
         if "n" in d and as_integer(d["n"]) != bp.n:
@@ -145,30 +146,67 @@ def model_from_dict(d: dict) -> BinaryProgram:
     return bp
 
 
-def instance_from_json(d: dict, make, field: str, family: str, symmetric: bool = False):
-    """make(n, {(i, j): w}) from {"n": n, field: [[i, j, w] or [i, j, num, den], ...]}.
+class PairWeights:
+    """A weight on each pair of 1..n, the instance of a front end whose
+    columns are pairs: weights holds one entry per pair, in the model's
+    column order, and a pair not given weighs 0.
 
-    With symmetric, (i, j) and (j, i) name the same entry.  Any malformed
-    value raises ParseError naming the family.
+    A subclass sets pairs (n -> the pairs in column order), key (a given
+    pair -> its entry), least (the least n) and the words of its messages.
+    A pair out of range or given twice, as a mapping or as (pair, weight)
+    items, is ValueError.
+    """
+
+    pairs: Callable[[int], list[tuple[int, int]]]
+    key: Callable[[tuple[int, int]], tuple[int, int]]
+    least: int
+    too_few: str  # "two items": need at least that many
+    pair_word: str  # "pair": names a pair in messages
+    weight_word: str  # "weight": names a weight in messages
+
+    def __init__(self, n: int, weights=()):
+        if n < self.least:
+            raise ValueError(f"need at least {self.too_few}")
+        self.n = n
+        self.weights = dict.fromkeys(self.pairs(n), 0)
+        given = set()
+        for (i, j), w in weights.items() if isinstance(weights, Mapping) else weights or ():
+            key = self.key((i, j))
+            if key not in self.weights:
+                raise ValueError(f"{self.pair_word} ({i}, {j}) out of range")
+            if key in given:
+                raise ValueError(f"duplicate {self.weight_word} for {key}")
+            given.add(key)
+            self.weights[key] = as_rational(w)
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n)
+
+    def vector(self) -> tuple[int | Fraction, ...]:
+        return tuple(self.weights.values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n})"
+
+
+def instance_from_json(d: dict, make, field: str, family: str):
+    """make(n, [((i, j), w), ...]) from {"n": n, field: [[i, j, w] or [i, j, num, den], ...]}.
+
+    make refuses a pair given twice.  Any malformed value raises
+    ParseError naming the family.
     """
     try:
         n = as_integer(d["n"])
-        entries = {}
+        entries = []
         for entry in d.get(field, []):
             if len(entry) == 4:
-                i, j, num, den = entry
-                w = as_rational((num, den))
+                i, j, *w = entry
             elif len(entry) == 3:
                 i, j, w = entry
-                w = as_rational(w)
             else:
                 raise ValueError(f"{field[:-1]} entry {entry!r} should be [i, j, num, den]")
-            key = (as_integer(i), as_integer(j))
-            if symmetric:
-                key = (min(key), max(key))
-            if key in entries:
-                raise ValueError(f"duplicate {field[:-1]} for {key}")
-            entries[key] = w
+            entries.append(((as_integer(i), as_integer(j)), w))
         return make(n, entries)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad {family} instance JSON: {e}") from e
@@ -200,10 +238,6 @@ def write_lp(bp: BinaryProgram, path: str) -> list[str]:
         json.dump(model_to_dict(bp), fh, indent=1, sort_keys=True)
         fh.write("\n")
     return warnings
-
-
-def load_model_json(path: str) -> BinaryProgram:
-    return model_from_dict(read_json(path))
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # a variable name, if it is no one-word header
@@ -251,7 +285,7 @@ def parse_lp(text: str) -> BinaryProgram:
     minimize = False
     obj: dict[str, int | Fraction] | None = None
     rows: list[tuple[str, dict[str, int | Fraction], str, int | Fraction]] = []
-    binaries: list[str] = []
+    binaries: dict[str, None] = {}  # the Binary names, in order
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("\\")[0].strip()
         if not line:
@@ -282,28 +316,28 @@ def parse_lp(text: str) -> BinaryProgram:
             rows.append((name, _parse_expr(lhs, line_no), sense, as_rational(rhs_text)))
         elif section == "bin":
             for tok in line.split():
-                binaries.append(tok)
+                if tok in binaries:
+                    raise ParseError(f"line {line_no}: {tok} declared Binary twice")
+                binaries[tok] = None
         elif section is None:
             raise ParseError(f"line {line_no}: content before any section header")
     if obj is None:
         raise ParseError("no objective section")
     if not binaries:
         raise ParseError("no Binary section; only pure binary models are supported")
-    order = binaries
-    known = set(order)
     for src in [obj] + [r[1] for r in rows]:
         for name in src:
-            if name not in known:
+            if name not in binaries:
                 raise ParseError(f"variable {name} is not declared Binary")
     sign = -1 if minimize else 1
-    c = [sign * obj.get(name, 0) for name in order]
+    c = [sign * obj.get(name, 0) for name in binaries]
     cons = []
     for name, terms, sense, rhs in rows:
-        coeffs = tuple(terms.get(v, 0) for v in order)
+        coeffs = tuple(terms.get(v, 0) for v in binaries)
         cons.append(Constraint(coeffs, sense, rhs, name))
-    return BinaryProgram(c, cons, order)
+    return BinaryProgram(c, cons, binaries)
 
 
-def load_model_lp(path: str) -> BinaryProgram:
-    with open(path) as fh:
-        return parse_lp(fh.read())
+def load_model(path: str) -> BinaryProgram:
+    """Read a model file: JSON (.json) or LP text (anything else)."""
+    return load_instance(path, model_from_dict, parse_lp)

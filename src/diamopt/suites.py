@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 from types import ModuleType
 from typing import Callable
 
@@ -49,7 +48,6 @@ class Family:
     module: ModuleType
     zero: Callable  # n -> the instance with all weights zero
     load: Callable  # path -> instance
-    size: Callable  # instance -> n
     decode: Callable  # (incidence vector, n) -> ranking or tour
     pair_key: str  # JSON field of the decoded pair
     pair_label: str  # text prefix of each decoded half
@@ -57,14 +55,8 @@ class Family:
 
 
 FAMILIES = {
-    "lop": Family(
-        lop, lop.LopInstance.zero, lop.load_lop, attrgetter("n_items"),
-        lop.incidence_to_perm, "permutations", "ranks", " ",
-    ),
-    "tsp": Family(
-        tsp, tsp.TspInstance.zero, tsp.load_tsp, attrgetter("n"),
-        tsp.incidence_to_tour, "tours", "tour", "-",
-    ),
+    "lop": Family(lop, lop.LopInstance.zero, lop.load_lop, lop.incidence_to_perm, "permutations", "ranks", " "),
+    "tsp": Family(tsp, tsp.TspInstance.zero, tsp.load_tsp, tsp.incidence_to_tour, "tours", "tour", "-"),
 }
 
 # hull dimensions and point counts pinned by independent scans: raw 0/1

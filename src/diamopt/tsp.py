@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 from .bpcore import BinaryProgram, Constraint
 from .diameter import maximisers, verify_listed_diameter
 from .errors import CapExceededError, ParseError
-from .modelio import instance_from_json, load_instance
+from .modelio import PairWeights, instance_from_json, load_instance
 from .polytope import nonnegativity_facets
 from .ratlinalg import as_rational
 
@@ -41,33 +41,13 @@ def edge_index(i: int, j: int, n: int) -> int:
     return (i - 1) * n - i * (i + 1) // 2 + j - 1
 
 
-class TspInstance:
-    """Costs over the C(n,2) edges; missing edges default to 0."""
+class TspInstance(PairWeights):
+    """Costs over the C(n,2) edges; missing edges default to 0.  An edge
+    given as (j, i) is the edge (i, j)."""
 
-    __slots__ = ("n", "costs")
-
-    def __init__(self, n: int, costs=None):
-        if n < 3:
-            raise ValueError("need at least three cities")
-        self.n = n
-        table = {e: 0 for e in edges(n)}
-        if costs:
-            for (i, j), w in dict(costs).items():
-                key = (min(i, j), max(i, j))
-                if key not in table:
-                    raise ValueError(f"edge ({i}, {j}) out of range")
-                table[key] = as_rational(w)
-        self.costs = table
-
-    @classmethod
-    def zero(cls, n: int) -> "TspInstance":
-        return cls(n)
-
-    def cost_vector(self) -> tuple[int | Fraction, ...]:
-        return tuple(self.costs[e] for e in edges(n=self.n))
-
-    def __repr__(self):
-        return f"TspInstance(n={self.n})"
+    pairs = staticmethod(edges)
+    key = staticmethod(lambda e: (min(e), max(e)))
+    least, too_few, pair_word, weight_word = 3, "three cities", "edge", "cost"
 
 
 def build(inst: TspInstance) -> BinaryProgram:
@@ -83,7 +63,7 @@ def build(inst: TspInstance) -> BinaryProgram:
         raise CapExceededError(f"dense subtour build refused for n={n} (cap {BUILD_CAP})")
     rows, rhs = degree_system(n)
     cons = [Constraint(a, "=", b, f"deg_{v}") for v, (a, b) in enumerate(zip(rows, rhs), start=1)]
-    c = tuple(-w for w in inst.cost_vector())
+    c = tuple(-w for w in inst.vector())
     return BinaryProgram(c, cons + subtour_facets(n, range(2, n)), [f"x_{i}_{j}" for i, j in edges(n)])
 
 
@@ -159,7 +139,7 @@ def base_points(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def tour_cost(inst: TspInstance, t: Sequence[int]) -> Fraction:
-    return sum((inst.costs[e] for e in tour_edges(t)), Fraction(0))
+    return sum((inst.weights[e] for e in tour_edges(t)), Fraction(0))
 
 
 def discordant_edges(t1: Sequence[int], t2: Sequence[int]) -> frozenset[tuple[int, int]]:
@@ -292,5 +272,5 @@ def tsp_from_tsplib(text: str) -> TspInstance:
 def load_tsp(path: str) -> TspInstance:
     """JSON (.json) or explicit full-matrix TSPLIB (anything else)."""
     return load_instance(
-        path, lambda d: instance_from_json(d, TspInstance, "costs", "tour", symmetric=True), tsp_from_tsplib
+        path, lambda d: instance_from_json(d, TspInstance, "costs", "tour"), tsp_from_tsplib
     )

@@ -402,6 +402,29 @@ class TestUsage:
         assert exc.value.code == 3
         assert "--trials: must be an integer of at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "solve m.lp",
+            "diameter --problem lop --n 3",
+            "points --problem lop --n 3",
+            "dim --problem raw --instance m.lp",
+            "check-facet q.json --problem lop --n 3",
+        ],
+    )
+    @pytest.mark.parametrize("cap", ["-1", "five"])
+    def test_cap_below_zero_is_a_usage_error(self, argv, cap, capsys):
+        # not a cap overflow (exit 4) and no skipped cross-check: refused
+        # before any file is read
+        with pytest.raises(SystemExit) as exc:
+            main([*argv.split(), "--cap", cap])
+        assert exc.value.code == 3
+        assert "--cap: must be an integer of at least 0" in capsys.readouterr().err
+
+    def test_cap_zero_is_accepted(self, capsys):
+        # 3n > 0: the diameter runs without its enumeration cross-check
+        assert main(["diameter", "--problem", "lop", "--n", "3", "--cap", "0"]) == 0
+
     @pytest.mark.parametrize("argv", ["--help", "verify --help"])
     def test_help_exits_0(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -68,6 +68,7 @@ REFUSALS = {
     "lp-bad-right-hand-side": ("m.lp", _lp(rows=" c1: x + y <= one"), "solve {f}", "bad right-hand side 'one'"),
     "lp-no-objective": ("m.lp", "Subject To\n c1: x <= 1\nBinary\n x\nEnd\n", "solve {f}", "no objective section"),
     "lp-no-binary-section": ("m.lp", _lp(binary=""), "solve {f}", "no Binary section"),
+    "lp-binary-declared-twice": ("m.lp", _lp(binary="Binary\n x y\n x\n"), "solve {f}", "line 7: x declared Binary twice"),
     "tsplib-weight-type": (
         "w.tsp", _tsplib(header="EDGE_WEIGHT_TYPE: EUC_2D"), "diameter --problem tsp --instance {f}",
         "EDGE_WEIGHT_TYPE EUC_2D unsupported",

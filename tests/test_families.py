@@ -1,8 +1,11 @@
 """Each front end solves exactly the rows it certifies, the paired program
-solves exactly the coupling rows and lifted systems that are certified, and
-the CLI looks families up without listing base points it does not use."""
+solves exactly the coupling rows and lifted systems that are certified,
+both front ends read their weights into one pair table, and the CLI looks
+families up without listing base points it does not use."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +31,28 @@ def test_tour_model_rows_are_the_certified_rows(n):
     want = [Constraint(a, "=", b, f"deg_{v}") for v, (a, b) in enumerate(zip(rows, rhs), start=1)]
     want += tsp.subtour_facets(n, range(2, n))
     assert list(tsp.build(tsp.TspInstance.zero(n)).constraints) == want
+
+
+# front end -> (module, instance type, its pairs, sign of the objective)
+FRONT_ENDS = {
+    "ordering": (lop, lop.LopInstance, lop.ordered_pairs, 1),
+    "tour": (tsp, tsp.TspInstance, tsp.edges, -1),  # costs are minimized
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+def test_pair_table_is_the_objective(front_end, n):
+    module, instance, pairs, sign = FRONT_ENDS[front_end]
+    rng = random.Random(n)
+    inst = instance(n, {p: Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for p in pairs(n)})
+    assert list(inst.weights) == pairs(n)
+    assert inst.vector() == tuple(sign * v for v in module.build(inst).c)
+    # (n, 1) is an ordered pair of its own, and the tour edge (1, n)
+    flipped = instance(n, [((n, 1), 5)])
+    assert flipped.weights[(n, 1) if module is lop else (1, n)] == 5
+    assert sorted(flipped.vector()) == [0] * (len(pairs(n)) - 1) + [5]
+    assert instance.zero(n).vector() == (0,) * len(pairs(n))
 
 
 PAIRED_CASES = [

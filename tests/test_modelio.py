@@ -10,8 +10,7 @@ from diamopt.diameter import build
 from diamopt.errors import ParseError
 from diamopt.modelio import (
     decimal_form,
-    load_model_json,
-    load_model_lp,
+    load_model,
     lp_string,
     model_from_dict,
     model_to_dict,
@@ -120,7 +119,7 @@ class TestLpText:
         bp = random_binary_program(rng, max_n=7, max_rows=4)
         path = tmp_path / "m.lp"
         write_lp(bp, str(path))
-        back = load_model_lp(str(path))
+        back = load_model(str(path))
         assert back.variable_names == bp.variable_names
         assert back.c == bp.c
         assert enumerate_feasible(back) == enumerate_feasible(bp)
@@ -130,7 +129,7 @@ class TestLpText:
         bp = BinaryProgram([Fraction(1, 3)], [Constraint([Fraction(1, 7)], "<=", 1)])
         path = tmp_path / "m.lp"
         write_lp(bp, str(path))
-        side = load_model_json(str(path) + ".json")
+        side = load_model(str(path) + ".json")
         assert side == bp
 
     @pytest.mark.parametrize("name", ["a-b", "x.1", "1x", "x y", ""])
@@ -165,6 +164,11 @@ class TestLpText:
         with pytest.raises(ParseError):
             parse_lp("this is not a model")
 
+    def test_binary_declared_twice_rejected(self):
+        text = "Maximize\n obj: x + y\nSubject To\n c: x + y <= 1\nBinary\n x y\n x\nEnd\n"
+        with pytest.raises(ParseError, match="line 7: x declared Binary twice"):
+            parse_lp(text)
+
     def test_binary_section_fixes_order(self):
         text = "Maximize\n obj: b + 2 a\nSubject To\nBinary\n b\n a\nEnd\n"
         bp = parse_lp(text)
@@ -176,7 +180,7 @@ def test_json_file_round_trip(tmp_path):
     bp = BinaryProgram([1, -2, 3], [Constraint([1, 1, 1], "<=", 2, "cap")])
     path = tmp_path / "m.json"
     path.write_text(json.dumps(model_to_dict(bp)))
-    assert load_model_json(str(path)) == bp
+    assert load_model(str(path)) == bp
 
 
 def _round_trip_models():

@@ -42,6 +42,9 @@ LIBRARY = {
     "bpcore-tuple-bad-sense": (lambda: BinaryProgram([1], [((1,), "<", 0)]), ValueError, "bad sense '<'"),
     "lop-pair-index": (lambda: lop.pair_index(2, 2, 3), ValueError, "bad pair (2, 2) for n=3"),
     "lop-weight-out-of-range": (lambda: lop.LopInstance(3, {(1, 4): 1}), ValueError, "pair (1, 4) out of range"),
+    "lop-pair-given-twice": (
+        lambda: lop.LopInstance(3, [((1, 2), 1), ((1, 2), 2)]), ValueError, "duplicate weight for (1, 2)",
+    ),
     "lop-incidence-length": (
         lambda: lop.incidence_to_perm((0, 1), 3), ValueError, "2 coordinates do not form an ordered-pair vector",
     ),
@@ -54,6 +57,9 @@ LIBRARY = {
     ),
     "tsp-edge-index": (lambda: tsp.edge_index(2, 2, 3), ValueError, "bad edge (2, 2) for n=3"),
     "tsp-cost-out-of-range": (lambda: tsp.TspInstance(3, {(1, 4): 1}), ValueError, "edge (1, 4) out of range"),
+    "tsp-edge-given-twice": (
+        lambda: tsp.TspInstance(4, {(1, 2): 3, (2, 1): 5}), ValueError, "duplicate cost for (1, 2)",
+    ),
     "tsp-canonical-tour": (lambda: tsp.canonical_tour((1, 2)), ValueError, "is not a tour of 1..2"),
     "tsp-incidence-length": (
         lambda: tsp.incidence_to_tour((1, 1), 3), ValueError, "2 coordinates do not form an edge vector",

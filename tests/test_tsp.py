@@ -165,8 +165,8 @@ class TestIo:
         path = tmp_path / "t.json"
         path.write_text('{"n": 4, "costs": [[1, 2, 3], [3, 4, [1, 2]]]}')
         inst = tsp.load_tsp(str(path))
-        assert inst.costs[(1, 2)] == 3
-        assert inst.costs[(3, 4)] == Fraction(1, 2)
+        assert inst.weights[(1, 2)] == 3
+        assert inst.weights[(3, 4)] == Fraction(1, 2)
 
     def test_tsplib_full_matrix(self, tmp_path):
         text = "\n".join(
@@ -188,8 +188,8 @@ class TestIo:
         path.write_text(text)
         inst = tsp.load_tsp(str(path))
         assert inst.n == 4
-        assert inst.costs[(1, 2)] == 1
-        assert inst.costs[(3, 4)] == 6
+        assert inst.weights[(1, 2)] == 1
+        assert inst.weights[(3, 4)] == 6
 
     def test_tsplib_asymmetric_rejected(self, tmp_path):
         text = "\n".join(
