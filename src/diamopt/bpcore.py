@@ -52,6 +52,8 @@ class Constraint:
         object.__setattr__(self, "rhs", as_rational(self.rhs))
         if self.sense not in HOLDS:
             raise ValueError(f"bad sense {self.sense!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"row label {self.label!r} is not a string")
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,9 @@ class BinaryProgram:
         names = tuple(f"x_{i + 1}" for i in range(self.n)) if variable_names is None else tuple(variable_names)
         if len(names) != self.n:
             raise ValueError("variable_names length mismatch")
+        for name in names:
+            if not isinstance(name, str):
+                raise ValueError(f"variable name {name!r} is not a string")
         if len(set(names)) != self.n:
             raise ValueError("variable_names must be unique")
         self.variable_names = names

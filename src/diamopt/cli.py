@@ -86,9 +86,9 @@ def _instance_setup(args):
         return {"problem": "raw", "n": bp.n}, bp, None
     family = FAMILIES[args.problem]
     if args.instance:
-        inst = family.load(args.instance)
+        inst = family.instance.load(args.instance)
     elif args.n is not None:
-        inst = family.zero(args.n)
+        inst = family.instance.zero(args.n)
     else:
         raise ParseError(f"need --n or --instance for --problem {args.problem}")
     return {"problem": args.problem, "n": inst.n}, family.module.build(inst), family

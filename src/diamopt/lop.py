@@ -23,9 +23,8 @@ from typing import Iterator, Sequence
 from .bpcore import BinaryProgram, Constraint
 from .diameter import maximisers, paired, split, verify_listed_diameter
 from .errors import ParseError
-from .modelio import PairWeights, instance_from_json, load_instance
+from .modelio import PairWeights
 from .polytope import nonnegativity_facets
-from .ratlinalg import as_rational
 
 
 def ordered_pairs(n: int) -> list[tuple[int, int]]:
@@ -43,7 +42,21 @@ class LopInstance(PairWeights):
 
     pairs = staticmethod(ordered_pairs)
     key = tuple
-    least, too_few, pair_word, weight_word = 2, "two items", "pair", "weight"
+    least, field, family = 2, "weights", "ordering"
+    too_few, pair_word, weight_word = "two items", "pair", "weight"
+
+    @classmethod
+    def from_text(cls, text: str) -> LopInstance:
+        """Dense-matrix text: first number n, then the n*n entries; '#'
+        starts a comment."""
+        tokens = [tok for line in text.splitlines() for tok in line.split("#")[0].split()]
+        if not tokens:
+            raise ParseError("empty matrix text")
+        try:
+            n = int(tokens[0])
+        except ValueError as e:
+            raise ParseError(f"first token must be the size, got {tokens[0]!r}") from e
+        return cls.from_matrix(n, tokens[1:])
 
 
 def build(inst: LopInstance) -> BinaryProgram:
@@ -184,40 +197,3 @@ def lift_inequality(ineq: Constraint, n_items: int) -> Constraint:
         for k, v in zip(moved, old):
             block[k] = v
     return Constraint(paired((n + 1) * n, *blocks), ineq.sense, ineq.rhs, ineq.label)
-
-
-def lop_from_matrix_text(text: str) -> LopInstance:
-    """Dense-matrix text: first number n, then n*n entries; diagonal ignored."""
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#")[0].strip()
-        if line:
-            tokens.extend(line.split())
-    if not tokens:
-        raise ParseError("empty matrix text")
-    try:
-        n = int(tokens[0])
-    except ValueError as e:
-        raise ParseError(f"first token must be the size, got {tokens[0]!r}") from e
-    if len(tokens) != 1 + n * n:
-        raise ParseError(f"expected {n * n} matrix entries, found {len(tokens) - 1}")
-    weights = {}
-    pos = 1
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            tok = tokens[pos]
-            pos += 1
-            if i == j:
-                continue
-            try:
-                weights[(i, j)] = as_rational(tok)
-            except ValueError as e:
-                raise ParseError(f"bad matrix entry {tok!r}") from e
-    return LopInstance(n, weights)
-
-
-def load_lop(path: str) -> LopInstance:
-    """JSON (.json) or dense-matrix text (anything else)."""
-    return load_instance(
-        path, lambda d: instance_from_json(d, LopInstance, "weights", "ordering"), lop_from_matrix_text
-    )

@@ -12,7 +12,8 @@ surrounding whitespace.
 
 Files are read one way: a name ending in .json is JSON, anything else is
 text (load_instance; load_model reads models).  PairWeights is the
-instance of both front ends.
+instance of both front ends, and reads its own files (PairWeights.load):
+its JSON, and the n x n matrix its text format gives (from_matrix).
 """
 
 from __future__ import annotations
@@ -152,17 +153,21 @@ class PairWeights:
     column order, and a pair not given weighs 0.
 
     A subclass sets pairs (n -> the pairs in column order), key (a given
-    pair -> its entry), least (the least n) and the words of its messages.
-    A pair out of range or given twice, as a mapping or as (pair, weight)
-    items, is ValueError.
+    pair -> its entry), least (the least n), field (the JSON list of its
+    entries), family (names it in messages), the words of its messages,
+    and from_text, which reads its text format.  A pair out of range or
+    given twice, as a mapping or as (pair, weight) items, is ValueError.
     """
 
     pairs: Callable[[int], list[tuple[int, int]]]
     key: Callable[[tuple[int, int]], tuple[int, int]]
     least: int
+    field: str  # "weights": the JSON list of entries
+    family: str  # "ordering": names the family in messages
     too_few: str  # "two items": need at least that many
     pair_word: str  # "pair": names a pair in messages
     weight_word: str  # "weight": names a weight in messages
+    from_text: Callable[[str], PairWeights]
 
     def __init__(self, n: int, weights=()):
         if n < self.least:
@@ -183,33 +188,57 @@ class PairWeights:
     def zero(cls, n: int):
         return cls(n)
 
+    @classmethod
+    def from_json(cls, d: dict):
+        """The instance of {"n": n, field: [[i, j, w] or [i, j, num, den], ...]};
+        any malformed value is ParseError naming the family."""
+        try:
+            n = as_integer(d["n"])
+            entries = []
+            for entry in d.get(cls.field, []):
+                if len(entry) == 4:
+                    i, j, *w = entry
+                elif len(entry) == 3:
+                    i, j, w = entry
+                else:
+                    raise ValueError(f"{cls.field[:-1]} entry {entry!r} should be [i, j, num, den]")
+                entries.append(((as_integer(i), as_integer(j)), w))
+            return cls(n, entries)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"bad {cls.family} instance JSON: {e}") from e
+
+    @classmethod
+    def from_matrix(cls, n: int, tokens: list[str]):
+        """The instance of an n x n matrix given row by row as n*n number
+        tokens.  Every entry must be a number, the diagonal's too, and the
+        diagonal is then dropped; two entries keyed to one pair (both
+        triangles of a tour's matrix) must agree."""
+        if len(tokens) != n * n:
+            raise ParseError(f"expected {n * n} weight entries, found {len(tokens)}")
+        weights = {}
+        for k, tok in enumerate(tokens):
+            try:
+                w = as_rational(tok)
+            except ValueError as e:
+                raise ParseError(f"bad weight entry {tok!r}") from e
+            i, j = divmod(k, n)
+            if i == j:
+                continue
+            key = cls.key((i + 1, j + 1))
+            if weights.setdefault(key, w) != w:
+                raise ParseError(f"matrix is not symmetric at {key}")
+        return cls(n, weights)
+
+    @classmethod
+    def load(cls, path: str):
+        """Read an instance file: JSON (.json) or the family's text format."""
+        return load_instance(path, cls.from_json, cls.from_text)
+
     def vector(self) -> tuple[int | Fraction, ...]:
         return tuple(self.weights.values())
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"
-
-
-def instance_from_json(d: dict, make, field: str, family: str):
-    """make(n, [((i, j), w), ...]) from {"n": n, field: [[i, j, w] or [i, j, num, den], ...]}.
-
-    make refuses a pair given twice.  Any malformed value raises
-    ParseError naming the family.
-    """
-    try:
-        n = as_integer(d["n"])
-        entries = []
-        for entry in d.get(field, []):
-            if len(entry) == 4:
-                i, j, *w = entry
-            elif len(entry) == 3:
-                i, j, w = entry
-            else:
-                raise ValueError(f"{field[:-1]} entry {entry!r} should be [i, j, num, den]")
-            entries.append(((as_integer(i), as_integer(j)), w))
-        return make(n, entries)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad {family} instance JSON: {e}") from e
 
 
 def read_json(path: str):
@@ -254,7 +283,7 @@ _NUM = re.compile(r"[+-]?(\d+(?:\.\d+)?|\.\d+)$")
 
 def _parse_expr(expr: str, line_no: int):
     """Parse 'a x + b y - z' into {name: coefficient}, each an int or a
-    Fraction."""
+    Fraction; every term after the first carries its sign."""
     out: dict[str, int | Fraction] = {}
     pos = 0
     expr = expr.strip()
@@ -263,6 +292,8 @@ def _parse_expr(expr: str, line_no: int):
         if not m or m.start() != pos:
             raise ParseError(f"line {line_no}: cannot read term at {expr[pos:]!r}")
         sign, num, name = m.groups()
+        if pos and not sign:
+            raise ParseError(f"line {line_no}: missing sign before {m.group(0)!r}")
         coeff = as_rational(num) if num else 1
         if sign == "-":
             coeff = -coeff

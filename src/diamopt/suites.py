@@ -24,6 +24,7 @@ from .diameter import (
     paired,
     solve_diameter,
 )
+from .modelio import PairWeights
 from .polytope import (
     EquationSystem,
     check_disjoint_pair_condition,
@@ -46,8 +47,7 @@ class Family:
     """
 
     module: ModuleType
-    zero: Callable  # n -> the instance with all weights zero
-    load: Callable  # path -> instance
+    instance: type[PairWeights]  # its zero(n) and load(path) make the instance
     decode: Callable  # (incidence vector, n) -> ranking or tour
     pair_key: str  # JSON field of the decoded pair
     pair_label: str  # text prefix of each decoded half
@@ -55,8 +55,8 @@ class Family:
 
 
 FAMILIES = {
-    "lop": Family(lop, lop.LopInstance.zero, lop.load_lop, lop.incidence_to_perm, "permutations", "ranks", " "),
-    "tsp": Family(tsp, tsp.TspInstance.zero, tsp.load_tsp, tsp.incidence_to_tour, "tours", "tour", "-"),
+    "lop": Family(lop, lop.LopInstance, lop.incidence_to_perm, "permutations", "ranks", " "),
+    "tsp": Family(tsp, tsp.TspInstance, tsp.incidence_to_tour, "tours", "tour", "-"),
 }
 
 # hull dimensions and point counts pinned by independent scans: raw 0/1
@@ -68,7 +68,7 @@ TSP_EXPECTED = {4: {"dim": 10, "points": 108}, 5: {"dim": 20, "points": 35712}}
 
 def _paired_points(family: Family, n: int):
     """Paired-copy point set of the family's size-n model."""
-    return enumerate_points(family.module.build(family.zero(n)), base_points=family.module.base_points(n))
+    return enumerate_points(family.module.build(family.instance.zero(n)), base_points=family.module.base_points(n))
 
 
 def _lop_points(n: int):

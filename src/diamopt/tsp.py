@@ -22,9 +22,8 @@ from typing import Iterator, Sequence
 from .bpcore import BinaryProgram, Constraint
 from .diameter import maximisers, verify_listed_diameter
 from .errors import CapExceededError, ParseError
-from .modelio import PairWeights, instance_from_json, load_instance
+from .modelio import PairWeights
 from .polytope import nonnegativity_facets
-from .ratlinalg import as_rational
 
 BUILD_CAP = 10
 
@@ -47,7 +46,44 @@ class TspInstance(PairWeights):
 
     pairs = staticmethod(edges)
     key = staticmethod(lambda e: (min(e), max(e)))
-    least, too_few, pair_word, weight_word = 3, "three cities", "edge", "cost"
+    least, field, family = 3, "costs", "tour"
+    too_few, pair_word, weight_word = "three cities", "edge", "cost"
+
+    @classmethod
+    def from_text(cls, text: str) -> TspInstance:
+        """EXPLICIT full-matrix TSPLIB text; other weight types are rejected."""
+        header: dict[str, str] = {}
+        numbers: list[str] = []
+        in_weights = False
+        for raw in text.splitlines():
+            line = raw.strip()
+            if not line or line == "EOF":
+                continue
+            if in_weights:
+                if ":" in line and not line[0].isdigit() and line[0] != "-":
+                    in_weights = False  # another section header
+                else:
+                    numbers.extend(line.split())
+                    continue
+            if line.upper().startswith("EDGE_WEIGHT_SECTION"):
+                in_weights = True
+                continue
+            if ":" in line:
+                key, _, val = line.partition(":")
+                header[key.strip().upper()] = val.strip()
+            elif line.upper() in ("NODE_COORD_SECTION", "DISPLAY_DATA_SECTION"):
+                raise ParseError("coordinate sections are not supported; EXPLICIT weights only")
+        ewt = header.get("EDGE_WEIGHT_TYPE", "").upper()
+        if ewt != "EXPLICIT":
+            raise ParseError(f"EDGE_WEIGHT_TYPE {ewt or '(missing)'} unsupported; need EXPLICIT")
+        fmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
+        if fmt != "FULL_MATRIX":
+            raise ParseError(f"EDGE_WEIGHT_FORMAT {fmt} unsupported; need FULL_MATRIX")
+        try:
+            n = int(header["DIMENSION"])
+        except (KeyError, ValueError) as e:
+            raise ParseError("missing or bad DIMENSION") from e
+        return cls.from_matrix(n, numbers)
 
 
 def build(inst: TspInstance) -> BinaryProgram:
@@ -212,65 +248,3 @@ def degree_system(n: int):
         rows.append(tuple(a))
         rhs.append(2)
     return rows, rhs
-
-
-def tsp_from_tsplib(text: str) -> TspInstance:
-    """EXPLICIT full-matrix TSPLIB text; other weight types are rejected."""
-    header: dict[str, str] = {}
-    numbers: list[str] = []
-    in_weights = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line == "EOF":
-            continue
-        if in_weights:
-            up = line.upper().replace(" ", "")
-            if ":" in line and not line[0].isdigit() and not up[0] == "-":
-                in_weights = False  # another section header
-            else:
-                numbers.extend(line.split())
-                continue
-        if line.upper().startswith("EDGE_WEIGHT_SECTION"):
-            in_weights = True
-            continue
-        if ":" in line:
-            key, _, val = line.partition(":")
-            header[key.strip().upper()] = val.strip()
-        elif line.upper() in ("NODE_COORD_SECTION", "DISPLAY_DATA_SECTION"):
-            raise ParseError("coordinate sections are not supported; EXPLICIT weights only")
-    ewt = header.get("EDGE_WEIGHT_TYPE", "").upper()
-    if ewt != "EXPLICIT":
-        raise ParseError(f"EDGE_WEIGHT_TYPE {ewt or '(missing)'} unsupported; need EXPLICIT")
-    fmt = header.get("EDGE_WEIGHT_FORMAT", "FULL_MATRIX").upper()
-    if fmt != "FULL_MATRIX":
-        raise ParseError(f"EDGE_WEIGHT_FORMAT {fmt} unsupported; need FULL_MATRIX")
-    try:
-        n = int(header["DIMENSION"])
-    except (KeyError, ValueError) as e:
-        raise ParseError("missing or bad DIMENSION") from e
-    if len(numbers) != n * n:
-        raise ParseError(f"expected {n * n} weight entries, found {len(numbers)}")
-    costs = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            tok = numbers[(i - 1) * n + (j - 1)]
-            try:
-                w = as_rational(tok)
-            except ValueError as e:
-                raise ParseError(f"bad weight entry {tok!r}") from e
-            if i == j:
-                continue
-            key = (min(i, j), max(i, j))
-            if key in costs:
-                if costs[key] != w:
-                    raise ParseError(f"matrix is not symmetric at {key}")
-            else:
-                costs[key] = w
-    return TspInstance(n, costs)
-
-
-def load_tsp(path: str) -> TspInstance:
-    """JSON (.json) or explicit full-matrix TSPLIB (anything else)."""
-    return load_instance(
-        path, lambda d: instance_from_json(d, TspInstance, "costs", "tour"), tsp_from_tsplib
-    )

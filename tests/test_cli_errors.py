@@ -103,6 +103,26 @@ REFUSALS = {
     "instance-json-malformed": ("w.json", '{"n": 3,', "diameter --problem lop --instance {f}", "Expecting"),
     "model-json-malformed": ("m.json", '{"objective": [1, 2]', "solve {f}", "Expecting"),
     "raw-without-instance": (None, None, "diameter --problem raw", "--problem raw requires --instance MODEL"),
+    # the diagonal is read as a number, then dropped
+    "matrix-text-bad-diagonal": (
+        "w.txt", "2\nabc 1\n1 0\n", "diameter --problem lop --instance {f}", "bad weight entry 'abc'",
+    ),
+    # 2^14 optima are past POOL_LIMIT, where the paired search builds names from row labels
+    "model-json-row-name-not-a-string": (
+        "m.json",
+        json.dumps({"objective": [0] * 14, "constraints": [{"name": 5, "coeffs": [1] * 14, "sense": "<=", "rhs": 14}]}),
+        "diameter --problem raw --instance {f}",
+        "row label 5 is not a string",
+    ),
+    "model-json-variable-name-not-a-string": (
+        "m.json", json.dumps({"objective": [1, 1], "constraints": [], "variable_names": [1, 2]}), "solve {f}",
+        "variable name 1 is not a string",
+    ),
+    "inequality-label-not-a-string": (
+        "q.json", json.dumps({"a": [1, 0, 1, 0, -1, 0], "a0": 1, "sense": "<=", "label": 5}),
+        "check-facet {f} --problem lop --n 2", "inequality 1: row label 5 is not a string",
+    ),
+    "lp-term-without-sign": ("m.lp", _lp(objective="obj: 2 x 3 y"), "solve {f}", "line 2: missing sign before '3 y'"),
 }
 
 

@@ -1,9 +1,11 @@
 """Each front end solves exactly the rows it certifies, the paired program
 solves exactly the coupling rows and lifted systems that are certified,
-both front ends read their weights into one pair table, and the CLI looks
-families up without listing base points it does not use."""
+both front ends read their weights into one pair table and read their
+files through one matrix reader, and the CLI looks families up without
+listing base points it does not use."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from diamopt import lop, tsp
 from diamopt.bpcore import Constraint
 from diamopt.cli import main
 from diamopt.diameter import build as build_diameter
+from diamopt.errors import ParseError
 from diamopt.polytope import EquationSystem, facet_families, lift_equation_system
 
 
@@ -53,6 +56,46 @@ def test_pair_table_is_the_objective(front_end, n):
     assert flipped.weights[(n, 1) if module is lop else (1, n)] == 5
     assert sorted(flipped.vector()) == [0] * (len(pairs(n)) - 1) + [5]
     assert instance.zero(n).vector() == (0,) * len(pairs(n))
+
+
+# a 3 x 3 matrix of each front end, row by row; a tour's is symmetric
+MATRICES = {
+    "ordering": [["0", "1", "5/2"], ["7", "0", "-4"], ["3", "6", "0"]],
+    "tour": [["0", "1", "5/2"], ["1", "0", "-4"], ["5/2", "-4", "0"]],
+}
+
+
+def _matrix_text(front_end, rows):
+    """Matrix text for an ordering, EXPLICIT FULL_MATRIX TSPLIB for a tour."""
+    body = "\n".join(" ".join(row) for row in rows)
+    if front_end == "ordering":
+        return f"# toy\n{len(rows)}\n{body}\n"
+    head = "EDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION"
+    return f"DIMENSION: {len(rows)}\n{head}\n{body}\nEOF\n"
+
+
+@pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+def test_instance_reads_its_own_files(front_end, tmp_path):
+    _, instance, pairs, _ = FRONT_ENDS[front_end]
+    rows = MATRICES[front_end]
+    want = tuple(Fraction(rows[i - 1][j - 1]) for i, j in pairs(3))
+    entries = [[i, j, w.numerator, w.denominator] for (i, j), w in zip(pairs(3), want)]
+    (tmp_path / "w.json").write_text(json.dumps({"n": 3, instance.field: entries}))
+    (tmp_path / "w.txt").write_text(_matrix_text(front_end, rows))
+    assert instance.load(str(tmp_path / "w.json")).vector() == want
+    assert instance.load(str(tmp_path / "w.txt")).vector() == want
+    short = [row[:] for row in rows]
+    short[2].pop()
+    with pytest.raises(ParseError, match="expected 9 weight entries, found 8"):
+        instance.from_text(_matrix_text(front_end, short))
+    flipped = [row[:] for row in rows]
+    flipped[1][0] = "9"  # entry (2, 1); (1, 2) is 1
+    if front_end == "tour":
+        with pytest.raises(ParseError, match=r"not symmetric at \(1, 2\)"):
+            instance.from_text(_matrix_text(front_end, flipped))
+    else:
+        inst = instance.from_text(_matrix_text(front_end, flipped))
+        assert (inst.weights[(1, 2)], inst.weights[(2, 1)]) == (1, 9)
 
 
 PAIRED_CASES = [

@@ -174,7 +174,7 @@ class TestIo:
     def test_json_instance(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text('{"n": 3, "weights": [[1, 2, 5], [2, 1, [1, 2]]]}')
-        inst = lop.load_lop(str(path))
+        inst = lop.LopInstance.load(str(path))
         assert inst.n == 3
         assert inst.weights[(1, 2)] == 5
         assert inst.weights[(2, 1)] == Fraction(1, 2)
@@ -182,7 +182,7 @@ class TestIo:
     def test_matrix_text(self, tmp_path):
         path = tmp_path / "w.mat"
         path.write_text("# toy\n3\n0 1 2\n3 0 4\n5 6 0\n")
-        inst = lop.load_lop(str(path))
+        inst = lop.LopInstance.load(str(path))
         assert inst.weights[(1, 2)] == 1
         assert inst.weights[(3, 2)] == 6
         assert (1, 1) not in inst.weights
@@ -191,4 +191,4 @@ class TestIo:
         path = tmp_path / "bad.mat"
         path.write_text("3\n0 1\n")
         with pytest.raises(ParseError):
-            lop.load_lop(str(path))
+            lop.LopInstance.load(str(path))

@@ -72,7 +72,7 @@ LIBRARY = {
     ),
     # a header line ends the weights, and is read as a header
     "tsp-tsplib-header-after-weights": (
-        lambda: tsp.tsp_from_tsplib(TSPLIB_HEADER_AFTER_WEIGHTS), ParseError, "EDGE_WEIGHT_FORMAT UPPER_ROW unsupported",
+        lambda: tsp.TspInstance.from_text(TSPLIB_HEADER_AFTER_WEIGHTS), ParseError, "EDGE_WEIGHT_FORMAT UPPER_ROW unsupported",
     ),
     "polytope-minimal-system-width": (
         lambda: verify_minimal_system(_ordering3_points(), EquationSystem(*lop.pick_one_system(3))),

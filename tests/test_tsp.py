@@ -164,7 +164,7 @@ class TestIo:
     def test_json_instance(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text('{"n": 4, "costs": [[1, 2, 3], [3, 4, [1, 2]]]}')
-        inst = tsp.load_tsp(str(path))
+        inst = tsp.TspInstance.load(str(path))
         assert inst.weights[(1, 2)] == 3
         assert inst.weights[(3, 4)] == Fraction(1, 2)
 
@@ -186,7 +186,7 @@ class TestIo:
         )
         path = tmp_path / "toy.tsp"
         path.write_text(text)
-        inst = tsp.load_tsp(str(path))
+        inst = tsp.TspInstance.load(str(path))
         assert inst.n == 4
         assert inst.weights[(1, 2)] == 1
         assert inst.weights[(3, 4)] == 6
@@ -207,14 +207,14 @@ class TestIo:
         path = tmp_path / "bad.tsp"
         path.write_text(text)
         with pytest.raises(ParseError):
-            tsp.load_tsp(str(path))
+            tsp.TspInstance.load(str(path))
 
     def test_coordinate_instances_rejected(self, tmp_path):
         text = "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 1 0\n3 0 1\nEOF\n"
         path = tmp_path / "coords.tsp"
         path.write_text(text)
         with pytest.raises(ParseError):
-            tsp.load_tsp(str(path))
+            tsp.TspInstance.load(str(path))
 
 
 def test_tour_pair_oracle_n5():
